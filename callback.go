@@ -26,8 +26,8 @@ type callbackRegistry struct {
 // given name during this client's blocking calls. Passing nil removes
 // the registration. Callbacks need the quiet parked stream of a
 // lockstep call, so registering one retires any live multiplexed
-// session and pins subsequent calls to the lockstep paths until all
-// callbacks are removed (see session.go).
+// session and keeps every exchange on pooled lockstep connections until
+// all callbacks are removed (see session.go).
 func (c *Client) RegisterCallback(name string, fn CallbackFunc) {
 	c.cb.mu.Lock()
 	if c.cb.fns == nil {
@@ -51,48 +51,10 @@ func (c *Client) lookupCallback(name string) CallbackFunc {
 	return c.cb.fns[name]
 }
 
-// callRoundTrip performs the MsgCall exchange, answering any
-// MsgCallback frames the server interleaves before the final reply.
-// It consumes req (released once written) and returns the reply in a
-// pooled buffer the caller must Release after decoding.
-func (c *Client) callRoundTrip(conn net.Conn, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, error) {
-	if conn == nil {
-		req.Release()
-		return 0, nil, errClientClosed
-	}
-	err := protocol.WriteFrameBuf(conn, protocol.MsgCall, req)
-	req.Release()
-	if err != nil {
-		return 0, nil, err
-	}
-	for {
-		typ, fb, err := protocol.ReadFrameBuf(conn, c.maxPayload)
-		if err != nil {
-			return 0, nil, err
-		}
-		switch typ {
-		case protocol.MsgCallback:
-			err := c.answerCallback(conn, fb.Payload())
-			fb.Release()
-			if err != nil {
-				return 0, nil, err
-			}
-		case protocol.MsgError:
-			er, derr := protocol.DecodeErrorReply(fb.Payload())
-			fb.Release()
-			if derr != nil {
-				return 0, nil, derr
-			}
-			return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail}
-		default:
-			return typ, fb, nil
-		}
-	}
-}
-
-// answerCallback runs the registered function and replies. Unknown
-// names and function errors are reported to the server as MsgError;
-// the call itself keeps waiting.
+// answerCallback serves one MsgCallback frame read in the middle of a
+// lockstep exchange: it runs the registered function and replies on the
+// same connection. Unknown names and function errors are reported to
+// the server as MsgError; the call itself keeps waiting.
 func (c *Client) answerCallback(conn net.Conn, payload []byte) error {
 	req, err := protocol.DecodeCallbackRequest(payload)
 	if err != nil {

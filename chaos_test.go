@@ -424,16 +424,23 @@ func TestChaosMuxResetNoCorruption(t *testing.T) {
 		}
 	}
 
-	cnt := in.Counters()
-	t.Logf("injected: %v", cnt)
-	if cnt.Resets+cnt.PartialWrites == 0 {
-		t.Fatal("no resets or mid-frame cuts injected: the run proved nothing")
+	if cnt := in.Counters(); cnt.Resets+cnt.PartialWrites == 0 {
+		t.Fatalf("no resets or mid-frame cuts injected (%v): the run proved nothing", cnt)
 	}
-	// The client is still multiplexing: the faults cost sessions, not
-	// the protocol version.
-	callOnce(t, c)
-	if !c.Multiplexed() {
-		t.Error("client fell off the mux path after session faults")
+	// The client is still multiplexing: the faults cost sessions, never
+	// the protocol version. One sample cannot show that — the injector
+	// counts operations per connection, so the probe's own session can
+	// take a reset on the idle read right after its reply and be
+	// legitimately dead when sampled. A client that had really fallen
+	// back to lockstep would be off the mux path after every probe.
+	multiplexed := false
+	for probe := 0; probe < 10 && !multiplexed; probe++ {
+		callOnce(t, c)
+		multiplexed = c.Multiplexed()
+	}
+	t.Logf("injected: %v", in.Counters())
+	if !multiplexed {
+		t.Error("client is stuck off the mux path after session faults")
 	}
 }
 

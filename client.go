@@ -36,19 +36,24 @@ import (
 	"ninf/internal/protocol"
 )
 
-// Client is a connection to one Ninf computational server. A Client
-// serializes the calls issued through it (Ninf_call is blocking);
-// CallAsync and Submit/Fetch draw connections from a bounded idle pool
-// fed by the dialer, so a burst of async calls reuses established
-// connections instead of dialing per call.
+// Client is the handle on one Ninf computational server. It is safe
+// for concurrent use: every verb runs the one exchange path of
+// session.go, over the client's multiplexed session once one is
+// negotiated, and otherwise on a connection checked out of a bounded
+// idle pool fed by the dialer — so neither a burst of calls against a
+// legacy server nor the verbs issued before the session is up dial per
+// exchange.
 type Client struct {
-	dial func() (net.Conn, error)
 	pool *connPool
 
-	mu     sync.Mutex // guards conn use and the interface cache
-	conn   net.Conn
-	closed bool
-	cache  map[string]*idl.Info
+	// The interface cache. fetchMu serializes stage-one fetches, so
+	// concurrent first calls wait for one fetch instead of each checking
+	// out (and possibly dialing) a connection of its own; cacheMu only
+	// guards the map, so calls of cached routines never wait behind a
+	// fetch.
+	fetchMu sync.Mutex
+	cacheMu sync.Mutex
+	cache   map[string]*idl.Info
 
 	cb callbackRegistry
 
@@ -236,12 +241,12 @@ var ErrStaleHandle = errors.New("ninf: data handle from a previous server incarn
 // level 4 session against a cache-enabled server; an evicted (or never
 // cached) handle fails with a CodeCacheMiss remote error.
 func (c *Client) FetchData(ctx context.Context, h DataHandle, dst any) error {
-	sess, err := c.session(ctx)
+	sess, err := c.session(ctx, true)
 	if err != nil {
 		return err
 	}
-	cacheok := sess != nil && c.cacheOn(sess)
-	if !cacheok {
+	cacheOK := c.cacheOn(sess)
+	if !cacheOK {
 		return errors.New("ninf: server offers no argument cache")
 	}
 	// session() above refreshed the observed epoch if it (re)negotiated,
@@ -250,7 +255,7 @@ func (c *Client) FetchData(ctx context.Context, h DataHandle, dst any) error {
 	if cur := c.srvEpoch.Load(); h.epoch != 0 && cur != 0 && h.epoch != cur {
 		return fmt.Errorf("%w (minted at epoch %d, server at %d)", ErrStaleHandle, h.epoch, cur)
 	}
-	rt, fb, _, err := c.muxExchangeOn(ctx, sess, protocol.MsgDataHandle, protocol.EncodeDataHandleRequestBuf(h.dig))
+	rt, fb, _, err := c.exchange(ctx, sess, request{t: protocol.MsgDataHandle, fb: protocol.EncodeDataHandleRequestBuf(h.dig)})
 	if err != nil {
 		return err
 	}
@@ -286,25 +291,26 @@ func DialContext(ctx context.Context, network, addr string) (*Client, error) {
 	return NewClient(dialer)
 }
 
-// NewClient builds a client around a dialer, which is used for the
-// primary connection and for each async call. Tests and the network
-// emulator pass dialers returning in-memory or traffic-shaped
-// connections.
+// NewClient builds a client around a dialer, which supplies every
+// connection the client uses. It dials once eagerly — so an unreachable
+// server fails here, not at the first call — and that connection seeds
+// the pool: the first exchange rides it, and so does the session
+// negotiation. Tests and the network emulator pass dialers returning
+// in-memory or traffic-shaped connections.
 func NewClient(dial func() (net.Conn, error)) (*Client, error) {
 	if dial == nil {
 		return nil, errors.New("ninf: nil dialer")
 	}
-	conn, err := dial()
-	if err != nil {
-		return nil, err
-	}
 	c := &Client{
-		dial:  dial,
 		pool:  newConnPool(dial, DefaultPoolSize),
-		conn:  conn,
 		cache: make(map[string]*idl.Info),
 		retry: DefaultRetryPolicy,
 	}
+	conn, err := c.pool.get()
+	if err != nil {
+		return nil, err
+	}
+	c.pool.put(conn)
 	c.budget.configure(DefaultRetryBudget, time.Now())
 	return c, nil
 }
@@ -375,145 +381,47 @@ func (c *Client) bulkThreshold() int {
 	}
 }
 
-// SetPoolSize bounds the idle connections retained for CallAsync and
-// Submit/Fetch (default DefaultPoolSize). It does not cap concurrency:
-// when every pooled connection is busy, additional calls dial through
-// the dialer and the surplus connections are closed on return.
+// SetPoolSize bounds the idle connections retained between lockstep
+// exchanges (default DefaultPoolSize). It does not cap concurrency:
+// when every pooled connection is busy, additional exchanges dial
+// through the dialer and the surplus connections are closed on return.
+// A multiplexed session's connection is checked out for the session's
+// life and does not count against the bound.
 func (c *Client) SetPoolSize(n int) { c.pool.setMaxIdle(n) }
 
-// Close releases the primary connection, the idle pool and the
-// multiplexed session, and severs any in-flight exchange: a CallAsync
-// or Submit blocked on a dead server returns a classified connection
-// error (wrapping ErrClientClosed) rather than hanging.
+// Close releases the idle pool and the multiplexed session, and severs
+// any in-flight exchange: a CallAsync or Submit blocked on a dead
+// server returns a classified connection error (wrapping
+// ErrClientClosed) rather than hanging.
 func (c *Client) Close() error {
 	c.pool.closeAll()
 	c.closeSession()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// reconnectLocked re-establishes the primary connection after a
-// transport fault dropped it. Callers hold c.mu.
-func (c *Client) reconnectLocked() error {
-	if c.closed {
-		return errClientClosed
-	}
-	if c.conn != nil {
-		return nil
-	}
-	conn, err := c.dial()
-	if err != nil {
-		return err
-	}
-	c.conn = conn
 	return nil
 }
 
-// dropConnLocked discards the primary connection after an error that
-// leaves its stream out of sync; the next exchange re-dials. Callers
-// hold c.mu.
-func (c *Client) dropConnLocked(conn net.Conn, err error) {
-	if err == nil || connReusable(err) || c.conn != conn || conn == nil {
-		return
-	}
-	c.conn.Close()
-	c.conn = nil
-}
-
-// roundTrip sends one frame on the primary connection and reads the
-// reply, translating MsgError frames to *protocol.RemoteError. A
-// transport fault drops the connection so the next exchange re-dials.
-func (c *Client) roundTrip(t protocol.MsgType, payload []byte) (protocol.MsgType, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reconnectLocked(); err != nil {
-		return 0, nil, err
-	}
-	//lint:ninflint locknet — c.mu exists to serialize exchanges on the primary connection; framing would interleave without it
-	rt, rp, err := roundTripOn(c.conn, c.maxPayload, t, payload)
-	//lint:ninflint locknet — dropConnLocked only calls Close, which does not block on the socket
-	c.dropConnLocked(c.conn, err)
-	return rt, rp, err
-}
-
-func roundTripOn(conn net.Conn, maxPayload int, t protocol.MsgType, payload []byte) (protocol.MsgType, []byte, error) {
-	if conn == nil {
-		return 0, nil, errClientClosed
-	}
-	if err := protocol.WriteFrame(conn, t, payload); err != nil {
-		return 0, nil, err
-	}
-	rt, rp, err := protocol.ReadFrame(conn, maxPayload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if rt == protocol.MsgError {
-		er, derr := protocol.DecodeErrorReply(rp)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
-	}
-	return rt, rp, nil
-}
-
-// roundTripBufOn is the pooled-buffer round trip used by the two-phase
-// protocol: it consumes req (released once written) and returns the
-// reply in a pooled buffer the caller must Release after decoding.
-func roundTripBufOn(conn net.Conn, maxPayload int, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, error) {
-	if conn == nil {
-		req.Release()
-		return 0, nil, errClientClosed
-	}
-	err := protocol.WriteFrameBuf(conn, t, req)
-	req.Release()
-	if err != nil {
-		return 0, nil, err
-	}
-	rt, fb, err := protocol.ReadFrameBuf(conn, maxPayload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if rt == protocol.MsgError {
-		er, derr := protocol.DecodeErrorReply(fb.Payload())
-		fb.Release()
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
-	}
-	return rt, fb, nil
+// control runs one of the payload-less control verbs. They carry no
+// context and no retry: a caller polling liveness wants the fault, not
+// a masked one.
+func (c *Client) control(t, want protocol.MsgType) (*protocol.Buffer, error) {
+	fb, _, err := c.query(context.Background(), false, t, protocol.AcquireBuffer(0), want)
+	return fb, err
 }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	t, _, err := c.roundTrip(protocol.MsgPing, nil)
-	if err != nil {
-		return err
-	}
-	if t != protocol.MsgPong {
-		return fmt.Errorf("ninf: unexpected reply %v to ping", t)
-	}
-	return nil
+	fb, err := c.control(protocol.MsgPing, protocol.MsgPong)
+	fb.Release()
+	return err
 }
 
 // List returns the routine names registered on the server.
 func (c *Client) List() ([]string, error) {
-	t, p, err := c.roundTrip(protocol.MsgList, nil)
+	fb, err := c.control(protocol.MsgList, protocol.MsgListReply)
 	if err != nil {
 		return nil, err
 	}
-	if t != protocol.MsgListReply {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to list", t)
-	}
-	reply, err := protocol.DecodeListReply(p)
+	defer fb.Release()
+	reply, err := protocol.DecodeListReply(fb.Payload())
 	if err != nil {
 		return nil, err
 	}
@@ -522,14 +430,12 @@ func (c *Client) List() ([]string, error) {
 
 // Stats polls the server's scheduling self-report.
 func (c *Client) Stats() (protocol.Stats, error) {
-	t, p, err := c.roundTrip(protocol.MsgStats, nil)
+	fb, err := c.control(protocol.MsgStats, protocol.MsgStatsOK)
 	if err != nil {
 		return protocol.Stats{}, err
 	}
-	if t != protocol.MsgStatsOK {
-		return protocol.Stats{}, fmt.Errorf("ninf: unexpected reply %v to stats", t)
-	}
-	s, err := protocol.DecodeStats(p)
+	defer fb.Release()
+	s, err := protocol.DecodeStats(fb.Payload())
 	if err == nil {
 		c.noteEpoch(s.Epoch)
 	}
@@ -559,88 +465,37 @@ func (c *Client) InterfaceContext(ctx context.Context, name string) (*idl.Info, 
 	return info, nil
 }
 
-func (c *Client) attemptInterface(ctx context.Context, name string) (*idl.Info, error) {
-	c.mu.Lock()
-	if info, ok := c.cache[name]; ok {
-		c.mu.Unlock()
-		return info, nil
-	}
-	c.mu.Unlock()
-	ireq := protocol.InterfaceRequest{Name: name}
-	req := protocol.BufferFor(ireq.Encode())
-	rt, fb, used, err := c.muxExchangeLive(ctx, protocol.MsgInterface, req)
-	if !used {
-		req.Release()
-		//lint:ninflint releasecheck — used=false: no exchange ran and fb is nil
-		return c.attemptInterfaceLockstep(ctx, name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer fb.Release()
-	if rt != protocol.MsgInterfaceOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to interface query", rt)
-	}
-	info, err := protocol.DecodeInterfaceReply(fb.Payload())
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.cache[name] = info
-	c.mu.Unlock()
-	return info, nil
+// cachedInterface returns the cached interface of a routine, or nil.
+func (c *Client) cachedInterface(name string) *idl.Info {
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
+	return c.cache[name]
 }
 
-// attemptInterfaceLockstep fetches an interface over the shared
-// primary connection — the pre-mux path, kept for legacy servers.
-func (c *Client) attemptInterfaceLockstep(ctx context.Context, name string) (*idl.Info, error) {
-	c.mu.Lock()
-	if info, ok := c.cache[name]; ok {
-		c.mu.Unlock()
+// attemptInterface is one try at resolving a routine's interface: the
+// cache, else a stage-one fetch on whatever transport is at hand.
+func (c *Client) attemptInterface(ctx context.Context, name string) (*idl.Info, error) {
+	if info := c.cachedInterface(name); info != nil {
 		return info, nil
 	}
-	req := protocol.InterfaceRequest{Name: name}
-	if err := c.reconnectLocked(); err != nil {
-		c.mu.Unlock()
-		return nil, err
+	c.fetchMu.Lock()
+	defer c.fetchMu.Unlock()
+	if info := c.cachedInterface(name); info != nil {
+		return info, nil // fetched while this caller waited its turn
 	}
-	conn := c.conn
-	// The guard bounds the exchange by ctx: when ctx ends it closes
-	// conn, so even a black-holed read returns and releases c.mu
-	// within the caller's deadline.
-	//lint:ninflint locknet — guardConn only registers a context callback; it performs no socket I/O
-	stop := guardConn(ctx, conn)
-	//lint:ninflint locknet — the interface fetch deliberately holds c.mu through the exchange so concurrent first calls don't interleave frames; guardConn severs the conn when ctx ends, bounding the hold
-	t, p, err := roundTripOn(conn, c.maxPayload, protocol.MsgInterface, req.Encode())
-	if !stop() {
-		// ctx ended mid-exchange: the guard closed (or is closing) the
-		// connection, so it cannot carry another frame even if this
-		// exchange happened to complete.
-		if c.conn == conn {
-			conn.Close()
-			c.conn = nil
-		}
-		if err != nil {
-			err = ctxErr(ctx, err)
-		}
-	} else if err != nil {
-		//lint:ninflint locknet — dropConnLocked only calls Close, which does not block on the socket
-		c.dropConnLocked(conn, err)
-	}
-	c.mu.Unlock()
+	ireq := protocol.InterfaceRequest{Name: name}
+	fb, _, err := c.query(ctx, false, protocol.MsgInterface, protocol.BufferFor(ireq.Encode()), protocol.MsgInterfaceOK)
 	if err != nil {
 		return nil, err
 	}
-	if t != protocol.MsgInterfaceOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to interface query", t)
-	}
-	info, err := protocol.DecodeInterfaceReply(p)
+	info, err := protocol.DecodeInterfaceReply(fb.Payload())
+	fb.Release()
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
+	c.cacheMu.Lock()
 	c.cache[name] = info
-	c.mu.Unlock()
+	c.cacheMu.Unlock()
 	return info, nil
 }
 
@@ -703,7 +558,7 @@ func (c *Client) CallContext(ctx context.Context, name string, args ...any) (*Re
 	var rep *Report
 	err := c.withRetry(ctx, "call "+name, func() error {
 		var aerr error
-		rep, aerr = c.callPrimary(ctx, name, args)
+		rep, aerr = c.attemptCall(ctx, name, args)
 		return aerr
 	})
 	return rep, err
@@ -765,55 +620,31 @@ func (c *Client) withRetry(ctx context.Context, op string, attempt func() error)
 	}
 }
 
-// callPrimary runs one blocking-call attempt. Against a multiplexed
-// server the exchange rides the shared session (Call stays blocking
-// for its caller, but no longer serializes against other goroutines'
-// calls); against a legacy server it runs on the primary connection,
-// which serializes Call traffic per the Ninf_call contract. A
-// transport fault drops the connection for re-dial on the next
-// attempt.
-func (c *Client) callPrimary(ctx context.Context, name string, args []any) (*Report, error) {
+// attemptCall is one try at a call: resolve the interface, pick the
+// transport, encode for it, exchange, decode into the caller's
+// destinations. Over a session the call blocks only its own caller;
+// against a lockstep peer it occupies one pooled connection for its
+// duration, so concurrent calls use one connection each.
+func (c *Client) attemptCall(ctx context.Context, name string, args []any) (*Report, error) {
 	info, vals, err := c.prepVals(ctx, name, args)
 	if err != nil {
 		return nil, err
 	}
-	if rep, used, err := c.muxCall(ctx, info, vals, args); used {
-		return rep, err
-	}
-	req, err := c.encodeCall(ctx, info, vals)
+	sess, err := c.session(ctx, true)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if err := c.reconnectLocked(); err != nil {
-		c.mu.Unlock()
-		req.Release()
+	creq := &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
+	rep := &Report{Routine: info.Name, Submit: time.Now()}
+	rt, fb, bulk, err := c.send(ctx, sess, protocol.MsgCall, info, creq, 0, rep)
+	if err != nil {
 		return nil, err
 	}
-	conn := c.conn
-	c.mu.Unlock()
-	stop := guardConn(ctx, conn)
-	rep, err := c.exchangeCall(conn, &c.mu, info, vals, req, args)
-	if !stop() {
-		// ctx ended mid-exchange: the guard's Close races the exchange,
-		// so the connection must be dropped even if the exchange
-		// completed cleanly.
-		if err != nil {
-			err = ctxErr(ctx, err)
-		}
-		c.mu.Lock()
-		if c.conn == conn {
-			conn.Close()
-			c.conn = nil
-		}
-		c.mu.Unlock()
-	} else if err != nil && !connReusable(err) {
-		c.mu.Lock()
-		//lint:ninflint locknet — dropConnLocked only calls Close, which does not block on the socket
-		c.dropConnLocked(conn, err)
-		c.mu.Unlock()
+	if rt != protocol.MsgCallOK {
+		fb.Release()
+		return nil, fmt.Errorf("ninf: unexpected reply %v to call", rt)
 	}
-	return rep, err
+	return finish(rep, info, vals, args, fb, bulk)
 }
 
 // AsyncCall is a pending Ninf_call_async.
@@ -839,12 +670,9 @@ func (a *AsyncCall) Done() bool {
 	}
 }
 
-// CallAsync performs Ninf_call_async: the call proceeds on its own
-// pooled connection while the caller continues. Results land in the
-// argument slices/pointers when Wait returns, not before. Connections
-// are returned to the idle pool after a clean exchange (including a
-// remote error, which leaves the stream in sync) and closed on I/O
-// errors.
+// CallAsync performs Ninf_call_async: the same exchange as Call, run
+// on its own goroutine while the caller continues. Results land in the
+// argument slices/pointers when Wait returns, not before.
 func (c *Client) CallAsync(name string, args ...any) *AsyncCall {
 	return c.CallAsyncContext(context.Background(), name, args...)
 }
@@ -855,46 +683,9 @@ func (c *Client) CallAsyncContext(ctx context.Context, name string, args ...any)
 	a := &AsyncCall{done: make(chan struct{})}
 	go func() {
 		defer close(a.done)
-		a.report, a.err = c.callPooled(ctx, name, args)
+		a.report, a.err = c.CallContext(ctx, name, args...)
 	}()
 	return a
-}
-
-// callPooled runs a call on pooled connections with the client's
-// retry policy: every attempt draws a fresh buffer and connection.
-func (c *Client) callPooled(ctx context.Context, name string, args []any) (*Report, error) {
-	var rep *Report
-	err := c.withRetry(ctx, "call "+name, func() error {
-		var aerr error
-		rep, aerr = c.attemptPooled(ctx, name, args)
-		return aerr
-	})
-	return rep, err
-}
-
-// attemptPooled is one call attempt over the multiplexed session,
-// falling back to a private pooled connection for legacy servers.
-func (c *Client) attemptPooled(ctx context.Context, name string, args []any) (*Report, error) {
-	info, vals, err := c.prepVals(ctx, name, args)
-	if err != nil {
-		return nil, err
-	}
-	if rep, used, err := c.muxCall(ctx, info, vals, args); used {
-		return rep, err
-	}
-	req, err := c.encodeCall(ctx, info, vals)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := c.pool.get()
-	if err != nil {
-		req.Release()
-		return nil, err
-	}
-	stop := guardConn(ctx, conn)
-	rep, err := c.exchangeCall(conn, nil, info, vals, req, args)
-	err = c.releaseGuarded(ctx, conn, stop, err)
-	return rep, err
 }
 
 // releaseGuarded settles a pooled connection after a guarded exchange.
@@ -934,12 +725,12 @@ func connReusable(err error) bool {
 }
 
 // prepVals resolves the interface and validates/converts the
-// arguments, before any connection is committed or anything is
-// marshalled — the wire encoding (monolithic or chunked) is chosen
-// later, once the peer's capabilities are known. The interface fetch
-// runs as part of the attempt (under ctx, one try): prepVals's callers
-// sit inside withRetry already, so a transport fault fetching the
-// interface is retried by the enclosing loop, not a nested one.
+// arguments, before any transport is committed or anything is
+// marshalled — the wire encoding (monolithic, chunked or by digest) is
+// chosen later, once the peer's capabilities are known. The interface
+// fetch runs as part of the attempt (under ctx, one try): prepVals's
+// callers sit inside withRetry already, so a transport fault fetching
+// the interface is retried by the enclosing loop, not a nested one.
 func (c *Client) prepVals(ctx context.Context, name string, args []any) (*idl.Info, []idl.Value, error) {
 	info, err := c.attemptInterface(ctx, name)
 	if err != nil {
@@ -952,11 +743,6 @@ func (c *Client) prepVals(ctx context.Context, name string, args []any) (*idl.In
 	return info, vals, nil
 }
 
-// encodeCall marshals a call monolithically for the lockstep paths.
-func (c *Client) encodeCall(ctx context.Context, info *idl.Info, vals []idl.Value) (*protocol.Buffer, error) {
-	return protocol.EncodeCallRequestBuf(info, &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)})
-}
-
 // ctxDeadlineNanos propagates the caller's context deadline onto the
 // wire (0 = none): the server uses it to refuse work it cannot finish
 // in time and to shed queued jobs whose caller has already given up.
@@ -965,23 +751,6 @@ func ctxDeadlineNanos(ctx context.Context) int64 {
 		return dl.UnixNano()
 	}
 	return 0
-}
-
-// exchangeCall runs the blocking call protocol on the given
-// connection, consuming (and releasing) the prepared request buffer.
-// If lock is non-nil it is held around connection I/O (the primary
-// connection is shared; pooled connections are private to the call).
-func (c *Client) exchangeCall(conn net.Conn, lock *sync.Mutex, info *idl.Info, vals []idl.Value, req *protocol.Buffer, args []any) (*Report, error) {
-	rep := &Report{Routine: info.Name, Submit: time.Now(), BytesOut: int64(req.Len())}
-	if lock != nil {
-		lock.Lock()
-		defer lock.Unlock()
-	}
-	t, reply, err := c.callRoundTrip(conn, req)
-	if err != nil {
-		return nil, err
-	}
-	return finishCall(rep, info, vals, args, t, reply, nil)
 }
 
 // Job is a two-phase call handle (§5.1): arguments already shipped,
@@ -1013,9 +782,7 @@ func (j *Job) ID() uint64 { return j.id }
 // Submit ships the arguments of a call and returns immediately with a
 // job handle; the server computes while no connection is tied up. This
 // is the two-phase protocol of §5.1, proposed to keep per-user
-// performance under multi-client load. The exchange runs on a pooled
-// connection, so a train of submissions reuses one connection rather
-// than dialing per job.
+// performance under multi-client load.
 func (c *Client) Submit(name string, args ...any) (*Job, error) {
 	return c.SubmitContext(context.Background(), name, args...)
 }
@@ -1047,40 +814,27 @@ func submitKey() uint64 {
 	}
 }
 
-// attemptSubmit is one submit attempt on a private pooled connection.
+// attemptSubmit is one try at a submission; see attemptCall.
 func (c *Client) attemptSubmit(ctx context.Context, name string, args []any, key uint64) (*Job, error) {
-	info, err := c.attemptInterface(ctx, name)
+	info, vals, err := c.prepVals(ctx, name, args)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := toValues(info, args)
+	sess, err := c.session(ctx, true)
 	if err != nil {
 		return nil, err
 	}
-	if job, used, err := c.muxSubmit(ctx, name, info, args, vals, key); used {
-		return job, err
-	}
-	req, err := protocol.EncodeSubmitRequestBuf(info, &protocol.CallRequest{Name: name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}, key)
+	creq := &protocol.CallRequest{Name: name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
+	rep := &Report{Routine: name, Submit: time.Now()}
+	rt, fb, _, err := c.send(ctx, sess, protocol.MsgSubmit, info, creq, key, rep)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Routine: name, Submit: time.Now(), BytesOut: int64(req.Len())}
-	conn, err := c.pool.get()
-	if err != nil {
-		req.Release()
-		return nil, err
+	defer fb.Release()
+	if rt != protocol.MsgSubmitOK {
+		return nil, fmt.Errorf("ninf: unexpected reply %v to submit", rt)
 	}
-	stop := guardConn(ctx, conn)
-	t, p, err := roundTripBufOn(conn, c.maxPayload, protocol.MsgSubmit, req)
-	err = c.releaseGuarded(ctx, conn, stop, err)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
-	if t != protocol.MsgSubmitOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to submit", t)
-	}
-	sr, err := protocol.DecodeSubmitReply(p.Payload())
+	sr, err := protocol.DecodeSubmitReply(fb.Payload())
 	if err != nil {
 		return nil, err
 	}
@@ -1171,7 +925,7 @@ func nextFetchDelay(pollDelay, hint time.Duration) (sleep, next time.Duration) {
 // FetchContext is Fetch bounded by ctx. Waiting is client-driven:
 // rather than parking a connection in the server's fetch queue (where
 // a dying server would strand it), the job is polled with exponential
-// backoff capped at fetchPollCap, each poll on a pooled connection.
+// backoff capped at fetchPollCap, each poll one short exchange.
 // Overload hints honored during a poll carry into the schedule (see
 // nextFetchDelay). Cancelling ctx abandons the wait; transport faults
 // during a poll are retried per the client's RetryPolicy.
@@ -1223,25 +977,15 @@ func (j *Job) fetchOnce(ctx context.Context) (*Report, time.Duration, error) {
 	return rep, hint, err
 }
 
-// attemptFetch is one fetch exchange over the multiplexed session,
-// falling back to a private pooled connection for legacy servers.
+// attemptFetch is one non-blocking fetch exchange. Large stored results
+// arrive chunked from a bulk-capable session.
 func (j *Job) attemptFetch(ctx context.Context) (*Report, error) {
-	if rep, used, err := j.muxFetch(ctx); used {
-		return rep, err
-	}
-	c := j.client
-	req := protocol.FetchRequest{JobID: j.id, Wait: false}
-	conn, err := c.pool.get()
-	if err != nil {
-		return nil, err
-	}
-	stop := guardConn(ctx, conn)
-	t, p, err := roundTripBufOn(conn, c.maxPayload, protocol.MsgFetch, req.EncodeBuf())
-	err = c.releaseGuarded(ctx, conn, stop, err)
+	fr := protocol.FetchRequest{JobID: j.id, Wait: false}
+	fb, bulk, err := j.client.query(ctx, true, protocol.MsgFetch, fr.EncodeBuf(), protocol.MsgFetchOK)
 	if err != nil {
 		return nil, classifyFetchErr(err)
 	}
-	return j.finishFetch(t, p, nil)
+	return finish(j.report, j.info, j.vals, j.args, fb, bulk)
 }
 
 // classifyFetchErr maps the fetch protocol's remote error codes onto
@@ -1260,34 +1004,6 @@ func classifyFetchErr(err error) error {
 		}
 	}
 	return err
-}
-
-// finishFetch decodes one fetch reply (mux or lockstep) into the
-// job's destinations, consuming the reply buffer. A non-nil bulk means
-// the reply was a reassembled chunked message (its head is the XDR
-// prefix); lockstep fetches always pass nil.
-func (j *Job) finishFetch(t protocol.MsgType, p *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
-	defer p.Release()
-	if t != protocol.MsgFetchOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to fetch", t)
-	}
-	j.report.Received = time.Now()
-	j.report.BytesIn = int64(p.Len())
-	pp := p.Payload()
-	if bulk != nil {
-		pp = bulk.Head()
-	}
-	tm, out, err := protocol.DecodeCallReplyBulk(j.info, j.vals, pp, bulk)
-	if err != nil {
-		return nil, err
-	}
-	j.report.Enqueue = time.Unix(0, tm.Enqueue)
-	j.report.Dequeue = time.Unix(0, tm.Dequeue)
-	j.report.Complete = time.Unix(0, tm.Complete)
-	if err := storeResults(j.info, j.args, out); err != nil {
-		return nil, err
-	}
-	return j.report, nil
 }
 
 // toValues converts user arguments to the protocol's positional value

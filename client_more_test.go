@@ -12,8 +12,8 @@ import (
 )
 
 func TestConcurrentCallsOnOneClient(t *testing.T) {
-	// A Client serializes blocking calls on its primary connection;
-	// concurrent use must be safe and every call must succeed.
+	// Blocking calls from many goroutines share one client: concurrent
+	// use must be safe and every call must succeed.
 	_, dial := startServer(t, server.Config{PEs: 4})
 	c := newClient(t, dial)
 	var wg sync.WaitGroup
@@ -41,7 +41,8 @@ func TestConcurrentCallsOnOneClient(t *testing.T) {
 }
 
 func TestAsyncDialFailure(t *testing.T) {
-	// The primary dial works once, then the dialer fails: CallAsync
+	// The eager dial works, then the dialer fails. Emptying the pool
+	// closes the eager connection, so the call has to dial: CallAsync
 	// must surface the dial error via Wait, not hang or panic.
 	_, realDial := startServer(t, server.Config{})
 	calls := 0
@@ -57,6 +58,7 @@ func TestAsyncDialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.SetPoolSize(0)
 	a := c.CallAsync("busy", 1)
 	if _, err := a.Wait(); err == nil {
 		t.Error("async call with failing dialer succeeded")

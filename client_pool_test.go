@@ -61,15 +61,26 @@ func (l *recListener) closeAccepted() {
 	}
 }
 
+func (l *recListener) accepted() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.conns)
+}
+
 // startPoolServer launches a server on a recording listener and
 // returns a counting, fault-injecting dialer.
 func startPoolServer(t *testing.T) (*recListener, *atomic.Int64, *atomic.Bool, func() (net.Conn, error), func() *faultConn) {
+	t.Helper()
+	return startPoolServerCfg(t, server.Config{})
+}
+
+func startPoolServerCfg(t *testing.T, cfg server.Config) (*recListener, *atomic.Int64, *atomic.Bool, func() (net.Conn, error), func() *faultConn) {
 	t.Helper()
 	reg, err := library.NewRegistry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{}, reg)
+	s := server.New(cfg, reg)
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +142,8 @@ func newPoolClient(t *testing.T, dial func() (net.Conn, error)) *ninf.Client {
 
 func TestAsyncDialsBoundedByPool(t *testing.T) {
 	// N >> poolSize sequential async calls must ride the idle pool:
-	// the dialer fires at most once for the primary connection plus
-	// poolSize times for the pool.
+	// the dialer fires at most poolSize times, the connection NewClient
+	// seeded the pool with included.
 	_, dials, _, dial, _ := startPoolServer(t)
 	c := newPoolClient(t, dial)
 	const poolSize = 2
@@ -142,13 +153,13 @@ func TestAsyncDialsBoundedByPool(t *testing.T) {
 	for i := 0; i < calls; i++ {
 		asyncPing(t, c)
 	}
-	if got := dials.Load(); got > 1+poolSize {
-		t.Errorf("%d sequential async calls used %d dials, want <= %d", calls, got, 1+poolSize)
+	if got := dials.Load(); got > poolSize {
+		t.Errorf("%d sequential async calls used %d dials, want <= %d", calls, got, poolSize)
 	}
 	// Sequential calls never hold more than one connection at a time,
-	// so in practice exactly one pooled dial happens.
-	if got := dials.Load(); got != 2 {
-		t.Errorf("dials = %d, want 2 (primary + one pooled)", got)
+	// so in practice the seed connection carries them all.
+	if got := dials.Load(); got != 1 {
+		t.Errorf("dials = %d, want 1 (the pool's seed connection, reused)", got)
 	}
 }
 
@@ -171,8 +182,8 @@ func TestSubmitFetchReusePool(t *testing.T) {
 			t.Fatalf("out = %v", out)
 		}
 	}
-	if got := dials.Load(); got != 2 {
-		t.Errorf("5 submit+fetch pairs used %d dials, want 2", got)
+	if got := dials.Load(); got != 1 {
+		t.Errorf("5 submit+fetch pairs used %d dials, want 1", got)
 	}
 }
 
@@ -180,9 +191,9 @@ func TestPoolDiscardsConnOnWriteError(t *testing.T) {
 	_, dials, failWrites, dial, lastConn := startPoolServer(t)
 	c := newPoolClient(t, dial)
 
-	asyncPing(t, c) // warm the interface cache and pool one connection
+	asyncPing(t, c) // warm the interface cache; the one connection goes back to the pool
 	pooled := lastConn()
-	if pooled == nil || dials.Load() != 2 {
+	if pooled == nil || dials.Load() != 1 {
 		t.Fatalf("expected one pooled connection after warmup, dials = %d", dials.Load())
 	}
 
@@ -197,8 +208,8 @@ func TestPoolDiscardsConnOnWriteError(t *testing.T) {
 	}
 	// The broken connection must not be reused: the next call dials.
 	asyncPing(t, c)
-	if got := dials.Load(); got != 3 {
-		t.Errorf("dials = %d, want 3 (fresh dial after discard)", got)
+	if got := dials.Load(); got != 2 {
+		t.Errorf("dials = %d, want 2 (fresh dial after discard)", got)
 	}
 }
 
@@ -207,8 +218,8 @@ func TestPoolHealthCheckOnCheckout(t *testing.T) {
 	c := newPoolClient(t, dial)
 
 	asyncPing(t, c)
-	if dials.Load() != 2 {
-		t.Fatalf("dials after warmup = %d, want 2", dials.Load())
+	if dials.Load() != 1 {
+		t.Fatalf("dials after warmup = %d, want 1", dials.Load())
 	}
 
 	// Kill every connection from the server side; the idle connection
@@ -219,8 +230,8 @@ func TestPoolHealthCheckOnCheckout(t *testing.T) {
 	// Checkout must detect the dead connection and dial a fresh one —
 	// the call succeeds rather than erroring on a stale stream.
 	asyncPing(t, c)
-	if got := dials.Load(); got != 3 {
-		t.Errorf("dials = %d, want 3 (health check replaced dead conn)", got)
+	if got := dials.Load(); got != 2 {
+		t.Errorf("dials = %d, want 2 (health check replaced dead conn)", got)
 	}
 }
 
@@ -245,5 +256,58 @@ func TestSetPoolSizeClosesSurplus(t *testing.T) {
 	asyncPing(t, c)  // must dial: the pool retains nothing
 	if got := dials.Load(); got != base+1 {
 		t.Errorf("dials = %d, want %d after shrinking pool to zero", got, base+1)
+	}
+}
+
+// TestOneSocketPerServer pins the client's connection topology: the
+// connection NewClient dials carries the first interface fetch, then
+// the Hello, and — upgraded — the session itself, so a multiplexing
+// client costs the server one socket and one serving goroutine, even
+// when its first calls arrive all at once (they share one interface
+// fetch and one negotiation). Against a server that refuses the
+// upgrade, the refused Hello was a complete lockstep exchange and the
+// same connection goes on to carry the call.
+func TestOneSocketPerServer(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     server.Config
+		callers int
+		mux     bool
+	}{
+		{"mux", server.Config{}, 1, true},
+		{"mux-concurrent-cold-start", server.Config{PEs: 4}, 16, true},
+		{"legacy-server", server.Config{DisableMux: true}, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, dials, _, dial, _ := startPoolServerCfg(t, tc.cfg)
+			c := newClient(t, dial)
+			var wg sync.WaitGroup
+			errs := make(chan error, tc.callers)
+			for i := 0; i < tc.callers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					in, out := []float64{1, 2}, make([]float64, 2)
+					_, err := c.Call("echo", 2, in, out)
+					errs <- err
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			if c.Multiplexed() != tc.mux {
+				t.Fatalf("Multiplexed() = %v, want %v", c.Multiplexed(), tc.mux)
+			}
+			if d, a := dials.Load(), l.accepted(); d != 1 || a != 1 {
+				t.Errorf("client dialed %d connections and the server accepted %d, want 1 and 1", d, a)
+			}
+		})
 	}
 }

@@ -48,7 +48,7 @@ func TestClientConcurrentStress(t *testing.T) {
 				out := make([]float64, n)
 				var err error
 				switch (w + it) % 3 {
-				case 0: // synchronous, shares the primary connection
+				case 0: // synchronous
 					_, err = c.Call("echo", n, in, out)
 				case 1: // async over the pool
 					_, err = c.CallAsync("echo", n, in, out).Wait()

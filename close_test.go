@@ -47,11 +47,11 @@ func TestCloseWithInFlightCalls(t *testing.T) {
 	_, realDial := startServer(t, server.Config{Hostname: "closetest"})
 	hole, accepted := blackHoleListener(t)
 
-	// First dial (the client's primary connection) reaches the real
-	// server so the interface cache can be warmed; every later dial —
-	// the pooled connections CallAsync and Submit ride on — lands in
-	// the black hole, guaranteeing both calls are stuck mid-exchange
-	// when Close fires.
+	// The first dial (the connection NewClient seeds the pool with)
+	// reaches the real server so the interface cache can be warmed; the
+	// pool is then emptied, so CallAsync and Submit must each dial, and
+	// every later dial lands in the black hole — guaranteeing both calls
+	// are stuck mid-exchange when Close fires.
 	var dials int32
 	dial := func() (net.Conn, error) {
 		if atomic.AddInt32(&dials, 1) == 1 {
@@ -71,6 +71,7 @@ func TestCloseWithInFlightCalls(t *testing.T) {
 	if _, err := c.Interface("dmmul"); err != nil {
 		t.Fatal(err)
 	}
+	c.SetPoolSize(0)
 
 	const n = 4
 	a := make([]float64, n*n)
@@ -132,9 +133,10 @@ func TestCloseSeversMuxHandshake(t *testing.T) {
 	_, realDial := startServer(t, server.Config{Hostname: "closetest"})
 	hole, accepted := blackHoleListener(t)
 
-	// Dial #1 (the primary connection) reaches the real server so the
-	// interface cache warms over lockstep; dial #2 — the session
-	// handshake — lands in the black hole.
+	// Dial #1 (the pool's seed connection) reaches the real server so
+	// the interface cache warms over lockstep; the pool is then emptied,
+	// so the session handshake has to dial, and dial #2 lands in the
+	// black hole.
 	var dials int32
 	dial := func() (net.Conn, error) {
 		if atomic.AddInt32(&dials, 1) == 1 {
@@ -150,6 +152,7 @@ func TestCloseSeversMuxHandshake(t *testing.T) {
 	if _, err := c.Interface("dmmul"); err != nil {
 		t.Fatal(err)
 	}
+	c.SetPoolSize(0)
 
 	const n = 4
 	a := make([]float64, n*n)

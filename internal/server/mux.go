@@ -17,10 +17,10 @@ import (
 // reads the next — so one long dgefa call head-of-line-blocks every
 // ping, list, and small call pipelined behind it, and N concurrent
 // calls cost N connections. After a client negotiates the upgrade
-// (MsgHello), the connection switches to serveMux: a read loop
-// dispatches each sequenced request to the existing schedule/run
-// machinery concurrently, bounded by a semaphore, and a single writer
-// goroutine serializes (and coalesces) the replies.
+// (MsgHello), the connection switches to serveMux: a read loop hands
+// each sequenced request to the same verb handler the lockstep framer
+// uses (handle, verbs.go), concurrently and bounded by a semaphore, and
+// a single writer goroutine serializes (and coalesces) the replies.
 //
 // At feature level 3 (protocol.MuxVersionBulk) large requests arrive
 // as chunked bulk frames — the read loop reassembles them straight off
@@ -43,38 +43,25 @@ import (
 const DefaultMuxConcurrency = 64
 
 // muxReply is one sequenced reply awaiting the serialized writer.
-// Exactly one of fb (complete frame, possibly nil for payload-less
-// replies) or bulk (chunk-streamed reply) is used; bulk wins when set.
-// sent, when non-nil, runs after the reply is confirmed written — the
-// hook fetch uses to keep its job until the reply is really on the
-// wire (a reply lost with the session must leave the job fetchable).
 type muxReply struct {
-	seq  uint32
-	t    protocol.MsgType
-	fb   *protocol.Buffer
-	bulk *protocol.BulkMsg
-	sent func()
+	seq uint32
+	reply
 }
 
-// muxUpgrade is the dispatch error that switches ServeConn from the
-// lockstep loop to serveMux after a successful Hello exchange,
-// carrying the negotiated protocol feature level.
-type muxUpgrade struct{ version int }
-
-func (u *muxUpgrade) Error() string { return "server: upgrade to mux framing" }
-
-// hello answers a MsgHello. With multiplexing enabled it accepts the
-// highest common version and signals the upgrade; a server configured
-// lockstep-only answers like a pre-mux server (MsgError), which the
-// client takes as "legacy peer, stay lockstep".
-func (s *Server) hello(conn net.Conn, payload []byte) error {
+// hello answers a MsgHello, the negotiation a connection opens with in
+// lockstep framing. With multiplexing enabled it accepts the highest
+// common version, and a nonzero second return tells the lockstep framer
+// to hand the connection to serveMux at that feature level once the
+// reply is written; a server configured lockstep-only answers like a
+// pre-mux server (MsgError), which the client takes as "legacy peer,
+// stay lockstep".
+func (s *Server) hello(payload []byte) (reply, int) {
 	req, err := protocol.DecodeHelloRequest(payload)
 	if err != nil {
-		return s.sendError(conn, protocol.CodeBadArguments, err.Error())
+		return errReply(protocol.CodeBadArguments, err.Error()), 0
 	}
 	if s.cfg.DisableMux || req.MaxVersion < protocol.MuxVersion {
-		return s.sendError(conn, protocol.CodeInternal,
-			fmt.Sprintf("unexpected frame %v", protocol.MsgHello))
+		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", protocol.MsgHello)), 0
 	}
 	version := req.MaxVersion
 	if version > protocol.MuxVersionCache {
@@ -87,10 +74,7 @@ func (s *Server) hello(conn net.Conn, payload []byte) error {
 		// bit-identical to level 3.
 		rep.Flags |= protocol.HelloFlagArgCache
 	}
-	if err := protocol.WriteFrame(conn, protocol.MsgHelloOK, rep.Encode()); err != nil {
-		return err
-	}
-	return &muxUpgrade{version: int(version)}
+	return reply{t: protocol.MsgHelloOK, fb: protocol.BufferFor(rep.Encode())}, int(version)
 }
 
 // muxConcurrency resolves the per-connection dispatch bound.
@@ -123,8 +107,10 @@ func (s *Server) bulkThreshold() int {
 //
 //ninflint:hotpath
 func (s *Server) serveMux(conn net.Conn, client string, version int) {
-	bulkOK := version >= protocol.MuxVersionBulk
-	cacheOK := version >= protocol.MuxVersionCache && s.cache != nil
+	cp := caps{
+		bulkOK:  version >= protocol.MuxVersionBulk,
+		cacheOK: version >= protocol.MuxVersionCache && s.cache != nil,
+	}
 	replies := make(chan muxReply, s.muxConcurrency())
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -146,8 +132,7 @@ func (s *Server) serveMux(conn net.Conn, client string, version int) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			t, rb, bm, sent := s.muxReplyFor(client, typ, fb, bulk, bulkOK, cacheOK)
-			replies <- muxReply{seq: seq, t: t, fb: rb, bulk: bm, sent: sent}
+			replies <- muxReply{seq: seq, reply: s.handle(client, cp, typ, fb, bulk)}
 		}()
 	}
 
@@ -285,8 +270,9 @@ func (s *Server) muxWriteLoop(conn net.Conn, replies <-chan muxReply, outstandin
 		}
 		if len(batch) > 0 {
 			bufs = bufs[:0]
-			for i := range batch {
-				bufs = append(bufs, stampReply(batch[i]))
+			for _, r := range batch {
+				protocol.StampMux(r.fb, r.t, r.seq)
+				bufs = append(bufs, r.fb)
 			}
 			if !broken {
 				// muxWriteLoop is the connection's serialization point.
@@ -360,7 +346,7 @@ func takeReply(r muxReply, batch *[]muxReply, active *[]*bulkFlight) {
 func (s *Server) bulkReplyStep(conn net.Conn, bf *bulkFlight) (bool, error) {
 	if !bf.begun {
 		fb := bf.r.bulk.EncodeBegin()
-		//lint:ninflint sharedwrite,featgate — muxWriteLoop IS the serialization point; replies enter bulkq only via bulkOK-gated muxReplyFor
+		//lint:ninflint sharedwrite,featgate — muxWriteLoop IS the serialization point; bulk replies are only produced by handle under caps.bulkOK
 		err := protocol.WriteMuxFrameBuf(conn, protocol.MsgBulkBegin, bf.r.seq, fb)
 		fb.Release()
 		if err != nil {
@@ -380,233 +366,3 @@ const maxMuxWriteBatch = 64
 // internal/mux): consecutive chunks taken from one streaming reply
 // before the writer rotates to the next.
 const bulkBurstChunks = 4
-
-// stampReply stamps one reply's mux header, materializing an empty
-// buffer for payload-less replies (Pong).
-func stampReply(r muxReply) *protocol.Buffer {
-	//lint:ninflint releasecheck — a materialized empty buffer's ownership flows out through the return
-	fb := r.fb
-	if fb == nil {
-		fb = protocol.AcquireBuffer(0)
-	}
-	protocol.StampMux(fb, r.t, r.seq)
-	return fb
-}
-
-// muxErrReply builds a MsgError reply buffer (nil sent hook).
-func muxErrReply(code uint32, detail string) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
-	return muxErrReplyHint(code, detail, 0)
-}
-
-// muxErrReplyHint is muxErrReply carrying a retry-after hint on
-// overload rejections.
-func muxErrReplyHint(code uint32, detail string, retryAfterMillis uint32) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
-	return protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReplyHint(code, detail, retryAfterMillis)), nil, nil
-}
-
-// muxReplyFor services one sequenced request and returns its reply —
-// a complete frame buffer, or a BulkMsg for the writer to stream
-// chunked. It owns fb and releases it once the payload is decoded
-// (bulk requests included: admit copies every argument out of the
-// reassembly buffer). bulk carries the segment metadata of a
-// reassembled chunked request; bulkOK says the peer accepts chunked
-// replies. It runs on a dispatch goroutine: any number of these
-// proceed concurrently on one connection, so nothing here may touch
-// the connection — replies go back through the serialized writer.
-//
-// Blocking calls run without a callback invoker: the connection
-// carries interleaved sequenced frames, not the quiet parked stream
-// the §2.3 callback facility needs, so executables that call back get
-// ErrNoCallback (clients with registered callbacks stay on the
-// lockstep path).
-func (s *Server) muxReplyFor(client string, typ protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, bulkOK, cacheOK bool) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
-	payload := fb.Payload()
-	if bulk != nil {
-		if typ != protocol.MsgCall && typ != protocol.MsgSubmit {
-			fb.Release()
-			return muxErrReply(protocol.CodeBadArguments, fmt.Sprintf("unexpected bulk frame %v", typ))
-		}
-		payload = bulk.Head()
-	}
-	switch typ {
-	case protocol.MsgPing:
-		fb.Release()
-		return protocol.MsgPong, nil, nil, nil
-
-	case protocol.MsgList:
-		fb.Release()
-		reply := protocol.ListReply{Names: s.registry.Names()}
-		return protocol.MsgListReply, protocol.BufferFor(reply.Encode()), nil, nil
-
-	case protocol.MsgStats:
-		fb.Release()
-		st := s.Stats()
-		return protocol.MsgStatsOK, protocol.BufferFor(st.Encode()), nil, nil
-
-	case protocol.MsgTrace:
-		fb.Release()
-		return protocol.MsgTraceOK, protocol.BufferFor(encodeTraces(s.Trace())), nil, nil
-
-	case protocol.MsgInterface:
-		req, err := protocol.DecodeInterfaceRequest(payload)
-		fb.Release()
-		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
-		}
-		ex := s.registry.Lookup(req.Name)
-		if ex == nil {
-			return muxErrReply(protocol.CodeUnknownRoutine, fmt.Sprintf("no routine %q", req.Name))
-		}
-		p, err := protocol.EncodeInterfaceReply(ex.Info)
-		if err != nil {
-			return muxErrReply(protocol.CodeInternal, err.Error())
-		}
-		return protocol.MsgInterfaceOK, protocol.BufferFor(p), nil, nil
-
-	case protocol.MsgCall:
-		bulk = s.attachCache(bulk, payload, cacheOK)
-		t, code, hint, err := s.admit(payload, bulk, false, nil, 0, client)
-		fb.Release() // arguments are decoded and copied by admit
-		if err != nil {
-			return muxErrReplyHint(code, err.Error(), hint)
-		}
-		<-t.done
-		if t.err != nil {
-			return muxErrReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
-		}
-		if bulkOK {
-			// Large results stream back chunked; the BulkMsg's segment
-			// spans alias t.args, which stay live (and unmutated — the
-			// task is complete) until the writer finishes with them.
-			bm, err := protocol.EncodeCallReplyChunks(t.ex.Info, t.timings, t.args, s.bulkThreshold())
-			if err != nil {
-				return muxErrReply(protocol.CodeInternal, err.Error())
-			}
-			if bm != nil {
-				return protocol.MsgCallOK, nil, bm, nil
-			}
-		}
-		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.args)
-		if err != nil {
-			return muxErrReply(protocol.CodeInternal, err.Error())
-		}
-		return protocol.MsgCallOK, reply, nil, nil
-
-	case protocol.MsgSubmit:
-		key, rest, err := protocol.DecodeSubmitKey(payload)
-		if err != nil {
-			fb.Release()
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
-		}
-		bulk = s.attachCache(bulk, rest, cacheOK)
-		t, code, hint, err := s.admit(rest, bulk, true, nil, key, client)
-		fb.Release()
-		if err != nil {
-			return muxErrReplyHint(code, err.Error(), hint)
-		}
-		reply := protocol.SubmitReply{JobID: t.job.ID}
-		return protocol.MsgSubmitOK, protocol.BufferFor(reply.Encode()), nil, nil
-
-	case protocol.MsgFetch:
-		req, err := protocol.DecodeFetchRequest(payload)
-		fb.Release()
-		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
-		}
-		return s.muxFetch(req, bulkOK)
-
-	case protocol.MsgCallDigest:
-		digs, err := protocol.DecodeDigestQuery(payload)
-		fb.Release()
-		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
-		}
-		if !cacheOK {
-			return muxErrReply(protocol.CodeInternal, "argument cache disabled")
-		}
-		warm := make([]bool, len(digs))
-		for i, d := range digs {
-			warm[i] = s.cache.contains(d)
-		}
-		return protocol.MsgDigestStatus, protocol.EncodeDigestStatusBuf(warm), nil, nil
-
-	case protocol.MsgDataHandle:
-		d, err := protocol.DecodeDataHandleRequest(payload)
-		fb.Release()
-		if err != nil {
-			return muxErrReply(protocol.CodeBadArguments, err.Error())
-		}
-		if !cacheOK {
-			return muxErrReply(protocol.CodeInternal, "argument cache disabled")
-		}
-		b, ok := s.cache.get(d)
-		if !ok {
-			return muxErrReply(protocol.CodeCacheMiss, fmt.Sprintf("no cached value %v", d))
-		}
-		return protocol.MsgDataHandleOK, protocol.EncodeDataHandleReplyBuf(d, b), nil, nil
-
-	default:
-		fb.Release()
-		return muxErrReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ))
-	}
-}
-
-// attachCache gives a level-4 call's decode a per-call cache view: the
-// resolver that answers digest markers (pinning what it resolves) and
-// retains uploaded segments. A monolithic frame gets a synthesized
-// BulkInfo — digest markers carry no offsets, so a head-only Base is
-// sound, and inline arrays take the non-marker decode path untouched.
-// Below level 4 (or with the cache off) bulk passes through unchanged
-// and decode rejects any digest marker.
-func (s *Server) attachCache(bulk *protocol.BulkInfo, head []byte, cacheOK bool) *protocol.BulkInfo {
-	if !cacheOK {
-		return bulk
-	}
-	if bulk == nil {
-		bulk = &protocol.BulkInfo{Base: head, HeadLen: len(head)}
-	}
-	bulk.Resolver = &callPins{c: s.cache}
-	return bulk
-}
-
-// muxFetch is fetch for the mux path. Like the lockstep fetch it must
-// not mark the job delivered until the reply frame is on the wire — a
-// reply lost with the session must leave the job fully fetchable for
-// the client's retried fetch on a fresh session. The writer owns the
-// wire here, so delivery rides the reply's sent hook: muxWriteLoop
-// runs it only after a successful write, and the job then lingers
-// re-fetchable for DeliveredTTL (see markDeliveredLocked) to cover a
-// written-but-lost reply. Large stored results stream back chunked
-// (the BulkMsg aliases the job's pre-encoded reply, which the linger
-// keeps live until well past the write). Wait:true degrades to
-// not-ready polling, as the client wire protocol always sets
-// Wait:false.
-func (s *Server) muxFetch(req protocol.FetchRequest, bulkOK bool) (protocol.MsgType, *protocol.Buffer, *protocol.BulkMsg, func()) {
-	s.mu.Lock()
-	t, ok := s.jobs[req.JobID]
-	s.mu.Unlock()
-	if !ok {
-		return muxErrReply(protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID))
-	}
-	if req.Wait {
-		<-t.done
-	}
-	select {
-	case <-t.done:
-	default:
-		return muxErrReply(protocol.CodeNotReady, fmt.Sprintf("job %d still running", req.JobID))
-	}
-	if t.err != nil {
-		return muxErrReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
-	}
-	sent := func() {
-		s.mu.Lock()
-		s.markDeliveredLocked(req.JobID, t)
-		s.mu.Unlock()
-	}
-	if thr := s.bulkThreshold(); bulkOK && thr > 0 && len(t.reply) >= thr {
-		return protocol.MsgFetchOK, nil, protocol.RawBulkMsg(protocol.MsgFetchOK, t.reply), sent
-	}
-	reply := protocol.BufferFor(t.reply)
-	return protocol.MsgFetchOK, reply, nil, sent
-}

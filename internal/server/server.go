@@ -735,16 +735,21 @@ func (s *Server) Overload() OverloadStats {
 
 // ServeConn processes frames from one connection until EOF or error.
 // Exported so tests and the emulation layer can drive the server over
-// arbitrary net.Conns (pipes, shaped links). Request frames are read
-// into pooled buffers that dispatch recycles as soon as the payload is
-// decoded, so steady-state serving allocates no framing memory.
+// arbitrary net.Conns (pipes, shaped links).
 //
-// A connection starts in the version-1 lockstep exchange. When the
-// client negotiates the protocol upgrade (MsgHello), the connection
-// switches to the multiplexed loop (serveMux), which dispatches
-// sequenced requests concurrently instead of one at a time.
+// This is the lockstep framer (protocol version 1): read one request
+// frame into a pooled buffer, have handle answer it, write the reply,
+// run the reply's sent hook, and only then read the next request. That
+// one-frame-at-a-time discipline makes the serving goroutine the
+// connection's only writer — and leaves the stream quiet while a
+// blocking call executes, which is what lets the call's executable
+// reach back to the client over it (connInvoker). When the client
+// negotiates the protocol upgrade (MsgHello, the one verb that is about
+// framing and therefore answered here), the connection is handed to the
+// multiplexed framer (serveMux) for good.
 func (s *Server) ServeConn(conn net.Conn) {
 	client := s.clientID(conn)
+	cp := caps{callback: s.connInvoker(conn)}
 	for {
 		typ, fb, err := protocol.ReadFrameBuf(conn, s.cfg.MaxPayload)
 		if err != nil {
@@ -754,15 +759,26 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return
 		}
 		s.replyPending()
-		err = s.dispatch(conn, client, typ, fb)
+		var r reply
+		version := 0
+		if typ == protocol.MsgHello {
+			r, version = s.hello(fb.Payload())
+			fb.Release()
+		} else {
+			r = s.handle(client, cp, typ, fb, nil)
+		}
+		err = protocol.WriteFrameBuf(conn, r.t, r.fb)
+		r.fb.Release()
+		if err == nil && r.sent != nil {
+			r.sent()
+		}
 		s.replyDone()
 		if err != nil {
-			var up *muxUpgrade
-			if errors.As(err, &up) {
-				s.serveMux(conn, client, up.version)
-				return
-			}
 			s.logf("ninf server: %v", err)
+			return
+		}
+		if version != 0 {
+			s.serveMux(conn, client, version)
 			return
 		}
 	}
@@ -781,121 +797,6 @@ func (s *Server) clientID(conn net.Conn) string {
 		addr = ra.String()
 	}
 	return fmt.Sprintf("%s#%d", addr, s.connSeq.Add(1))
-}
-
-// dispatch handles one request frame. It owns fb and releases it once
-// the payload has been decoded — before waiting on execution, so a
-// large argument frame is not pinned while the executable runs.
-//
-// Shared-writer audit: dispatch (and the helpers it calls — sendError,
-// fetch, connInvoker) writes to conn directly. That is safe on the
-// lockstep path only because ServeConn services one frame at a time on
-// one goroutine, so at most one writer exists per connection. The mux
-// path runs dispatches concurrently and must instead route every reply
-// through serveMux's serialized writer; the ninflint sharedwrite pass
-// flags conn writes from dispatch goroutines.
-func (s *Server) dispatch(conn net.Conn, client string, typ protocol.MsgType, fb *protocol.Buffer) error {
-	payload := fb.Payload()
-	switch typ {
-	case protocol.MsgHello:
-		defer fb.Release()
-		return s.hello(conn, payload)
-	case protocol.MsgPing:
-		fb.Release()
-		return protocol.WriteFrame(conn, protocol.MsgPong, nil)
-
-	case protocol.MsgList:
-		fb.Release()
-		reply := protocol.ListReply{Names: s.registry.Names()}
-		return protocol.WriteFrame(conn, protocol.MsgListReply, reply.Encode())
-
-	case protocol.MsgStats:
-		fb.Release()
-		st := s.Stats()
-		return protocol.WriteFrame(conn, protocol.MsgStatsOK, st.Encode())
-
-	case protocol.MsgTrace:
-		fb.Release()
-		return protocol.WriteFrame(conn, protocol.MsgTraceOK, encodeTraces(s.Trace()))
-
-	case protocol.MsgInterface:
-		req, err := protocol.DecodeInterfaceRequest(payload)
-		fb.Release()
-		if err != nil {
-			return s.sendError(conn, protocol.CodeBadArguments, err.Error())
-		}
-		ex := s.registry.Lookup(req.Name)
-		if ex == nil {
-			return s.sendError(conn, protocol.CodeUnknownRoutine, fmt.Sprintf("no routine %q", req.Name))
-		}
-		p, err := protocol.EncodeInterfaceReply(ex.Info)
-		if err != nil {
-			return s.sendError(conn, protocol.CodeInternal, err.Error())
-		}
-		return protocol.WriteFrame(conn, protocol.MsgInterfaceOK, p)
-
-	case protocol.MsgCall:
-		// Blocking calls carry a callback channel: the executable can
-		// invoke client-registered functions over this connection
-		// while it runs (§2.3).
-		ctx := context.WithValue(s.baseCtx, callbackKey, s.connInvoker(conn))
-		t, code, hint, err := s.admit(payload, nil, false, ctx, 0, client)
-		fb.Release() // arguments are decoded and copied by admit
-		if err != nil {
-			return s.sendErrorHint(conn, code, err.Error(), hint)
-		}
-		<-t.done
-		if t.err != nil {
-			return s.sendErrorHint(conn, t.failCode(), t.err.Error(), t.retryAfter)
-		}
-		reply, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.args)
-		if err != nil {
-			return s.sendError(conn, protocol.CodeInternal, err.Error())
-		}
-		werr := protocol.WriteFrameBuf(conn, protocol.MsgCallOK, reply)
-		reply.Release()
-		return werr
-
-	case protocol.MsgSubmit:
-		key, rest, err := protocol.DecodeSubmitKey(payload)
-		if err != nil {
-			fb.Release()
-			return s.sendError(conn, protocol.CodeBadArguments, err.Error())
-		}
-		t, code, hint, err := s.admit(rest, nil, true, nil, key, client)
-		fb.Release()
-		if err != nil {
-			return s.sendErrorHint(conn, code, err.Error(), hint)
-		}
-		reply := protocol.SubmitReply{JobID: t.job.ID}
-		return protocol.WriteFrame(conn, protocol.MsgSubmitOK, reply.Encode())
-
-	case protocol.MsgFetch:
-		req, err := protocol.DecodeFetchRequest(payload)
-		fb.Release()
-		if err != nil {
-			return s.sendError(conn, protocol.CodeBadArguments, err.Error())
-		}
-		return s.fetch(conn, req)
-
-	default:
-		fb.Release()
-		return s.sendError(conn, protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ))
-	}
-}
-
-// sendError writes a MsgError frame. Lockstep path only: it writes to
-// conn directly, which is safe solely because the serving goroutine is
-// the connection's one writer. Mux dispatches use muxErrReply, which
-// routes through the serialized writer instead.
-func (s *Server) sendError(conn net.Conn, code uint32, detail string) error {
-	return s.sendErrorHint(conn, code, detail, 0)
-}
-
-// sendErrorHint is sendError with an optional retry-after hint on
-// overload rejections. Same lockstep-only writer caveat.
-func (s *Server) sendErrorHint(conn net.Conn, code uint32, detail string, retryAfterMillis uint32) error {
-	return protocol.WriteFrame(conn, protocol.MsgError, protocol.EncodeErrorReplyHint(code, detail, retryAfterMillis))
 }
 
 // admit decodes a call payload, runs admission control, enqueues the
@@ -1295,43 +1196,6 @@ func (s *Server) execute(t *task) (err error) {
 		}
 	}()
 	return t.ex.Handler(t.ctx, t.args)
-}
-
-// fetch answers a MsgFetch: not-ready, error, or the retained reply.
-// A delivered job is not consumed on the spot: a locally successful
-// write can still be lost in transit, so the job lingers re-fetchable
-// for Config.DeliveredTTL (see markDeliveredLocked) and only then
-// leaves the table, so the client's retried fetch re-reads the
-// retained result instead of getting CodeUnknownJob and re-executing
-// the work through an idempotent re-Submit.
-func (s *Server) fetch(conn net.Conn, req protocol.FetchRequest) error {
-	s.mu.Lock()
-	t, ok := s.jobs[req.JobID]
-	s.mu.Unlock()
-	if !ok {
-		return s.sendError(conn, protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID))
-	}
-	if req.Wait {
-		<-t.done
-	}
-	select {
-	case <-t.done:
-	default:
-		return s.sendError(conn, protocol.CodeNotReady, fmt.Sprintf("job %d still running", req.JobID))
-	}
-	var werr error
-	if t.err != nil {
-		werr = s.sendErrorHint(conn, t.failCode(), t.err.Error(), t.retryAfter)
-	} else {
-		werr = protocol.WriteFrame(conn, protocol.MsgFetchOK, t.reply)
-	}
-	if werr != nil {
-		return werr
-	}
-	s.mu.Lock()
-	s.markDeliveredLocked(req.JobID, t)
-	s.mu.Unlock()
-	return nil
 }
 
 // markDeliveredLocked records that a job's reply frame was written:

@@ -8,15 +8,17 @@ import (
 )
 
 // DefaultPoolSize is the number of idle connections a Client retains
-// for CallAsync and Submit/Fetch traffic (tunable via SetPoolSize).
+// between lockstep exchanges (tunable via SetPoolSize).
 const DefaultPoolSize = 4
 
-// connPool keeps a bounded stack of idle connections so async calls
-// and two-phase transfers reuse established connections instead of
-// paying a fresh TCP (and, on a WAN, a full round-trip) per call —
-// the per-call connection setup the paper's Figure 9/10 WAN numbers
-// are dominated by. Checkout health-checks the connection; broken or
-// surplus connections are closed, never reused.
+// connPool supplies every connection a client uses: one per lockstep
+// exchange in flight, and the one a multiplexed session lives on. It
+// keeps a bounded stack of idle connections so exchanges reuse
+// established connections instead of paying a fresh TCP (and, on a
+// WAN, a full round-trip) per call — the per-call connection setup the
+// paper's Figure 9/10 WAN numbers are dominated by. Checkout
+// health-checks the connection; broken or surplus connections are
+// closed, never reused.
 type connPool struct {
 	dial func() (net.Conn, error)
 

@@ -13,15 +13,28 @@ import (
 	"ninf/internal/protocol"
 )
 
-// Multiplexed session routing. A client that reaches a protocol
-// version 2 server carries Call, CallAsync, Submit, Fetch and
-// interface traffic over one persistent multiplexed connection
-// (internal/mux) instead of one lockstep exchange per pooled
-// connection: requests from any number of goroutines are pipelined,
-// coalesced into vectored writes, and demultiplexed by sequence
-// number on return. Version negotiation happens once per session
-// dial; a legacy peer (or SetMultiplexing(false)) pins the client to
-// the lockstep paths, which remain intact below.
+// One exchange path. Every client verb is "prepare the request, run
+// exchange, decode the reply"; exchange is the only code that moves a
+// frame to the server and a reply back, and the only place a MsgError
+// frame becomes a *protocol.RemoteError. What varies is the transport
+// it is handed, and that is decided by what the client has observed,
+// never by which verb is running:
+//
+//   - A live multiplexed session (protocol version 2, internal/mux)
+//     carries everything: requests from any number of goroutines are
+//     pipelined over one connection, coalesced into vectored writes and
+//     demultiplexed by sequence number on return. Call, CallAsync,
+//     Submit, Fetch and FetchData negotiate a session when none is live;
+//     Interface, Ping, List, Stats and Trace ride one that exists but
+//     never dial for one.
+//   - Otherwise — SetMultiplexing(false), a legacy peer, callbacks
+//     registered, or simply no session yet — the exchange checks one
+//     connection out of the pool, runs a single lockstep request/reply on
+//     it under the caller's context, and pools or discards it.
+//
+// The connection NewClient dials eagerly seeds the pool, and a session
+// is negotiated on a pooled connection, so a multiplexing client holds
+// exactly one socket per server once its session is up.
 
 // sessionState holds the client's multiplexing state; embedded in
 // Client so the zero value (mux on, not yet probed) is ready to use.
@@ -37,10 +50,11 @@ type sessionState struct {
 // SetMultiplexing toggles the multiplexed session layer. It is on by
 // default: the client probes the server's protocol version on first
 // use and falls back to lockstep exchanges against legacy servers
-// automatically. Passing false closes any live session and pins the
-// client to the lockstep paths (useful for A/B measurement and as an
-// escape hatch); passing true re-enables probing, including against a
-// peer previously seen as legacy (it may have been upgraded since).
+// automatically. Passing false closes any live session and keeps the
+// client on pooled lockstep connections (useful for A/B measurement and
+// as an escape hatch); passing true re-enables probing, including
+// against a peer previously seen as legacy (it may have been upgraded
+// since).
 func (c *Client) SetMultiplexing(on bool) {
 	c.sess.mu.Lock()
 	s, conn := c.sess.sess, c.sess.conn
@@ -82,31 +96,18 @@ func (c *Client) closeSession() {
 	retireSession(c, s, conn)
 }
 
-// liveSession returns the current session only if one is already
-// established and healthy — it never dials. Interface fetches use it:
-// they ride a live session for free but must not force a session dial
-// (the stage-one RPC works over the primary lockstep connection, and
-// an eager probe would block a client whose pooled dials are dead).
-func (c *Client) liveSession() *mux.Session {
-	if c.hasCallbacks() {
-		return nil
-	}
-	c.sess.mu.Lock()
-	defer c.sess.mu.Unlock()
-	if s := c.sess.sess; s != nil && !s.Broken() {
-		return s
-	}
-	return nil
-}
-
-// session returns the live multiplexed session, dialing and
-// negotiating one if needed. A nil session with nil error means the
-// caller must use the lockstep path: multiplexing is off, the peer is
-// legacy, or the client has callbacks registered (the §2.3 callback
-// facility needs the quiet parked stream of a lockstep call and
-// cannot share a connection carrying interleaved sequenced frames).
+// session picks the transport for one exchange: the live multiplexed
+// session, or nil for a pooled lockstep connection. nil means
+// multiplexing is off, the peer is legacy, the client has callbacks
+// registered (the §2.3 callback facility needs the quiet parked stream
+// of a lockstep call and cannot share a connection carrying interleaved
+// sequenced frames), or — with negotiate false — no session is up yet.
+// The data verbs pass negotiate true and get a session dialed and
+// negotiated when none is live; interface and control verbs pass false:
+// they ride a session for free but must not force (or block on) a
+// handshake for an exchange any pooled connection serves equally well.
 // ctx bounds only the dial+negotiate handshake.
-func (c *Client) session(ctx context.Context) (*mux.Session, error) {
+func (c *Client) session(ctx context.Context, negotiate bool) (*mux.Session, error) {
 	if c.hasCallbacks() {
 		return nil, nil
 	}
@@ -123,6 +124,9 @@ func (c *Client) session(ctx context.Context) (*mux.Session, error) {
 		c.sess.sess, c.sess.conn = nil, nil
 		//lint:ninflint locknet — the session is already Broken: Close and discard on its dead socket return immediately
 		retireSession(c, s, conn)
+	}
+	if !negotiate {
+		return nil, nil
 	}
 	// Checking the connection out of the pool keeps it on the active
 	// books: Close's pool.closeAll severs a handshake blocked against a
@@ -148,7 +152,7 @@ func (c *Client) session(ctx context.Context) (*mux.Session, error) {
 	}
 	if errors.Is(err, mux.ErrLegacy) {
 		// The refused Hello was a complete lockstep exchange, so the
-		// connection is still in frame sync — seed the pool with it.
+		// connection is still in frame sync — back to the pool with it.
 		c.sess.legacy = true
 		c.pool.put(conn)
 		return nil, nil
@@ -176,7 +180,7 @@ func (c *Client) session(ctx context.Context) (*mux.Session, error) {
 // appear on the wire; anywhere below, the byte stream is bit-identical
 // to level 3.
 func (c *Client) cacheOn(sess *mux.Session) bool {
-	if c.noArgCache.Load() || !sess.Cache() {
+	if sess == nil || c.noArgCache.Load() || !sess.Cache() {
 		return false
 	}
 	c.sess.mu.Lock()
@@ -200,150 +204,199 @@ func (c *Client) dropSession(s *mux.Session) {
 	retireSession(c, s, conn)
 }
 
-// muxExchange runs one sequenced exchange over the session layer.
-// used=false means no session is available (legacy peer, mux off, or
-// callbacks registered): req is untouched and still owned by the
-// caller, which must fall back to the lockstep path. used=true means
-// the exchange was attempted and req consumed; MsgError replies are
-// translated to *protocol.RemoteError like every lockstep round trip,
-// and transport faults (which fail the session) surface as retryable
-// errors so the enclosing withRetry dials a fresh session. A non-nil
-// BulkInfo means the peer streamed the reply chunked.
-func (c *Client) muxExchange(ctx context.Context, t protocol.MsgType, req *protocol.Buffer) (rt protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, used bool, err error) {
-	sess, err := c.session(ctx)
-	if err != nil {
-		req.Release()
-		return 0, nil, nil, true, err
-	}
-	if sess == nil {
-		//lint:ninflint releasecheck — used=false hands req ownership back to the caller for the lockstep path
-		return 0, nil, nil, false, nil
-	}
-	rt, fb, bulk, err = c.muxExchangeOn(ctx, sess, t, req)
-	return rt, fb, bulk, true, err
+// request is one encoded request awaiting a transport — the client-side
+// mirror of the server's reply. Exactly one of fb (a complete frame
+// payload) or bulk (a message the session streams in chunks; built only
+// for sessions that negotiated bulk) is set.
+type request struct {
+	t    protocol.MsgType
+	fb   *protocol.Buffer
+	bulk *protocol.BulkMsg
 }
 
-// muxExchangeLive is muxExchange restricted to an already-established
-// session: it never dials. Interface fetches use it so a cold client
-// does not pay (or block on) a session handshake for a stage-one RPC
-// the primary lockstep connection serves equally well.
-func (c *Client) muxExchangeLive(ctx context.Context, t protocol.MsgType, req *protocol.Buffer) (rt protocol.MsgType, fb *protocol.Buffer, used bool, err error) {
-	sess := c.liveSession()
-	if sess == nil {
-		//lint:ninflint releasecheck — used=false hands req ownership back to the caller for the lockstep path
-		return 0, nil, false, nil
-	}
-	rt, fb, _, err = c.muxExchangeOn(ctx, sess, t, req)
-	return rt, fb, true, err
-}
-
-// muxExchangeOn runs one sequenced exchange on sess, consuming req.
-func (c *Client) muxExchangeOn(ctx context.Context, sess *mux.Session, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	rt, fb, bulk, err := sess.Roundtrip(ctx, t, req)
-	return c.settleMux(sess, rt, fb, bulk, err)
-}
-
-// settleMux normalizes one session exchange's outcome: transport
-// faults drop the session for re-dial, and MsgError replies become
-// *protocol.RemoteError exactly as on the lockstep paths.
-func (c *Client) settleMux(sess *mux.Session, rt protocol.MsgType, fb *protocol.Buffer, bulk *protocol.BulkInfo, err error) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	if err != nil {
-		c.dropSession(sess)
-		fb.Release() // nil on the error path by convention; Release is nil-safe
-		return 0, nil, nil, err
-	}
-	if rt == protocol.MsgError {
-		er, derr := protocol.DecodeErrorReply(fb.Payload())
-		fb.Release()
-		if derr != nil {
-			return 0, nil, nil, derr
+// exchange runs one request/reply exchange on the transport session
+// picked: sess if non-nil, else a pooled connection for one lockstep
+// round trip. It consumes the request whatever the outcome, and returns
+// the reply in a pooled buffer the caller must Release after decoding;
+// a non-nil BulkInfo means the peer streamed it chunked.
+//
+// Errors: a MsgError reply comes back as *protocol.RemoteError (this is
+// the one place that translation happens, so every verb on every
+// transport sees the server's code, detail and retry-after hint alike).
+// A transport fault fails the session — the next session() call dials
+// afresh — or discards the pooled connection; either way it surfaces as
+// a retryable error for the enclosing withRetry. ctx bounds the whole
+// exchange: on a session it abandons this sequence only, on a pooled
+// connection the guard severs the socket, so even a black-holed read
+// returns within the caller's deadline.
+func (c *Client) exchange(ctx context.Context, sess *mux.Session, rq request) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	var (
+		rt protocol.MsgType
+		//lint:ninflint releasecheck — assigned in the transport switch, settled after it: released if a MsgError, nil after any other error, else returned
+		fb   *protocol.Buffer
+		bulk *protocol.BulkInfo
+		err  error
+		conn net.Conn
+		stop func() bool
+	)
+	switch {
+	case rq.bulk != nil:
+		//lint:ninflint featgate — a bulk request exists only where send built one, under sess.Bulk() or a live cache
+		rt, fb, bulk, err = sess.RoundtripBulk(ctx, rq.bulk)
+	case sess != nil:
+		rt, fb, bulk, err = sess.Roundtrip(ctx, rq.t, rq.fb)
+	default:
+		if conn, err = c.pool.get(); err != nil {
+			rq.fb.Release()
+			return 0, nil, nil, err
 		}
-		return 0, nil, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
+		stop = guardConn(ctx, conn)
+		err = protocol.WriteFrameBuf(conn, rq.t, rq.fb)
+		rq.fb.Release()
+		// While a blocking call's executable runs, the server may
+		// interleave MsgCallback frames before the final reply; each is
+		// answered inline on the same quiet connection.
+		for err == nil {
+			rt, fb, err = protocol.ReadFrameBuf(conn, c.maxPayload)
+			if err != nil || rt != protocol.MsgCallback {
+				break
+			}
+			err = c.answerCallback(conn, fb.Payload())
+			fb.Release()
+			fb = nil
+		}
+	}
+	if err == nil && rt == protocol.MsgError {
+		var er protocol.ErrorReply
+		er, err = protocol.DecodeErrorReply(fb.Payload())
+		fb.Release()
+		fb = nil
+		if err == nil {
+			err = &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
+		}
+	}
+	if sess == nil {
+		err = c.releaseGuarded(ctx, conn, stop, err)
+	} else if err != nil {
+		c.dropSession(sess)
+	}
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	return rt, fb, bulk, nil
 }
 
-// muxSend encodes one call or submit request for sess and runs the
-// exchange. When the session negotiated bulk streaming and an argument
-// crosses the client's threshold the request goes out chunked, its
-// bulk arrays written zero-copy from the caller's slices; otherwise it
-// is a monolithic frame. Encoding happens here — after the session's
-// capabilities are known — so nothing is marshalled twice and the
-// lockstep fallback (used=false upstream) never pre-encodes in vain.
-func (c *Client) muxSend(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	cacheok := c.cacheOn(sess)
-	if cacheok {
-		creq.Retain = c.retainRes.Load()
-		//lint:ninflint releasecheck — handled=true transfers fb to the caller; handled=false returns a nil fb
-		rt, fb, bulk, handled, err := c.muxSendDigest(ctx, sess, t, info, creq, key, rep)
-		if handled {
-			return rt, fb, bulk, err
-		}
-		// Nothing digest-eligible (or the warmth query degraded): fall
-		// through to the plain encoders. creq.Retain stays set — the
-		// monolithic encoder still carries the retention trailer.
-	}
-	if sess.Bulk() {
-		bm, err := encodeRequestChunks(t, info, creq, key, c.bulkThreshold())
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if bm != nil {
-			rep.BytesOut = int64(bm.Total())
-			rt, fb, bulk, err := sess.RoundtripBulk(ctx, bm)
-			return c.settleMux(sess, rt, fb, bulk, err)
-		}
-	}
-	req, err := encodeRequestBuf(t, info, creq, key)
+// query is the shape of every verb whose request is encoded before the
+// transport is known and whose reply has one acceptable type: pick the
+// transport, exchange, check. It consumes req.
+func (c *Client) query(ctx context.Context, negotiate bool, t protocol.MsgType, req *protocol.Buffer, want protocol.MsgType) (*protocol.Buffer, *protocol.BulkInfo, error) {
+	sess, err := c.session(ctx, negotiate)
 	if err != nil {
-		return 0, nil, nil, err
+		req.Release()
+		return nil, nil, err
 	}
-	rep.BytesOut = int64(req.Len())
-	return c.muxExchangeOn(ctx, sess, t, req)
+	rt, fb, bulk, err := c.exchange(ctx, sess, request{t: t, fb: req})
+	if err != nil {
+		return nil, nil, err
+	}
+	if rt != want {
+		fb.Release()
+		return nil, nil, fmt.Errorf("ninf: unexpected reply %v to %v", rt, t)
+	}
+	return fb, bulk, nil
 }
 
-// muxSendDigest runs one level-4 call or submit: hash the
-// bulk-eligible arguments, learn which digests the server's cache
-// holds (from the client's warm set, else one small MsgCallDigest
-// round trip), then send warm arguments as 20-byte digest markers and
-// only the cold ones as chunked bulk segments. handled=false means
-// nothing was digest-eligible or the warmth query degraded; the caller
-// falls back to the plain level-3 encoders. On success every digest is
-// remembered as warm — the server pinned resolved entries for the call
-// and retained uploaded segments. A CodeCacheMiss reply (eviction
-// raced the warmth knowledge) clears the warm set; the error is
-// retryable, and the retry re-queries and re-uploads.
-func (c *Client) muxSendDigest(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, bool, error) {
+// send encodes one call or submit request for the transport and runs
+// the exchange. Encoding happens here — once the transport's
+// capabilities are known — so nothing is marshalled twice: by digest
+// where the session negotiated a live argument cache, chunked (bulk
+// arrays written zero-copy from the caller's slices) where it
+// negotiated bulk streaming and an argument crosses the client's
+// threshold, and as one monolithic frame otherwise — always, on a
+// pooled lockstep connection.
+func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	rq := request{t: t}
+	var digs []protocol.Digest
+	var err error
+	cacheOK := c.cacheOn(sess)
+	if cacheOK {
+		// Retain rides every encoding below, the monolithic trailer
+		// included, not just the digest one.
+		creq.Retain = c.retainRes.Load()
+		if rq.bulk, rq.fb, digs, err = c.encodeDigest(ctx, sess, t, info, creq, key); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	if digs == nil && sess != nil && sess.Bulk() {
+		if rq.bulk, err = encodeRequestChunks(t, info, creq, key, c.bulkThreshold()); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	if rq.bulk != nil {
+		rep.BytesOut = int64(rq.bulk.Total())
+	} else {
+		if rq.fb == nil {
+			if rq.fb, err = encodeRequestBuf(t, info, creq, key); err != nil {
+				return 0, nil, nil, err
+			}
+		}
+		rep.BytesOut = int64(rq.fb.Len())
+	}
+	rt, fb, bulk, err := c.exchange(ctx, sess, rq)
+	if digs != nil {
+		// On success every digest is warm — the server pinned resolved
+		// entries for the call and retained uploaded segments. A
+		// CodeCacheMiss (eviction raced the warmth knowledge) clears the
+		// warm set; the error is retryable, and the retry re-queries and
+		// re-uploads.
+		var re *protocol.RemoteError
+		if err == nil {
+			c.markWarm(digs)
+		} else if errors.As(err, &re) && re.Code == protocol.CodeCacheMiss {
+			c.forgetWarm()
+		}
+	}
+	return rt, fb, bulk, err
+}
+
+// encodeDigest encodes one level-4 call or submit: hash the
+// bulk-eligible arguments, learn which digests the server's cache holds
+// (from the client's warm set, else one small MsgCallDigest round
+// trip), then encode warm arguments as 20-byte digest markers and only
+// the cold ones as chunked bulk segments. It returns the request (bm or
+// buf) and the digests it references; all nil means nothing was
+// digest-eligible or the warmth query degraded, and the caller falls
+// back to the plain level-3 encoders.
+func (c *Client) encodeDigest(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64) (*protocol.BulkMsg, *protocol.Buffer, []protocol.Digest, error) {
 	thr := c.bulkThreshold()
 	digs, err := protocol.CallRequestDigests(info, creq, thr)
 	if err != nil || len(digs) == 0 {
-		return 0, nil, nil, false, nil
+		return nil, nil, nil, nil
 	}
 	warm := c.warmKnown(digs)
 	if warm == nil {
-		qt, qfb, _, qerr := sess.Roundtrip(ctx, protocol.MsgCallDigest, protocol.EncodeDigestQueryBuf(digs))
-		qt, qfb, _, qerr = c.settleMux(sess, qt, qfb, nil, qerr)
+		qt, qfb, _, qerr := c.exchange(ctx, sess, request{t: protocol.MsgCallDigest, fb: protocol.EncodeDigestQueryBuf(digs)})
 		if qerr != nil {
 			var re *protocol.RemoteError
 			if errors.As(qerr, &re) {
 				// The server answered but will not play (e.g. its cache
 				// was disabled across a restart): degrade to plain level 3
 				// for this call.
-				return 0, nil, nil, false, nil
+				return nil, nil, nil, nil
 			}
-			return 0, nil, nil, true, qerr
+			return nil, nil, nil, qerr
 		}
 		if qt != protocol.MsgDigestStatus {
 			qfb.Release()
-			return 0, nil, nil, true, fmt.Errorf("ninf: unexpected reply %v to digest query", qt)
+			return nil, nil, nil, fmt.Errorf("ninf: unexpected reply %v to digest query", qt)
 		}
 		warm, err = protocol.DecodeDigestStatus(qfb.Payload())
 		qfb.Release()
 		if err != nil {
-			return 0, nil, nil, true, err
+			return nil, nil, nil, err
 		}
 		if len(warm) != len(digs) {
-			return 0, nil, nil, true, fmt.Errorf("ninf: digest status answers %d of %d digests", len(warm), len(digs))
+			return nil, nil, nil, fmt.Errorf("ninf: digest status answers %d of %d digests", len(warm), len(digs))
 		}
 	}
 	warmSet := make(map[protocol.Digest]bool, len(digs))
@@ -353,30 +406,9 @@ func (c *Client) muxSendDigest(ctx context.Context, sess *mux.Session, t protoco
 	bm, buf, err := protocol.EncodeCallRequestDigest(info, creq, t == protocol.MsgSubmit, key, thr, digs,
 		func(d protocol.Digest) bool { return warmSet[d] })
 	if err != nil {
-		return 0, nil, nil, true, err
+		return nil, nil, nil, err
 	}
-	var rt protocol.MsgType
-	//lint:ninflint releasecheck — settleMux releases fb on error paths; success transfers it to the caller
-	var fb *protocol.Buffer
-	var bulk *protocol.BulkInfo
-	if bm != nil {
-		rep.BytesOut = int64(bm.Total())
-		rt, fb, bulk, err = sess.RoundtripBulk(ctx, bm)
-	} else {
-		rep.BytesOut = int64(buf.Len())
-		rt, fb, bulk, err = sess.Roundtrip(ctx, t, buf)
-	}
-	rt, fb, bulk, err = c.settleMux(sess, rt, fb, bulk, err)
-	if err != nil {
-		var re *protocol.RemoteError
-		if errors.As(err, &re) && re.Code == protocol.CodeCacheMiss {
-			c.forgetWarm()
-		}
-		return 0, nil, nil, true, err
-	}
-	c.markWarm(digs)
-	//lint:ninflint releasecheck — exactly one of bm/buf is non-nil and the taken Roundtrip consumed it
-	return rt, fb, bulk, true, nil
+	return bm, buf, digs, nil
 }
 
 // encodeRequestChunks encodes a call or submit request chunked; nil
@@ -397,84 +429,13 @@ func encodeRequestBuf(t protocol.MsgType, info *idl.Info, creq *protocol.CallReq
 	return protocol.EncodeCallRequestBuf(info, creq)
 }
 
-// muxCall runs one blocking-call exchange over the session and decodes
-// the reply into the caller's destinations. used=false means no
-// session is available; the caller encodes for and runs the lockstep
-// path itself.
-func (c *Client) muxCall(ctx context.Context, info *idl.Info, vals []idl.Value, args []any) (*Report, bool, error) {
-	sess, err := c.session(ctx)
-	if err != nil {
-		return nil, true, err
-	}
-	if sess == nil {
-		return nil, false, nil
-	}
-	creq := &protocol.CallRequest{Name: info.Name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
-	rep := &Report{Routine: info.Name, Submit: time.Now()}
-	rt, fb, bulk, err := c.muxSend(ctx, sess, protocol.MsgCall, info, creq, 0, rep)
-	if err != nil {
-		return nil, true, err
-	}
-	r, err := finishCall(rep, info, vals, args, rt, fb, bulk)
-	return r, true, err
-}
-
-// muxSubmit runs one submit exchange over the session; used=false
-// means no session is available and the caller runs the lockstep path.
-func (c *Client) muxSubmit(ctx context.Context, name string, info *idl.Info, args []any, vals []idl.Value, key uint64) (*Job, bool, error) {
-	sess, err := c.session(ctx)
-	if err != nil {
-		return nil, true, err
-	}
-	if sess == nil {
-		return nil, false, nil
-	}
-	creq := &protocol.CallRequest{Name: name, Args: vals, Deadline: ctxDeadlineNanos(ctx)}
-	rep := &Report{Routine: name, Submit: time.Now()}
-	t, p, _, err := c.muxSend(ctx, sess, protocol.MsgSubmit, info, creq, key, rep)
-	if err != nil {
-		return nil, true, err
-	}
-	defer p.Release()
-	if t != protocol.MsgSubmitOK {
-		return nil, true, fmt.Errorf("ninf: unexpected reply %v to submit", t)
-	}
-	sr, err := protocol.DecodeSubmitReply(p.Payload())
-	if err != nil {
-		return nil, true, err
-	}
-	return &Job{client: c, id: sr.JobID, info: info, args: args, vals: vals, report: rep, name: name, key: key}, true, nil
-}
-
-// muxFetch runs one fetch exchange over the session, mapping the
-// not-ready remote error like the lockstep path does. Large stored
-// results arrive as chunked bulk replies from a level-3 server.
-func (j *Job) muxFetch(ctx context.Context) (*Report, bool, error) {
-	c := j.client
-	fr := protocol.FetchRequest{JobID: j.id, Wait: false}
-	req := fr.EncodeBuf()
-	t, p, bulk, used, err := c.muxExchange(ctx, protocol.MsgFetch, req)
-	if !used {
-		req.Release()
-		//lint:ninflint releasecheck — used=false: no exchange ran and p is nil
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, true, classifyFetchErr(err)
-	}
-	rep, err := j.finishFetch(t, p, bulk)
-	return rep, true, err
-}
-
-// finishCall decodes one call reply (mux or lockstep) into the
-// caller's destinations, consuming the reply buffer. A non-nil bulk
-// means the reply was a reassembled chunked message: the XDR head is
-// its prefix and marked arrays decode from raw segments.
-func finishCall(rep *Report, info *idl.Info, vals []idl.Value, args []any, t protocol.MsgType, reply *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
+// finish decodes one call or fetch reply — the same payload, whatever
+// carried it — into the caller's destinations and completes the report,
+// consuming the reply buffer. A non-nil bulk means the reply was a
+// reassembled chunked message: the XDR head is its prefix and marked
+// arrays decode from raw segments.
+func finish(rep *Report, info *idl.Info, vals []idl.Value, args []any, reply *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
 	defer reply.Release()
-	if t != protocol.MsgCallOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to call", t)
-	}
 	rep.Received = time.Now()
 	rep.BytesIn = int64(reply.Len())
 	p := reply.Payload()

@@ -1,8 +1,6 @@
 package ninf
 
 import (
-	"fmt"
-
 	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
@@ -16,12 +14,10 @@ type RoutineTrace = server.RoutineTrace
 // schedulers use it to predict computation time for routines whose IDL
 // declares no Complexity clause.
 func (c *Client) Trace() ([]RoutineTrace, error) {
-	t, p, err := c.roundTrip(protocol.MsgTrace, nil)
+	fb, err := c.control(protocol.MsgTrace, protocol.MsgTraceOK)
 	if err != nil {
 		return nil, err
 	}
-	if t != protocol.MsgTraceOK {
-		return nil, fmt.Errorf("ninf: unexpected reply %v to trace", t)
-	}
-	return server.DecodeTraces(p)
+	defer fb.Release()
+	return server.DecodeTraces(fb.Payload())
 }
