@@ -485,7 +485,12 @@ func TestChaosMuxPartitionFailover(t *testing.T) {
 		servers = append(servers, s)
 	}
 
-	const n, calls = 16, 64
+	// n = 64 makes a call ~0.3 ms of dmmul: with srv0 executing one at a
+	// time its half of the pipeline takes ~10 ms, so the 200 µs poll
+	// below strikes while most of it is still queued there. At n = 16 the
+	// whole pipeline could drain between two polls and the partition hit
+	// an idle session (no failover, no refused re-dial).
+	const n, calls = 64, 64
 	tx := ninf.BeginTransaction(meta)
 	tx.SetMaxAttempts(4)
 	tx.SetRetryPolicy(ninf.RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond})

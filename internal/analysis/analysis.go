@@ -398,7 +398,6 @@ func All() []*Analyzer {
 		PoolDiscard,
 		XDRSym,
 		LockNet,
-		SharedWrite,
 		CtxDeadline,
 		SeqLife,
 		FeatGate,

@@ -45,7 +45,6 @@ func fakeBulkServer(t *testing.T, conn net.Conn, handle bulkHandler) {
 		if bulk != nil {
 			defer bulk.Release()
 			fb := bulk.EncodeBegin()
-			//lint:ninflint sharedwrite — wmu is this fake server's serialized writer
 			err := protocol.WriteMuxFrameBuf(conn, protocol.MsgBulkBegin, seq, fb)
 			fb.Release()
 			if err != nil {
@@ -53,14 +52,12 @@ func fakeBulkServer(t *testing.T, conn net.Conn, handle bulkHandler) {
 			}
 			cur := bulk.Cursor()
 			for {
-				//lint:ninflint sharedwrite — wmu is this fake server's serialized writer
 				done, err := cur.WriteChunk(conn, seq, protocol.DefaultBulkChunk)
 				if err != nil || done {
 					return
 				}
 			}
 		}
-		//lint:ninflint sharedwrite — wmu is this fake server's serialized writer
 		protocol.WriteMuxFrame(conn, rt, seq, rp)
 	}
 	br := bufio.NewReader(conn)
@@ -127,14 +124,14 @@ func dialBulkSession(t *testing.T, handle bulkHandler) (*Session, net.Conn) {
 	t.Helper()
 	cc, sc := net.Pipe()
 	go fakeBulkServer(t, sc, handle)
-	version, err := Negotiate(cc, 0)
+	hello, err := NegotiateHello(cc, 0)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
-	if version != protocol.MuxVersionBulk {
-		t.Fatalf("negotiated version %d, want %d", version, protocol.MuxVersionBulk)
+	if hello.Version != protocol.MuxVersionBulk {
+		t.Fatalf("negotiated version %d, want %d", hello.Version, protocol.MuxVersionBulk)
 	}
-	s := New(cc, 0, version)
+	s := New(cc, 0, int(hello.Version))
 	t.Cleanup(func() {
 		s.Close()
 		sc.Close()

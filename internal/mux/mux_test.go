@@ -54,7 +54,6 @@ func fakeMuxServer(t *testing.T, conn net.Conn, handle func(typ protocol.MsgType
 			}
 			wmu.Lock()
 			defer wmu.Unlock()
-			//lint:ninflint sharedwrite — wmu is this fake server's serialized writer
 			if err := protocol.WriteMuxFrame(conn, rt, seq, rp); err != nil {
 				return
 			}
@@ -67,11 +66,11 @@ func dialSession(t *testing.T, handle func(typ protocol.MsgType, seq uint32, pay
 	t.Helper()
 	cc, sc := net.Pipe()
 	go fakeMuxServer(t, sc, handle)
-	version, err := Negotiate(cc, 0)
+	hello, err := NegotiateHello(cc, 0)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
-	s := New(cc, 0, version)
+	s := New(cc, 0, int(hello.Version))
 	t.Cleanup(func() {
 		s.Close()
 		sc.Close()
@@ -267,7 +266,7 @@ func TestNegotiateLegacy(t *testing.T) {
 		protocol.WriteFrame(sc, protocol.MsgError,
 			protocol.EncodeErrorReply(protocol.CodeInternal, "unexpected frame Hello"))
 	}()
-	_, err := Negotiate(cc, 0)
+	_, err := NegotiateHello(cc, 0)
 	<-done
 	if !errors.Is(err, ErrLegacy) {
 		t.Fatalf("negotiate against legacy peer = %v, want ErrLegacy", err)
@@ -281,7 +280,7 @@ func TestNegotiateTransportFault(t *testing.T) {
 		protocol.ReadFrame(sc, 0)
 		sc.Close() // die before answering
 	}()
-	_, err := Negotiate(cc, 0)
+	_, err := NegotiateHello(cc, 0)
 	if err == nil || errors.Is(err, ErrLegacy) {
 		t.Fatalf("negotiate against dying peer = %v, want transport fault", err)
 	}

@@ -170,9 +170,6 @@ type BulkCursor struct {
 // Done reports whether every byte has been written.
 func (c *BulkCursor) Done() bool { return c.sent == c.m.total }
 
-// Sent reports the logical bytes written so far.
-func (c *BulkCursor) Sent() int { return c.sent }
-
 // bulkWriter is pooled scratch for WriteChunk's vectored write: the
 // 16-byte mux header and 8-byte chunk prologue share one contiguous
 // block, followed by the data spans.
@@ -430,19 +427,6 @@ func (ra *Reassembler) ReadChunk(r io.Reader, seq uint32, n int) (*BulkDone, err
 		FB:   re.fb,
 		Bulk: BulkInfo{Base: re.fb.Payload(), HeadLen: re.headLen, LE: re.le},
 	}, nil
-}
-
-// Drop switches seq's reassembly to discard mode, releasing its buffer
-// now: the receiver abandoned the message mid-stream but must keep
-// consuming its chunks to stay in sync.
-func (ra *Reassembler) Drop(seq uint32) {
-	re, ok := ra.open[seq]
-	if !ok || re.fb == nil {
-		return
-	}
-	re.fb.Release()
-	re.fb = nil
-	openBulk.Add(-1)
 }
 
 // Abort removes seq's reassembly entirely (the sender gave up and will

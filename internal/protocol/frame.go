@@ -272,9 +272,11 @@ func WriteFrameBuf(w io.Writer, t MsgType, fb *Buffer) error {
 	return nil
 }
 
-// ReadFrameBuf reads one frame into a pooled buffer (0 means
-// DefaultMaxPayload, as for ReadFrame). The caller owns the buffer and
-// must Release it once the payload has been decoded.
+// ReadFrameBuf reads one version-1 frame into a pooled buffer,
+// enforcing the payload limit (0 means DefaultMaxPayload). The caller
+// owns the buffer and must Release it once the payload has been
+// decoded. EOF between frames is a clean close, passed through
+// undecorated so callers can detect it.
 func ReadFrameBuf(r io.Reader, maxPayload int) (MsgType, *Buffer, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
@@ -340,36 +342,17 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame, enforcing the payload limit (0 means
-// DefaultMaxPayload).
+// ReadFrame is ReadFrameBuf for callers that want the payload as a
+// plain slice they own: the frame is read into a pooled buffer and
+// copied out.
 func ReadFrame(r io.Reader, maxPayload int) (MsgType, []byte, error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
+	t, fb, err := ReadFrameBuf(r, maxPayload)
+	if err != nil {
+		return 0, nil, err
 	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// EOF between frames is a clean close; pass it through
-		// undecorated so callers can detect it.
-		if errors.Is(err, io.EOF) {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("protocol: read header: %w", err)
-	}
-	if getU32(hdr[0:]) != Magic {
-		return 0, nil, ErrBadMagic
-	}
-	if v := getU32(hdr[4:]); v != Version {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	t := MsgType(getU32(hdr[8:]))
-	n := int(getU32(hdr[12:]))
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("%w: %d bytes", ErrOversized, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("protocol: read payload: %w", err)
-	}
+	payload := make([]byte, fb.Len())
+	copy(payload, fb.Payload())
+	fb.Release()
 	return t, payload, nil
 }
 

@@ -135,19 +135,13 @@ func DecodeHelloReply(p []byte) (HelloReply, error) {
 
 // StampMux writes a version-2 header for the buffer's current payload
 // into its reserved prefix. The buffer is then a complete wire frame
-// (Frame) ready for WriteStampedFrames or a direct write.
+// ready for WriteStampedFrames or a direct write.
 func StampMux(fb *Buffer, t MsgType, seq uint32) {
 	putU32(fb.b[0:], Magic)
 	putU32(fb.b[4:], MuxVersion<<16|uint32(t)&maxMuxType)
 	putU32(fb.b[8:], seq)
 	putU32(fb.b[12:], uint32(fb.Len()))
 }
-
-// Frame returns the assembled wire frame — header plus payload — of a
-// stamped buffer. The slice aliases the buffer and dies with Release;
-// it exists so session layers can gather several stamped frames into
-// one vectored write.
-func (fb *Buffer) Frame() []byte { return fb.b }
 
 // BufferFor copies an already-encoded payload into a pooled buffer, so
 // []byte-producing encode paths can feed buffer-consuming writers.

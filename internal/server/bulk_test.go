@@ -281,9 +281,9 @@ func TestMuxBulkConnCutMidReassembly(t *testing.T) {
 		defer close(done)
 		s.ServeConn(sc)
 	}()
-	version, err := mux.Negotiate(cc, 0)
-	if err != nil || version < protocol.MuxVersionBulk {
-		t.Fatalf("negotiate: %d %v", version, err)
+	hello, err := mux.NegotiateHello(cc, 0)
+	if err != nil || hello.Version < protocol.MuxVersionBulk {
+		t.Fatalf("negotiate: %d %v", hello.Version, err)
 	}
 	// Hand-write a begin for a 1 MiB message, one chunk, then cut.
 	m := protocol.RawBulkMsg(protocol.MsgCall, make([]byte, 1<<20))

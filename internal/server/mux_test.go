@@ -18,11 +18,11 @@ func muxSession(t *testing.T, s *Server) *mux.Session {
 	cc, sc := net.Pipe()
 	go s.ServeConn(sc)
 	t.Cleanup(func() { sc.Close() })
-	version, err := mux.Negotiate(cc, 0)
+	hello, err := mux.NegotiateHello(cc, 0)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
-	sess := mux.New(cc, 0, version)
+	sess := mux.New(cc, 0, int(hello.Version))
 	t.Cleanup(func() { sess.Close() })
 	return sess
 }
@@ -163,7 +163,7 @@ func TestMuxDisabledAnswersLikeLegacy(t *testing.T) {
 	defer cc.Close()
 	go s.ServeConn(sc)
 	defer sc.Close()
-	if _, err := mux.Negotiate(cc, 0); !errors.Is(err, mux.ErrLegacy) {
+	if _, err := mux.NegotiateHello(cc, 0); !errors.Is(err, mux.ErrLegacy) {
 		t.Fatalf("negotiate against DisableMux server = %v, want ErrLegacy", err)
 	}
 	// The connection must still carry lockstep traffic afterwards.

@@ -88,9 +88,6 @@ type Config struct {
 	// connection on the version-1 lockstep exchange. Useful for
 	// benchmarking the two paths and for emulating pre-mux servers.
 	DisableMux bool
-	// MuxConcurrency bounds concurrently-dispatched requests per
-	// multiplexed connection (default DefaultMuxConcurrency).
-	MuxConcurrency int
 	// BulkThreshold is the reply payload size at which a bulk-capable
 	// mux connection streams results as chunked frames instead of one
 	// monolithic frame. 0 means protocol.DefaultBulkThreshold; negative
