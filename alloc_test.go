@@ -1,0 +1,90 @@
+package ninf_test
+
+import (
+	"runtime"
+	"testing"
+
+	"ninf"
+	"ninf/internal/server"
+)
+
+// allocPerCall reports the bytes allocated per call of fn, process-wide
+// (the client and the in-process server together), over calls calls
+// after warm-up. GC settings are whatever the test binary runs with.
+func allocPerCall(warmup, calls int, fn func()) float64 {
+	for i := 0; i < warmup; i++ {
+		fn()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(calls)
+}
+
+// echoCaller returns a func that makes one checked n-element echo call.
+func echoCaller(t *testing.T, c *ninf.Client, n int) func() {
+	in := make([]float64, n)
+	for i := range in {
+		in[i] = float64(i)
+	}
+	out := make([]float64, n)
+	k := 0
+	return func() {
+		k++
+		in[k%n] = float64(-k) // a stale buffer cannot pass
+		if _, err := c.Call("echo", n, in, out); err != nil {
+			t.Fatal(err)
+		}
+		if out[k%n] != in[k%n] || out[n-1-k%n] != in[n-1-k%n] {
+			t.Fatal("echo returned stale data")
+		}
+	}
+}
+
+// TestAllocBudgetMid is the allocation gate on the array data path: a
+// steady-state 64 KiB echo allocates at most 16 KiB per call in client
+// and server together, over mux and over lockstep. An array crosses the
+// codec once in each direction and lands in pooled or caller-owned
+// memory; before that was so the same call allocated about 200 KB (a
+// 64 KiB array three times over, plus the chunk copies' frames).
+func TestAllocBudgetMid(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random; the budget assumes they are kept")
+	}
+	const budget = 16 << 10
+	for _, mux := range []bool{true, false} {
+		_, dial := startServer(t, server.Config{})
+		c := newClient(t, dial)
+		c.SetMultiplexing(mux)
+		got := allocPerCall(50, 300, echoCaller(t, c, 8192))
+		t.Logf("mux=%v: %.0f bytes allocated per 64 KiB echo", mux, got)
+		if got > budget {
+			t.Errorf("mux=%v: %.0f bytes allocated per 64 KiB echo, budget %d", mux, got, budget)
+		}
+	}
+}
+
+// TestAllocBudgetBulk: an 8 MiB chunked echo's result is moved from the
+// reassembled segment straight into the caller's slice, so no
+// result-sized block is allocated for it: under 1 MiB per call, client
+// and server together (the server's arrays and both ends' reassembly
+// buffers are pooled).
+func TestAllocBudgetBulk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random; the budget assumes they are kept")
+	}
+	const budget = 1 << 20
+	_, dial := startServer(t, server.Config{})
+	c := newClient(t, dial)
+	got := allocPerCall(5, 200, echoCaller(t, c, 1<<20))
+	t.Logf("%.0f bytes allocated per 8 MiB echo", got)
+	if !c.Multiplexed() {
+		t.Fatal("the calls did not ride the mux session")
+	}
+	if got > budget {
+		t.Errorf("%.0f bytes allocated per 8 MiB echo, budget %d", got, budget)
+	}
+}

@@ -1033,44 +1033,27 @@ func toValues(info *idl.Info, args []any) ([]idl.Value, error) {
 	return vals, nil
 }
 
-// storeResults writes decoded out/inout values back into the caller's
-// destinations.
+// storeResults writes decoded scalar results through the caller's
+// pointers. Array results need no storing: the reply decoder already
+// converted them into the caller's slices.
 func storeResults(info *idl.Info, args []any, out []idl.Value) error {
 	for i := range info.Params {
 		p := &info.Params[i]
-		if !p.Mode.Ships(true) {
+		if !p.Mode.Ships(true) || !p.IsScalar() {
 			continue
 		}
 		if args[i] == nil {
 			continue // caller discards this result
 		}
-		if err := storeOne(p, args[i], out[i]); err != nil {
+		if err := storeOne(args[i], out[i]); err != nil {
 			return fmt.Errorf("ninf: %s result %q: %w", info.Name, p.Name, err)
 		}
 	}
 	return nil
 }
 
-func storeOne(p *idl.Param, dst any, v idl.Value) error {
+func storeOne(dst any, v idl.Value) error {
 	switch d := dst.(type) {
-	case []float64:
-		s, ok := v.([]float64)
-		if !ok || len(s) != len(d) {
-			return fmt.Errorf("cannot store %T (len %d) into []float64 of len %d", v, valueLen(v), len(d))
-		}
-		copy(d, s)
-	case []float32:
-		s, ok := v.([]float32)
-		if !ok || len(s) != len(d) {
-			return fmt.Errorf("cannot store %T into []float32 of len %d", v, len(d))
-		}
-		copy(d, s)
-	case []int64:
-		s, ok := v.([]int64)
-		if !ok || len(s) != len(d) {
-			return fmt.Errorf("cannot store %T into []int64 of len %d", v, len(d))
-		}
-		copy(d, s)
 	case *float64:
 		s, ok := v.(float64)
 		if !ok {
@@ -1099,17 +1082,4 @@ func storeOne(p *idl.Param, dst any, v idl.Value) error {
 		return fmt.Errorf("unsupported result destination %T", dst)
 	}
 	return nil
-}
-
-func valueLen(v idl.Value) int {
-	switch s := v.(type) {
-	case []float64:
-		return len(s)
-	case []float32:
-		return len(s)
-	case []int64:
-		return len(s)
-	default:
-		return -1
-	}
 }

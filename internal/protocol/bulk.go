@@ -104,6 +104,7 @@ type BulkMsg struct {
 	total   int
 	le      bool
 	head    *Buffer // pooled backing of the head span; nil when caller-owned
+	arrays  *Arrays // pooled arrays the segment spans alias, once adopted
 }
 
 // Total reports the logical payload length (head plus segments).
@@ -112,14 +113,22 @@ func (m *BulkMsg) Total() int { return m.total }
 // HeadLen reports the head's length within the logical payload.
 func (m *BulkMsg) HeadLen() int { return m.headLen }
 
-// Release returns the pooled head buffer. Segment spans are borrowed
-// from the caller and untouched. Idempotent, like Buffer.Release.
+// Adopt hands the message the pooled arrays its segment spans alias:
+// they stay out of the pool until the message is Released — by the
+// writer that streamed it, or gave up on it — and go back then.
+func (m *BulkMsg) Adopt(a *Arrays) { m.arrays = a }
+
+// Release returns the pooled head buffer and any adopted arrays.
+// Other segment spans are borrowed from the caller and untouched.
+// Idempotent, like Buffer.Release.
 func (m *BulkMsg) Release() {
 	if m == nil {
 		return
 	}
 	m.head.Release()
 	m.head = nil
+	m.arrays.Release()
+	m.arrays = nil
 	m.Spans = nil
 }
 

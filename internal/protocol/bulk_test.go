@@ -499,6 +499,13 @@ func TestReassemblerOpenCap(t *testing.T) {
 	}
 }
 
+// fillNew decodes src (byte order le) into a new slice shaped like want.
+func fillNew[T float64 | float32 | int64](want []T, view func([]T) []byte, src []byte, le bool) []T {
+	got := make([]T, len(want))
+	fillRaw(view(got), src, le, len(src)/len(want))
+	return got
+}
+
 // TestRawVecForeignEndian pins receiver-makes-it-right: the same
 // logical vector decodes identically whether the wire bytes are
 // little- or big-endian.
@@ -510,10 +517,10 @@ func TestRawVecForeignEndian(t *testing.T) {
 		binary.LittleEndian.PutUint64(le[8*i:], math.Float64bits(f))
 		binary.BigEndian.PutUint64(be[8*i:], math.Float64bits(f))
 	}
-	if got := decodeRawFloat64s(le, true); !reflect.DeepEqual(got, v) {
+	if got := fillNew(v, f64Bytes, le, true); !reflect.DeepEqual(got, v) {
 		t.Fatalf("LE decode %v", got)
 	}
-	if got := decodeRawFloat64s(be, false); !reflect.DeepEqual(got, v) {
+	if got := fillNew(v, f64Bytes, be, false); !reflect.DeepEqual(got, v) {
 		t.Fatalf("BE decode %v", got)
 	}
 
@@ -524,10 +531,10 @@ func TestRawVecForeignEndian(t *testing.T) {
 		binary.LittleEndian.PutUint64(ile[8*i:], uint64(x))
 		binary.BigEndian.PutUint64(ibe[8*i:], uint64(x))
 	}
-	if got := decodeRawInt64s(ile, true); !reflect.DeepEqual(got, iv) {
+	if got := fillNew(iv, i64Bytes, ile, true); !reflect.DeepEqual(got, iv) {
 		t.Fatalf("LE int decode %v", got)
 	}
-	if got := decodeRawInt64s(ibe, false); !reflect.DeepEqual(got, iv) {
+	if got := fillNew(iv, i64Bytes, ibe, false); !reflect.DeepEqual(got, iv) {
 		t.Fatalf("BE int decode %v", got)
 	}
 
@@ -538,10 +545,10 @@ func TestRawVecForeignEndian(t *testing.T) {
 		binary.LittleEndian.PutUint32(fle[4*i:], math.Float32bits(f))
 		binary.BigEndian.PutUint32(fbe[4*i:], math.Float32bits(f))
 	}
-	if got := decodeRawFloat32s(fle, true); !reflect.DeepEqual(got, fv) {
+	if got := fillNew(fv, f32Bytes, fle, true); !reflect.DeepEqual(got, fv) {
 		t.Fatalf("LE f32 decode %v", got)
 	}
-	if got := decodeRawFloat32s(fbe, false); !reflect.DeepEqual(got, fv) {
+	if got := fillNew(fv, f32Bytes, fbe, false); !reflect.DeepEqual(got, fv) {
 		t.Fatalf("BE f32 decode %v", got)
 	}
 }

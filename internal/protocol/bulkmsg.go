@@ -239,6 +239,40 @@ func DecodeCallArgsBulk(info *idl.Info, rest []byte, bulk *BulkInfo) ([]idl.Valu
 // DecodeCallReplyBulk is DecodeCallReply for a reassembled bulk reply:
 // p must be the head portion (bulk.Head()) when bulk is non-nil.
 func DecodeCallReplyBulk(info *idl.Info, callArgs []idl.Value, p []byte, bulk *BulkInfo) (Timings, []idl.Value, error) {
+	return decodeCallReply(info, callArgs, nil, p, bulk)
+}
+
+// DecodeCallReplyInto is DecodeCallReplyBulk for a caller that knows
+// where the results are going. dst has one entry per parameter; an
+// array result whose entry is a slice of the parameter's element type
+// and IDL-derived length is converted — or, from a bulk segment in the
+// host's order, moved — straight into it, and that slice is what the
+// returned vector holds for it. A nil entry discards the result
+// unconverted. Scalar results are returned as values whatever their
+// entry holds. The whole reply is validated first — every count word,
+// every segment, every destination's shape — so a reply that fails to
+// decode leaves every destination exactly as the caller passed it,
+// inout arrays and outputs aliasing an input included: the caller can
+// send the same arguments again.
+func DecodeCallReplyInto(info *idl.Info, callArgs []idl.Value, dst []any, p []byte, bulk *BulkInfo) (Timings, []idl.Value, error) {
+	if len(dst) != len(info.Params) {
+		return Timings{}, nil, fmt.Errorf("protocol: %s takes %d arguments, got %d destinations", info.Name, len(info.Params), len(dst))
+	}
+	return decodeCallReply(info, callArgs, dst, p, bulk)
+}
+
+// arraySrc is one array result located in a reply, not yet converted.
+type arraySrc struct {
+	src []byte
+	le  bool
+}
+
+// decodeCallReply decodes a call reply, array results into dst's
+// entries when dst is non-nil and into new caller-owned slices when it
+// is nil.
+//
+//ninflint:hotpath
+func decodeCallReply(info *idl.Info, callArgs []idl.Value, dst []any, p []byte, bulk *BulkInfo) (Timings, []idl.Value, error) {
 	pd := acquireDecoder(p)
 	defer pd.release()
 	d := &pd.d
@@ -252,106 +286,49 @@ func DecodeCallReplyBulk(info *idl.Info, callArgs []idl.Value, p []byte, bulk *B
 		return t, nil, err
 	}
 	out := make([]idl.Value, len(info.Params))
+	var few [8]arraySrc // keeps the usual call's bookkeeping off the heap
+	located := few[:]
+	if len(info.Params) > len(few) {
+		located = make([]arraySrc, len(info.Params))
+	}
+	// First pass, which writes to no destination: scalars are decoded,
+	// arrays only located and their destinations checked.
 	for i := range info.Params {
 		pa := &info.Params[i]
 		if !pa.Mode.Ships(true) {
 			continue
 		}
-		v, err := decodeArg(d, pa, counts[i], bulk)
-		if err != nil {
+		if pa.IsScalar() {
+			if out[i], err = decodeArg(d, pa, 0, nil, nil); err != nil {
+				return t, nil, fmt.Errorf("protocol: %s result %q: %w", info.Name, pa.Name, err)
+			}
+			continue
+		}
+		a := &located[i]
+		//lint:ninflint xdrsym — decodeArg taken apart: arrays are located in this pass and converted in the next, so no destination is written before the whole reply is known good
+		if a.src, a.le, err = locateArray(d, pa, counts[i], bulk); err != nil {
 			return t, nil, fmt.Errorf("protocol: %s result %q: %w", info.Name, pa.Name, err)
 		}
-		out[i] = v
+		if dst != nil && dst[i] != nil {
+			if n, ok := arrayLen(pa, dst[i]); !ok || n != counts[i] {
+				return t, nil, fmt.Errorf("protocol: %s result %q: cannot store %d elements into %T of len %d", info.Name, pa.Name, counts[i], dst[i], n)
+			}
+		}
 	}
-	return t, out, d.Err()
-}
-
-// decodeBulkArray reads one array argument in bulk mode: the count word
-// is read explicitly so a marker can divert to the raw segment, while
-// unmarked arrays decode their elements from the head as usual.
-func decodeBulkArray(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo) (idl.Value, error) {
-	n := d.Uint32()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n&bulkArgFlag != 0 && n&bulkDigestFlag != 0 {
-		// Digest marker: the bytes are not in this message. Two u64
-		// words carry the content digest, resolved from the receiver's
-		// argument cache (level ≥ 4 with a non-nil Resolver only).
-		cnt := int(n &^ (bulkArgFlag | bulkDigestFlag))
-		dig := Digest{Hi: d.Uint64(), Lo: d.Uint64()}
-		if err := d.Err(); err != nil {
-			return nil, err
+	for i := range info.Params {
+		pa := &info.Params[i]
+		if !pa.Mode.Ships(true) || pa.IsScalar() {
+			continue
 		}
-		if cnt != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", cnt, count)
-		}
-		if bulk.Resolver == nil {
-			return nil, fmt.Errorf("digest marker %v on a connection without an argument cache", dig)
-		}
-		elem := bulkElemSize(p.Type)
-		src, ok := bulk.Resolver.ResolveDigest(dig)
-		if !ok {
-			return nil, fmt.Errorf("%w: %v", ErrDigestMiss, dig)
-		}
-		if len(src) != cnt*elem {
-			return nil, fmt.Errorf("cached entry %v holds %d bytes, marker wants %d×%d", dig, len(src), cnt, elem)
-		}
-		// Cached bytes are normalized to little-endian at insert.
-		switch p.Type {
-		case idl.Double:
-			return decodeRawFloat64s(src, true), nil
-		case idl.Float:
-			return decodeRawFloat32s(src, true), nil
-		case idl.Int:
-			return decodeRawInt64s(src, true), nil
+		switch {
+		case dst == nil:
+			out[i] = (*Arrays)(nil).makeArray(pa.Type, counts[i], false)
+		case dst[i] != nil:
+			out[i] = dst[i]
 		default:
-			return nil, fmt.Errorf("unsupported bulk array type %v", p.Type)
+			continue // the caller discards this result
 		}
+		fillRaw(bulkSpanFor(pa, out[i]), located[i].src, located[i].le, bulkElemSize(pa.Type))
 	}
-	if n&bulkArgFlag != 0 {
-		cnt := int(n &^ bulkArgFlag)
-		off := int(d.Uint32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if cnt != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", cnt, count)
-		}
-		elem := bulkElemSize(p.Type)
-		if off < bulk.HeadLen || off > len(bulk.Base) || cnt > (len(bulk.Base)-off)/elem {
-			return nil, fmt.Errorf("bulk segment at %d (%d×%d bytes) out of range", off, cnt, elem)
-		}
-		src := bulk.Base[off : off+cnt*elem]
-		if bulk.Resolver != nil {
-			// A cache-enabled receiver retains the uploaded bytes so
-			// the next call can reference them by digest. The resolver
-			// copies; src aliases the reassembly buffer.
-			bulk.Resolver.RetainSegment(src, bulk.LE, elem)
-		}
-		switch p.Type {
-		case idl.Double:
-			return decodeRawFloat64s(src, bulk.LE), nil
-		case idl.Float:
-			return decodeRawFloat32s(src, bulk.LE), nil
-		case idl.Int:
-			return decodeRawInt64s(src, bulk.LE), nil
-		default:
-			return nil, fmt.Errorf("unsupported bulk array type %v", p.Type)
-		}
-	}
-	cnt := int(n)
-	if cnt != count {
-		return nil, fmt.Errorf("array length %d, IDL dimensions give %d", cnt, count)
-	}
-	switch p.Type {
-	case idl.Int:
-		return d.Int64Vec(cnt), d.Err()
-	case idl.Double:
-		return d.Float64Vec(cnt), d.Err()
-	case idl.Float:
-		return d.Float32Vec(cnt), d.Err()
-	default:
-		return nil, fmt.Errorf("unsupported array type %v", p.Type)
-	}
+	return t, out, nil
 }

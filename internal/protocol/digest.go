@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"ninf/internal/idl"
 	"ninf/internal/xdr"
@@ -116,56 +115,36 @@ func DigestBytesLE(b []byte) Digest {
 	return Digest{Hi: h1, Lo: h2}
 }
 
+// leBytes returns an array's elements as little-endian bytes given raw,
+// its host-order memory: raw itself on a little-endian host, a swapped
+// copy otherwise.
+func leBytes(raw []byte, elem int) []byte {
+	if hostLittle {
+		return raw
+	}
+	buf := make([]byte, len(raw))
+	xdr.Swab(buf, raw, elem)
+	return buf
+}
+
 // DigestFloat64s hashes a []float64's little-endian element bytes,
 // zero-copy on little-endian hosts.
-func DigestFloat64s(v []float64) Digest {
-	if hostLittle {
-		return DigestBytesLE(f64Bytes(v))
-	}
-	buf := make([]byte, len(v)*8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return DigestBytesLE(buf)
-}
+func DigestFloat64s(v []float64) Digest { return DigestBytesLE(leBytes(f64Bytes(v), 8)) }
 
 // DigestFloat32s hashes a []float32's little-endian element bytes.
-func DigestFloat32s(v []float32) Digest {
-	if hostLittle {
-		return DigestBytesLE(f32Bytes(v))
-	}
-	buf := make([]byte, len(v)*4)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(x))
-	}
-	return DigestBytesLE(buf)
-}
+func DigestFloat32s(v []float32) Digest { return DigestBytesLE(leBytes(f32Bytes(v), 4)) }
 
 // DigestInt64s hashes a []int64's little-endian element bytes.
-func DigestInt64s(v []int64) Digest {
-	if hostLittle {
-		return DigestBytesLE(i64Bytes(v))
-	}
-	buf := make([]byte, len(v)*8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(x))
-	}
-	return DigestBytesLE(buf)
-}
+func DigestInt64s(v []int64) Digest { return DigestBytesLE(leBytes(i64Bytes(v), 8)) }
 
 // DigestValue hashes a bulk-capable array value; false for anything
 // that cannot ride as a bulk segment.
 func DigestValue(v idl.Value) (Digest, bool) {
-	switch x := v.(type) {
-	case []float64:
-		return DigestFloat64s(x), true
-	case []float32:
-		return DigestFloat32s(x), true
-	case []int64:
-		return DigestInt64s(x), true
-	default:
+	b, ok := ValueLEBytes(v)
+	if !ok {
 		return Digest{}, false
 	}
+	return DigestBytesLE(b), true
 }
 
 // ValueLEBytes returns a bulk-capable array value's elements as
@@ -176,32 +155,11 @@ func DigestValue(v idl.Value) (Digest, bool) {
 func ValueLEBytes(v idl.Value) ([]byte, bool) {
 	switch x := v.(type) {
 	case []float64:
-		if hostLittle {
-			return f64Bytes(x), true
-		}
-		buf := make([]byte, len(x)*8)
-		for i, f := range x {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(f))
-		}
-		return buf, true
+		return leBytes(f64Bytes(x), 8), true
 	case []float32:
-		if hostLittle {
-			return f32Bytes(x), true
-		}
-		buf := make([]byte, len(x)*4)
-		for i, f := range x {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(f))
-		}
-		return buf, true
+		return leBytes(f32Bytes(x), 4), true
 	case []int64:
-		if hostLittle {
-			return i64Bytes(x), true
-		}
-		buf := make([]byte, len(x)*8)
-		for i, n := range x {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(n))
-		}
-		return buf, true
+		return leBytes(i64Bytes(x), 8), true
 	default:
 		return nil, false
 	}
@@ -214,17 +172,8 @@ func NormalizeSegmentLE(seg []byte, le bool, elem int) []byte {
 	out := make([]byte, len(seg))
 	if le {
 		copy(out, seg)
-		return out
-	}
-	switch elem {
-	case 4:
-		for i := 0; i+4 <= len(seg); i += 4 {
-			binary.LittleEndian.PutUint32(out[i:], binary.BigEndian.Uint32(seg[i:]))
-		}
-	default:
-		for i := 0; i+8 <= len(seg); i += 8 {
-			binary.LittleEndian.PutUint64(out[i:], binary.BigEndian.Uint64(seg[i:]))
-		}
+	} else {
+		xdr.Swab(out, seg, elem)
 	}
 	return out
 }
@@ -382,17 +331,20 @@ func DecodeLEInto(b []byte, dst any) error {
 		if len(b)%8 != 0 {
 			return fmt.Errorf("protocol: %d cached bytes are not a float64 array", len(b))
 		}
-		*p = decodeRawFloat64s(b, true)
+		*p = make([]float64, len(b)/8)
+		fillRaw(f64Bytes(*p), b, true, 8)
 	case *[]float32:
 		if len(b)%4 != 0 {
 			return fmt.Errorf("protocol: %d cached bytes are not a float32 array", len(b))
 		}
-		*p = decodeRawFloat32s(b, true)
+		*p = make([]float32, len(b)/4)
+		fillRaw(f32Bytes(*p), b, true, 4)
 	case *[]int64:
 		if len(b)%8 != 0 {
 			return fmt.Errorf("protocol: %d cached bytes are not an int64 array", len(b))
 		}
-		*p = decodeRawInt64s(b, true)
+		*p = make([]int64, len(b)/8)
+		fillRaw(i64Bytes(*p), b, true, 8)
 	default:
 		return fmt.Errorf("protocol: unsupported data-handle destination %T", dst)
 	}

@@ -19,6 +19,7 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"slices"
 	"sync"
 
 	"ninf/internal/xdr"
@@ -156,6 +157,14 @@ const (
 
 var bufPools [maxPoolBits - minPoolBits + 1]sync.Pool
 
+// Array pooling (see Arrays). The receiving side's decoded argument
+// arrays recycle through the same size classes as the frame buffers.
+// Arrays under minArrayBytes are cheaper to allocate than to track and
+// are not pooled.
+const minArrayBytes = 4 << 10
+
+var arrayPools [len(bufPools)]sync.Pool
+
 // poolClassFor returns the index of the smallest size class holding n
 // bytes, or -1 when n exceeds the largest pooled capacity.
 func poolClassFor(n int) int {
@@ -248,6 +257,15 @@ func (fb *Buffer) Reset() { fb.b = fb.b[:headerSize] }
 func (fb *Buffer) Write(p []byte) (int, error) {
 	fb.b = append(fb.b, p...)
 	return len(p), nil
+}
+
+// Extend grows the payload by n bytes and returns them for the caller
+// to fill. The XDR encoder converts array elements straight into the
+// frame through it, so an array is passed over once on its way out.
+func (fb *Buffer) Extend(n int) []byte {
+	l := len(fb.b)
+	fb.b = slices.Grow(fb.b, n)[:l+n]
+	return fb.b[l:]
 }
 
 // Encoder returns the buffer's embedded XDR encoder, rearmed to append

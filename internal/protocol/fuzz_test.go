@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"ninf/internal/idl"
 )
 
 // FuzzReadFrame checks the frame reader never panics and never returns
@@ -37,7 +39,18 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 'a', 'b', 'c', 'd'})
 	f.Add(bytes.Repeat([]byte{0x7f}, 40))
+	// An array count word promising 2^27 elements and none of them, as
+	// call arguments and as a call reply (see arrays_test.go).
+	f.Add(hostileArgs(1))
+	f.Add(hostileReply())
+	infos := echoInfos(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, info := range infos {
+			DecodeCallArgs(info, data)
+			DecodeCallReply(info, []idl.Value{int64(len(data)), nil, nil}, data)
+			into := []any{nil, nil, make([]float64, len(data))}
+			DecodeCallReplyInto(info, []idl.Value{int64(len(data)), nil, nil}, into, data, nil)
+		}
 		DecodeInterfaceRequest(data)
 		DecodeListReply(data)
 		DecodeSubmitReply(data)

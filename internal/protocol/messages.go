@@ -24,11 +24,9 @@ func encodePayload(sizeHint int, fn func(e *xdr.Encoder)) []byte {
 	return p
 }
 
-// payloadDecoder pairs a bytes.Reader with an XDR decoder so decode
-// paths reuse both (and the decoder's bulk chunk buffer) across calls.
+// payloadDecoder is a pooled XDR decoder reading a payload in place.
 type payloadDecoder struct {
-	br bytes.Reader
-	d  xdr.Decoder
+	d xdr.Decoder
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(payloadDecoder) }}
@@ -36,13 +34,12 @@ var decoderPool = sync.Pool{New: func() any { return new(payloadDecoder) }}
 // acquireDecoder returns a pooled decoder positioned at the start of p.
 func acquireDecoder(p []byte) *payloadDecoder {
 	pd := decoderPool.Get().(*payloadDecoder)
-	pd.br.Reset(p)
-	pd.d.Reset(&pd.br)
+	pd.d.ResetBytes(p)
 	return pd
 }
 
 func (pd *payloadDecoder) release() {
-	pd.br.Reset(nil)
+	pd.d.ResetBytes(nil)
 	decoderPool.Put(pd)
 }
 
@@ -302,17 +299,30 @@ func DecodeCallArgsDeadline(info *idl.Info, rest []byte) ([]idl.Value, int64, er
 // supplies the full payload that marker offsets resolve against. With a
 // nil bulk it decodes monolithic payloads and rejects markers.
 func DecodeCallArgsDeadlineBulk(info *idl.Info, rest []byte, bulk *BulkInfo) ([]idl.Value, int64, error) {
-	return decodeCallArgsExt(info, rest, bulk, nil)
+	return decodeCallArgsExt(info, rest, bulk, nil, nil)
 }
 
 // DecodeCallArgsDeadlineRetainBulk is DecodeCallArgsDeadlineBulk plus
 // the optional result-retention trailer, stored through retainOut
 // (left false when the client sent none).
 func DecodeCallArgsDeadlineRetainBulk(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool) ([]idl.Value, int64, error) {
-	return decodeCallArgsExt(info, rest, bulk, retainOut)
+	return decodeCallArgsExt(info, rest, bulk, retainOut, nil)
 }
 
-func decodeCallArgsExt(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool) ([]idl.Value, int64, error) {
+// DecodeCallArgsPooled is DecodeCallArgsDeadlineRetainBulk for a
+// receiver that recycles its argument arrays: large in-arrays and
+// zeroed out-arrays come from the array pool and are recorded in
+// arrays, which the caller owns — also after an error, when it holds
+// whatever was handed out before the payload went wrong — and Releases
+// once nothing reads the returned values any more.
+//
+//ninflint:owner borrow
+func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool, arrays *Arrays) ([]idl.Value, int64, error) {
+	return decodeCallArgsExt(info, rest, bulk, retainOut, arrays)
+}
+
+//ninflint:owner borrow
+func decodeCallArgsExt(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool, arrays *Arrays) ([]idl.Value, int64, error) {
 	pd := acquireDecoder(rest)
 	defer pd.release()
 	d := &pd.d
@@ -328,7 +338,7 @@ func decodeCallArgsExt(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *b
 		if err != nil {
 			return nil, 0, err
 		}
-		v, err := decodeArg(d, p, count, bulk)
+		v, err := decodeArg(d, p, count, bulk, arrays)
 		if err != nil {
 			return nil, 0, fmt.Errorf("protocol: %s argument %q: %w", info.Name, p.Name, err)
 		}
@@ -344,7 +354,7 @@ func decodeCallArgsExt(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *b
 		if err != nil {
 			return nil, 0, err
 		}
-		args[i] = zeroValue(p, count)
+		args[i] = zeroValue(p, count, arrays)
 	}
 	// Optional magic-tagged trailers after the args: the caller
 	// deadline ("NFDL", 12 bytes) and the result-retention flag
@@ -435,7 +445,7 @@ func EncodeCallReply(info *idl.Info, t Timings, args []idl.Value) ([]byte, error
 // others are nil. callArgs supplies the scalar inputs needed to size
 // the out arrays.
 func DecodeCallReply(info *idl.Info, callArgs []idl.Value, p []byte) (Timings, []idl.Value, error) {
-	return DecodeCallReplyBulk(info, callArgs, p, nil)
+	return decodeCallReply(info, callArgs, nil, p, nil)
 }
 
 // Timings carries the server-side timestamps the paper instruments
@@ -662,8 +672,11 @@ func scalarEnvSoFar(info *idl.Info, args []idl.Value) map[string]int64 {
 	return env
 }
 
-// zeroValue allocates the zero value for an out-only parameter.
-func zeroValue(p *idl.Param, count int) idl.Value {
+// zeroValue allocates the zero value for an out-only parameter, an
+// array from arrays' pool when one is given.
+//
+//ninflint:owner borrow
+func zeroValue(p *idl.Param, count int, arrays *Arrays) idl.Value {
 	if p.IsScalar() {
 		switch p.Type {
 		case idl.Int:
@@ -676,18 +689,12 @@ func zeroValue(p *idl.Param, count int) idl.Value {
 			return ""
 		}
 	}
-	switch p.Type {
-	case idl.Int:
-		return make([]int64, count)
-	case idl.Double:
-		return make([]float64, count)
-	case idl.Float:
-		return make([]float32, count)
-	}
-	return nil
+	return arrays.makeArray(p.Type, count, true)
 }
 
 // encodeArg writes one argument value per its IDL parameter.
+//
+//ninflint:hotpath
 func encodeArg(e *xdr.Encoder, p *idl.Param, count int, v idl.Value) error {
 	if p.IsScalar() {
 		switch p.Type {
@@ -760,8 +767,13 @@ func encodeArg(e *xdr.Encoder, p *idl.Param, count int, v idl.Value) error {
 
 // decodeArg reads one argument value per its IDL parameter. A non-nil
 // bulk switches arrays to bulk-mode decoding, where a marker word may
-// divert the element bytes to a segment of the reassembled payload.
-func decodeArg(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo) (idl.Value, error) {
+// divert the element bytes to a segment of the reassembled payload. An
+// array is converted once, from wherever its bytes are straight into
+// its value, which comes from arrays' pool when one is given.
+//
+//ninflint:hotpath
+//ninflint:owner borrow
+func decodeArg(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo, arrays *Arrays) (idl.Value, error) {
 	if p.IsScalar() {
 		switch p.Type {
 		case idl.Int:
@@ -775,30 +787,92 @@ func decodeArg(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo) (idl.Val
 		}
 		return nil, fmt.Errorf("unsupported scalar type %v", p.Type)
 	}
-	if bulk != nil {
-		//lint:ninflint xdrsym — asymmetric by design: the matching marker is written by putBulkMarker in the chunked encoders, not by encodeArg
-		return decodeBulkArray(d, p, count, bulk)
+	//lint:ninflint xdrsym — asymmetric by design: encodeArg's vector puts are matched by locating the elements (or the marker putBulkMarker wrote) and converting them with fillRaw
+	src, le, err := locateArray(d, p, count, bulk)
+	if err != nil {
+		return nil, err
 	}
-	switch p.Type {
-	case idl.Int:
-		v := d.Int64s()
-		if d.Err() == nil && len(v) != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", len(v), count)
-		}
-		return v, d.Err()
-	case idl.Double:
-		v := d.Float64s()
-		if d.Err() == nil && len(v) != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", len(v), count)
-		}
-		return v, d.Err()
-	case idl.Float:
-		v := d.Float32s()
-		if d.Err() == nil && len(v) != count {
-			return nil, fmt.Errorf("array length %d, IDL dimensions give %d", len(v), count)
-		}
-		return v, d.Err()
-	default:
-		return nil, fmt.Errorf("unsupported array type %v", p.Type)
+	v := arrays.makeArray(p.Type, count, false)
+	fillRaw(bulkSpanFor(p, v), src, le, bulkElemSize(p.Type))
+	return v, nil
+}
+
+// locateArray reads one array argument's count word — and in bulk mode
+// its marker — and finds the count elements' bytes without converting
+// them: behind the count word in the head (XDR, so big-endian), in a
+// segment of the reassembled payload (the sender's order), or in the
+// receiver's argument cache (little-endian). The count word is held to
+// the IDL-derived count, and the bytes to what the payload really
+// holds, before the caller allocates or writes anything for the array,
+// so a hostile count costs an error and no memory. The returned bytes
+// alias the payload (or the pinned cache entry).
+func locateArray(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo) (src []byte, le bool, err error) {
+	if p.Type != idl.Int && p.Type != idl.Double && p.Type != idl.Float {
+		return nil, false, fmt.Errorf("unsupported array type %v", p.Type)
 	}
+	elem := bulkElemSize(p.Type)
+	n := d.Uint32()
+	if err := d.Err(); err != nil {
+		return nil, false, err
+	}
+	marked := n&bulkArgFlag != 0
+	if marked && bulk == nil {
+		// A monolithic payload has no markers: the set top bit is a
+		// negative XDR length.
+		return nil, false, fmt.Errorf("%w: %d", xdr.ErrNegativeLen, int32(n))
+	}
+	cnt := int(n)
+	if marked {
+		cnt = int(n &^ (bulkArgFlag | bulkDigestFlag))
+	}
+	switch {
+	case marked && n&bulkDigestFlag != 0:
+		// Digest marker: the bytes are not in this message. Two u64
+		// words carry the content digest, resolved from the receiver's
+		// argument cache (level ≥ 4 with a non-nil Resolver only).
+		dig := Digest{Hi: d.Uint64(), Lo: d.Uint64()}
+		if err := d.Err(); err != nil {
+			return nil, false, err
+		}
+		if cnt != count {
+			break
+		}
+		if bulk.Resolver == nil {
+			return nil, false, fmt.Errorf("digest marker %v on a connection without an argument cache", dig)
+		}
+		src, ok := bulk.Resolver.ResolveDigest(dig)
+		if !ok {
+			return nil, false, fmt.Errorf("%w: %v", ErrDigestMiss, dig)
+		}
+		if len(src) != cnt*elem {
+			return nil, false, fmt.Errorf("cached entry %v holds %d bytes, marker wants %d×%d", dig, len(src), cnt, elem)
+		}
+		// Cached bytes are normalized to little-endian at insert.
+		return src, true, nil
+	case marked:
+		off := int(d.Uint32())
+		if err := d.Err(); err != nil {
+			return nil, false, err
+		}
+		if cnt != count {
+			break
+		}
+		if off < bulk.HeadLen || off > len(bulk.Base) || cnt > (len(bulk.Base)-off)/elem {
+			return nil, false, fmt.Errorf("bulk segment at %d (%d×%d bytes) out of range", off, cnt, elem)
+		}
+		src := bulk.Base[off : off+cnt*elem]
+		if bulk.Resolver != nil {
+			// A cache-enabled receiver retains the uploaded bytes so
+			// the next call can reference them by digest. The resolver
+			// copies; src aliases the reassembly buffer.
+			bulk.Resolver.RetainSegment(src, bulk.LE, elem)
+		}
+		return src, bulk.LE, nil
+	case cnt == count:
+		if src = d.View(cnt * elem); d.Err() != nil {
+			return nil, false, d.Err()
+		}
+		return src, false, nil
+	}
+	return nil, false, fmt.Errorf("array length %d, IDL dimensions give %d", cnt, count)
 }

@@ -1,9 +1,11 @@
 package protocol
 
 import (
-	"encoding/binary"
-	"math"
+	"sync/atomic"
 	"unsafe"
+
+	"ninf/internal/idl"
+	"ninf/internal/xdr"
 )
 
 // Raw vector views for the chunked bulk path. XDR ships arrays
@@ -48,67 +50,122 @@ func i64Bytes(v []int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
 }
 
-// decodeRawFloat64s materializes doubles from a bulk segment holding
-// raw element bytes in the sender's order (le). Matching orders cost
-// one memmove; a foreign order decodes element-wise.
-func decodeRawFloat64s(src []byte, le bool) []float64 {
-	n := len(src) / 8
-	out := make([]float64, n)
-	if n == 0 {
-		return out
+// arrayLen reports the element count of v when it is an array value of
+// the parameter's element type (the slice bulkSpanFor would view).
+func arrayLen(p *idl.Param, v idl.Value) (int, bool) {
+	switch x := v.(type) {
+	case []float64:
+		return len(x), p.Type == idl.Double
+	case []float32:
+		return len(x), p.Type == idl.Float
+	case []int64:
+		return len(x), p.Type == idl.Int
 	}
-	if le == hostLittle {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*8), src)
-		return out
-	}
-	ord := foreignOrder(le)
-	for i := range out {
-		out[i] = math.Float64frombits(ord.Uint64(src[i*8:]))
-	}
-	return out
+	return -1, false
 }
 
-// decodeRawFloat32s materializes single floats from a bulk segment.
-func decodeRawFloat32s(src []byte, le bool) []float32 {
-	n := len(src) / 4
-	out := make([]float32, n)
-	if n == 0 {
-		return out
-	}
+// fillRaw copies an array's element bytes src, elem bytes each and in
+// byte order le, into dst, the host-order memory they are wanted in.
+// Matching orders cost one memmove, a foreign order one swapping pass.
+// XDR's inline arrays are the big-endian case of the same thing.
+//
+//ninflint:hotpath
+func fillRaw(dst, src []byte, le bool, elem int) {
 	if le == hostLittle {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*4), src)
-		return out
+		copy(dst, src)
+	} else {
+		xdr.Swab(dst, src, elem)
 	}
-	ord := foreignOrder(le)
-	for i := range out {
-		out[i] = math.Float32frombits(ord.Uint32(src[i*4:]))
-	}
-	return out
 }
 
-// decodeRawInt64s materializes 64-bit integers from a bulk segment.
-func decodeRawInt64s(src []byte, le bool) []int64 {
-	n := len(src) / 8
-	out := make([]int64, n)
-	if n == 0 {
-		return out
+// An arrayBlock is the pooled memory behind one recycled array: whole
+// 8-byte words, so it is aligned for every element type, and always a
+// full size class long.
+type arrayBlock struct{ words []uint64 }
+
+// arrayReleaseHook, when set, is shown each array's memory as Release
+// recycles it.
+var arrayReleaseHook atomic.Pointer[func(mem []uint64)]
+
+// SetArrayReleaseHook installs fn to be shown the memory of every array
+// Arrays.Release recycles (nil removes it). It exists for the ownership
+// tests, which poison the memory so a reader that outlived the release
+// fails loudly, and count the releases; nothing else may set it.
+func SetArrayReleaseHook(fn func(mem []uint64)) {
+	if fn == nil {
+		arrayReleaseHook.Store(nil)
+		return
 	}
-	if le == hostLittle {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*8), src)
-		return out
-	}
-	ord := foreignOrder(le)
-	for i := range out {
-		out[i] = int64(ord.Uint64(src[i*8:]))
-	}
-	return out
+	arrayReleaseHook.Store(&fn)
 }
 
-// foreignOrder returns the binary.ByteOrder for segment data whose
-// sender order (le) differs from the host's.
-func foreignOrder(le bool) binary.ByteOrder {
-	if le {
-		return binary.LittleEndian
+// Arrays is the set of pooled arrays one decoded call owns: the
+// receiving side's in-arrays and zeroed out-arrays at or above
+// minArrayBytes are cut from size-classed pooled blocks instead of
+// being allocated per call, and recorded here. Whoever holds the
+// *Arrays owns them all and hands them back with one Release, once
+// nothing reads the decoded values any more — not the handler, not a
+// reply still being encoded or streamed from them. Only what decode
+// handed out is recorded, so a value the handler put in its place is
+// never recycled. An owner that lets something else keep aliasing an
+// array (the argument cache) drops the *Arrays unreleased instead and
+// leaves the memory to the collector. Not safe for concurrent use.
+type Arrays struct{ blocks []*arrayBlock }
+
+// NewArrays returns an empty set for one call's decode to fill.
+func NewArrays() *Arrays { return new(Arrays) }
+
+// Release returns every recorded array to the pool. The decoded values
+// must not be used afterwards. Releasing nil or twice is a no-op.
+func (a *Arrays) Release() {
+	if a == nil {
+		return
 	}
-	return binary.BigEndian
+	hook := arrayReleaseHook.Load()
+	for _, blk := range a.blocks {
+		if hook != nil {
+			(*hook)(blk.words)
+		}
+		arrayPools[poolClassFor(len(blk.words)*8)].Put(blk)
+	}
+	a.blocks = nil
+}
+
+// makeArray returns the count-element array value of an array
+// parameter of type t: pooled and recorded when a is non-nil and the
+// array is worth recycling, freshly allocated (and the caller's to
+// keep) otherwise. zero asks for cleared elements; a caller about to
+// overwrite them all saves the pass.
+func (a *Arrays) makeArray(t idl.Type, count int, zero bool) idl.Value {
+	if t != idl.Int && t != idl.Double && t != idl.Float {
+		return nil
+	}
+	n := count * bulkElemSize(t)
+	ci := poolClassFor(n)
+	if a == nil || n < minArrayBytes || ci < 0 {
+		switch t {
+		case idl.Int:
+			return make([]int64, count)
+		case idl.Double:
+			return make([]float64, count)
+		default:
+			return make([]float32, count)
+		}
+	}
+	blk, _ := arrayPools[ci].Get().(*arrayBlock)
+	if blk == nil {
+		blk = &arrayBlock{words: make([]uint64, 1<<(minPoolBits+ci-3))}
+	} else if zero {
+		clear(blk.words[:(n+7)/8])
+	}
+	a.blocks = append(a.blocks, blk)
+	base := unsafe.Pointer(unsafe.SliceData(blk.words))
+	switch t {
+	case idl.Int:
+		return unsafe.Slice((*int64)(base), count)
+	case idl.Double:
+		return unsafe.Slice((*float64)(base), count)
+	default:
+		return unsafe.Slice((*float32)(base), count)
+	}
 }

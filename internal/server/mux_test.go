@@ -18,6 +18,13 @@ func muxSession(t *testing.T, s *Server) *mux.Session {
 	cc, sc := net.Pipe()
 	go s.ServeConn(sc)
 	t.Cleanup(func() { sc.Close() })
+	return muxSessionOn(t, cc)
+}
+
+// muxSessionOn negotiates a mux session over the client end of a conn
+// some server is already serving.
+func muxSessionOn(t *testing.T, cc net.Conn) *mux.Session {
+	t.Helper()
 	hello, err := mux.NegotiateHello(cc, 0)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)

@@ -13,7 +13,11 @@ import (
 // receives the decoded argument vector (one entry per IDL parameter;
 // out-only entries pre-allocated and zeroed) and mutates out and inout
 // values in place. The context is cancelled if the client disconnects
-// or the server shuts down.
+// or the server shuts down. The vector and its arrays are lent for the
+// length of the call: the server recycles the arrays once the reply is
+// built, so a handler must not keep args or sub-slices of its arrays
+// after it returns (copy what it wants to keep). It may put a value of
+// its own in an entry; that value is encoded and left alone.
 type Handler func(ctx context.Context, args []idl.Value) error
 
 // An Executable is a registered routine: its compiled interface plus

@@ -203,6 +203,28 @@ type task struct {
 	// the server to cache large results for later digest reference.
 	pins   *callPins
 	retain bool
+
+	// arrays owns the pooled arrays decode cut args' large in- and
+	// out-arrays from (nil for a replayed task, whose args are plain
+	// allocations). See releaseArrays for who gives them back, when.
+	arrays *protocol.Arrays
+}
+
+// releaseArrays returns the task's pooled argument arrays and drops
+// args, which alias them. It is the one place they go back, reached
+// from every way a task ends. A two-phase task's completer calls it
+// before close(done), once the reply is pre-encoded (run) or there
+// will be none (shed, shutdown): nothing reads args after that. A
+// one-phase task's args outlive done — the connection's handler
+// encodes the reply from them — so the handler calls it, after a
+// monolithic encode or on the task's error; a chunked reply's spans
+// still alias the arrays, so there the reply adopts them instead and
+// the writer's settle returns them. A submission rejected after decode
+// never becomes a task; admit releases for it. Idempotent.
+func (t *task) releaseArrays() {
+	t.args = nil
+	t.arrays.Release()
+	t.arrays = nil
 }
 
 // releasePins unpins this task's resolved cache entries. Called on
@@ -824,9 +846,16 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	if bulk != nil {
 		pins, _ = bulk.Resolver.(*callPins)
 	}
+	// The same goes for the pooled arrays decode hands out, from the
+	// first one: a payload that turns bad halfway has some already.
+	arrays := protocol.NewArrays()
 	adopted := false
 	defer func() {
-		if !adopted && pins != nil {
+		if adopted {
+			return
+		}
+		arrays.Release()
+		if pins != nil {
 			pins.release()
 		}
 	}()
@@ -839,7 +868,7 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 		return nil, protocol.CodeUnknownRoutine, 0, fmt.Errorf("no routine %q", name)
 	}
 	var retain bool
-	args, deadline, err := protocol.DecodeCallArgsDeadlineRetainBulk(ex.Info, rest, bulk, &retain)
+	args, deadline, err := protocol.DecodeCallArgsPooled(ex.Info, rest, bulk, &retain, arrays)
 	if err != nil {
 		if errors.Is(err, protocol.ErrDigestMiss) {
 			// The referenced cache entry was evicted between the client's
@@ -880,6 +909,7 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 		client:   client,
 		pins:     pins,
 		retain:   retain && s.cache != nil,
+		arrays:   arrays,
 	}
 	t.job.PEs = pes
 	if ops, ok := ex.Info.PredictedOps(args); ok {
@@ -1053,6 +1083,9 @@ func (s *Server) schedule() {
 				s.acct.jobAbandoned(time.Now())
 				s.clientDequeuedLocked(t)
 				t.releasePins()
+				if t.twoPhase {
+					t.releaseArrays()
+				}
 				close(t.done)
 			}
 			s.queue = nil
@@ -1103,7 +1136,7 @@ func (s *Server) shedExpiredLocked() {
 		s.shedExpired.Add(1)
 		if t.twoPhase {
 			t.expire = time.Now().Add(s.cfg.JobTTL)
-			t.args = nil
+			t.releaseArrays()
 		}
 		t.releasePins()
 		close(t.done)
@@ -1131,7 +1164,11 @@ func (s *Server) run(t *task) {
 		// The client asked for result retention: cache large out/inout
 		// arrays so its next call here can reference them by digest
 		// (transaction handle chaining) before twoPhase drops t.args.
+		// The cache takes those arrays as they are — its entries alias
+		// them — so none of this task's arrays may be recycled: they are
+		// the collector's from here on.
 		s.cache.retainResults(t.ex.Info, t.args, s.cacheThreshold())
+		t.arrays = nil
 	}
 	s.trace.record(t.ex.Info.Name,
 		time.Duration(t.timings.Dequeue-t.timings.Enqueue),
@@ -1161,7 +1198,7 @@ func (s *Server) run(t *task) {
 				t.err = encErr
 			}
 		}
-		t.args = nil
+		t.releaseArrays()
 		if s.journal != nil {
 			jrec := &protocol.JournalRecord{Kind: protocol.JournalComplete, JobID: t.job.ID}
 			if t.err != nil {

@@ -117,18 +117,25 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 			return errReplyHint(code, err.Error(), hint)
 		}
 		<-t.done
+		// The task is over and this goroutine is the last reader of its
+		// arguments: whichever way out, their pooled arrays go back.
+		defer t.releaseArrays()
 		if t.err != nil {
 			return errReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
 		}
 		if cp.bulkOK {
 			// Large results stream back chunked; the BulkMsg's segment
 			// spans alias t.args, which stay live (and unmutated — the
-			// task is complete) until the writer finishes with them.
+			// task is complete) until the writer finishes with them. So
+			// the message takes the arrays along, and its Release — the
+			// writer settling it, written or not — returns them.
 			bm, err := protocol.EncodeCallReplyChunks(t.ex.Info, t.timings, t.args, s.bulkThreshold())
 			if err != nil {
 				return errReply(protocol.CodeInternal, err.Error())
 			}
 			if bm != nil {
+				bm.Adopt(t.arrays)
+				t.arrays = nil
 				return reply{t: protocol.MsgCallOK, bulk: bm}
 			}
 		}

@@ -16,32 +16,46 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(buf.Bytes(), uint8(0))
 	f.Add([]byte{}, uint8(1))
 	f.Add(bytes.Repeat([]byte{0xff}, 32), uint8(2))
+	// A count word promising 2^27 doubles and not one of them: it used
+	// to cost a 1 GiB allocation before the short read was noticed.
+	f.Add([]byte{0x08, 0, 0, 0}, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
-		d := NewDecoder(bytes.NewReader(data))
-		d.SetMaxBytes(1 << 16)
-		switch which % 8 {
-		case 0:
-			_ = d.String()
-		case 1:
-			d.Float64s()
-		case 2:
-			d.Int64s()
-		case 3:
-			d.Opaque()
-		case 4:
-			d.Bool()
-		case 5:
-			d.Float32s()
-		case 6:
-			d.Int32s()
-		case 7:
-			d.FixedOpaque(int(uint(len(data)) % 64))
+		read := func(d *Decoder) {
+			d.SetMaxBytes(1 << 16)
+			switch which % 8 {
+			case 0:
+				_ = d.String()
+			case 1:
+				d.Float64s()
+			case 2:
+				d.Int64s()
+			case 3:
+				d.Opaque()
+			case 4:
+				d.Bool()
+			case 5:
+				d.Float32s()
+			case 6:
+				d.Int32s()
+			case 7:
+				d.FixedOpaque(int(uint(len(data)) % 64))
+			}
+			first := d.Err()
+			// Error latch: further reads keep the same error.
+			_ = d.Uint32()
+			if first != nil && d.Err() != first {
+				t.Fatal("error latch broken")
+			}
 		}
-		first := d.Err()
-		// Error latch: further reads keep the same error.
-		_ = d.Uint32()
-		if first != nil && d.Err() != first {
-			t.Fatal("error latch broken")
+		// The same bytes as a stream and as a byte slice: both sources
+		// accept or both refuse, having consumed the same amount.
+		ds := NewDecoder(bytes.NewReader(data))
+		var dm Decoder
+		dm.ResetBytes(data)
+		read(ds)
+		read(&dm)
+		if (ds.Err() == nil) != (dm.Err() == nil) || ds.Len() != dm.Len() {
+			t.Fatalf("stream: err %v after %d bytes; memory: err %v after %d bytes", ds.Err(), ds.Len(), dm.Err(), dm.Len())
 		}
 	})
 }

@@ -4,12 +4,17 @@
 // XDR is a big-endian format in which every item occupies a multiple of
 // four bytes. Ninf ships scalar arguments and dense numerical arrays in
 // XDR, so in addition to the scalar codecs this package provides bulk
-// fast paths for []float64, []float32, []int32 and []int64 that encode a
-// whole vector with one buffer fill per chunk rather than one Write per
-// element.
+// fast paths for []float64, []float32, []int32 and []int64. A vector
+// crosses the codec once: when the encoder's sink is memory it can
+// extend (a frame buffer) the elements are converted straight into it,
+// and when the decoder's source is a byte slice (ResetBytes) they are
+// converted straight out of it. An io.Writer or io.Reader that is
+// neither is served through a chunk buffer, one Write or Read per chunk
+// rather than one per element. Both paths run the same conversion
+// (Swab), so they cannot disagree on a byte.
 //
 // The zero value of Encoder and Decoder is not usable; construct them
-// with NewEncoder and NewDecoder.
+// with NewEncoder and NewDecoder, or arm a zero value with Reset.
 package xdr
 
 import (
@@ -18,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Wire size constants.
@@ -61,20 +67,33 @@ func pad(n int) int { return (unitSize - n%unitSize) % unitSize }
 // error once via Flush or Err.
 type Encoder struct {
 	w       io.Writer
+	mem     extender // w again, when it is memory vectors can convert into
 	scratch [8]byte
 	bulk    []byte // chunk buffer for vector fast paths, lazily allocated
 	n       int64  // total bytes written
 	err     error
 }
 
+// An extender is a sink that is memory: Extend grows it by n bytes and
+// returns them for the caller to fill. Vector puts convert elements
+// straight into those bytes instead of staging them through a chunk.
+type extender interface {
+	Extend(n int) []byte
+}
+
 // NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
+func NewEncoder(w io.Writer) *Encoder {
+	e := new(Encoder)
+	e.Reset(w)
+	return e
+}
 
 // Reset rearms the encoder to write to w, clearing the byte count and
 // the error latch while keeping the bulk chunk buffer. It lets pooled
 // encoders be reused without reallocating their scratch state.
 func (e *Encoder) Reset(w io.Writer) {
 	e.w = w
+	e.mem, _ = w.(extender)
 	e.n = 0
 	e.err = nil
 }
@@ -159,94 +178,117 @@ func (e *Encoder) PutFixedOpaque(b []byte) {
 	}
 }
 
-// chunk returns the lazily-allocated bulk buffer, sized for fast-path
-// vector encoding.
-func (e *Encoder) chunk() []byte {
-	if e.bulk == nil {
-		e.bulk = make([]byte, 8192)
+// chunkSize is the staging buffer of the stream paths: a multiple of
+// every element size.
+const chunkSize = 8192
+
+// hostLittle reports this machine's byte order.
+var hostLittle = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// rawBytes views a vector's memory as bytes, in host order.
+func rawBytes[T float64 | float32 | int64 | int32](v []T) []byte {
+	if len(v) == 0 {
+		return nil
 	}
-	return e.bulk
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0])))
 }
 
-// PutFloat64s encodes a counted vector of doubles. The elements are
-// packed into a chunk buffer so large matrices cost a handful of Write
-// calls instead of one per element.
-func (e *Encoder) PutFloat64s(v []float64) {
-	e.PutUint32(uint32(len(v)))
-	buf := e.chunk()
-	per := len(buf) / 8
-	for len(v) > 0 && e.err == nil {
-		n := len(v)
-		if n > per {
-			n = per
+// Swab copies src to dst reversing the bytes of every size-byte element
+// (size 4 or 8; len(src) a multiple of it; len(dst) ≥ len(src)). It is
+// the one element-conversion loop of the codec: encode and decode, the
+// memory and the stream path, and the protocol layer's foreign-order
+// bulk segments all run it.
+//
+//ninflint:hotpath
+func Swab(dst, src []byte, size int) {
+	dst = dst[:len(src)]
+	if size == 4 {
+		for len(src) >= 16 && len(dst) >= 16 {
+			binary.BigEndian.PutUint32(dst[0:4], binary.LittleEndian.Uint32(src[0:4]))
+			binary.BigEndian.PutUint32(dst[4:8], binary.LittleEndian.Uint32(src[4:8]))
+			binary.BigEndian.PutUint32(dst[8:12], binary.LittleEndian.Uint32(src[8:12]))
+			binary.BigEndian.PutUint32(dst[12:16], binary.LittleEndian.Uint32(src[12:16]))
+			src, dst = src[16:], dst[16:]
 		}
-		for i := 0; i < n; i++ {
-			binary.BigEndian.PutUint64(buf[i*8:], math.Float64bits(v[i]))
+		for len(src) >= 4 && len(dst) >= 4 {
+			binary.BigEndian.PutUint32(dst[0:4], binary.LittleEndian.Uint32(src[0:4]))
+			src, dst = src[4:], dst[4:]
 		}
-		e.write(buf[:n*8])
-		v = v[n:]
+		return
+	}
+	for len(src) >= 32 && len(dst) >= 32 {
+		binary.BigEndian.PutUint64(dst[0:8], binary.LittleEndian.Uint64(src[0:8]))
+		binary.BigEndian.PutUint64(dst[8:16], binary.LittleEndian.Uint64(src[8:16]))
+		binary.BigEndian.PutUint64(dst[16:24], binary.LittleEndian.Uint64(src[16:24]))
+		binary.BigEndian.PutUint64(dst[24:32], binary.LittleEndian.Uint64(src[24:32]))
+		src, dst = src[32:], dst[32:]
+	}
+	for len(src) >= 8 && len(dst) >= 8 {
+		binary.BigEndian.PutUint64(dst[0:8], binary.LittleEndian.Uint64(src[0:8]))
+		src, dst = src[8:], dst[8:]
 	}
 }
+
+// convert copies size-byte elements between host order and XDR's
+// big-endian order; the conversion is its own inverse.
+//
+//ninflint:hotpath
+func convert(dst, src []byte, size int) {
+	if hostLittle {
+		Swab(dst, src, size)
+	} else {
+		copy(dst, src)
+	}
+}
+
+// putVec encodes a counted vector whose host-order memory is raw.
+//
+//ninflint:hotpath
+func (e *Encoder) putVec(count int, raw []byte, size int) {
+	e.PutUint32(uint32(count))
+	if e.err != nil {
+		return
+	}
+	if e.mem != nil {
+		convert(e.mem.Extend(len(raw)), raw, size)
+		e.n += int64(len(raw))
+		return
+	}
+	if e.bulk == nil {
+		e.bulk = make([]byte, chunkSize)
+	}
+	for len(raw) > 0 && e.err == nil {
+		n := min(len(raw), chunkSize)
+		convert(e.bulk, raw[:n], size)
+		e.write(e.bulk[:n])
+		raw = raw[n:]
+	}
+}
+
+// PutFloat64s encodes a counted vector of doubles.
+func (e *Encoder) PutFloat64s(v []float64) { e.putVec(len(v), rawBytes(v), 8) }
 
 // PutFloat32s encodes a counted vector of single-precision floats.
-func (e *Encoder) PutFloat32s(v []float32) {
-	e.PutUint32(uint32(len(v)))
-	buf := e.chunk()
-	per := len(buf) / 4
-	for len(v) > 0 && e.err == nil {
-		n := len(v)
-		if n > per {
-			n = per
-		}
-		for i := 0; i < n; i++ {
-			binary.BigEndian.PutUint32(buf[i*4:], math.Float32bits(v[i]))
-		}
-		e.write(buf[:n*4])
-		v = v[n:]
-	}
-}
+func (e *Encoder) PutFloat32s(v []float32) { e.putVec(len(v), rawBytes(v), 4) }
 
 // PutInt32s encodes a counted vector of 32-bit integers.
-func (e *Encoder) PutInt32s(v []int32) {
-	e.PutUint32(uint32(len(v)))
-	buf := e.chunk()
-	per := len(buf) / 4
-	for len(v) > 0 && e.err == nil {
-		n := len(v)
-		if n > per {
-			n = per
-		}
-		for i := 0; i < n; i++ {
-			binary.BigEndian.PutUint32(buf[i*4:], uint32(v[i]))
-		}
-		e.write(buf[:n*4])
-		v = v[n:]
-	}
-}
+func (e *Encoder) PutInt32s(v []int32) { e.putVec(len(v), rawBytes(v), 4) }
 
 // PutInt64s encodes a counted vector of 64-bit integers.
-func (e *Encoder) PutInt64s(v []int64) {
-	e.PutUint32(uint32(len(v)))
-	buf := e.chunk()
-	per := len(buf) / 8
-	for len(v) > 0 && e.err == nil {
-		n := len(v)
-		if n > per {
-			n = per
-		}
-		for i := 0; i < n; i++ {
-			binary.BigEndian.PutUint64(buf[i*8:], uint64(v[i]))
-		}
-		e.write(buf[:n*8])
-		v = v[n:]
-	}
-}
+func (e *Encoder) PutInt64s(v []int64) { e.putVec(len(v), rawBytes(v), 8) }
 
-// A Decoder reads XDR-encoded values from an underlying reader. Like
-// Encoder it latches the first error; after an error all reads return
-// zero values and Err reports the cause.
+// A Decoder reads XDR-encoded values from an underlying reader, or from
+// a byte slice it was armed with by ResetBytes. Like Encoder it latches
+// the first error; after an error all reads return zero values and Err
+// reports the cause. A byte-slice source knows how much is left, so
+// every variable-length item is checked against the bytes present
+// before anything is allocated for it: a hostile count word costs an
+// error, not memory. Truncation reads the same from either source — the
+// remaining bytes are consumed and the error wraps io.EOF (nothing was
+// left) or io.ErrUnexpectedEOF.
 type Decoder struct {
 	r        io.Reader
+	buf      []byte // unread rest of a ResetBytes source; r is nil then
 	scratch  [8]byte
 	bulk     []byte
 	maxBytes int
@@ -266,11 +308,20 @@ func NewDecoder(r io.Reader) *Decoder {
 // with SetMaxBytes is preserved.
 func (d *Decoder) Reset(r io.Reader) {
 	d.r = r
+	d.buf = nil
 	d.n = 0
 	d.err = nil
 	if d.maxBytes <= 0 {
 		d.maxBytes = DefaultMaxBytes
 	}
+}
+
+// ResetBytes is Reset for a payload already in memory: the decoder
+// reads p in place (it never writes to it) and vectors are converted
+// straight out of it.
+func (d *Decoder) ResetBytes(p []byte) {
+	d.Reset(nil)
+	d.buf = p
 }
 
 // SetMaxBytes adjusts the limit on variable-length items. Limits that
@@ -287,7 +338,50 @@ func (d *Decoder) Err() error { return d.err }
 // Len reports the total number of bytes consumed.
 func (d *Decoder) Len() int64 { return d.n }
 
+// avail reports whether the next n bytes can be read. A byte-slice
+// source that holds fewer fails here the way a short io.ReadFull would;
+// a stream cannot tell before it reads, so it answers true.
+func (d *Decoder) avail(n int) bool {
+	if d.err != nil {
+		return false
+	}
+	if d.r != nil || n <= len(d.buf) {
+		return true
+	}
+	err := io.ErrUnexpectedEOF
+	if len(d.buf) == 0 {
+		err = io.EOF
+	}
+	d.n += int64(len(d.buf))
+	d.buf = nil
+	d.err = fmt.Errorf("xdr: read: %w", err)
+	return false
+}
+
+// View returns the next n bytes of a byte-slice source without copying
+// them: the result aliases the payload given to ResetBytes. It is how
+// the protocol layer finds an array's elements before it knows where
+// they are going. nil after an error, and on a stream source, which has
+// nothing to alias.
+func (d *Decoder) View(n int) []byte {
+	if d.r != nil && d.err == nil {
+		d.err = errors.New("xdr: View of a stream source")
+	}
+	if !d.avail(n) {
+		return nil
+	}
+	p := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	d.n += int64(n)
+	return p
+}
+
 func (d *Decoder) read(p []byte) bool {
+	if d.r == nil {
+		src := d.View(len(p))
+		copy(p, src)
+		return d.err == nil
+	}
 	if d.err != nil {
 		return false
 	}
@@ -368,7 +462,7 @@ func (d *Decoder) length(elemSize int) int {
 // String decodes a counted string.
 func (d *Decoder) String() string {
 	n := d.length(1)
-	if d.err != nil {
+	if !d.avail(n + pad(n)) {
 		return ""
 	}
 	b := make([]byte, n+pad(n))
@@ -380,24 +474,19 @@ func (d *Decoder) String() string {
 
 // Opaque decodes variable-length opaque data.
 func (d *Decoder) Opaque() []byte {
-	n := d.length(1)
-	if d.err != nil {
-		return nil
-	}
-	b := make([]byte, n+pad(n))
-	if !d.read(b) {
-		return nil
-	}
-	return b[:n:n]
+	return d.opaque(d.length(1))
 }
 
 // FixedOpaque decodes n opaque bytes plus padding.
 func (d *Decoder) FixedOpaque(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 {
+	if d.err == nil && n < 0 {
 		d.err = fmt.Errorf("%w: %d", ErrNegativeLen, n)
+	}
+	return d.opaque(n)
+}
+
+func (d *Decoder) opaque(n int) []byte {
+	if !d.avail(n + pad(n)) {
 		return nil
 	}
 	b := make([]byte, n+pad(n))
@@ -407,50 +496,54 @@ func (d *Decoder) FixedOpaque(n int) []byte {
 	return b[:n:n]
 }
 
-func (d *Decoder) chunk() []byte {
-	if d.bulk == nil {
-		d.bulk = make([]byte, 8192)
+// getVec decodes len(raw)/size elements, with no length prefix, into
+// raw, the host-order memory of their destination. A byte-slice source
+// too short for them fails before raw is written.
+//
+//ninflint:hotpath
+func (d *Decoder) getVec(raw []byte, size int) {
+	if d.r == nil {
+		if src := d.View(len(raw)); src != nil {
+			convert(raw, src, size)
+		}
+		return
 	}
-	return d.bulk
+	if d.bulk == nil {
+		d.bulk = make([]byte, chunkSize)
+	}
+	for len(raw) > 0 {
+		n := min(len(raw), chunkSize)
+		if !d.read(d.bulk[:n]) {
+			return
+		}
+		convert(raw, d.bulk[:n], size)
+		raw = raw[n:]
+	}
+}
+
+// vec decodes a counted vector into a new slice; nil after an error.
+func vec[T float64 | float32 | int64 | int32](d *Decoder) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	n := d.length(size)
+	if !d.avail(n * size) {
+		return nil
+	}
+	out := make([]T, n)
+	d.getVec(rawBytes(out), size)
+	return out
 }
 
 // Float64s decodes a counted vector of doubles.
-func (d *Decoder) Float64s() []float64 {
-	n := d.length(8)
-	if d.err != nil {
-		return nil
-	}
-	return d.Float64Vec(n)
-}
+func (d *Decoder) Float64s() []float64 { return vec[float64](d) }
 
-// vecLen validates an externally-supplied element count against the
-// decoder's variable-length limit, for vectors whose count was read out
-// of band (the protocol layer's bulk-argument markers carry the count
-// separately from the element stream).
-func (d *Decoder) vecLen(n, elemSize int) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 {
-		d.err = fmt.Errorf("%w: %d", ErrNegativeLen, n)
-		return false
-	}
-	if n > d.maxBytes/elemSize {
-		d.err = fmt.Errorf("%w: %d elements of %d bytes (limit %d bytes)", ErrTooLong, n, elemSize, d.maxBytes)
-		return false
-	}
-	return true
-}
+// Float32s decodes a counted vector of single-precision floats.
+func (d *Decoder) Float32s() []float32 { return vec[float32](d) }
 
-// Float64Vec decodes n doubles with no length prefix.
-func (d *Decoder) Float64Vec(n int) []float64 {
-	if !d.vecLen(n, 8) {
-		return nil
-	}
-	out := make([]float64, n)
-	d.readFloat64s(out)
-	return out
-}
+// Int32s decodes a counted vector of 32-bit integers.
+func (d *Decoder) Int32s() []int32 { return vec[int32](d) }
+
+// Int64s decodes a counted vector of 64-bit integers.
+func (d *Decoder) Int64s() []int64 { return vec[int64](d) }
 
 // ReadFloat64sInto decodes a counted vector of doubles into dst, which
 // must have exactly the encoded length. It avoids an allocation when
@@ -464,116 +557,7 @@ func (d *Decoder) ReadFloat64sInto(dst []float64) {
 		d.err = fmt.Errorf("xdr: vector length %d does not match destination %d", n, len(dst))
 		return
 	}
-	d.readFloat64s(dst)
-}
-
-func (d *Decoder) readFloat64s(out []float64) {
-	buf := d.chunk()
-	per := len(buf) / 8
-	for len(out) > 0 && d.err == nil {
-		n := len(out)
-		if n > per {
-			n = per
-		}
-		if !d.read(buf[:n*8]) {
-			return
-		}
-		for i := 0; i < n; i++ {
-			out[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[i*8:]))
-		}
-		out = out[n:]
-	}
-}
-
-// Float32s decodes a counted vector of single-precision floats.
-func (d *Decoder) Float32s() []float32 {
-	n := d.length(4)
-	if d.err != nil {
-		return nil
-	}
-	return d.Float32Vec(n)
-}
-
-// Float32Vec decodes n single-precision floats with no length prefix.
-func (d *Decoder) Float32Vec(n int) []float32 {
-	if !d.vecLen(n, 4) {
-		return nil
-	}
-	out := make([]float32, n)
-	buf := d.chunk()
-	per := len(buf) / 4
-	for i := 0; i < n && d.err == nil; {
-		m := n - i
-		if m > per {
-			m = per
-		}
-		if !d.read(buf[:m*4]) {
-			return out
-		}
-		for j := 0; j < m; j++ {
-			out[i+j] = math.Float32frombits(binary.BigEndian.Uint32(buf[j*4:]))
-		}
-		i += m
-	}
-	return out
-}
-
-// Int32s decodes a counted vector of 32-bit integers.
-func (d *Decoder) Int32s() []int32 {
-	n := d.length(4)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	buf := d.chunk()
-	per := len(buf) / 4
-	for i := 0; i < n && d.err == nil; {
-		m := n - i
-		if m > per {
-			m = per
-		}
-		if !d.read(buf[:m*4]) {
-			return out
-		}
-		for j := 0; j < m; j++ {
-			out[i+j] = int32(binary.BigEndian.Uint32(buf[j*4:]))
-		}
-		i += m
-	}
-	return out
-}
-
-// Int64s decodes a counted vector of 64-bit integers.
-func (d *Decoder) Int64s() []int64 {
-	n := d.length(8)
-	if d.err != nil {
-		return nil
-	}
-	return d.Int64Vec(n)
-}
-
-// Int64Vec decodes n 64-bit integers with no length prefix.
-func (d *Decoder) Int64Vec(n int) []int64 {
-	if !d.vecLen(n, 8) {
-		return nil
-	}
-	out := make([]int64, n)
-	buf := d.chunk()
-	per := len(buf) / 8
-	for i := 0; i < n && d.err == nil; {
-		m := n - i
-		if m > per {
-			m = per
-		}
-		if !d.read(buf[:m*8]) {
-			return out
-		}
-		for j := 0; j < m; j++ {
-			out[i+j] = int64(binary.BigEndian.Uint64(buf[j*8:]))
-		}
-		i += m
-	}
-	return out
+	d.getVec(rawBytes(dst), 8)
 }
 
 // SizeString reports the encoded size in bytes of a string of length n,

@@ -433,7 +433,10 @@ func encodeRequestBuf(t protocol.MsgType, info *idl.Info, creq *protocol.CallReq
 // carried it — into the caller's destinations and completes the report,
 // consuming the reply buffer. A non-nil bulk means the reply was a
 // reassembled chunked message: the XDR head is its prefix and marked
-// arrays decode from raw segments.
+// arrays decode from raw segments. Array results are converted straight
+// into the slices the caller passed; a reply that fails to decode has
+// written to none of them, so the retry layer can send the same
+// arguments again.
 func finish(rep *Report, info *idl.Info, vals []idl.Value, args []any, reply *protocol.Buffer, bulk *protocol.BulkInfo) (*Report, error) {
 	defer reply.Release()
 	rep.Received = time.Now()
@@ -442,7 +445,7 @@ func finish(rep *Report, info *idl.Info, vals []idl.Value, args []any, reply *pr
 	if bulk != nil {
 		p = bulk.Head()
 	}
-	tm, out, err := protocol.DecodeCallReplyBulk(info, vals, p, bulk)
+	tm, out, err := protocol.DecodeCallReplyInto(info, vals, args, p, bulk)
 	if err != nil {
 		return nil, err
 	}
