@@ -1,12 +1,17 @@
 package ninf_test
 
 // BenchmarkMuxVsLockstep: the paper's §4 multi-client question asked
-// of our own data plane. The sweep drives 1/4/16/64 concurrent callers
-// with 8B/64KiB/8MiB argument vectors over loopback TCP against one
-// server, once with the multiplexed session and once pinned to the
-// lockstep pooled path, and reports calls/s per cell. The
-// multiclient-mux experiment (cmd/ninfbench) runs the same sweep
-// outside the testing harness and records BENCH_multiclient.json.
+// of our own data plane. The sweep drives 1/2/4/16/64 concurrent
+// callers with 8B/64KiB/8MiB argument vectors over loopback TCP against
+// one server, once with the multiplexed session and once pinned to the
+// lockstep pooled path, and reports calls/s per cell. Two callers is
+// the regime benchmark/ gates (BENCHMARK.json), here so that it can be
+// run under -cpuprofile and -trace:
+//
+//	go test -run '^$' -bench 'MuxVsLockstep/mux/c2/64KiB' -cpuprofile cpu.prof .
+//
+// The multiclient-mux experiment (cmd/ninfbench) runs the 1/4/16/64
+// sweep outside the testing harness and records BENCH_multiclient.json.
 
 import (
 	"net"
@@ -29,7 +34,7 @@ var muxSweep = struct {
 		elems int
 	}
 }{
-	callers: []int{1, 4, 16, 64},
+	callers: []int{1, 2, 4, 16, 64},
 	sizes: []struct {
 		name  string
 		elems int
@@ -53,7 +58,9 @@ func BenchmarkMuxVsLockstep(b *testing.B) {
 					// large-transfer contention shows by 16.
 					continue
 				}
-				if testing.Short() && (size.elems > 1 || nc > 16) {
+				// -short is CI's race smoke: the 8 B cells at 1, 4 and
+				// 16 callers. Two callers interleave nothing four do not.
+				if testing.Short() && (size.elems > 1 || nc > 16 || nc == 2) {
 					continue
 				}
 				name := mode.name + "/c" + itoa(nc) + "/" + size.name

@@ -344,7 +344,7 @@ type Message struct {
 // frames until r fails, returning the error (a clean EOF between frames
 // is io.EOF undecorated), and hands every complete message to deliver
 // with its sequence number. Chunked messages reassemble here, the chunk
-// data read straight off the buffered reader into one pooled buffer per
+// data read through the buffered reader into one pooled buffer per
 // sequence; when wants is non-nil and reports false for a sequence at
 // its MsgBulkBegin, the message is validated and discarded instead, so
 // an unwanted stream stays in sync without holding memory. A malformed,
@@ -353,9 +353,13 @@ type Message struct {
 //ninflint:hotpath
 func ReadFrames(r io.Reader, maxPayload int, wants func(seq uint32) bool, deliver func(seq uint32, m Message)) error {
 	// The buffered reader amortizes read syscalls across pipelined small
-	// frames; large payloads bypass its buffer (io.ReadFull reads
-	// straight into the frame buffer once the header is parsed).
-	br := bufio.NewReaderSize(r, 64<<10)
+	// frames: 4 KiB holds some forty 96-byte calls. It is no larger
+	// because a header read fills it with whatever the socket holds,
+	// payload included, and those bytes are copied again into the frame
+	// buffer; only the rest of the payload — a read at least as long as
+	// the emptied buffer — goes straight from the socket to the frame
+	// (a 64 KiB buffer copied whole 64 KiB frames twice).
+	br := bufio.NewReaderSize(r, 4<<10)
 	// Close releases anything half-assembled when the connection dies
 	// mid-stream (the chaos tests' leak path).
 	ra := protocol.NewReassembler(maxPayload, 0)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // memSink is an encoder sink that is memory: it offers Extend, like
@@ -192,6 +193,131 @@ func TestHostileCountAllocatesNothing(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 			t.Errorf("%s: %d bytes allocated for a 4-byte payload", name, got)
+		}
+	}
+}
+
+// The vector kernel under Swab is held to swabGeneric, the portable
+// loop it replaces for long spans — called by name, so no switch has to
+// be flipped to reach the reference. On an architecture without a
+// kernel the two are the same code and these tests pin only the loop.
+
+// swabLengths straddle the kernel's thresholds: below its minimum span,
+// one and four 32-byte blocks with and without a Go-loop tail, and the
+// sizes the benchmark moves (each +8: an odd element after the blocks).
+var swabLengths = []int{0, 8, 24, 32, 40, 120, 128, 136, 4096, 65536, 65544, 1<<20 + 8}
+
+// swabSpecials lead every pattern: -0, NaNs quiet and signalling with
+// payloads (a conversion through a float register would quiet them), in
+// both widths, and a word with every byte distinct.
+var swabSpecials = []uint64{
+	0x8000000000000000, 0x7ff8000000000001, 0xfff4dead0000beef,
+	0x7fc0000180000000, 0xffa0beef7fa00001, 0x0102030405060708,
+}
+
+func swabPattern(n int) []byte {
+	p := make([]byte, n)
+	for i := 0; i+8 <= n; i += 8 {
+		v := uint64(i)*0x9e3779b97f4a7c15 + 0x0102030405060708
+		if i/8 < len(swabSpecials) {
+			v = swabSpecials[i/8]
+		}
+		binary.LittleEndian.PutUint64(p[i:], v)
+	}
+	return p
+}
+
+const (
+	swabGuard  = 64   // canary bytes kept either side of a destination
+	swabCanary = 0xa5 // no pattern run is this long
+)
+
+// aligned returns n bytes whose first is at a 32-byte boundary, so an
+// offset into them is an offset from alignment.
+func aligned(n int) []byte {
+	b := make([]byte, n+32)
+	off := int(-uintptr(unsafe.Pointer(unsafe.SliceData(b))) & 31)
+	return b[off : off+n : off+n]
+}
+
+// A swabRig is the arenas one pattern is converted in at every offset.
+type swabRig struct {
+	pattern, want   []byte
+	src, dst, again []byte
+	canary          []byte
+	size            int
+}
+
+// newSwabRig checks the reference against the definition — element i
+// of the output read big-endian is element i of the input read
+// little-endian, bit for bit — and keeps its output as the expectation.
+func newSwabRig(t testing.TB, pattern []byte, size int) *swabRig {
+	n := len(pattern)
+	r := &swabRig{
+		pattern: pattern, size: size,
+		want:   make([]byte, n),
+		src:    aligned(n + 32),
+		dst:    aligned(n + 32 + 2*swabGuard),
+		again:  make([]byte, n),
+		canary: bytes.Repeat([]byte{swabCanary}, n+32+2*swabGuard),
+	}
+	swabGeneric(r.want, pattern, size)
+	for i := 0; i+size <= n; i += size {
+		if size == 8 && binary.BigEndian.Uint64(r.want[i:]) != binary.LittleEndian.Uint64(pattern[i:]) ||
+			size == 4 && binary.BigEndian.Uint32(r.want[i:]) != binary.LittleEndian.Uint32(pattern[i:]) {
+			t.Fatalf("size %d len %d: reference loop wrong at element %d", size, n, i/size)
+		}
+	}
+	return r
+}
+
+// check converts the pattern from srcOff to dstOff past alignment.
+func (r *swabRig) check(t testing.TB, srcOff, dstOff int) {
+	n := len(r.pattern)
+	src := r.src[srcOff : srcOff+n]
+	copy(src, r.pattern)
+	copy(r.dst, r.canary)
+	lo := swabGuard + dstOff
+	Swab(r.dst[lo:], src, r.size) // dst longer than src, as putVec's chunk is
+
+	if !bytes.Equal(r.dst[lo:lo+n], r.want) {
+		i := 0
+		for r.dst[lo+i] == r.want[i] {
+			i++
+		}
+		t.Fatalf("size %d len %d src+%d dst+%d: byte %d is %#02x, reference has %#02x",
+			r.size, n, srcOff, dstOff, i, r.dst[lo+i], r.want[i])
+	}
+	if !bytes.Equal(r.dst[:lo], r.canary[:lo]) || !bytes.Equal(r.dst[lo+n:], r.canary[lo+n:]) {
+		t.Fatalf("size %d len %d src+%d dst+%d: wrote outside dst[:len(src)]", r.size, n, srcOff, dstOff)
+	}
+	if !bytes.Equal(src, r.pattern) {
+		t.Fatalf("size %d len %d src+%d dst+%d: source modified", r.size, n, srcOff, dstOff)
+	}
+	Swab(r.again, r.dst[lo:lo+n], r.size)
+	if !bytes.Equal(r.again, r.pattern) {
+		t.Fatalf("size %d len %d src+%d dst+%d: converting twice is not the identity", r.size, n, srcOff, dstOff)
+	}
+}
+
+// TestSwabKernelVsReference: both element sizes, every length of
+// swabLengths, source and destination each at byte offsets 0–31 from a
+// 32-byte boundary — the full cross product up to 4 KiB; above it every
+// offset of one side against 0 and 4 of the other (4 mod 8 is where the
+// XDR count word leaves a decode source), which is what alignment can
+// still change once the span is thousands of blocks long.
+func TestSwabKernelVsReference(t *testing.T) {
+	for _, size := range []int{4, 8} {
+		for _, n := range swabLengths {
+			r := newSwabRig(t, swabPattern(n), size)
+			for s := 0; s < 32; s++ {
+				for d := 0; d < 32; d++ {
+					if n > 4096 && s != 0 && s != 4 && d != 0 && d != 4 {
+						continue
+					}
+					r.check(t, s, d)
+				}
+			}
 		}
 	}
 }

@@ -59,3 +59,23 @@ func FuzzDecoder(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSwab holds Swab to the reference loop over arbitrary bytes,
+// element size, and source and destination misalignment; the seeds are
+// the lengths and the two offsets TestSwabKernelVsReference leans on.
+func FuzzSwab(f *testing.F) {
+	for _, n := range swabLengths {
+		for _, size := range []uint8{4, 8} {
+			f.Add(swabPattern(n), size, uint8(4), uint8(0))
+			f.Add(swabPattern(n), size, uint8(0), uint8(4))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, size, srcOff, dstOff uint8) {
+		sz := 8
+		if size%8 == 4 {
+			sz = 4
+		}
+		data = data[:len(data)-len(data)%sz]
+		newSwabRig(t, data, sz).check(t, int(srcOff%32), int(dstOff%32))
+	})
+}

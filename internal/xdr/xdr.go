@@ -197,11 +197,26 @@ func rawBytes[T float64 | float32 | int64 | int32](v []T) []byte {
 // (size 4 or 8; len(src) a multiple of it; len(dst) ≥ len(src)). It is
 // the one element-conversion loop of the codec: encode and decode, the
 // memory and the stream path, and the protocol layer's foreign-order
-// bulk segments all run it.
+// bulk segments all run it. dst and src must not partially overlap: the
+// vector kernel loads a block of elements before it stores any.
+//
+// Where the CPU has a vector byte shuffle (swabVector, per GOARCH) the
+// body of a long enough span goes through it; swabGeneric converts the
+// rest — all of it on every other machine.
 //
 //ninflint:hotpath
 func Swab(dst, src []byte, size int) {
 	dst = dst[:len(src)]
+	n := swabVector(dst, src, size)
+	swabGeneric(dst[n:], src[n:], size)
+}
+
+// swabGeneric is Swab in portable Go: the tail handler behind the
+// vector kernel, the whole conversion where there is none, and the
+// reference the tests hold the kernel to. len(dst) == len(src).
+//
+//ninflint:hotpath
+func swabGeneric(dst, src []byte, size int) {
 	if size == 4 {
 		for len(src) >= 16 && len(dst) >= 16 {
 			binary.BigEndian.PutUint32(dst[0:4], binary.LittleEndian.Uint32(src[0:4]))
