@@ -10,6 +10,11 @@ package ninf_test
 //
 //	go test -run '^$' -bench 'MuxVsLockstep/mux/c2/64KiB' -cpuprofile cpu.prof .
 //
+// At two callers a third mode, mux2sess, gives each caller a client —
+// and so a session, a writer and a reader — of its own against the one
+// server: what separates it from mux/c2 is only that the two calls
+// share a session there (EXPERIMENTS.md "Why one session trails two").
+//
 // The multiclient-mux experiment (cmd/ninfbench) runs the 1/4/16/64
 // sweep outside the testing harness and records BENCH_multiclient.json.
 
@@ -47,11 +52,15 @@ var muxSweep = struct {
 
 func BenchmarkMuxVsLockstep(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		mux  bool
-	}{{"mux", true}, {"lockstep", false}} {
+		name     string
+		mux      bool
+		sessions int
+	}{{"mux", true, 1}, {"lockstep", false, 1}, {"mux2sess", true, 2}} {
 		for _, nc := range muxSweep.callers {
 			for _, size := range muxSweep.sizes {
+				if mode.sessions > 1 && nc != mode.sessions {
+					continue
+				}
 				if size.elems >= 1<<20 && nc > 16 {
 					// 64 callers × 8 MiB would hold half a GiB of
 					// argument vectors in flight; the interesting
@@ -65,30 +74,33 @@ func BenchmarkMuxVsLockstep(b *testing.B) {
 				}
 				name := mode.name + "/c" + itoa(nc) + "/" + size.name
 				b.Run(name, func(b *testing.B) {
-					benchMuxCell(b, mode.mux, nc, size.elems)
+					benchMuxCell(b, mode.mux, mode.sessions, nc, size.elems)
 				})
 			}
 		}
 	}
 }
 
-// benchMuxCell runs b.N echo calls spread over nc concurrent callers.
-func benchMuxCell(b *testing.B, mux bool, nc, elems int) {
-	c, cleanup := benchClient(b, server.Config{PEs: 4})
+// benchMuxCell runs b.N echo calls spread over nc concurrent callers,
+// the callers dealt round-robin to the given number of clients.
+func benchMuxCell(b *testing.B, mux bool, sessions, nc, elems int) {
+	clients, cleanup := benchClients(b, server.Config{PEs: 4}, sessions)
 	defer cleanup()
-	c.SetMultiplexing(mux)
-	if !mux {
-		// Give the lockstep path its best shot: one pooled connection
-		// per concurrent caller, so the comparison is mux vs a
-		// fully-provisioned pool, not mux vs pool starvation.
-		c.SetPoolSize(nc)
-	}
-	warm := make([]float64, elems)
-	if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
-		b.Fatal(err)
-	}
-	if c.Multiplexed() != mux {
-		b.Fatalf("client multiplexed = %v, want %v", c.Multiplexed(), mux)
+	for _, c := range clients {
+		c.SetMultiplexing(mux)
+		if !mux {
+			// Give the lockstep path its best shot: one pooled connection
+			// per concurrent caller, so the comparison is mux vs a
+			// fully-provisioned pool, not mux vs pool starvation.
+			c.SetPoolSize(nc)
+		}
+		warm := make([]float64, elems)
+		if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
+			b.Fatal(err)
+		}
+		if c.Multiplexed() != mux {
+			b.Fatalf("client multiplexed = %v, want %v", c.Multiplexed(), mux)
+		}
 	}
 
 	b.SetBytes(int64(2 * 8 * elems)) // echo moves the vector out and back
@@ -103,6 +115,7 @@ func benchMuxCell(b *testing.B, mux bool, nc, elems int) {
 			continue
 		}
 		wg.Add(1)
+		c := clients[w%sessions]
 		go func(calls int) {
 			defer wg.Done()
 			in := make([]float64, elems)
@@ -134,28 +147,34 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkMuxMixed is the tentpole's acceptance cell: 8-byte calls
-// measured while a concurrent 8 MiB transfer occupies the same
-// multiplexed session, on an emulated shared 100 MB/s access link
-// (the paper's LAN regime — over raw loopback the wire is never the
-// bottleneck and the cell would measure scheduler noise instead).
-// "chunked" streams the large call as bounded interleaved bulk frames
-// (protocol feature level 3); "monolithic" disables chunking, so the
-// 8 MiB call holds the link as one frame and every small call queues
-// behind it. p99-ms is the small calls' tail latency; bulkMB/s is the
-// concurrent large-transfer throughput on the shared link.
+// BenchmarkMuxMixed is the mixed-size cell: 8-byte calls measured
+// while a concurrent 8 MiB transfer occupies the same multiplexed
+// session, on an emulated shared access link — "lan" at 100 MB/s (the
+// paper's LAN regime; over raw loopback the wire is never the
+// bottleneck and the cell would measure scheduler noise instead) and
+// "wan" at 4 MB/s, where a chunk sized in bytes rather than in time is
+// a long wait. "chunked" streams the large call as bounded interleaved
+// bulk frames (protocol feature level 3); "monolithic" disables
+// chunking, so the 8 MiB call holds the link as one frame and every
+// small call queues behind it. p99-ms is the small calls' tail latency;
+// bulkMB/s is the concurrent large-transfer throughput on the shared
+// link. The small caller is closed-loop: it completes many calls in
+// each quiet gap between chunks and one per chunk it waits behind, so
+// p50-ms mostly describes the gaps; mean-ms (elapsed ÷ calls) weighs
+// every wait by its length.
 func BenchmarkMuxMixed(b *testing.B) {
-	for _, mode := range []struct {
+	for _, cell := range []struct {
 		name string
+		bps  float64
 		thr  int
-	}{{"chunked", 0}, {"monolithic", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchMuxMixedCell(b, mode.thr)
+	}{{"lan/chunked", 100e6, 0}, {"lan/monolithic", 100e6, -1}, {"wan/chunked", 4e6, 0}} {
+		b.Run(cell.name, func(b *testing.B) {
+			benchMuxMixedCell(b, cell.bps, cell.thr)
 		})
 	}
 }
 
-func benchMuxMixedCell(b *testing.B, threshold int) {
+func benchMuxMixedCell(b *testing.B, linkBps float64, threshold int) {
 	reg, err := library.NewRegistry()
 	if err != nil {
 		b.Fatal(err)
@@ -166,12 +185,12 @@ func benchMuxMixedCell(b *testing.B, threshold int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One shared 100 MB/s access link, charged where the bytes enter
+	// One shared access link, charged where the bytes enter
 	// the wire: client writes upstream, server writes downstream. Both
 	// endpoints pace to the link, as real NICs do — otherwise megabytes
 	// of bulk chunks queue in kernel socket buffers ahead of the small
 	// replies and the interleaving never reaches the wire.
-	link := emunet.NewLink("lan", 100e6)
+	link := emunet.NewLink("access", linkBps)
 	opts := emunet.Options{Up: []*emunet.Link{link}}
 	go s.Serve(&shapedListener{l, opts})
 	addr := l.Addr().String()
@@ -224,7 +243,10 @@ func benchMuxMixedCell(b *testing.B, threshold int) {
 		lat = append(lat, time.Since(t0))
 	}
 	b.StopTimer()
-	elapsed := b.Elapsed()
+	// Transfers completed inside the timed window: one takes 4 s on the
+	// wan link, so give that cell -benchtime 20s or more before reading
+	// bulkMB/s.
+	elapsed, bulkDone := b.Elapsed(), bulkCalls.Load()
 	close(stop)
 	bulkWG.Wait()
 
@@ -232,7 +254,8 @@ func benchMuxMixedCell(b *testing.B, threshold int) {
 	p99 := lat[min(len(lat)*99/100, len(lat)-1)]
 	b.ReportMetric(float64(p99.Nanoseconds())/1e6, "p99-ms")
 	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e6, "p50-ms")
-	b.ReportMetric(float64(bulkCalls.Load())*2*8*bulkElems/1e6/elapsed.Seconds(), "bulkMB/s")
+	b.ReportMetric(elapsed.Seconds()*1e3/float64(b.N), "mean-ms")
+	b.ReportMetric(float64(bulkDone)*2*8*bulkElems/1e6/elapsed.Seconds(), "bulkMB/s")
 }
 
 // shapedListener wraps accepted connections in emunet shaping, so the

@@ -9,12 +9,17 @@ package ninf_test
 // ordinary Call/Submit/Fetch surface and vary only the thresholds.
 
 import (
+	"context"
 	"errors"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ninf"
+	"ninf/internal/emunet"
+	"ninf/internal/library"
 	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
@@ -239,5 +244,88 @@ func TestBulkFetchDuringCloseFailsRetryable(t *testing.T) {
 		if g := protocol.OpenBulkReassemblies(); g != 0 {
 			t.Fatalf("round %d: open reassemblies after close = %d", round, g)
 		}
+	}
+}
+
+// TestBulkAbandonOnSlowLinkKeepsSession: a bulk call cancelled on the
+// paper's 0.17 MB/s WAN costs its caller the deadline plus the chunk on
+// the wire, and costs the session nothing. The writer notices an
+// abandoned stream only between chunks, so the chunk has to be short in
+// time: a 512 KiB one takes 3 s at this rate, which outlasts the 2 s the
+// session gives its writer to let go of the caller's slices — the call
+// came back after 2.3 s over a session it had just torn down, and the
+// small call sharing that session failed with it.
+func TestBulkAbandonOnSlowLinkKeepsSession(t *testing.T) {
+	const (
+		rate     = 170_000 // bytes/s
+		deadline = 300 * time.Millisecond
+		chunk    = 16 << 10 // the mux writer's starting chunk size
+	)
+	// One chunk at the link rate, plus slack for a loaded machine; the
+	// sum stays well under the 2 s stall that fails the session.
+	limit := deadline + chunk*time.Second/rate + 500*time.Millisecond
+
+	reg, err := library.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Config{}, reg)
+	t.Cleanup(func() { s.Close() })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shaped := emunet.Options{Up: []*emunet.Link{emunet.NewLink("wan", rate)}}
+	go s.Serve(&shapedListener{l, shaped})
+	var dials atomic.Int32
+	c := newClient(t, emunet.Dialer(func() (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial("tcp", l.Addr().String())
+	}, shaped))
+
+	small := func() error {
+		in, out := []float64{7}, []float64{0}
+		if _, err := c.Call("echo", 1, in, out); err != nil {
+			return err
+		}
+		if out[0] != in[0] {
+			return errors.New("small echo corrupted")
+		}
+		return nil
+	}
+	if err := small(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Multiplexed() || dials.Load() != 1 {
+		t.Fatalf("after warm-up: multiplexed %v, %d dials; want one mux session", c.Multiplexed(), dials.Load())
+	}
+
+	// A small call issued mid-stream shares the session with the doomed
+	// transfer and must be answered over it.
+	inFlight := make(chan error, 1)
+	go func() {
+		time.Sleep(deadline / 2)
+		inFlight <- small()
+	}()
+	n := 256 << 10 // 2 MiB: 12 s of link time
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err = c.CallContext(ctx, "echo", n, bulkVec(n), make([]float64, n))
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("2 MiB echo under a %v deadline: %v, want the deadline error", deadline, err)
+	}
+	if took > limit {
+		t.Errorf("abandoned call returned after %v, want within %v (deadline, one %d KiB chunk at %d B/s, slack)", took, limit, chunk>>10, rate)
+	}
+	if err := <-inFlight; err != nil {
+		t.Errorf("small call sharing the session with the abandoned transfer: %v", err)
+	}
+	if err := small(); err != nil {
+		t.Errorf("call after the abandoned transfer: %v", err)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Errorf("%d dials, want 1: abandoning a bulk call replaced the session", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ninf/internal/protocol"
 )
@@ -24,14 +25,19 @@ import (
 // every queued frame (at most writeBatch) into one vectored write, then
 // writes exactly one frame of one active bulk stream — its begin
 // header, one bounded chunk, or an abort — and looks at the queue
-// again, so a small frame queued behind an 8 MiB transfer waits for at
-// most one chunk. Streams rotate round-robin after streamBurst
-// consecutive chunks. Before flushing a short batch with no stream
-// active the writer yields the processor, at most writeYields times,
-// while more frames are expected soon (see Expect): the goroutines
-// about to enqueue get to run, and their frames join this write
-// instead of costing a syscall each. With a stream active it never
-// yields — the chunk write is the pause that lets frames accumulate.
+// again, so a small frame queued behind an 8 MiB transfer waits for
+// one chunk write. Chunks are sized in time: a write should take about
+// chunkTarget at the rate the connection is observed to accept bytes
+// (see resize), so once the rate is learned the wait is at most the
+// target time whatever the link, and protocol.DefaultBulkChunk is only
+// the ceiling a fast path reaches. Streams rotate round-robin after
+// streamBurst consecutive chunks. Before flushing a short batch with no
+// stream active the writer yields the processor, at most writeYields
+// times, while more frames are expected soon (see Expect): the
+// goroutines about to enqueue get to run, and their frames join this
+// write instead of costing a syscall each. With a stream active it
+// never yields — the chunk write is the pause that lets frames
+// accumulate.
 const (
 	// writeBatch bounds how many queued frames one vectored write
 	// gathers. 64 matches the deepest pipelines the benchmarks drive and
@@ -46,16 +52,29 @@ const (
 	// streamBurst is how many consecutive chunks the writer takes from
 	// one bulk stream before rotating to the next. Queued frames still
 	// preempt between every chunk, so small-call latency is bounded by
-	// one chunk regardless; the burst only trades inter-stream fairness
-	// for streaming locality — rotating 8 MiB transfers every single
-	// chunk walks a different source buffer each write and measurably
-	// hurts aggregate throughput on concurrent transfers.
+	// one chunk write regardless; the burst only trades inter-stream
+	// fairness for streaming locality — rotating 8 MiB transfers every
+	// single chunk walks a different source buffer each write and
+	// measurably hurts aggregate throughput on concurrent transfers.
 	streamBurst = 4
 
 	// queueDepth is the writer queue's capacity: senders past it block
 	// (backpressure). It exceeds the server's per-connection dispatch
 	// bound, so a dispatch goroutine never waits to hand over its reply.
 	queueDepth = 256
+
+	// chunkFloor is the chunk size a connection starts at and never goes
+	// below. Starting small is what bounds the first wait on a path
+	// nothing is known about yet (96 ms at the paper's 0.17 MB/s WAN,
+	// where a ceiling-sized chunk is 3 s); below 16 KiB the 24-byte
+	// chunk header and the per-chunk turn stop being negligible. The
+	// ceiling is protocol.DefaultBulkChunk.
+	chunkFloor = 16 << 10
+
+	// chunkTarget is how long one chunk write should take, and so how
+	// long a frame queued mid-stream waits for the wire. At 4 ms a path
+	// faster than 128 MB/s runs at the ceiling.
+	chunkTarget = 4 * time.Millisecond
 )
 
 // An Item is one outbound message on a Writer's queue: Frame, a
@@ -103,6 +122,13 @@ type Writer struct {
 	failed  func(error) // told the first write error
 	settled func()      // told of every settled item; may be nil
 
+	// chunk is the data size of the next bulk chunk and now the clock
+	// its writes are timed on; both belong to the writer goroutine. One
+	// size per connection, carried from stream to stream: it estimates
+	// the path, not a message.
+	chunk int
+	now   func() time.Time
+
 	closeOnce sync.Once
 	closing   chan struct{} // closed by shutdown: flush, then exit
 	stopped   chan struct{} // closed when the goroutine has exited
@@ -114,11 +140,18 @@ type Writer struct {
 // later as not written; the writer keeps draining until Close. settled,
 // if non-nil, runs after each item is settled, written or not.
 func NewWriter(conn io.WriteCloser, failed func(error), settled func()) *Writer {
+	return newWriter(conn, failed, settled, time.Now)
+}
+
+// newWriter is NewWriter on a given clock; only tests pass another.
+func newWriter(conn io.WriteCloser, failed func(error), settled func(), now func() time.Time) *Writer {
 	w := &Writer{
 		conn:    conn,
 		queue:   make(chan Item, queueDepth),
 		failed:  failed,
 		settled: settled,
+		chunk:   chunkFloor,
+		now:     now,
 		closing: make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -287,7 +320,33 @@ func (w *Writer) step(st *stream) (bool, error) {
 		fb.Release()
 		return false, err
 	}
-	return st.cur.WriteChunk(w.conn, st.Seq, protocol.DefaultBulkChunk)
+	sent, start := st.cur.Sent(), w.now()
+	done, err := st.cur.WriteChunk(w.conn, st.Seq, w.chunk)
+	if err == nil {
+		w.resize(st.cur.Sent()-sent, w.now().Sub(start))
+	}
+	return done, err
+}
+
+// resize sets the next chunk size from the write just finished: n data
+// bytes in elapsed is the rate the path accepted them at — the link's,
+// once whatever buffers sit below conn are full, or the peer's reading
+// rate if that is lower — and the next chunk is what that rate moves in
+// chunkTarget. The size grows by doubling at most, so one write that a
+// buffer swallowed whole cannot jump it to the ceiling, and shrinks in
+// one step, because every chunk sent too large is a full head-of-line
+// wait for the frames behind it.
+func (w *Writer) resize(n int, elapsed time.Duration) {
+	if n < w.chunk && elapsed <= chunkTarget {
+		// A message's short tail that took no longer than a whole chunk
+		// may: mostly per-write cost, it says nothing about the rate.
+		return
+	}
+	want := int64(protocol.DefaultBulkChunk)
+	if elapsed > 0 {
+		want = min(want, int64(n)*int64(chunkTarget)/int64(elapsed))
+	}
+	w.chunk = max(chunkFloor, min(int(want), 2*w.chunk))
 }
 
 // settle disposes of one item, written or not. Any goroutine may settle

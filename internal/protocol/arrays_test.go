@@ -144,7 +144,7 @@ func TestDecodeCallReplyInto(t *testing.T) {
 	}
 	var wire bytes.Buffer
 	streamBulk(t, &wire, m, 9, 2048)
-	bd := reassemble(t, &wire, 9, false)
+	bd := reassemble(t, &wire, false)
 	defer bd.FB.Release()
 	// The same reply as a peer of the other byte order would send it.
 	foreign := bd.Bulk

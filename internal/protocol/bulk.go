@@ -19,7 +19,7 @@ import (
 // into three frame kinds, all tagged with the owning Seq:
 //
 //	MsgBulkBegin  inner type, flags, head length, total length
-//	MsgBulkChunk  offset, CRC-32C, up to DefaultBulkChunk data bytes
+//	MsgBulkChunk  offset, CRC-32C, data bytes (at most DefaultBulkChunk from our writers)
 //	MsgBulkAbort  sender gave up mid-stream; drop the reassembly
 //
 // The logical payload is the "head" (normal XDR with bulk arrays
@@ -48,12 +48,17 @@ const (
 	// requests and replies switch to chunked bulk frames.
 	DefaultBulkThreshold = 256 << 10
 
-	// DefaultBulkChunk bounds one MsgBulkChunk's data bytes; small
-	// frames interleave between chunks at this granularity, so it is
-	// the head-of-line bound a small call can wait behind (~5 ms on a
-	// 100 MB/s access link). Halving it costs measurable aggregate
-	// throughput on concurrent transfers (per-chunk header reads
-	// defeat the buffered reader's large-read pass-through).
+	// DefaultBulkChunk is the ceiling on one MsgBulkChunk's data bytes,
+	// and what WriteChunk cuts when given no limit. Small frames
+	// interleave between chunks, so a chunk's write time is the
+	// head-of-line wait a small call can meet; the mux writer therefore
+	// sizes chunks in time, not bytes — what the connection is observed
+	// to accept in a few milliseconds (internal/mux/engine.go) — and
+	// only a path faster than ~128 MB/s runs at this ceiling. There
+	// halving it costs measurable aggregate throughput on concurrent
+	// transfers (per-chunk header reads defeat the buffered reader's
+	// large-read pass-through). A receiver takes any chunk length up
+	// to its payload limit.
 	DefaultBulkChunk = 512 << 10
 
 	// bulkChunkHdr is the chunk payload prologue: offset and CRC-32C.
@@ -178,6 +183,9 @@ type BulkCursor struct {
 
 // Done reports whether every byte has been written.
 func (c *BulkCursor) Done() bool { return c.sent == c.m.total }
+
+// Sent reports how many logical payload bytes have been written.
+func (c *BulkCursor) Sent() int { return c.sent }
 
 // bulkWriter is pooled scratch for WriteChunk's vectored write: the
 // 16-byte mux header and 8-byte chunk prologue share one contiguous

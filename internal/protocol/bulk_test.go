@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,50 +35,21 @@ func streamBulk(t *testing.T, w io.Writer, m *BulkMsg, seq uint32, limit int) {
 	}
 }
 
-// reassemble drives a Reassembler over the framed stream until the
-// message for seq completes.
-func reassemble(t *testing.T, r io.Reader, seq uint32, discard bool) *BulkDone {
+// reassemble reads the framed stream to its end and returns the one
+// message it carries — none in discard mode.
+func reassemble(t *testing.T, r io.Reader, discard bool) *BulkDone {
 	t.Helper()
-	br := bufio.NewReader(r)
-	ra := NewReassembler(0, 0)
-	defer ra.Close()
-	for {
-		typ, gotSeq, n, err := ReadMuxHeader(br, 0)
-		if err == io.EOF {
-			if discard {
-				return nil
-			}
-			t.Fatal("stream ended before bulk message completed")
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSeq != seq {
-			t.Fatalf("frame for seq %d, want %d", gotSeq, seq)
-		}
-		switch typ {
-		case MsgBulkBegin:
-			fb, err := ReadMuxPayload(br, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			berr := ra.Begin(seq, fb.Payload(), discard)
-			fb.Release()
-			if berr != nil {
-				t.Fatal(berr)
-			}
-		case MsgBulkChunk:
-			bd, err := ra.ReadChunk(br, seq, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bd != nil {
-				return bd
-			}
-		default:
-			t.Fatalf("unexpected frame %v in bulk stream", typ)
-		}
+	done, err := readBulkStream(r, 0, discard)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if discard && len(done) == 0 {
+		return nil
+	}
+	if len(done) != 1 {
+		t.Fatalf("stream carried %d complete bulk messages, want 1", len(done))
+	}
+	return done[0]
 }
 
 // TestBulkCallRequestChunkedRoundTrip pins the tentpole equivalence:
@@ -112,7 +84,7 @@ func TestBulkCallRequestChunkedRoundTrip(t *testing.T) {
 
 	var wire bytes.Buffer
 	streamBulk(t, &wire, m, 7, 4096)
-	bd := reassemble(t, &wire, 7, false)
+	bd := reassemble(t, &wire, false)
 	defer bd.FB.Release()
 	if bd.Type != MsgCall {
 		t.Fatalf("inner type %v", bd.Type)
@@ -174,7 +146,7 @@ func TestBulkSubmitRequestChunkedRoundTrip(t *testing.T) {
 	}
 	var wire bytes.Buffer
 	streamBulk(t, &wire, m, 3, 8192)
-	bd := reassemble(t, &wire, 3, false)
+	bd := reassemble(t, &wire, false)
 	defer bd.FB.Release()
 	if bd.Type != MsgSubmit {
 		t.Fatalf("inner type %v", bd.Type)
@@ -224,7 +196,7 @@ func TestBulkCallReplyChunkedRoundTrip(t *testing.T) {
 	}
 	var wire bytes.Buffer
 	streamBulk(t, &wire, m, 9, 2048)
-	bd := reassemble(t, &wire, 9, false)
+	bd := reassemble(t, &wire, false)
 	defer bd.FB.Release()
 	if bd.Type != MsgCallOK {
 		t.Fatalf("inner type %v", bd.Type)
@@ -437,7 +409,7 @@ func TestBulkDiscardMode(t *testing.T) {
 	var wire bytes.Buffer
 	streamBulk(t, &wire, m, 4, 64<<10)
 	before := OpenBulkReassemblies()
-	if bd := reassemble(t, &wire, 4, true); bd != nil {
+	if bd := reassemble(t, &wire, true); bd != nil {
 		t.Fatal("discard mode delivered a message")
 	}
 	if got := OpenBulkReassemblies(); got != before {
@@ -585,5 +557,121 @@ func TestBulkEncodeZeroCopy(t *testing.T) {
 	})
 	if bpo := res.AllocedBytesPerOp(); bpo > 64<<10 {
 		t.Fatalf("chunked encode allocates %d B/op for a 16 MiB call — the bulk argument is being copied", bpo)
+	}
+}
+
+// readBulkStream is the receiving side of a mux connection reduced to
+// its bulk handling: it reads v2 frames from r until r ends, feeding
+// begin, chunk and abort frames to one Reassembler (in discard mode if
+// asked) and skipping every other frame, and returns the messages
+// completed before the first error. A stream that ends between frames
+// is not an error.
+func readBulkStream(r io.Reader, maxPayload int, discard bool) (done []*BulkDone, err error) {
+	br := bufio.NewReader(r)
+	ra := NewReassembler(maxPayload, 0)
+	defer ra.Close()
+	for {
+		typ, seq, n, err := ReadMuxHeader(br, maxPayload)
+		if err == io.EOF {
+			return done, nil
+		}
+		if err != nil {
+			return done, err
+		}
+		if typ == MsgBulkChunk {
+			bd, err := ra.ReadChunk(br, seq, n)
+			if err != nil {
+				return done, err
+			}
+			if bd != nil {
+				done = append(done, bd)
+			}
+			continue
+		}
+		fb, err := ReadMuxPayload(br, n)
+		if err != nil {
+			return done, err
+		}
+		switch typ {
+		case MsgBulkBegin:
+			err = ra.Begin(seq, fb.Payload(), discard)
+		case MsgBulkAbort:
+			ra.Abort(seq)
+		}
+		fb.Release()
+		if err != nil {
+			return done, err
+		}
+	}
+}
+
+// chunkLimit draws a chunk limit from 1 to DefaultBulkChunk, every
+// power-of-two range equally likely, so single bytes and whole 512 KiB
+// chunks both turn up within one message.
+func chunkLimit(rng *rand.Rand) int {
+	return 1 + rng.Intn(1<<rng.Intn(20))
+}
+
+// TestBulkMixedChunkSizes: the sender may cut a message wherever it
+// likes — the mux writer sizes each chunk from the write rate it
+// observes, so no two need be alike. One multi-span message per round
+// goes through WriteChunk at a fresh limit per chunk; the receiver must
+// hand back the identical payload, and the same stream with one bit
+// flipped anywhere in one chunk's data or checksum must fail on that
+// chunk with the CRC error, delivering nothing.
+func TestBulkMixedChunkSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 24; round++ {
+		spans := make([][]byte, 1+rng.Intn(4))
+		var payload []byte
+		for i := range spans {
+			spans[i] = make([]byte, 1+rng.Intn(700<<10))
+			rng.Read(spans[i])
+			payload = append(payload, spans[i]...)
+		}
+		m := &BulkMsg{Type: MsgCall, Spans: spans, headLen: len(spans[0]), total: len(payload), le: hostLittle}
+		const seq = 9
+		var wire bytes.Buffer
+		fb := m.EncodeBegin()
+		if err := WriteMuxFrameBuf(&wire, MsgBulkBegin, seq, fb); err != nil {
+			t.Fatal(err)
+		}
+		fb.Release()
+		var starts, limits []int // per chunk: where its frame starts on the wire, the limit it was cut at
+		for cur, done := m.Cursor(), false; !done; {
+			limit, sent := chunkLimit(rng), cur.Sent()
+			starts, limits = append(starts, wire.Len()), append(limits, limit)
+			var err error
+			if done, err = cur.WriteChunk(&wire, seq, limit); err != nil {
+				t.Fatal(err)
+			}
+			if n := cur.Sent() - sent; n != min(limit, len(payload)-sent) {
+				t.Fatalf("round %d: WriteChunk at limit %d with %d bytes left wrote %d", round, limit, len(payload)-sent, n)
+			}
+		}
+		starts = append(starts, wire.Len())
+
+		got, err := readBulkStream(bytes.NewReader(wire.Bytes()), 0, false)
+		if err != nil || len(got) != 1 {
+			t.Fatalf("round %d (limits %v): %d messages, err %v", round, limits, len(got), err)
+		}
+		if !bytes.Equal(got[0].FB.Payload(), payload) || got[0].Bulk.HeadLen != m.headLen || got[0].Type != m.Type {
+			t.Fatalf("round %d (limits %v): reassembled message differs from the one sent", round, limits)
+		}
+		got[0].FB.Release()
+
+		// One bit, in the checksum or the data of one chunk: everything
+		// in its frame past the mux header and the offset word.
+		k := rng.Intn(len(limits))
+		lo, hi := starts[k]+headerSize+4, starts[k+1]
+		raw := bytes.Clone(wire.Bytes())
+		raw[lo+rng.Intn(hi-lo)] ^= 1 << rng.Intn(8)
+		got, err = readBulkStream(bytes.NewReader(raw), 0, false)
+		if err == nil || !strings.Contains(err.Error(), "CRC mismatch") || len(got) != 0 {
+			t.Fatalf("round %d: bit flipped in chunk %d of %d: %d messages, err %v; want the CRC error", round, k, len(limits), len(got), err)
+		}
+		if n := OpenBulkReassemblies(); n != 0 {
+			t.Fatalf("round %d: %d reassemblies left open", round, n)
+		}
 	}
 }

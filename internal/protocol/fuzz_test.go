@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"ninf/internal/idl"
@@ -94,22 +93,56 @@ func FuzzJournalRecord(f *testing.F) {
 	})
 }
 
-// FuzzFrameStream feeds random bytes as a stream of frames; the reader
-// must terminate (EOF or error) without panic.
+// FuzzFrameStream feeds random bytes as a stream of frames, to the
+// lockstep reader and to the mux reader with its bulk reassembly; each
+// must terminate (EOF or error) without panic, and a stream's end must
+// leave no reassembly buffer behind.
 func FuzzFrameStream(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, MsgPing, nil)
 	WriteFrame(&buf, MsgList, nil)
 	f.Add(buf.Bytes())
+	// Chunked streams as the mux writer cuts them: no two chunks of a
+	// message the same size, a whole frame and a second stream's chunks
+	// between them, and one stream given up half-sent.
+	payload := bytes.Repeat([]byte("mixed chunk sizes "), 200)
+	for _, limits := range [][]int{{1, 7, 512, 100, 2048, 3, 4096}, {4096}, {1}, {900, 30}} {
+		buf.Reset()
+		a, b := RawBulkMsg(MsgCall, payload), RawBulkMsg(MsgCallOK, payload[:1500])
+		ca, cb := a.Cursor(), b.Cursor()
+		for _, m := range []struct {
+			msg *BulkMsg
+			seq uint32
+		}{{a, 1}, {b, 2}} {
+			fb := m.msg.EncodeBegin()
+			WriteMuxFrameBuf(&buf, MsgBulkBegin, m.seq, fb)
+			fb.Release()
+		}
+		for i := 0; !ca.Done(); i++ {
+			ca.WriteChunk(&buf, 1, limits[i%len(limits)])
+			WriteMuxFrame(&buf, MsgPing, 3, nil)
+			if i == 1 {
+				WriteMuxFrame(&buf, MsgBulkAbort, 2, nil)
+			} else if i < 1 {
+				cb.WriteChunk(&buf, 2, limits[(i+1)%len(limits)])
+			}
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for i := 0; i < 100; i++ {
 			if _, _, err := ReadFrame(r, 1<<16); err != nil {
-				if err == io.EOF {
-					return
-				}
-				return
+				break
 			}
+		}
+		open := OpenBulkReassemblies()
+		done, _ := readBulkStream(bytes.NewReader(data), 1<<16, false)
+		for _, bd := range done {
+			bd.FB.Release()
+		}
+		if n := OpenBulkReassemblies(); n != open {
+			t.Fatalf("open reassemblies %d → %d across one stream", open, n)
 		}
 	})
 }
