@@ -94,11 +94,12 @@ func TestTruncatedReplyLeavesArgumentsAsSent(t *testing.T) {
 		newB[i], newC[i] = float64(3*i), float64(7*i)+0.25
 	}
 	aSent, bSent := append([]float64(nil), a...), append([]float64(nil), b...)
-	full, err := protocol.EncodeCallReply(infos[0], protocol.Timings{Enqueue: 1, Dequeue: 2, Complete: 3},
-		[]idl.Value{int64(n), a, newB, newC})
+	_, fb, err := protocol.EncodeReply(infos[0], protocol.Timings{Enqueue: 1, Dequeue: 2, Complete: 3},
+		[]idl.Value{int64(n), a, newB, newC}, protocol.Shape{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := protocol.CopyOut(fb)
 	srv := &truncatingServer{info: infos[0], full: full}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -84,7 +84,7 @@ func (d *haDaemon) kill() {
 type haWorld struct {
 	metas     []*metaserver.Metaserver
 	daemons   []*haDaemon
-	stops     []func() // per-replica gossip + monitor loops
+	stops     []func()             // per-replica gossip + monitor loops
 	injectors []*faultnet.Injector // client→meta links, per replica
 	names     []string             // server names
 }

@@ -69,14 +69,14 @@ func TestCanaryFeatGate(t *testing.T) {
 	runCanary(t, analysis.FeatGate, map[string]string{
 		"proto/proto.go": `package proto
 
-func EncodeCallRequestChunks(x int) []byte { return make([]byte, x) }
+func BulkShape(threshold int) int { return threshold }
 `,
 		"canary.go": `package canary
 
 import "fixture/@BASE@/proto"
 
-func send() []byte {
-	return proto.EncodeCallRequestChunks(1)
+func shape() int {
+	return proto.BulkShape(1)
 }
 `,
 	}, `requires negotiated feature level "bulk" but no gate`)

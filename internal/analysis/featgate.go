@@ -9,12 +9,15 @@ import (
 
 // FeatGate enforces negotiated-feature gating: constructing or sending
 // a feature-gated message must be dominated by a check of the
-// negotiated protocol level. Two classes exist today. Class "bulk"
+// negotiated protocol level. Class "bulk"
 // (feature level 3, protocol.MuxVersionBulk) covers the chunked
-// streaming surface: the chunked encoders, RawBulkMsg, RoundtripBulk,
-// and the MsgBulkBegin/MsgBulkChunk/MsgBulkAbort wire constants on
-// their construction/send side (receive-side case labels and
-// comparisons are exempt — decoding what a peer sent is always legal).
+// streaming surface: BulkShape — the only way to make the argument
+// encoder emit segments — and the chunked fronts over it, RawBulkMsg,
+// RoundtripBulk, and the MsgBulkBegin/MsgBulkChunk/MsgBulkAbort wire
+// constants on their construction/send side (receive-side case labels
+// and comparisons are exempt — decoding what a peer sent is always
+// legal). Class "cache" (level 4) likewise roots at DigestShape, the
+// digest query and data-handle encoders and their wire constants.
 // Class "mux" (version 2) covers the v2 framing primitives that carry
 // the multiplexed header and the deadline/RetryAfter trailers:
 // StampMux, WriteMuxFrame(Buf), WriteStampedFrames, ReadMuxFrameBuf.
@@ -27,7 +30,7 @@ import (
 // wrappers are whitelisted by shape, one hop interprocedurally: a
 // function whose own uses are ungated is discharged when it has
 // in-package callers and every call site is dominated (the
-// encodeRequestChunks pattern), and it is published as requiring a
+// Client.digestShape pattern), and it is published as requiring a
 // gate so out-of-package callers inherit the obligation via facts.
 //
 // Exemptions: the defining package of a root (the protocol encoders
@@ -43,14 +46,14 @@ var FeatGate = &Analyzer{
 
 // featRoots maps root function/constant names to their feature class.
 var featRoots = map[string]string{
-	"EncodeCallRequestChunks":   "bulk",
-	"EncodeSubmitRequestChunks": "bulk",
-	"EncodeCallReplyChunks":     "bulk",
-	"RawBulkMsg":                "bulk",
-	"RoundtripBulk":             "bulk",
-	"MsgBulkBegin":              "bulk",
-	"MsgBulkChunk":              "bulk",
-	"MsgBulkAbort":              "bulk",
+	"BulkShape":               "bulk",
+	"EncodeCallRequestChunks": "bulk",
+	"EncodeCallReplyChunks":   "bulk",
+	"RawBulkMsg":              "bulk",
+	"RoundtripBulk":           "bulk",
+	"MsgBulkBegin":            "bulk",
+	"MsgBulkChunk":            "bulk",
+	"MsgBulkAbort":            "bulk",
 
 	"StampMux":           "mux",
 	"WriteMuxFrame":      "mux",
@@ -58,6 +61,7 @@ var featRoots = map[string]string{
 	"WriteStampedFrames": "mux",
 	"ReadMuxFrameBuf":    "mux",
 
+	"DigestShape":                "cache",
 	"EncodeCallRequestDigest":    "cache",
 	"CallRequestDigests":         "cache",
 	"EncodeDigestQueryBuf":       "cache",

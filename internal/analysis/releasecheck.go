@@ -9,7 +9,7 @@ import (
 
 // ReleaseCheck enforces the pooled-buffer ownership protocol of the
 // data plane: every value obtained from a pool-returning call
-// (ReadFrameBuf, EncodeCallRequestBuf, EncodeCallReplyBuf, EncodeBuf,
+// (ReadFrameBuf, EncodeRequest, EncodeReply, EncodeBuf,
 // AcquireBuffer, acquireDecoder — recognized structurally as any call
 // returning a pointer type with a Release/release method) must reach a
 // Release call, an ownership transfer (returned, passed to a consuming

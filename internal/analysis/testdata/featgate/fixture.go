@@ -21,6 +21,12 @@ func badUngated(n int) error {
 	return err
 }
 
+// Positive: a bulk shape built before anything was negotiated; the
+// zero Shape needs no gate.
+func badUngatedShape(n int) (protocol.Shape, protocol.Shape) {
+	return protocol.Shape{}, protocol.BulkShape(n) // want `BulkShape requires negotiated feature level "bulk" but no gate`
+}
+
 // Negative: dominated by the capability accessor.
 func goodGated(s *Sess, n int) error {
 	if s.Bulk() {

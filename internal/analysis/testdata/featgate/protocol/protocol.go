@@ -28,6 +28,13 @@ func EncodeCallRequestChunks(n int) (*BulkMsg, error) {
 	return &BulkMsg{N: n}, nil
 }
 
+// Shape stands in for the argument encoder's placement value.
+type Shape struct{ Threshold int }
+
+// BulkShape is a class-"bulk" root by name: the only way to a shape
+// that makes the encoder emit segments.
+func BulkShape(threshold int) Shape { return Shape{Threshold: threshold} }
+
 type Digest struct{ Hi, Lo uint64 }
 
 type Buffer struct{ b []byte }

@@ -32,8 +32,8 @@ type metaHACell struct {
 	Mode      string  `json:"mode"`  // "ha3" or "single"
 	Phase     string  `json:"phase"` // "before", "during", "after"
 	Seconds   float64 `json:"seconds"`
-	Calls     int64   `json:"calls"`     // verified completed calls
-	Failed    int64   `json:"failed"`    // transactions that gave up
+	Calls     int64   `json:"calls"`  // verified completed calls
+	Failed    int64   `json:"failed"` // transactions that gave up
 	GoodputPS float64 `json:"goodput_per_s"`
 	Degraded  int64   `json:"degraded_placements"`
 }

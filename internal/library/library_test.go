@@ -51,7 +51,7 @@ func invoke(t *testing.T, name string, args ...idl.Value) []idl.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := protocol.DecodeCallArgs(ex.Info, rest)
+	decoded, _, err := protocol.DecodeCallArgsPooled(ex.Info, rest, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

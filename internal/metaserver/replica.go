@@ -82,6 +82,7 @@ func (l *originLog) has(seq uint64) bool {
 // seq its origin consumed but never delivered — e.g. a client burned a
 // seq on a report dropped during a total outage) can never grow the
 // log without bound.
+//
 //ninflint:hotpath — watermark advance and pruning run per applied record
 func (l *originLog) add(rec protocol.GossipRecord) {
 	l.recs[rec.Seq] = rec
@@ -224,6 +225,7 @@ func (m *Metaserver) digestLocked() []protocol.GossipDigest {
 // watermark. Seqs inside the peer's gap windows are re-sent and
 // deduplicated there — anti-entropy trades a little redundancy for
 // convergence without per-seq bookkeeping. Callers hold m.mu.
+//
 //ninflint:hotpath — runs under m.mu every gossip round, over every retained record
 func (m *Metaserver) missingLocked(peerDigest []protocol.GossipDigest) []protocol.GossipRecord {
 	// An origin absent from the digest has floor zero: the peer gets
@@ -261,6 +263,7 @@ func (m *Metaserver) missingLocked(peerDigest []protocol.GossipDigest) []protoco
 // (origin, seq). Records are applied in per-origin sequence order so
 // order-sensitive effects (breaker streaks) see each origin's stream
 // as it was produced. Callers hold m.mu.
+//
 //ninflint:hotpath — the apply loop handles every inbound gossip record under m.mu
 func (m *Metaserver) applyLocked(recs []protocol.GossipRecord) int {
 	if len(recs) == 0 {
@@ -511,6 +514,7 @@ func (m *Metaserver) GossipOnce() int {
 
 // writeGossipFrame writes one encoded gossip message from a pooled
 // frame buffer — the zero-copy send shared by both exchange sides.
+//
 //ninflint:owner borrow — fb is only written; the caller keeps ownership and Releases it
 func writeGossipFrame(conn net.Conn, t protocol.MsgType, fb *protocol.Buffer) error {
 	return protocol.WriteFrameBuf(conn, t, fb)

@@ -71,7 +71,7 @@ func TestHostileCountWordAllocatesNothing(t *testing.T) {
 		// only the missing bytes give the payload away.
 		for _, n := range []int64{1, 1 << 27} {
 			var err error
-			got := totalAlloc(func() { _, err = DecodeCallArgs(info, hostileArgs(n)) })
+			got := totalAlloc(func() { _, _, err = DecodeCallArgsPooled(info, hostileArgs(n), nil, nil, nil) })
 			if err == nil {
 				t.Errorf("%s n=%d: hostile request decoded", info.Name, n)
 			}
@@ -112,7 +112,7 @@ func TestCountWordHeldToIDL(t *testing.T) {
 	for _, count := range []uint32{2, 4} {
 		bad := append([]byte(nil), rest...)
 		binary.BigEndian.PutUint32(bad[8:], count)
-		if _, err := DecodeCallArgs(info, bad); err == nil || !strings.Contains(err.Error(), "IDL dimensions give 3") {
+		if _, _, err := DecodeCallArgsPooled(info, bad, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "IDL dimensions give 3") {
 			t.Errorf("count word %d against IDL count 3: %v", count, err)
 		}
 	}

@@ -97,7 +97,7 @@ func TestBulkCallRequestChunkedRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Fatalf("name %q", name)
 	}
-	vals, deadline, err := DecodeCallArgsDeadlineBulk(info, rest, &bd.Bulk)
+	vals, deadline, err := DecodeCallArgsPooled(info, rest, &bd.Bulk, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBulkSubmitRequestChunkedRoundTrip(t *testing.T) {
 		b[i] = 1
 	}
 	req := &CallRequest{Name: "dmmul", Args: []idl.Value{int64(n), a, b, nil}}
-	m, err := EncodeSubmitRequestChunks(info, req, 0xdeadbeefcafe, 1024)
+	m, _, err := EncodeRequest(info, MsgSubmit, req, 0xdeadbeefcafe, BulkShape(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestBulkSubmitRequestChunkedRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Fatalf("name %q", name)
 	}
-	vals, err := DecodeCallArgsBulk(info, rest, &bd.Bulk)
+	vals, _, err := DecodeCallArgsPooled(info, rest, &bd.Bulk, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestMonolithicDecodeRejectsMarkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeCallArgsDeadline(info, rest); err == nil {
+	if _, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil); err == nil {
 		t.Fatal("monolithic decode accepted a bulk-marker head")
 	}
 }

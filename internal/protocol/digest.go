@@ -179,9 +179,9 @@ func NormalizeSegmentLE(seg []byte, le bool, elem int) []byte {
 }
 
 // CallRequestDigests computes the digests of the call's bulk-eligible
-// arguments (encoded size ≥ threshold) in parameter order — the same
-// traversal EncodeCallRequestDigest uses, so the returned list feeds
-// straight back into it without hashing twice. Empty when nothing is
+// arguments (encoded size ≥ threshold) in parameter order — the order
+// the encoder consumes them in, so the returned list goes into
+// DigestShape without hashing twice. Empty when nothing is
 // bulk-eligible.
 func CallRequestDigests(info *idl.Info, req *CallRequest, threshold int) ([]Digest, error) {
 	if threshold <= 0 {
@@ -207,120 +207,23 @@ func CallRequestDigests(info *idl.Info, req *CallRequest, threshold int) ([]Dige
 	return digs, nil
 }
 
-// EncodeCallRequestDigest serializes a level-4 call: bulk-eligible
-// arguments whose digest the server already holds (warm) become digest
-// markers carrying no bytes; cold ones ride as level-3 zero-copy bulk
-// segments; everything else is normal XDR. digs must come from
-// CallRequestDigests for the same request and threshold. Exactly one of
-// the two returns is non-nil: a *BulkMsg when at least one cold segment
-// must stream, else a monolithic *Buffer (possibly containing digest
-// markers, which the server resolves via a synthesized BulkInfo).
+// EncodeCallRequestDigest is EncodeRequest under DigestShape(threshold,
+// digs, warm applied to each of digs) (pinned by benchmark/layers.go,
+// like the fronts in messages.go; warmFlags goes with it).
 func EncodeCallRequestDigest(info *idl.Info, req *CallRequest, keyed bool, key uint64, threshold int, digs []Digest, warm func(Digest) bool) (*BulkMsg, *Buffer, error) {
-	if len(req.Args) != len(info.Params) {
-		return nil, nil, fmt.Errorf("protocol: %s takes %d arguments, got %d", info.Name, len(info.Params), len(req.Args))
-	}
-	counts, err := info.DimSizes(req.Args)
-	if err != nil {
-		return nil, nil, err
-	}
-	size := xdr.SizeString(len(req.Name))
-	if keyed {
-		size += 8
-	}
-	if req.Deadline != 0 {
-		size += 12
-	}
-	if req.Retain {
-		size += 8
-	}
-	nbulk, ncold, di := 0, 0, 0
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.Mode.Ships(false) {
-			continue
-		}
-		if s := bulkSpanFor(p, req.Args[i]); threshold > 0 && len(s) >= threshold {
-			if di >= len(digs) {
-				return nil, nil, fmt.Errorf("protocol: %s: digest list too short", info.Name)
-			}
-			nbulk++
-			if warm != nil && warm(digs[di]) {
-				size += 20 // marker word + 128-bit digest
-			} else {
-				ncold++
-				size += 8 // marker word + offset
-			}
-			di++
-		} else {
-			size += argSize(p, counts[i], req.Args[i])
-		}
-	}
-	if di != len(digs) {
-		return nil, nil, fmt.Errorf("protocol: %s: digest list has %d entries, call has %d bulk arguments", info.Name, len(digs), di)
-	}
-	fb := AcquireBuffer(size)
-	e := fb.Encoder()
-	if keyed {
-		e.PutUint64(key)
-	}
-	e.PutString(req.Name)
-	spans := make([][]byte, 1, 1+ncold) // spans[0] becomes the head
-	patches := make([]int, 0, ncold)
-	di = 0
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.Mode.Ships(false) {
-			continue
-		}
-		if s := bulkSpanFor(p, req.Args[i]); threshold > 0 && len(s) >= threshold {
-			d := digs[di]
-			di++
-			if warm != nil && warm(d) {
-				elem := bulkElemSize(p.Type)
-				if n := len(s) / elem; n != counts[i] {
-					fb.Release()
-					return nil, nil, fmt.Errorf("protocol: %s argument %q: array length %d, IDL dimensions give %d", info.Name, p.Name, n, counts[i])
-				}
-				e.PutUint32(uint32(counts[i]) | bulkArgFlag | bulkDigestFlag)
-				e.PutUint64(d.Hi)
-				e.PutUint64(d.Lo)
-				continue
-			}
-			if err := putBulkMarker(e, fb, p, counts[i], s, &spans, &patches); err != nil {
-				fb.Release()
-				return nil, nil, fmt.Errorf("protocol: %s argument %q: %w", info.Name, p.Name, err)
-			}
-			continue
-		}
-		if err := encodeArg(e, p, counts[i], req.Args[i]); err != nil {
-			fb.Release()
-			return nil, nil, fmt.Errorf("protocol: %s argument %q: %w", info.Name, p.Name, err)
-		}
-	}
-	if req.Deadline != 0 {
-		e.PutUint32(callDeadlineMagic)
-		e.PutInt64(req.Deadline)
-	}
-	if req.Retain {
-		e.PutUint32(callRetainMagic)
-		e.PutUint32(1)
-	}
-	if ncold == 0 {
-		// Everything warm (or inline): a monolithic frame. A zero-
-		// segment BulkMsg would never complete reassembly, so head-only
-		// level-4 calls always go monolithic.
-		if err := e.Err(); err != nil {
-			fb.Release()
-			return nil, nil, err
-		}
-		return nil, fb, nil
-	}
 	t := MsgCall
 	if keyed {
 		t = MsgSubmit
 	}
-	bm, err := finishBulkMsg(t, fb, e, spans, patches)
-	return bm, nil, err
+	return EncodeRequest(info, t, req, key, DigestShape(threshold, digs, warmFlags(digs, warm)))
+}
+
+func warmFlags(digs []Digest, warm func(Digest) bool) []bool {
+	flags := make([]bool, len(digs))
+	for i, d := range digs {
+		flags[i] = warm != nil && warm(d)
+	}
+	return flags
 }
 
 // DecodeLEInto decodes little-endian element bytes (a data-handle

@@ -7,8 +7,9 @@ package protocol
 // markers at the same threshold with none, some and all of the eligible
 // arrays warm — and the result is compared with testdata/encode.golden.
 // The file was generated from the five per-placement encoders before
-// they became one traversal; it is what "the encoder's bytes did not
-// change" means. Regenerate with
+// they became one traversal (the plain chunked request then dropped the
+// retain trailer; those rows are the only ones regenerated since); it is
+// what "the encoder's bytes did not change" means. Regenerate with
 //
 //	go test ./internal/protocol -run EncodeGolden -update
 //
@@ -119,46 +120,17 @@ func goldenArgs(t *testing.T, info *idl.Info) []idl.Value {
 	return args
 }
 
-// encodeGoldenRow encodes one request row the way a peer that
-// negotiated sh does.
-func encodeGoldenRow(info *idl.Info, req *CallRequest, keyed bool, key uint64, sh goldenShape) (*BulkMsg, *Buffer, error) {
-	if sh.digest {
-		digs, err := CallRequestDigests(info, req, sh.threshold)
-		if err != nil {
-			return nil, nil, err
-		}
-		pos := make(map[Digest]int, len(digs))
-		for i, d := range digs {
-			pos[d] = i
-		}
-		return EncodeCallRequestDigest(info, req, keyed, key, sh.threshold, digs, func(d Digest) bool { return sh.warm(pos[d]) })
+// shape builds the Shape a peer that negotiated sh encodes req under.
+func (sh goldenShape) shape(info *idl.Info, req *CallRequest) (Shape, error) {
+	if !sh.digest {
+		return BulkShape(sh.threshold), nil
 	}
-	var bm *BulkMsg
-	var err error
-	if keyed {
-		bm, err = EncodeSubmitRequestChunks(info, req, key, sh.threshold)
-	} else {
-		bm, err = EncodeCallRequestChunks(info, req, sh.threshold)
+	digs, err := CallRequestDigests(info, req, sh.threshold)
+	warm := make([]bool, len(digs))
+	for i := range warm {
+		warm[i] = sh.warm(i)
 	}
-	if bm != nil || err != nil {
-		return bm, nil, err
-	}
-	if keyed {
-		fb, err := EncodeSubmitRequestBuf(info, req, key)
-		return nil, fb, err
-	}
-	fb, err := EncodeCallRequestBuf(info, req)
-	return nil, fb, err
-}
-
-// encodeGoldenReply is encodeGoldenRow for the reply direction.
-func encodeGoldenReply(info *idl.Info, tm Timings, args []idl.Value, sh goldenShape) (*BulkMsg, *Buffer, error) {
-	bm, err := EncodeCallReplyChunks(info, tm, args, sh.threshold)
-	if bm != nil || err != nil {
-		return bm, nil, err
-	}
-	fb, err := EncodeCallReplyBuf(info, tm, args)
-	return nil, fb, err
+	return DigestShape(sh.threshold, digs, warm), err
 }
 
 // placements reads a head back with nothing but the IDL and reports
@@ -249,23 +221,27 @@ func TestEncodeGolden(t *testing.T) {
 	for _, info := range infos {
 		args := goldenArgs(t, info)
 		for _, keyed := range []bool{false, true} {
-			kind, lead := "call", xdr.SizeString(len(info.Name))
+			kind, mt, lead := "call", MsgCall, xdr.SizeString(len(info.Name))
 			if keyed {
-				kind, lead = "submit", lead+8
+				kind, mt, lead = "submit", MsgSubmit, lead+8
 			}
 			for _, deadline := range []int64{0, 1234567890123} {
 				for _, retain := range []bool{false, true} {
 					for _, sh := range goldenShapes {
 						row := fmt.Sprintf("%s/%s/deadline=%t/retain=%t/%s", info.Name, kind, deadline != 0, retain, sh.name)
 						req := &CallRequest{Name: info.Name, Args: args, Deadline: deadline, Retain: retain}
-						bm, fb, err := encodeGoldenRow(info, req, keyed, key, sh)
+						shape, err := sh.shape(info, req)
+						if err != nil {
+							t.Fatalf("%s: %v", row, err)
+						}
+						bm, fb, err := EncodeRequest(info, mt, req, key, shape)
 						got.WriteString(goldenLine(t, row, info, lead, false, bm, fb, err))
 					}
 				}
 			}
 		}
 		for _, sh := range goldenShapes[:2] {
-			bm, fb, err := encodeGoldenReply(info, tm, args, sh)
+			bm, fb, err := EncodeReply(info, tm, args, BulkShape(sh.threshold))
 			got.WriteString(goldenLine(t, info.Name+"/reply/"+sh.name, info, 24, true, bm, fb, err))
 		}
 	}

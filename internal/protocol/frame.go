@@ -242,6 +242,19 @@ func (fb *Buffer) Release() {
 	bufPools[ci].Put(fb)
 }
 
+// CopyOut returns a caller-owned copy of fb's payload and releases fb:
+// for the payloads that outlive their frame (a journal record, a stored
+// two-phase reply). A nil buffer gives nil, so it composes with an
+// encoder's (buffer, error) return.
+func CopyOut(fb *Buffer) []byte {
+	if fb == nil {
+		return nil
+	}
+	p := append([]byte(nil), fb.Payload()...)
+	fb.Release()
+	return p
+}
+
 // Len reports the current payload length.
 func (fb *Buffer) Len() int { return len(fb.b) - headerSize }
 

@@ -45,7 +45,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	infos := echoInfos(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, info := range infos {
-			DecodeCallArgs(info, data)
+			DecodeCallArgsPooled(info, data, nil, nil, nil)
 			DecodeCallReply(info, []idl.Value{int64(len(data)), nil, nil}, data)
 			into := []any{nil, nil, make([]float64, len(data))}
 			DecodeCallReplyInto(info, []idl.Value{int64(len(data)), nil, nil}, into, data, nil)

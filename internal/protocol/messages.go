@@ -19,9 +19,7 @@ func bytesReader(p []byte) io.Reader { return bytes.NewReader(p) }
 func encodePayload(sizeHint int, fn func(e *xdr.Encoder)) []byte {
 	fb := AcquireBuffer(sizeHint)
 	fn(fb.Encoder())
-	p := append([]byte(nil), fb.Payload()...)
-	fb.Release()
-	return p
+	return CopyOut(fb)
 }
 
 // payloadDecoder is a pooled XDR decoder reading a payload in place.
@@ -176,89 +174,236 @@ func argSize(p *idl.Param, count int, v idl.Value) int {
 	return 4
 }
 
-// EncodeCallRequestBuf serializes a call against its interface into a
-// pooled frame buffer sized for the payload. The caller owns the
-// buffer and must Release it (normally right after WriteFrameBuf).
-func EncodeCallRequestBuf(info *idl.Info, req *CallRequest) (*Buffer, error) {
-	return encodeCallRequestBuf(info, req, false, 0)
+// A Shape says where an encoded message may put its array arguments —
+// the one thing the peer's negotiated level changes about encoding. The
+// zero Shape puts every array inline behind its count word: levels 1–2,
+// lockstep connections, journal records. BulkShape and DigestShape build
+// the other two; each side builds its Shape once per message from what
+// the session negotiated. locateArray is the decode-side mirror.
+type Shape struct {
+	threshold int      // > 0: arrays of at least this many bytes leave the head
+	digest    bool     // digs and warm list those arrays, in parameter order
+	digs      []Digest // what a marker carries
+	warm      []bool   // true: the peer holds it, the 20-byte marker suffices
 }
 
-// EncodeSubmitRequestBuf serializes a MsgSubmit payload — the client's
-// idempotency key followed by the call request — into a pooled frame
-// buffer. The server dedupes re-submissions carrying the same key, so
-// a transport-level retry of a delivered-but-unanswered submit is
-// answered with the already-admitted job instead of executing twice.
-func EncodeSubmitRequestBuf(info *idl.Info, req *CallRequest, key uint64) (*Buffer, error) {
-	return encodeCallRequestBuf(info, req, true, key)
+// BulkShape is the level-3 shape: an array whose elements reach
+// threshold bytes rides as a zero-copy segment behind the head, which
+// keeps a marker word and the segment's offset. A threshold ≤ 0 is the
+// zero Shape.
+func BulkShape(threshold int) Shape { return Shape{threshold: threshold} }
+
+// DigestShape is the level-4 shape: BulkShape, except that an eligible
+// array the peer's argument cache already holds becomes a digest marker
+// carrying no bytes. digs must come from CallRequestDigests for the same
+// request and threshold; warm[i] says whether the peer holds digs[i].
+func DigestShape(threshold int, digs []Digest, warm []bool) Shape {
+	return Shape{threshold: threshold, digest: true, digs: digs, warm: warm}
 }
 
-func encodeCallRequestBuf(info *idl.Info, req *CallRequest, keyed bool, key uint64) (*Buffer, error) {
-	if len(req.Args) != len(info.Params) {
-		return nil, fmt.Errorf("protocol: %s takes %d arguments, got %d", info.Name, len(info.Params), len(req.Args))
+// envelope is what surrounds the argument vector in a message: a reply
+// leads with the server's timings; a request leads with the routine
+// name, a submit's idempotency key ahead of that, and ends with the
+// optional deadline and retain trailers.
+type envelope struct {
+	t        MsgType // MsgCall, MsgSubmit or MsgCallOK
+	tm       Timings
+	key      uint64
+	name     string
+	deadline int64
+	retain   bool
+}
+
+func (env *envelope) size() int {
+	if env.t == MsgCallOK {
+		return 24 // three int64 timings
 	}
-	counts, err := info.DimSizes(req.Args)
-	if err != nil {
-		return nil, err
-	}
-	size := xdr.SizeString(len(req.Name))
-	if keyed {
+	size := xdr.SizeString(len(env.name))
+	if env.t == MsgSubmit {
 		size += 8
 	}
-	if req.Deadline != 0 {
+	if env.deadline != 0 {
 		size += 12
 	}
-	if req.Retain {
+	if env.retain {
 		size += 8
 	}
-	for i := range info.Params {
-		p := &info.Params[i]
-		if p.Mode.Ships(false) {
-			size += argSize(p, counts[i], req.Args[i])
-		}
+	return size
+}
+
+func (env *envelope) putLead(e *xdr.Encoder) {
+	switch env.t {
+	case MsgCallOK:
+		env.tm.encode(e)
+		return
+	case MsgSubmit:
+		e.PutUint64(env.key)
 	}
-	fb := AcquireBuffer(size)
-	e := fb.Encoder()
-	if keyed {
-		e.PutUint64(key)
-	}
-	e.PutString(req.Name)
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.Mode.Ships(false) {
-			continue
-		}
-		if err := encodeArg(e, p, counts[i], req.Args[i]); err != nil {
-			fb.Release()
-			return nil, fmt.Errorf("protocol: %s argument %q: %w", info.Name, p.Name, err)
-		}
-	}
-	if req.Deadline != 0 {
+	e.PutString(env.name)
+}
+
+func (env *envelope) putTrailers(e *xdr.Encoder) {
+	if env.deadline != 0 {
 		e.PutUint32(callDeadlineMagic)
-		e.PutInt64(req.Deadline)
+		e.PutInt64(env.deadline)
 	}
-	if req.Retain {
+	if env.retain {
 		e.PutUint32(callRetainMagic)
 		e.PutUint32(1)
 	}
-	if err := e.Err(); err != nil {
-		fb.Release()
-		return nil, err
-	}
-	return fb, nil
 }
 
-// EncodeCallRequest serializes a call against its interface, returning
-// a caller-owned byte slice. Hot paths should prefer
-// EncodeCallRequestBuf, which reuses pooled buffers and avoids the
-// copy made here.
-func EncodeCallRequest(info *idl.Info, req *CallRequest) ([]byte, error) {
-	fb, err := EncodeCallRequestBuf(info, req)
-	if err != nil {
-		return nil, err
+// Where one shipped argument goes.
+const (
+	placeInline  uint8 = iota // XDR in the head
+	placeSegment              // marker word + offset in the head, elements in a segment span
+	placeDigest               // marker word + digest in the head, elements in the peer's cache
+)
+
+// EncodeRequest serializes a MsgCall or MsgSubmit payload — for a
+// submit the client's idempotency key, by which the server dedupes a
+// transport-level retry, then the routine name, every in-shipping
+// argument per the IDL, and the trailers — placing arrays as sh allows.
+// Exactly one of the two returns is non-nil: a *BulkMsg when at least
+// one segment must stream, else a pooled *Buffer holding the whole
+// payload (digest markers included; a zero-segment BulkMsg would never
+// complete reassembly). The caller owns and Releases either; a BulkMsg's
+// segment spans alias req.Args, which must stay unmutated until the send
+// completes.
+func EncodeRequest(info *idl.Info, t MsgType, req *CallRequest, key uint64, sh Shape) (*BulkMsg, *Buffer, error) {
+	env := envelope{t: t, key: key, name: req.Name, deadline: req.Deadline, retain: req.Retain}
+	return encodeMessage(info, &env, req.Args, sh)
+}
+
+// EncodeReply serializes a MsgCallOK payload — server-side timings
+// followed by the out-shipping arguments — under the same contract as
+// EncodeRequest: segment spans alias args until the reply is written.
+func EncodeReply(info *idl.Info, tm Timings, args []idl.Value, sh Shape) (*BulkMsg, *Buffer, error) {
+	env := envelope{t: MsgCallOK, tm: tm}
+	return encodeMessage(info, &env, args, sh)
+}
+
+// encodeMessage is the one traversal that writes an argument vector.
+//
+//ninflint:hotpath
+func encodeMessage(info *idl.Info, env *envelope, args []idl.Value, sh Shape) (*BulkMsg, *Buffer, error) {
+	if len(args) != len(info.Params) {
+		return nil, nil, fmt.Errorf("protocol: %s takes %d arguments, got %d", info.Name, len(info.Params), len(args))
 	}
-	p := append([]byte(nil), fb.Payload()...)
-	fb.Release()
-	return p, nil
+	counts, err := info.DimSizes(args)
+	if err != nil {
+		return nil, nil, err
+	}
+	reply, what := env.t == MsgCallOK, "argument"
+	if reply {
+		what = "result"
+	}
+	// First pass: place every shipped argument, so the buffer is acquired
+	// in its final size class and span bookkeeping exists only when a
+	// segment does.
+	var few [8]uint8 // keeps the usual call's bookkeeping off the heap
+	where := few[:]
+	if len(info.Params) > len(few) {
+		where = make([]uint8, len(info.Params))
+	}
+	size, nseg, di := env.size(), 0, 0
+	for i := range info.Params {
+		p := &info.Params[i]
+		if !p.Mode.Ships(reply) {
+			continue
+		}
+		span := bulkSpanFor(p, args[i])
+		if sh.threshold <= 0 || len(span) < sh.threshold {
+			size += argSize(p, counts[i], args[i])
+			continue
+		}
+		if n := len(span) / bulkElemSize(p.Type); n != counts[i] {
+			return nil, nil, fmt.Errorf("protocol: %s %s %q: array length %d, IDL dimensions give %d", info.Name, what, p.Name, n, counts[i])
+		}
+		where[i] = placeSegment
+		if sh.digest {
+			if di >= len(sh.digs) || di >= len(sh.warm) {
+				return nil, nil, fmt.Errorf("protocol: %s: digest list too short", info.Name)
+			}
+			if sh.warm[di] {
+				where[i] = placeDigest
+			}
+			di++
+		}
+		if where[i] == placeDigest {
+			size += 20 // marker word + 128-bit digest
+		} else {
+			size += 8 // marker word + offset
+			nseg++
+		}
+	}
+	if di != len(sh.digs) {
+		return nil, nil, fmt.Errorf("protocol: %s: digest list has %d entries, call has %d bulk arguments", info.Name, len(sh.digs), di)
+	}
+	fb := AcquireBuffer(size)
+	e := fb.Encoder()
+	env.putLead(e)
+	var spans [][]byte
+	var patches []int
+	if nseg > 0 {
+		spans = make([][]byte, 1, 1+nseg) // spans[0] becomes the head
+		patches = make([]int, 0, nseg)
+	}
+	di = 0 // walks sh.digs again: one entry per argument that left the head
+	for i := range info.Params {
+		p := &info.Params[i]
+		if !p.Mode.Ships(reply) {
+			continue
+		}
+		switch where[i] {
+		case placeInline:
+			if err := encodeArg(e, p, counts[i], args[i]); err != nil {
+				fb.Release()
+				return nil, nil, fmt.Errorf("protocol: %s %s %q: %w", info.Name, what, p.Name, err)
+			}
+		case placeSegment:
+			putBulkMarker(e, fb, counts[i], bulkSpanFor(p, args[i]), &spans, &patches)
+			di++
+		case placeDigest:
+			e.PutUint32(uint32(counts[i]) | bulkArgFlag | bulkDigestFlag)
+			e.PutUint64(sh.digs[di].Hi)
+			e.PutUint64(sh.digs[di].Lo)
+			di++
+		}
+	}
+	env.putTrailers(e)
+	if err := e.Err(); err != nil {
+		fb.Release()
+		return nil, nil, err
+	}
+	if nseg == 0 {
+		return nil, fb, nil
+	}
+	return finishBulkMsg(env.t, fb, spans, patches), nil, nil
+}
+
+// The names below are what benchmark/layers.go compiles against. Each is
+// a front over EncodeRequest or EncodeReply and goes when that file
+// moves to the single entry.
+
+// EncodeCallRequestBuf is EncodeRequest for a MsgCall with every
+// argument inline.
+func EncodeCallRequestBuf(info *idl.Info, req *CallRequest) (*Buffer, error) {
+	_, fb, err := EncodeRequest(info, MsgCall, req, 0, Shape{})
+	return fb, err
+}
+
+// EncodeSubmitRequestBuf is EncodeRequest for a MsgSubmit with every
+// argument inline.
+func EncodeSubmitRequestBuf(info *idl.Info, req *CallRequest, key uint64) (*Buffer, error) {
+	_, fb, err := EncodeRequest(info, MsgSubmit, req, key, Shape{})
+	return fb, err
+}
+
+// EncodeCallRequest is EncodeCallRequestBuf into a caller-owned slice.
+func EncodeCallRequest(info *idl.Info, req *CallRequest) ([]byte, error) {
+	_, fb, err := EncodeRequest(info, MsgCall, req, 0, Shape{})
+	return CopyOut(fb), err
 }
 
 // DecodeCallName peeks only the routine name from a MsgCall payload so
@@ -275,54 +420,33 @@ func DecodeCallName(p []byte) (name string, rest []byte, err error) {
 	return name, p[n:], nil
 }
 
-// DecodeCallArgs decodes the in-shipping arguments of a call against
-// its interface, allocating zeroed values for out-only parameters so
-// the executable can fill them. Dimension expressions are evaluated
-// left to right as scalars arrive, exactly as Ninf_call's interpreter
-// does. Any deadline trailer is skipped; deadline-aware servers use
-// DecodeCallArgsDeadline.
-func DecodeCallArgs(info *idl.Info, rest []byte) ([]idl.Value, error) {
-	args, _, err := DecodeCallArgsDeadline(info, rest)
-	return args, err
-}
-
-// DecodeCallArgsDeadline is DecodeCallArgs plus the caller deadline
-// from the optional trailer: the absolute Unix-nanosecond deadline, or
-// zero when the client did not send one (older clients never do).
-func DecodeCallArgsDeadline(info *idl.Info, rest []byte) ([]idl.Value, int64, error) {
-	return DecodeCallArgsDeadlineBulk(info, rest, nil)
-}
-
-// DecodeCallArgsDeadlineBulk is DecodeCallArgsDeadline for a
-// reassembled bulk payload: rest must be the head remainder after
-// DecodeCallName (sliced to bulk.Head() by the caller) and bulk
-// supplies the full payload that marker offsets resolve against. With a
-// nil bulk it decodes monolithic payloads and rejects markers.
-func DecodeCallArgsDeadlineBulk(info *idl.Info, rest []byte, bulk *BulkInfo) ([]idl.Value, int64, error) {
-	return decodeCallArgsExt(info, rest, bulk, nil, nil)
-}
-
-// DecodeCallArgsDeadlineRetainBulk is DecodeCallArgsDeadlineBulk plus
-// the optional result-retention trailer, stored through retainOut
-// (left false when the client sent none).
+// DecodeCallArgsDeadlineRetainBulk is DecodeCallArgsPooled into arrays
+// the caller keeps (pinned by benchmark/layers.go).
 func DecodeCallArgsDeadlineRetainBulk(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool) ([]idl.Value, int64, error) {
-	return decodeCallArgsExt(info, rest, bulk, retainOut, nil)
+	return DecodeCallArgsPooled(info, rest, bulk, retainOut, nil)
 }
 
-// DecodeCallArgsPooled is DecodeCallArgsDeadlineRetainBulk for a
-// receiver that recycles its argument arrays: large in-arrays and
-// zeroed out-arrays come from the array pool and are recorded in
-// arrays, which the caller owns — also after an error, when it holds
-// whatever was handed out before the payload went wrong — and Releases
-// once nothing reads the returned values any more.
+// DecodeCallArgsPooled decodes the in-shipping arguments of a call
+// against its interface, allocating zeroed values for out-only
+// parameters so the executable can fill them. Dimension expressions are
+// evaluated left to right as scalars arrive, exactly as Ninf_call's
+// interpreter does. rest is the payload after DecodeCallName; for a
+// reassembled bulk payload it must be sliced to bulk.Head(), and bulk
+// supplies the full payload that marker offsets resolve against — with a
+// nil bulk the payload is monolithic and markers are rejected. It also
+// returns the caller's absolute Unix-nanosecond deadline from the
+// optional trailer (zero when the client sent none; older clients never
+// do) and stores the result-retention trailer through a non-nil
+// retainOut.
+//
+// With a non-nil arrays the receiver recycles its argument arrays: large
+// in-arrays and zeroed out-arrays come from the array pool and are
+// recorded in arrays, which the caller owns — also after an error, when
+// it holds whatever was handed out before the payload went wrong — and
+// Releases once nothing reads the returned values any more.
 //
 //ninflint:owner borrow
 func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool, arrays *Arrays) ([]idl.Value, int64, error) {
-	return decodeCallArgsExt(info, rest, bulk, retainOut, arrays)
-}
-
-//ninflint:owner borrow
-func decodeCallArgsExt(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool, arrays *Arrays) ([]idl.Value, int64, error) {
 	pd := acquireDecoder(rest)
 	defer pd.release()
 	d := &pd.d
@@ -392,52 +516,11 @@ trailers:
 	return args, deadline, nil
 }
 
-// EncodeCallReplyBuf serializes a MsgCallOK payload — server-side
-// timings followed by the out-shipping arguments — into a pooled frame
-// buffer. The caller owns the buffer and must Release it.
+// EncodeCallReplyBuf is EncodeReply with every result inline (pinned by
+// benchmark/layers.go, like the request fronts above).
 func EncodeCallReplyBuf(info *idl.Info, t Timings, args []idl.Value) (*Buffer, error) {
-	counts, err := info.DimSizes(args)
-	if err != nil {
-		return nil, err
-	}
-	size := 24 // three int64 timings
-	for i := range info.Params {
-		p := &info.Params[i]
-		if p.Mode.Ships(true) {
-			size += argSize(p, counts[i], args[i])
-		}
-	}
-	fb := AcquireBuffer(size)
-	e := fb.Encoder()
-	t.encode(e)
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.Mode.Ships(true) {
-			continue
-		}
-		if err := encodeArg(e, p, counts[i], args[i]); err != nil {
-			fb.Release()
-			return nil, fmt.Errorf("protocol: %s result %q: %w", info.Name, p.Name, err)
-		}
-	}
-	if err := e.Err(); err != nil {
-		fb.Release()
-		return nil, err
-	}
-	return fb, nil
-}
-
-// EncodeCallReply serializes a MsgCallOK payload into a caller-owned
-// byte slice; the server's blocking-call path uses EncodeCallReplyBuf
-// instead and recycles the buffer after the write.
-func EncodeCallReply(info *idl.Info, t Timings, args []idl.Value) ([]byte, error) {
-	fb, err := EncodeCallReplyBuf(info, t, args)
-	if err != nil {
-		return nil, err
-	}
-	p := append([]byte(nil), fb.Payload()...)
-	fb.Release()
-	return p, nil
+	_, fb, err := EncodeReply(info, t, args, Shape{})
+	return fb, err
 }
 
 // DecodeCallReply decodes a MsgCallOK payload. The returned slice has

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -88,26 +89,97 @@ func randomArgs(r *rand.Rand, in *idl.Info) []idl.Value {
 	return args
 }
 
+// mapResolver is a receiver's argument cache as a map — what the sender
+// was told is warm — counting the digest markers it answers.
+type mapResolver struct {
+	held     map[Digest][]byte
+	resolved *int
+}
+
+func (m *mapResolver) ResolveDigest(d Digest) ([]byte, bool) {
+	b, ok := m.held[d]
+	*m.resolved++
+	return b, ok
+}
+func (m *mapResolver) RetainSegment([]byte, bool, int) {}
+
+// randomShape draws where req's arrays may go: inline only, segments at
+// 64 B or 4 KiB, and for half of the segment shapes digest markers for a
+// random subset that the returned resolver then answers.
+func randomShape(t *testing.T, r *rand.Rand, info *idl.Info, req *CallRequest, resolved *int) (Shape, *mapResolver) {
+	t.Helper()
+	thr := []int{0, 64, 4096}[r.Intn(3)]
+	if thr == 0 || r.Intn(2) == 0 {
+		return BulkShape(thr), nil
+	}
+	digs, err := CallRequestDigests(info, req, thr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := &mapResolver{held: map[Digest][]byte{}, resolved: resolved}
+	for i := range info.Params {
+		if d, ok := DigestValue(req.Args[i]); ok && r.Intn(2) == 0 {
+			cache.held[d], _ = ValueLEBytes(req.Args[i])
+		}
+	}
+	warm := make([]bool, len(digs))
+	for i, d := range digs {
+		_, warm[i] = cache.held[d]
+	}
+	return DigestShape(thr, digs, warm), cache
+}
+
+// deliver carries one encoded message to its receiver — through the
+// chunk writer and a reassembler when it is a BulkMsg — and returns the
+// head to decode with the BulkInfo to decode it against, which is nil
+// for a monolithic payload no digest marker can be in.
+func deliver(t *testing.T, bm *BulkMsg, fb *Buffer, cache *mapResolver) ([]byte, *BulkInfo) {
+	t.Helper()
+	if bm == nil {
+		head := CopyOut(fb)
+		if cache == nil {
+			return head, nil
+		}
+		return head, &BulkInfo{Base: head, HeadLen: len(head), Resolver: cache}
+	}
+	var wire bytes.Buffer
+	streamBulk(t, &wire, bm, 1, 100)
+	bm.Release()
+	bd := reassemble(t, &wire, false)
+	t.Cleanup(bd.FB.Release)
+	if cache != nil {
+		bd.Bulk.Resolver = cache
+	}
+	return bd.Bulk.Head(), &bd.Bulk
+}
+
 // TestRandomInterfaceRoundTrips is the protocol's end-to-end property:
-// for random interfaces and arguments, the full server-side pipeline
-// (encode request → decode name → decode args → encode reply → decode
-// reply) preserves every shipped value and allocates out arguments at
-// the right sizes.
+// for random interfaces, arguments and shapes, the full server-side
+// pipeline (encode request → deliver → decode name → decode args →
+// encode reply → deliver → decode reply) preserves every shipped value
+// and allocates out arguments at the right sizes.
 func TestRandomInterfaceRoundTrips(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
+	segmented, resolved := 0, 0 // requests that streamed; digest markers answered
 	for trial := 0; trial < 300; trial++ {
 		info := randomInterface(r)
 		args := randomArgs(r, info)
+		req := &CallRequest{Name: info.Name, Args: args}
 
-		payload, err := EncodeCallRequest(info, &CallRequest{Name: info.Name, Args: args})
+		shape, cache := randomShape(t, r, info, req, &resolved)
+		bm, fb, err := EncodeRequest(info, MsgCall, req, 0, shape)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v\n%s", trial, err, info)
 		}
-		name, rest, err := DecodeCallName(payload)
+		if bm != nil {
+			segmented++
+		}
+		head, bulk := deliver(t, bm, fb, cache)
+		name, rest, err := DecodeCallName(head)
 		if err != nil || name != info.Name {
 			t.Fatalf("trial %d: name: %v %q", trial, err, name)
 		}
-		decoded, err := DecodeCallArgs(info, rest)
+		decoded, _, err := DecodeCallArgsPooled(info, rest, bulk, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: decode args: %v\n%s", trial, err, info)
 		}
@@ -156,11 +228,18 @@ func TestRandomInterfaceRoundTrips(t *testing.T) {
 				decoded[i] = float32(i)
 			}
 		}
-		reply, err := EncodeCallReply(info, Timings{Enqueue: 1, Dequeue: 2, Complete: 3}, decoded)
+		bm, fb, err = EncodeReply(info, Timings{Enqueue: 1, Dequeue: 2, Complete: 3}, decoded, BulkShape([]int{0, 64, 4096}[r.Intn(3)]))
 		if err != nil {
 			t.Fatalf("trial %d: encode reply: %v", trial, err)
 		}
-		tm, out, err := DecodeCallReply(info, args, reply)
+		head, bulk = deliver(t, bm, fb, nil)
+		dst := make([]any, len(info.Params))
+		for i := range info.Params {
+			if p := &info.Params[i]; p.Mode.Ships(true) && !p.IsScalar() {
+				dst[i] = (*Arrays)(nil).makeArray(p.Type, counts[i], false)
+			}
+		}
+		tm, out, err := DecodeCallReplyInto(info, args, dst, head, bulk)
 		if err != nil {
 			t.Fatalf("trial %d: decode reply: %v", trial, err)
 		}
@@ -179,5 +258,8 @@ func TestRandomInterfaceRoundTrips(t *testing.T) {
 				t.Fatalf("trial %d: out-arg %s corrupted", trial, p.Name)
 			}
 		}
+	}
+	if segmented == 0 || resolved == 0 {
+		t.Fatalf("%d requests streamed segments, %d digest markers were answered: a placement was never drawn", segmented, resolved)
 	}
 }

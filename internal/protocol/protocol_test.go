@@ -135,7 +135,7 @@ func TestCallRequestRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Errorf("name = %q", name)
 	}
-	args, err := DecodeCallArgs(info, rest)
+	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,8 @@ func TestCallReplyRoundTrip(t *testing.T) {
 	c := []float64{1, 2, 3, 4}
 	serverArgs := []idl.Value{int64(n), make([]float64, 4), make([]float64, 4), c}
 	want := Timings{Enqueue: 10, Dequeue: 20, Complete: 30}
-	p, err := EncodeCallReply(info, want, serverArgs)
+	_, fb, err := EncodeReply(info, want, serverArgs, Shape{})
+	p := CopyOut(fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestInoutShipsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, err := DecodeCallArgs(info, rest)
+	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,8 @@ func TestInoutShipsBothWays(t *testing.T) {
 	// Server mutates and replies; the inout value must come back.
 	args[1].([]float64)[0] = 99
 	args[2].([]int64)[0] = 1
-	reply, err := EncodeCallReply(info, Timings{}, args)
+	_, fb, err := EncodeReply(info, Timings{}, args, Shape{})
+	reply := CopyOut(fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestDecodeCallArgsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Truncate mid-arguments.
-	if _, err := DecodeCallArgs(info, rest[:len(rest)-6]); err == nil {
+	if _, _, err := DecodeCallArgsPooled(info, rest[:len(rest)-6], nil, nil, nil); err == nil {
 		t.Error("truncated args decoded")
 	}
 }
@@ -348,7 +350,7 @@ func TestStringScalarParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, err := DecodeCallArgs(info, rest)
+	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ Define mix(mode_in int n,
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeCallArgs(info, rest)
+	decoded, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,8 @@ Define mix(mode_in int n,
 		g[i] = float32(i)
 	}
 	decoded[5] = float32(42)
-	reply, err := EncodeCallReply(info, Timings{}, decoded)
+	_, fb, err := EncodeReply(info, Timings{}, decoded, Shape{})
+	reply := CopyOut(fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestFloat64ScalarAndFloat32Conversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rest, _ := DecodeCallName(p)
-	decoded, err := DecodeCallArgs(info, rest)
+	decoded, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

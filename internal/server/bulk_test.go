@@ -129,8 +129,8 @@ func TestMuxBulkSubmitFetch(t *testing.T) {
 	n := 48 << 10
 	v := bigVec(n)
 	vals := []idl.Value{int64(n), v, nil}
-	m, err := protocol.EncodeSubmitRequestChunks(info,
-		&protocol.CallRequest{Name: "double_it", Args: vals}, 42, 1024)
+	m, _, err := protocol.EncodeRequest(info, protocol.MsgSubmit,
+		&protocol.CallRequest{Name: "double_it", Args: vals}, 42, protocol.BulkShape(1024))
 	if err != nil || m == nil {
 		t.Fatalf("encode: %v %v", m, err)
 	}

@@ -464,7 +464,7 @@ func (s *Server) replayTaskLocked(r *protocol.JournalRecord) (*task, error) {
 		return nil, fmt.Errorf("no routine %q", name)
 	}
 	var retain bool
-	args, deadline, err := protocol.DecodeCallArgsDeadlineRetainBulk(ex.Info, rest, nil, &retain)
+	args, deadline, err := protocol.DecodeCallArgsPooled(ex.Info, rest, nil, &retain, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -496,17 +496,15 @@ func (s *Server) replayTaskLocked(r *protocol.JournalRecord) (*task, error) {
 //
 //ninflint:owner borrow — fb is drained into the record's copy and Released here; the WAL never retains it
 func journalSubmitRecord(info *idl.Info, req *protocol.CallRequest, key uint64, client string) (*protocol.JournalRecord, error) {
-	fb, err := protocol.EncodeCallRequestBuf(info, req)
+	_, fb, err := protocol.EncodeRequest(info, protocol.MsgCall, req, 0, protocol.Shape{})
 	if err != nil {
 		return nil, err
 	}
-	payload := append([]byte(nil), fb.Payload()...)
-	fb.Release()
 	return &protocol.JournalRecord{
 		Kind:    protocol.JournalSubmit,
 		Key:     key,
 		Client:  client,
-		Payload: payload,
+		Payload: protocol.CopyOut(fb),
 	}, nil
 }
 
@@ -1175,6 +1173,17 @@ func (s *Server) run(t *task) {
 		time.Duration(t.timings.Complete-t.timings.Dequeue),
 		t.reqBytes, err != nil)
 
+	if t.twoPhase {
+		// Pre-encode the reply so fetch is cheap and argument buffers
+		// can be released. Nobody else touches t.args, t.reply or t.err
+		// until t.done closes, so none of this needs the server lock.
+		if err == nil {
+			_, fb, encErr := protocol.EncodeReply(t.ex.Info, t.timings, t.args, protocol.Shape{})
+			t.reply, t.err = protocol.CopyOut(fb), encErr
+		}
+		t.releaseArrays()
+	}
+
 	s.mu.Lock()
 	s.freePEs += t.job.PEs
 	s.acct.jobFinished(now, t.job.PEs)
@@ -1189,16 +1198,6 @@ func (s *Server) run(t *task) {
 	}
 	if t.twoPhase {
 		t.expire = now.Add(s.cfg.JobTTL)
-		// Pre-encode the reply so fetch is cheap and argument
-		// buffers can be released.
-		if err == nil {
-			if p, encErr := protocol.EncodeCallReply(t.ex.Info, t.timings, t.args); encErr == nil {
-				t.reply = p
-			} else {
-				t.err = encErr
-			}
-		}
-		t.releaseArrays()
 		if s.journal != nil {
 			jrec := &protocol.JournalRecord{Kind: protocol.JournalComplete, JobID: t.job.ID}
 			if t.err != nil {

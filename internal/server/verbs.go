@@ -123,27 +123,24 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		if t.err != nil {
 			return errReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
 		}
+		var shape protocol.Shape
 		if cp.bulkOK {
+			shape = protocol.BulkShape(s.bulkThreshold())
+		}
+		bm, rb, err := protocol.EncodeReply(t.ex.Info, t.timings, t.args, shape)
+		if err != nil {
+			return errReply(protocol.CodeInternal, err.Error())
+		}
+		if bm != nil {
 			// Large results stream back chunked; the BulkMsg's segment
 			// spans alias t.args, which stay live (and unmutated — the
 			// task is complete) until the writer finishes with them. So
 			// the message takes the arrays along, and its Release — the
 			// writer settling it, written or not — returns them.
-			bm, err := protocol.EncodeCallReplyChunks(t.ex.Info, t.timings, t.args, s.bulkThreshold())
-			if err != nil {
-				return errReply(protocol.CodeInternal, err.Error())
-			}
-			if bm != nil {
-				bm.Adopt(t.arrays)
-				t.arrays = nil
-				return reply{t: protocol.MsgCallOK, bulk: bm}
-			}
+			bm.Adopt(t.arrays)
+			t.arrays = nil
 		}
-		rb, err := protocol.EncodeCallReplyBuf(t.ex.Info, t.timings, t.args)
-		if err != nil {
-			return errReply(protocol.CodeInternal, err.Error())
-		}
-		return reply{t: protocol.MsgCallOK, fb: rb}
+		return reply{t: protocol.MsgCallOK, fb: rb, bulk: bm}
 
 	case protocol.MsgSubmit:
 		key, rest, err := protocol.DecodeSubmitKey(payload)

@@ -308,38 +308,35 @@ func (c *Client) query(ctx context.Context, negotiate bool, t protocol.MsgType, 
 
 // send encodes one call or submit request for the transport and runs
 // the exchange. Encoding happens here — once the transport's
-// capabilities are known — so nothing is marshalled twice: by digest
-// where the session negotiated a live argument cache, chunked (bulk
-// arrays written zero-copy from the caller's slices) where it
-// negotiated bulk streaming and an argument crosses the client's
-// threshold, and as one monolithic frame otherwise — always, on a
-// pooled lockstep connection.
+// capabilities are known — so nothing is marshalled twice: the shape
+// says where the session lets arrays go, and one encode follows it. On a
+// session that negotiated bulk streaming an array crossing the client's
+// threshold is written zero-copy from the caller's slice; against a live
+// argument cache one the server already holds shrinks to its digest; on
+// a pooled lockstep connection everything is inline in one frame.
 func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	rq := request{t: t}
+	var shape protocol.Shape
 	var digs []protocol.Digest
 	var err error
+	if sess != nil && sess.Bulk() {
+		shape = protocol.BulkShape(c.bulkThreshold())
+	}
 	cacheOK := c.cacheOn(sess)
 	if cacheOK {
-		// Retain rides every encoding below, the monolithic trailer
-		// included, not just the digest one.
+		// Retain rides every shape, not just the digest one: the server
+		// may refuse the warmth query below and still hold a cache.
 		creq.Retain = c.retainRes.Load()
-		if rq.bulk, rq.fb, digs, err = c.encodeDigest(ctx, sess, t, info, creq, key); err != nil {
+		if shape, digs, err = c.digestShape(ctx, sess, info, creq, shape); err != nil {
 			return 0, nil, nil, err
 		}
 	}
-	if digs == nil && sess != nil && sess.Bulk() {
-		if rq.bulk, err = encodeRequestChunks(t, info, creq, key, c.bulkThreshold()); err != nil {
-			return 0, nil, nil, err
-		}
+	rq := request{t: t}
+	if rq.bulk, rq.fb, err = protocol.EncodeRequest(info, t, creq, key, shape); err != nil {
+		return 0, nil, nil, err
 	}
 	if rq.bulk != nil {
 		rep.BytesOut = int64(rq.bulk.Total())
 	} else {
-		if rq.fb == nil {
-			if rq.fb, err = encodeRequestBuf(t, info, creq, key); err != nil {
-				return 0, nil, nil, err
-			}
-		}
 		rep.BytesOut = int64(rq.fb.Len())
 	}
 	rt, fb, bulk, err := c.exchange(ctx, sess, rq)
@@ -359,19 +356,19 @@ func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType
 	return rt, fb, bulk, err
 }
 
-// encodeDigest encodes one level-4 call or submit: hash the
+// digestShape is the level-4 shape for one call or submit: hash the
 // bulk-eligible arguments, learn which digests the server's cache holds
 // (from the client's warm set, else one small MsgCallDigest round
-// trip), then encode warm arguments as 20-byte digest markers and only
-// the cold ones as chunked bulk segments. It returns the request (bm or
-// buf) and the digests it references; all nil means nothing was
-// digest-eligible or the warmth query degraded, and the caller falls
-// back to the plain level-3 encoders.
-func (c *Client) encodeDigest(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64) (*protocol.BulkMsg, *protocol.Buffer, []protocol.Digest, error) {
+// trip), and let the warm ones go as 20-byte digest markers, only the
+// cold ones as bulk segments. It also returns the digests the shape
+// references; none, and the plain shape back, means nothing was
+// digest-eligible or the warmth query degraded, and the call goes out
+// plain level 3.
+func (c *Client) digestShape(ctx context.Context, sess *mux.Session, info *idl.Info, creq *protocol.CallRequest, plain protocol.Shape) (protocol.Shape, []protocol.Digest, error) {
 	thr := c.bulkThreshold()
 	digs, err := protocol.CallRequestDigests(info, creq, thr)
 	if err != nil || len(digs) == 0 {
-		return nil, nil, nil, nil
+		return plain, nil, nil
 	}
 	warm := c.warmKnown(digs)
 	if warm == nil {
@@ -382,51 +379,24 @@ func (c *Client) encodeDigest(ctx context.Context, sess *mux.Session, t protocol
 				// The server answered but will not play (e.g. its cache
 				// was disabled across a restart): degrade to plain level 3
 				// for this call.
-				return nil, nil, nil, nil
+				return plain, nil, nil
 			}
-			return nil, nil, nil, qerr
+			return plain, nil, qerr
 		}
 		if qt != protocol.MsgDigestStatus {
 			qfb.Release()
-			return nil, nil, nil, fmt.Errorf("ninf: unexpected reply %v to digest query", qt)
+			return plain, nil, fmt.Errorf("ninf: unexpected reply %v to digest query", qt)
 		}
 		warm, err = protocol.DecodeDigestStatus(qfb.Payload())
 		qfb.Release()
 		if err != nil {
-			return nil, nil, nil, err
+			return plain, nil, err
 		}
 		if len(warm) != len(digs) {
-			return nil, nil, nil, fmt.Errorf("ninf: digest status answers %d of %d digests", len(warm), len(digs))
+			return plain, nil, fmt.Errorf("ninf: digest status answers %d of %d digests", len(warm), len(digs))
 		}
 	}
-	warmSet := make(map[protocol.Digest]bool, len(digs))
-	for i, d := range digs {
-		warmSet[d] = warmSet[d] || warm[i]
-	}
-	bm, buf, err := protocol.EncodeCallRequestDigest(info, creq, t == protocol.MsgSubmit, key, thr, digs,
-		func(d protocol.Digest) bool { return warmSet[d] })
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return bm, buf, digs, nil
-}
-
-// encodeRequestChunks encodes a call or submit request chunked; nil
-// when no argument crosses the threshold.
-func encodeRequestChunks(t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, threshold int) (*protocol.BulkMsg, error) {
-	if t == protocol.MsgSubmit {
-		return protocol.EncodeSubmitRequestChunks(info, creq, key, threshold)
-	}
-	return protocol.EncodeCallRequestChunks(info, creq, threshold)
-}
-
-// encodeRequestBuf encodes a call or submit request as one monolithic
-// frame payload.
-func encodeRequestBuf(t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64) (*protocol.Buffer, error) {
-	if t == protocol.MsgSubmit {
-		return protocol.EncodeSubmitRequestBuf(info, creq, key)
-	}
-	return protocol.EncodeCallRequestBuf(info, creq)
+	return protocol.DigestShape(thr, digs, warm), digs, nil
 }
 
 // finish decodes one call or fetch reply — the same payload, whatever
