@@ -9,14 +9,18 @@ package ninf_test
 // framing on the wire.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"ninf"
+	"ninf/internal/emunet"
 	"ninf/internal/idl"
 	"ninf/internal/metaserver"
 	"ninf/internal/protocol"
@@ -365,11 +369,12 @@ func TestCacheTransactionAffinityChain(t *testing.T) {
 	s2, dial2, count2 := startCountingServer(t, server.Config{
 		Hostname: "srvB", BulkThreshold: 4096, CacheBudget: 4 << 20,
 	})
+	log := &wireLog{}
 	m := metaserver.New(metaserver.Config{})
-	if err := m.AddServer("srvA", "x", 100, dial1); err != nil {
+	if err := m.AddServer("srvA", "x", 100, recorded(dial1, log)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddServer("srvB", "x", 100, dial2); err != nil {
+	if err := m.AddServer("srvB", "x", 100, recorded(dial2, log)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -399,5 +404,317 @@ func TestCacheTransactionAffinityChain(t *testing.T) {
 	h2, _, _, _, _ := s2.CacheCounters()
 	if h1+h2 < 1 {
 		t.Fatal("downstream call re-uploaded instead of chaining the retained result")
+	}
+	// The upstream call asked about v, beside its upload. The downstream
+	// one had nothing to ask: its client asked for mid to be retained and
+	// the call succeeded, so it knows the server holds it.
+	if n, _ := log.sent(protocol.MsgCallDigest); n != 1 {
+		t.Fatalf("%d CallDigest frames on the wire, want 1: the upstream call's and none for the chained one", n)
+	}
+}
+
+// recorded makes dial's connections log their frames to log.
+func recorded(dial func() (net.Conn, error), log *wireLog) func() (net.Conn, error) {
+	return func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return &recConn{Conn: conn, log: log}, nil
+	}
+}
+
+// sent counts the client's frames of type t, and their payload bytes.
+func (l *wireLog) sent(t protocol.MsgType) (frames, bytes int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, f := range l.frames {
+		if f.fromClient && f.t == t {
+			frames++
+			bytes += len(f.payload)
+		}
+	}
+	return frames, bytes
+}
+
+// TestCacheMissForgetsOnlyItsDigests: a CodeCacheMiss voids what the
+// client believed of the digests the refused call named, not of every
+// digest it ever sent. Budget for two vectors; a, b, c go up, evicting
+// a. Calling a again misses and uploads (evicting b); c, resident all
+// along and never in doubt, must still go by marker with no question
+// asked.
+func TestCacheMissForgetsOnlyItsDigests(t *testing.T) {
+	s, dial, count := startCountingServer(t, server.Config{
+		BulkThreshold: 4096, CacheBudget: 300 << 10,
+	})
+	log := &wireLog{}
+	c := newClient(t, recorded(dial, log))
+	c.SetBulkThreshold(4096)
+
+	vecs := make([][]float64, 3)
+	w := make([]float64, cacheTestN)
+	for k := range vecs {
+		vecs[k] = make([]float64, cacheTestN)
+		for i := range vecs[k] {
+			vecs[k][i] = float64(i%89) + float64(k)/4
+		}
+		if _, err := c.Call("cdouble", cacheTestN, vecs[k], w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, evictions, _, _ := s.CacheCounters(); evictions != 1 {
+		t.Fatalf("vacuous: %d evictions after three uploads into a two-vector budget, want 1", evictions)
+	}
+	a, cvec := vecs[0], vecs[2]
+	if _, err := c.Call("cdouble", cacheTestN, a, w); err != nil {
+		t.Fatal(err)
+	}
+	checkDoubled(t, a, w)
+	if _, misses, _, _, _ := s.CacheCounters(); misses != 1 {
+		t.Fatalf("%d cache misses, want 1: the client should have believed a warm", misses)
+	}
+	asked, _ := log.sent(protocol.MsgCallDigest)
+	if asked != 4 {
+		t.Fatalf("%d CallDigest frames so far, want 4: one per first upload and one for the re-upload", asked)
+	}
+	clear(w)
+	rep, err := c.Call("cdouble", cacheTestN, cvec, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDoubled(t, cvec, w)
+	if n, _ := log.sent(protocol.MsgCallDigest); n != asked {
+		t.Fatalf("the call on c asked the server again (%d CallDigest frames, %d before it): the miss on a wiped c's warmth", n, asked)
+	}
+	if rep.BytesOut > 1024 {
+		t.Fatalf("the call on c shipped %d bytes, want a digest marker", rep.BytesOut)
+	}
+	// Three uploads, the refused call (not run) and its retry, the call on c.
+	if got := count.Load(); got != 5 {
+		t.Fatalf("handler ran %d times, want 5", got)
+	}
+}
+
+const specN = 64 << 10 // 512 KiB of float64: above the stock bulk threshold
+
+// seedCache puts v in the server's cache through a client of its own.
+func seedCache(t *testing.T, dial func() (net.Conn, error), v []float64) {
+	t.Helper()
+	c := newClient(t, dial)
+	w := make([]float64, len(v))
+	if _, err := c.Call("cdouble", len(v), v, w); err != nil {
+		t.Fatal(err)
+	}
+	checkDoubled(t, v, w)
+}
+
+// slowClient is a client behind a recorded 1 MB/s, 5 ms link: specN
+// float64s take half a second to upload, a warmth answer 10 ms to
+// come back.
+func slowClient(t *testing.T, dial func() (net.Conn, error)) (*ninf.Client, *wireLog) {
+	log := &wireLog{}
+	link := emunet.NewLink("slow", 1e6)
+	return newClient(t, emunet.Dialer(recorded(dial, log), emunet.Options{
+		Up: []*emunet.Link{link}, Down: []*emunet.Link{link}, Latency: 5 * time.Millisecond,
+	})), log
+}
+
+// TestCacheSpeculationAnswerWins: a second client uploads a vector the
+// server already holds — which it cannot know — over a link so slow
+// that the warmth answer is back with most of the stream unsent. The
+// stream is retracted and the call goes by marker: the server sees a
+// fraction of the vector, and the routine runs once.
+func TestCacheSpeculationAnswerWins(t *testing.T) {
+	s, dial, count := startCountingServer(t, server.Config{CacheBudget: 4 << 20})
+	v := bulkVec(specN)
+	seedCache(t, dial, v)
+
+	c, log := slowClient(t, dial)
+	w := make([]float64, specN)
+	rep, err := c.Call("cdouble", specN, v, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDoubled(t, v, w)
+	if got := count.Load(); got != 2 {
+		t.Fatalf("handler ran %d times, want 2: once to seed, once for the speculating call", got)
+	}
+	if rep.Retracted <= 0 || rep.Retracted >= 8*specN/2 {
+		t.Fatalf("Retracted = %d, want a small part of the %d-byte vector", rep.Retracted, 8*specN)
+	}
+	if rep.BytesOut > 1024 {
+		t.Fatalf("BytesOut = %d, want the completed request's: a digest marker call", rep.BytesOut)
+	}
+	aborts, _ := log.sent(protocol.MsgBulkAbort)
+	_, streamed := log.sent(protocol.MsgBulkChunk)
+	if aborts != 1 || streamed >= 8*specN/2 {
+		t.Fatalf("%d aborts, %d bytes of chunks on the wire; want 1 and well under %d", aborts, streamed, 8*specN)
+	}
+	if hits, _, _, _, _ := s.CacheCounters(); hits < 1 {
+		t.Fatal("the resent call did not resolve its marker from the cache")
+	}
+}
+
+// heldRead delays the first read after it is armed: the server's next
+// frame reaches the client that much late, and nothing else does.
+type heldRead struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c *heldRead) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.armed.CompareAndSwap(true, false) {
+		time.Sleep(200 * time.Millisecond)
+	}
+	return n, err
+}
+
+// TestCacheSpeculationStreamWins: the same, with the answer held back
+// until long after the whole stream is written. The writer, not the
+// answer, decides — the stream is the call, nothing is retracted, and
+// the routine still runs once.
+func TestCacheSpeculationStreamWins(t *testing.T) {
+	_, dial, count := startCountingServer(t, server.Config{CacheBudget: 4 << 20})
+	v := bulkVec(specN)
+	seedCache(t, dial, v)
+
+	log := &wireLog{}
+	var armed atomic.Bool
+	c := newClient(t, recorded(func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return &heldRead{Conn: conn, armed: &armed}, nil
+	}, log))
+	w := make([]float64, specN)
+	if _, err := c.Call("cdouble", 1, v[:1], w[:1]); err != nil { // session up, interface fetched
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	rep, err := c.Call("cdouble", specN, v, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDoubled(t, v, w)
+	if got := count.Load(); got != 3 {
+		t.Fatalf("handler ran %d times, want 3: the seed, the small call, and once for the speculating call", got)
+	}
+	if rep.Retracted != 0 || rep.BytesOut < 8*specN {
+		t.Fatalf("Retracted = %d, BytesOut = %d; want 0 and the whole vector", rep.Retracted, rep.BytesOut)
+	}
+	if asked, _ := log.sent(protocol.MsgCallDigest); asked != 1 || armed.Load() {
+		t.Fatalf("%d CallDigest frames (answer held: %v), want 1", asked, !armed.Load())
+	}
+	if aborts, _ := log.sent(protocol.MsgBulkAbort); aborts != 0 {
+		t.Fatalf("%d abort frames after a stream written whole", aborts)
+	}
+}
+
+// lyingHello sets HelloFlagArgCache in every hello reply it reads: the
+// client believes in a cache the server does not run, which is how a
+// server looks that lost its cache while the session stayed up. Such a
+// server sends no flags word at all, so the reply is grown by one.
+type lyingHello struct {
+	net.Conn
+	hello bool // the last read was a MsgHelloOK header; its payload is next
+}
+
+func (c *lyingHello) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	be := binary.BigEndian
+	switch {
+	case c.hello && n == 4 && len(p) == 8:
+		be.PutUint32(p[4:], protocol.HelloFlagArgCache)
+		c.hello, n = false, 8
+	case n == 16 && be.Uint32(p[4:]) == protocol.Version && protocol.MsgType(be.Uint32(p[8:])) == protocol.MsgHelloOK && be.Uint32(p[12:]) == 4:
+		be.PutUint32(p[12:], 8)
+		c.hello = true
+	}
+	return n, err
+}
+
+// TestCacheQueryRefusedFinishesPlain: the server answers the warmth
+// query with an error. The upload riding beside it names no digest the
+// server would have to resolve, so it completes as the plain level-3
+// call it is byte for byte, and teaches the client nothing: the next
+// call asks again rather than send a marker nobody can read.
+func TestCacheQueryRefusedFinishesPlain(t *testing.T) {
+	_, dial, count := startCountingServer(t, server.Config{})
+	plain := newClient(t, dial)
+	log := &wireLog{}
+	c := newClient(t, recorded(func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return &lyingHello{Conn: conn}, nil
+	}, log))
+
+	v := bulkVec(specN)
+	w := make([]float64, specN)
+	want, err := plain.Call("cdouble", specN, v, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		clear(w)
+		rep, err := c.Call("cdouble", specN, v, w)
+		if err != nil {
+			t.Fatalf("call %d: %v", round, err)
+		}
+		checkDoubled(t, v, w)
+		if rep.BytesOut != want.BytesOut || rep.Retracted != 0 {
+			t.Fatalf("call %d: BytesOut %d, Retracted %d; want the plain call's %d and 0", round, rep.BytesOut, rep.Retracted, want.BytesOut)
+		}
+		if asked, _ := log.sent(protocol.MsgCallDigest); asked != round {
+			t.Fatalf("call %d: %d CallDigest frames; want one per call (none: the hello was not tampered with)", round, asked)
+		}
+	}
+	if got := count.Load(); got != 3 {
+		t.Fatalf("handler ran %d times, want 3", got)
+	}
+}
+
+// TestCacheSpeculationSubmitKeepsKey: Submit rides the same path. The
+// retracted stream and the marker request that replaces it carry the
+// one idempotency key of the submission, so whichever the server acted
+// on, a transport retry of either dedupes against it.
+func TestCacheSpeculationSubmitKeepsKey(t *testing.T) {
+	_, dial, count := startCountingServer(t, server.Config{CacheBudget: 4 << 20})
+	v := bulkVec(specN)
+	seedCache(t, dial, v)
+
+	c, log := slowClient(t, dial)
+	w := make([]float64, specN)
+	job, err := c.Submit("cdouble", specN, v, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Fetch(true); err != nil {
+		t.Fatal(err)
+	}
+	checkDoubled(t, v, w)
+	if got := count.Load(); got != 2 {
+		t.Fatalf("handler ran %d times, want 2: once to seed, once for the submission", got)
+	}
+	var streamed, resent []byte
+	log.mu.Lock()
+	for _, f := range log.frames {
+		switch {
+		case !f.fromClient:
+		case f.t == protocol.MsgBulkChunk && streamed == nil:
+			streamed = f.payload[8:16] // past the chunk prologue: the head's first word
+		case f.t == protocol.MsgSubmit:
+			resent = f.payload[:8]
+		}
+	}
+	log.mu.Unlock()
+	if aborts, _ := log.sent(protocol.MsgBulkAbort); aborts != 1 || streamed == nil || resent == nil {
+		t.Fatalf("%d aborts, streamed key %x, resent key %x; want a retracted stream and a Submit frame", aborts, streamed, resent)
+	}
+	if !bytes.Equal(streamed, resent) || bytes.Equal(resent, make([]byte, 8)) {
+		t.Fatalf("idempotency key %x on the retracted stream, %x on the resend", streamed, resent)
 	}
 }

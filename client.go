@@ -79,7 +79,8 @@ type Client struct {
 	// Argument-cache state (feature level 4; see session.go). warm
 	// holds the digests this client believes are resident in the
 	// server's cache — optimistic knowledge that lets repeated calls
-	// skip the warmth query; a CodeCacheMiss reply clears it.
+	// go by digest without asking; a CodeCacheMiss reply takes out the
+	// digests it was about.
 	noArgCache atomic.Bool // SetArgCache(false)
 	retainRes  atomic.Bool // SetRetainResults(true)
 	warmMu     sync.Mutex
@@ -105,7 +106,7 @@ const maxWarmDigests = 4096
 func (c *Client) SetArgCache(on bool) {
 	c.noArgCache.Store(!on)
 	if !on {
-		c.forgetWarm()
+		c.forgetWarm(nil)
 	}
 }
 
@@ -116,24 +117,17 @@ func (c *Client) SetArgCache(on bool) {
 // level 4.
 func (c *Client) SetRetainResults(on bool) { c.retainRes.Store(on) }
 
-// warmKnown reports digs as all-warm only when every entry is in the
-// client's warm set; nil forces a server warmth query.
-func (c *Client) warmKnown(digs []protocol.Digest) []bool {
+// warmth reports which of digs the client knows the server to hold, and
+// whether there is any it has no such knowledge of.
+func (c *Client) warmth(digs []protocol.Digest) (warm []bool, unknown bool) {
+	warm = make([]bool, len(digs))
 	c.warmMu.Lock()
-	defer c.warmMu.Unlock()
-	if len(c.warm) == 0 {
-		return nil
+	for i, d := range digs {
+		_, warm[i] = c.warm[d]
+		unknown = unknown || !warm[i]
 	}
-	for _, d := range digs {
-		if _, ok := c.warm[d]; !ok {
-			return nil
-		}
-	}
-	out := make([]bool, len(digs))
-	for i := range out {
-		out[i] = true
-	}
-	return out
+	c.warmMu.Unlock()
+	return warm, unknown
 }
 
 // markWarm records digests the server is now known to hold.
@@ -148,11 +142,34 @@ func (c *Client) markWarm(digs []protocol.Digest) {
 	c.warmMu.Unlock()
 }
 
-// forgetWarm drops all optimistic warmth knowledge, e.g. after a
-// CodeCacheMiss showed the server evicted behind our back.
-func (c *Client) forgetWarm() {
+// markRetained records as warm the large results of a call that asked
+// the server to retain them (send sets Retain only against a live
+// cache), so the next call can pass one back by digest without asking —
+// the transaction handle chain. Large is by the client's threshold, at
+// or above the server's in stock configurations; a server that kept
+// less answers CodeCacheMiss and the retry uploads.
+func (c *Client) markRetained(info *idl.Info, args []any) {
+	var digs []protocol.Digest
+	thr := c.bulkThreshold()
+	for i := range info.Params {
+		if b, ok := protocol.ValueLEBytes(args[i]); ok && info.Params[i].Mode.Ships(true) && thr > 0 && len(b) >= thr {
+			digs = append(digs, protocol.DigestBytesLE(b))
+		}
+	}
+	c.markWarm(digs)
+}
+
+// forgetWarm drops what is believed of digs — those a CodeCacheMiss
+// showed the server evicted behind our back — or, given nil, of every
+// digest: the cache they were in is gone or out of use.
+func (c *Client) forgetWarm(digs []protocol.Digest) {
 	c.warmMu.Lock()
-	c.warm = nil
+	if digs == nil {
+		c.warm = nil
+	}
+	for _, d := range digs {
+		delete(c.warm, d)
+	}
 	c.warmMu.Unlock()
 }
 
@@ -179,7 +196,7 @@ func (c *Client) noteEpoch(e uint64) {
 		}
 		if c.srvEpoch.CompareAndSwap(old, e) {
 			if old != 0 {
-				c.forgetWarm()
+				c.forgetWarm(nil)
 			}
 			return
 		}
@@ -510,6 +527,10 @@ type Report struct {
 	Enqueue, Dequeue, Complete time.Time
 	// BytesOut/BytesIn are request/reply payload sizes.
 	BytesOut, BytesIn int64
+	// Retracted counts bytes of a speculative upload written and then
+	// withdrawn because the server turned out to hold the array (see
+	// send); not part of BytesOut, and 0 almost always.
+	Retracted int64
 }
 
 // Total is the wall-clock duration of the whole Ninf_call.
@@ -644,7 +665,10 @@ func (c *Client) attemptCall(ctx context.Context, name string, args []any) (*Rep
 		fb.Release()
 		return nil, fmt.Errorf("ninf: unexpected reply %v to call", rt)
 	}
-	return finish(rep, info, vals, args, fb, bulk)
+	if rep, err = finish(rep, info, vals, args, fb, bulk); err == nil && creq.Retain {
+		c.markRetained(info, args)
+	}
+	return rep, err
 }
 
 // AsyncCall is a pending Ninf_call_async.

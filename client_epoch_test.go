@@ -40,7 +40,7 @@ func TestNoteEpochMonotonic(t *testing.T) {
 	if got := c.ServerEpoch(); got != 5 {
 		t.Fatalf("epoch = %d, want 5", got)
 	}
-	if c.warmKnown(digs) != nil {
+	if _, unknown := c.warmth(digs); !unknown {
 		t.Fatal("warm set survived an epoch advance")
 	}
 
@@ -51,11 +51,11 @@ func TestNoteEpochMonotonic(t *testing.T) {
 	if got := c.ServerEpoch(); got != 5 {
 		t.Fatalf("delayed old observation rolled epoch back to %d", got)
 	}
-	if c.warmKnown(digs) == nil {
+	if _, unknown := c.warmth(digs); unknown {
 		t.Fatal("delayed old observation flushed the warm set")
 	}
 	c.noteEpoch(5) // duplicate of the current epoch is likewise inert
-	if c.warmKnown(digs) == nil {
+	if _, unknown := c.warmth(digs); unknown {
 		t.Fatal("duplicate current-epoch observation flushed the warm set")
 	}
 

@@ -51,6 +51,7 @@ var featRoots = map[string]string{
 	"EncodeCallReplyChunks":   "bulk",
 	"RawBulkMsg":              "bulk",
 	"RoundtripBulk":           "bulk",
+	"RoundtripRetract":        "bulk",
 	"MsgBulkBegin":            "bulk",
 	"MsgBulkChunk":            "bulk",
 	"MsgBulkAbort":            "bulk",

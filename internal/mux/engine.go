@@ -97,10 +97,15 @@ type Item struct {
 // hold is the enqueuer's handle on a bulk item whose spans alias memory
 // it wants back: setting abandoned asks the writer to stop sending
 // (MsgBulkAbort covers a half-sent stream), and settled closes once the
-// writer holds no reference to the spans.
+// writer holds no reference to the spans. written and sent are the
+// writer's account of how it ended, the enqueuer's to read after that:
+// whether the whole message reached the wire, and how much of one that
+// was abandoned did.
 type hold struct {
 	abandoned atomic.Bool
 	settled   chan struct{}
+	written   bool
+	sent      int
 }
 
 // stream is one bulk item in flight in the writer.
@@ -312,6 +317,7 @@ func (w *Writer) step(st *stream) (bool, error) {
 	case abandoned && !st.begun:
 		return true, nil // nothing on the wire to retract
 	case abandoned:
+		st.hold.sent = st.cur.Sent()
 		return true, protocol.WriteMuxFrame(w.conn, abort, st.Seq, nil)
 	case !st.begun:
 		st.begun = true
@@ -358,6 +364,7 @@ func (w *Writer) settle(it *Item, written bool) {
 	it.Frame.Release()
 	it.Bulk.Release()
 	if it.hold != nil {
+		it.hold.written = written
 		close(it.hold.settled)
 	}
 	if w.settled != nil {

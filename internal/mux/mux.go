@@ -205,20 +205,6 @@ func (s *Session) fail(cause error) {
 	})
 }
 
-// register allocates a sequence number and its reply channel.
-func (s *Session) register() (uint32, chan Message, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return 0, nil, s.err
-	}
-	s.nextSeq++
-	seq := s.nextSeq
-	ch := make(chan Message, 1)
-	s.pending[seq] = ch
-	return seq, ch, nil
-}
-
 // deregister abandons a sequence (its caller's context ended, or its
 // request never reached the queue) and returns why: the context's
 // error if it ended, else the session's failure. The reply, if it later
@@ -267,20 +253,67 @@ func (s *Session) wants(seq uint32) bool {
 // retry layer classifies as retryable and answers with a fresh
 // session.
 func (s *Session) Roundtrip(ctx context.Context, t protocol.MsgType, req *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	seq, ch, err := s.register()
+	p, err := s.Post(ctx, t, req)
 	if err != nil {
-		req.Release()
 		return 0, nil, nil, err
 	}
-	if !s.w.Send(Item{Type: t, Seq: seq, Frame: req}, ctx.Done()) {
-		return 0, nil, nil, s.deregister(ctx, seq, ch)
+	return p.Wait(ctx)
+}
+
+// A Posted is the first half of a Roundtrip: the request is on the
+// writer's queue — ahead of anything its caller queues next — and the
+// reply not yet awaited. It must be given exactly one Wait.
+type Posted struct {
+	s   *Session
+	seq uint32
+	ch  chan Message
+}
+
+// Post queues req as Roundtrip does and returns without awaiting the
+// reply; ctx bounds only the wait for room on the queue.
+func (s *Session) Post(ctx context.Context, t protocol.MsgType, req *protocol.Buffer) (Posted, error) {
+	return s.post(ctx, Item{Type: t, Frame: req})
+}
+
+// post registers a sequence and its reply channel for it and queues it,
+// consuming it whatever the outcome.
+func (s *Session) post(ctx context.Context, it Item) (Posted, error) {
+	s.mu.Lock()
+	if err := s.err; err != nil {
+		s.mu.Unlock()
+		s.w.settle(&it, false)
+		return Posted{}, err
 	}
+	s.nextSeq++
+	p := Posted{s, s.nextSeq, make(chan Message, 1)}
+	s.pending[p.seq] = p.ch
+	s.mu.Unlock()
+	it.Seq = p.seq
+	if !s.w.Send(it, ctx.Done()) {
+		return Posted{}, s.deregister(ctx, p.seq, p.ch)
+	}
+	return p, nil
+}
+
+// Wait is the second half of a Roundtrip.
+func (p Posted) Wait(ctx context.Context) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	select {
-	case r := <-ch:
+	case r := <-p.ch:
 		return r.Type, r.FB, r.Bulk, r.Err
 	case <-ctx.Done():
-		return 0, nil, nil, s.deregister(ctx, seq, ch)
+		return 0, nil, nil, p.s.deregister(ctx, p.seq, p.ch)
 	}
+}
+
+// Retracted is RoundtripRetract's error for a stream withdrawn before
+// its last chunk: the writer ended it with MsgBulkAbort, or never began
+// it, so the peer holds no complete request and will never act on this
+// sequence. Sent is how many of the message's bytes the wire carried
+// for nothing.
+type Retracted struct{ Sent int }
+
+func (r Retracted) Error() string {
+	return fmt.Sprintf("mux: bulk send retracted after %d bytes", r.Sent)
 }
 
 // RoundtripBulk performs one sequenced exchange whose request streams
@@ -292,30 +325,59 @@ func (s *Session) Roundtrip(ctx context.Context, t protocol.MsgType, req *protoc
 // or session failure — so the caller may reuse the slices immediately
 // after return.
 func (s *Session) RoundtripBulk(ctx context.Context, m *protocol.BulkMsg) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	return s.RoundtripRetract(ctx, m, nil)
+}
+
+// RoundtripRetract is RoundtripBulk for a request its caller may learn,
+// mid-upload, it need not have sent: closing retract asks for the
+// stream back. Whether that is still possible is the writer's call, not
+// a timer's, since only the one goroutine that puts the chunks on the
+// wire knows whether the last has gone. If it has not, the stream ends
+// there and the error is a Retracted: the request never completed at
+// the peer and may be sent again in another form without running twice.
+// If it has, the peer may already be executing, the retraction is void,
+// and the reply is awaited exactly as if it had never been asked for.
+func (s *Session) RoundtripRetract(ctx context.Context, m *protocol.BulkMsg, retract <-chan struct{}) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
+	return s.roundtripBulk(ctx, m, retract, &hold{settled: make(chan struct{})})
+}
+
+// roundtripBulk is RoundtripRetract on a given hold; only tests pass
+// their own, to see the abandonment the writer sees.
+func (s *Session) roundtripBulk(ctx context.Context, m *protocol.BulkMsg, retract <-chan struct{}, h *hold) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	if !s.Bulk() {
 		m.Release()
 		return 0, nil, nil, fmt.Errorf("mux: peer version %d lacks bulk streaming", s.version)
 	}
-	seq, ch, err := s.register()
+	p, err := s.post(ctx, Item{Bulk: m, hold: h})
 	if err != nil {
-		m.Release()
 		return 0, nil, nil, err
 	}
-	h := &hold{settled: make(chan struct{})}
-	if !s.w.Send(Item{Seq: seq, Bulk: m, hold: h}, ctx.Done()) {
-		return 0, nil, nil, s.deregister(ctx, seq, ch)
-	}
-	select {
-	case r := <-ch:
-		// A reply (or session failure) means the writer finished with
-		// this send; it settles promptly, and waiting guarantees the
-		// spans are unreferenced before the caller reuses them.
-		s.awaitSettled(h)
-		return r.Type, r.FB, r.Bulk, r.Err
-	case <-ctx.Done():
-		h.abandoned.Store(true)
-		s.awaitSettled(h)
-		return 0, nil, nil, s.deregister(ctx, seq, ch)
+	for {
+		select {
+		case r := <-p.ch:
+			// A reply (or session failure) means the writer finished with
+			// this send; it settles promptly, and waiting guarantees the
+			// spans are unreferenced before the caller reuses them.
+			s.awaitSettled(h)
+			return r.Type, r.FB, r.Bulk, r.Err
+		case <-ctx.Done():
+			h.abandoned.Store(true)
+			s.awaitSettled(h)
+			return 0, nil, nil, s.deregister(ctx, p.seq, p.ch)
+		case <-retract:
+			h.abandoned.Store(true)
+			s.awaitSettled(h)
+			if !h.written {
+				// Not written and nobody else to blame — the context
+				// live, the session up — is the writer honouring the
+				// abandonment.
+				if err := s.deregister(ctx, p.seq, p.ch); err != nil {
+					return 0, nil, nil, err
+				}
+				return 0, nil, nil, Retracted{h.sent}
+			}
+			retract = nil // too late: the whole request is the peer's
+		}
 	}
 }
 

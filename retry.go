@@ -136,7 +136,7 @@ func Retryable(err error) bool {
 		// "this call cannot work".
 		// CodeCacheMiss is retryable by design: the call was not
 		// executed, and the retry re-uploads the evicted argument bytes
-		// (the client cleared its warm set when the miss surfaced).
+		// (the client forgot the call's digests when the miss surfaced).
 		return re.Code == protocol.CodeOverloaded || re.Code == protocol.CodeCacheMiss
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

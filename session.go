@@ -207,11 +207,13 @@ func (c *Client) dropSession(s *mux.Session) {
 // request is one encoded request awaiting a transport — the client-side
 // mirror of the server's reply. Exactly one of fb (a complete frame
 // payload) or bulk (a message the session streams in chunks; built only
-// for sessions that negotiated bulk) is set.
+// for sessions that negotiated bulk) is set; closing retract, if set,
+// asks for a bulk stream back (mux.Session.RoundtripRetract).
 type request struct {
-	t    protocol.MsgType
-	fb   *protocol.Buffer
-	bulk *protocol.BulkMsg
+	t       protocol.MsgType
+	fb      *protocol.Buffer
+	bulk    *protocol.BulkMsg
+	retract <-chan struct{}
 }
 
 // exchange runs one request/reply exchange on the transport session
@@ -242,7 +244,7 @@ func (c *Client) exchange(ctx context.Context, sess *mux.Session, rq request) (p
 	switch {
 	case rq.bulk != nil:
 		//lint:ninflint featgate — a bulk request exists only where send built one, under sess.Bulk() or a live cache
-		rt, fb, bulk, err = sess.RoundtripBulk(ctx, rq.bulk)
+		rt, fb, bulk, err = sess.RoundtripRetract(ctx, rq.bulk, rq.retract)
 	case sess != nil:
 		rt, fb, bulk, err = sess.Roundtrip(ctx, rq.t, rq.fb)
 	default:
@@ -312,91 +314,135 @@ func (c *Client) query(ctx context.Context, negotiate bool, t protocol.MsgType, 
 // says where the session lets arrays go, and one encode follows it. On a
 // session that negotiated bulk streaming an array crossing the client's
 // threshold is written zero-copy from the caller's slice; against a live
-// argument cache one the server already holds shrinks to its digest; on
-// a pooled lockstep connection everything is inline in one frame.
+// argument cache one the client knows the server to hold shrinks to its
+// digest; on a pooled lockstep connection everything is inline in one
+// frame.
+//
+// An array whose digest the client has no knowledge of is uploaded and
+// asked about at once: the MsgCallDigest query is queued just ahead of
+// the stream, and its answer arrives one round trip later with the
+// upload under way. Cold, as a first upload is, it changes nothing and
+// the call cost no round trip more than a plain one. Warm — another
+// client put the array there — the stream is asked back; the session's
+// writer alone knows whether its last chunk has left, so it decides: a
+// stream it can still abort was never a request, and the call goes again
+// with the 20-byte marker; one it has finished is the call, and its
+// reply is awaited. Either way the routine runs once.
 func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	var shape protocol.Shape
-	var digs []protocol.Digest
-	var err error
+	thr := c.bulkThreshold()
 	if sess != nil && sess.Bulk() {
-		shape = protocol.BulkShape(c.bulkThreshold())
+		shape = protocol.BulkShape(thr)
 	}
+	var digs []protocol.Digest
+	var warm []bool
+	unknown := false
 	cacheOK := c.cacheOn(sess)
 	if cacheOK {
 		// Retain rides every shape, not just the digest one: the server
-		// may refuse the warmth query below and still hold a cache.
+		// may refuse the warmth query and still hold a cache.
 		creq.Retain = c.retainRes.Load()
-		if shape, digs, err = c.digestShape(ctx, sess, info, creq, shape); err != nil {
+		if digs, _ = protocol.CallRequestDigests(info, creq, thr); len(digs) > 0 {
+			warm, unknown = c.warmth(digs)
+			shape = protocol.DigestShape(thr, digs, warm)
+		}
+	}
+	for {
+		rq := request{t: t}
+		var err error
+		if rq.bulk, rq.fb, err = protocol.EncodeRequest(info, t, creq, key, shape); err != nil {
 			return 0, nil, nil, err
 		}
-	}
-	rq := request{t: t}
-	if rq.bulk, rq.fb, err = protocol.EncodeRequest(info, t, creq, key, shape); err != nil {
-		return 0, nil, nil, err
-	}
-	if rq.bulk != nil {
-		rep.BytesOut = int64(rq.bulk.Total())
-	} else {
-		rep.BytesOut = int64(rq.fb.Len())
-	}
-	rt, fb, bulk, err := c.exchange(ctx, sess, rq)
-	if digs != nil {
+		if rq.bulk != nil {
+			rep.BytesOut = int64(rq.bulk.Total())
+		} else {
+			rep.BytesOut = int64(rq.fb.Len())
+		}
+		var sp *speculation
+		if cacheOK && unknown {
+			sp = c.speculate(ctx, sess, digs, warm)
+			rq.retract = sp.retract
+		}
+		rt, fb, bulk, err := c.exchange(ctx, sess, rq)
+		if sp != nil {
+			<-sp.done
+			if r := (mux.Retracted{}); errors.As(err, &r) {
+				// Never a request, so this is no second attempt: the same
+				// call, in the shape the answer gives it.
+				rep.Retracted = int64(r.Sent)
+				//lint:ninflint featgate — sp is set only under cacheOK
+				shape, unknown = protocol.DigestShape(thr, digs, sp.warm), false
+				//lint:ninflint releasecheck — an exchange that ended Retracted returned no buffer
+				continue
+			}
+			if sp.refused {
+				// The server answered but will not play (e.g. its cache was
+				// disabled across a restart): what went out was a plain
+				// level-3 call, and it taught nothing about any cache.
+				return rt, fb, bulk, err
+			}
+		}
 		// On success every digest is warm — the server pinned resolved
 		// entries for the call and retained uploaded segments. A
-		// CodeCacheMiss (eviction raced the warmth knowledge) clears the
-		// warm set; the error is retryable, and the retry re-queries and
-		// re-uploads.
+		// CodeCacheMiss (eviction raced the warmth knowledge) voids what
+		// was believed of the digests this call named, and no others; the
+		// error is retryable, and the retry asks and uploads afresh.
 		var re *protocol.RemoteError
-		if err == nil {
+		switch {
+		case len(digs) == 0:
+		case err == nil:
 			c.markWarm(digs)
-		} else if errors.As(err, &re) && re.Code == protocol.CodeCacheMiss {
-			c.forgetWarm()
+		case errors.As(err, &re) && re.Code == protocol.CodeCacheMiss:
+			c.forgetWarm(digs)
 		}
+		return rt, fb, bulk, err
 	}
-	return rt, fb, bulk, err
 }
 
-// digestShape is the level-4 shape for one call or submit: hash the
-// bulk-eligible arguments, learn which digests the server's cache holds
-// (from the client's warm set, else one small MsgCallDigest round
-// trip), and let the warm ones go as 20-byte digest markers, only the
-// cold ones as bulk segments. It also returns the digests the shape
-// references; none, and the plain shape back, means nothing was
-// digest-eligible or the warmth query degraded, and the call goes out
-// plain level 3.
-func (c *Client) digestShape(ctx context.Context, sess *mux.Session, info *idl.Info, creq *protocol.CallRequest, plain protocol.Shape) (protocol.Shape, []protocol.Digest, error) {
-	thr := c.bulkThreshold()
-	digs, err := protocol.CallRequestDigests(info, creq, thr)
-	if err != nil || len(digs) == 0 {
-		return plain, nil, nil
+// A speculation is the warmth query travelling beside the upload it may
+// make unnecessary. Its watcher closes retract when the answer finds
+// resident an array the upload is carrying, and done when it is through
+// with the answer — after which warm (the answer, when it was one) and
+// refused (it was an error frame) are the sender's to read.
+type speculation struct {
+	retract, done chan struct{}
+	warm          []bool
+	refused       bool
+}
+
+// speculate queues the MsgCallDigest query for digs — before the caller
+// queues the upload, so that is the order they reach the wire in — and
+// starts the watcher. sent[i] says digs[i] is going as a marker already.
+// A query that cannot be queued, or is never answered, retracts nothing:
+// the session is failing or ctx over, and the upload reports that itself.
+func (c *Client) speculate(ctx context.Context, sess *mux.Session, digs []protocol.Digest, sent []bool) *speculation {
+	sp := &speculation{retract: make(chan struct{}), done: make(chan struct{})}
+	q, err := sess.Post(ctx, protocol.MsgCallDigest, protocol.EncodeDigestQueryBuf(digs))
+	if err != nil {
+		close(sp.done)
+		return sp
 	}
-	warm := c.warmKnown(digs)
-	if warm == nil {
-		qt, qfb, _, qerr := c.exchange(ctx, sess, request{t: protocol.MsgCallDigest, fb: protocol.EncodeDigestQueryBuf(digs)})
-		if qerr != nil {
-			var re *protocol.RemoteError
-			if errors.As(qerr, &re) {
-				// The server answered but will not play (e.g. its cache
-				// was disabled across a restart): degrade to plain level 3
-				// for this call.
-				return plain, nil, nil
-			}
-			return plain, nil, qerr
-		}
-		if qt != protocol.MsgDigestStatus {
-			qfb.Release()
-			return plain, nil, fmt.Errorf("ninf: unexpected reply %v to digest query", qt)
-		}
-		warm, err = protocol.DecodeDigestStatus(qfb.Payload())
-		qfb.Release()
+	go func() {
+		defer close(sp.done)
+		t, fb, _, err := q.Wait(ctx)
 		if err != nil {
-			return plain, nil, err
+			return
 		}
-		if len(warm) != len(digs) {
-			return plain, nil, fmt.Errorf("ninf: digest status answers %d of %d digests", len(warm), len(digs))
+		defer fb.Release()
+		if sp.refused = t != protocol.MsgDigestStatus; sp.refused {
+			return
 		}
-	}
-	return protocol.DigestShape(thr, digs, warm), digs, nil
+		if sp.warm, err = protocol.DecodeDigestStatus(fb.Payload()); err != nil || len(sp.warm) != len(digs) {
+			return
+		}
+		for i := range digs {
+			if sp.warm[i] && !sent[i] {
+				close(sp.retract)
+				return
+			}
+		}
+	}()
+	return sp
 }
 
 // finish decodes one call or fetch reply — the same payload, whatever

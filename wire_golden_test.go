@@ -110,14 +110,43 @@ func (c *recConn) parse(buf []byte, fromClient bool) []byte {
 // (protocol.callDeadlineMagic).
 var deadlineMagic = []byte{0x4e, 0x46, 0x44, 0x4c}
 
+// settleStatuses puts each DigestStatus where it is certain to have
+// arrived by: just ahead of the first other server frame after the
+// CallDigest it answers. The query travels beside an upload and the two
+// are served concurrently, so the answer may land anywhere among the
+// upload's frames or its reply's; the capture must not depend on where.
+func settleStatuses(in []wireFrame) []wireFrame {
+	var out, statuses []wireFrame
+	for _, f := range in {
+		if f.t == protocol.MsgDigestStatus {
+			statuses = append(statuses, f)
+		}
+	}
+	owed := 0
+	for _, f := range in {
+		switch {
+		case f.t == protocol.MsgDigestStatus:
+			continue
+		case f.fromClient && f.t == protocol.MsgCallDigest:
+			owed++
+		case !f.fromClient:
+			n := min(owed, len(statuses))
+			out, statuses, owed = append(out, statuses[:n]...), statuses[n:], 0
+		}
+		out = append(out, f)
+	}
+	return append(out, statuses...)
+}
+
 // render formats the capture: the negotiation on its own, then every
-// other frame in order.
+// other frame in order (DigestStatus frames as settleStatuses has them).
 func (l *wireLog) render() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	frames := settleStatuses(l.frames)
 	var hello, rest strings.Builder
-	for i := 0; i < len(l.frames); i++ {
-		f := l.frames[i]
+	for i := 0; i < len(frames); i++ {
+		f := frames[i]
 		w := &rest
 		if f.hello {
 			w = &hello
@@ -128,7 +157,7 @@ func (l *wireLog) render() string {
 		}
 		p := append([]byte(nil), f.payload...)
 		switch {
-		case f.t == protocol.MsgFetch && i+1 < len(l.frames) && notReady(l.frames[i+1]):
+		case f.t == protocol.MsgFetch && i+1 < len(frames) && notReady(frames[i+1]):
 			i++ // a poll that found the job still running
 			continue
 		case f.t == protocol.MsgSubmit && len(p) >= 8:
