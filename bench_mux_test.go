@@ -3,17 +3,16 @@ package ninf_test
 // BenchmarkMuxVsLockstep: the paper's §4 multi-client question asked
 // of our own data plane. The sweep drives 1/2/4/16/64 concurrent
 // callers with 8B/64KiB/8MiB argument vectors over loopback TCP against
-// one server, once with the multiplexed session and once pinned to the
-// lockstep pooled path, and reports calls/s per cell. Two callers is
-// the regime benchmark/ gates (BENCHMARK.json), here so that it can be
-// run under -cpuprofile and -trace:
+// one server, in three modes, and reports calls/s per cell: mux is the
+// client as shipped (it spreads overlapping callers over up to
+// GOMAXPROCS sessions), mux1 pins it to one session through the test
+// hook — what every multiplexing client did before it held several, kept
+// as the reference that says what the extra sessions buy — and lockstep
+// turns multiplexing off. Two callers is the regime benchmark/ gates
+// (BENCHMARK.json), here so that it can be run under -cpuprofile and
+// -trace:
 //
 //	go test -run '^$' -bench 'MuxVsLockstep/mux/c2/64KiB' -cpuprofile cpu.prof .
-//
-// At two callers a third mode, mux2sess, gives each caller a client —
-// and so a session, a writer and a reader — of its own against the one
-// server: what separates it from mux/c2 is only that the two calls
-// share a session there (EXPERIMENTS.md "Why one session trails two").
 //
 // The multiclient-mux experiment (cmd/ninfbench) runs the 1/4/16/64
 // sweep outside the testing harness and records BENCH_multiclient.json.
@@ -52,15 +51,12 @@ var muxSweep = struct {
 
 func BenchmarkMuxVsLockstep(b *testing.B) {
 	for _, mode := range []struct {
-		name     string
-		mux      bool
-		sessions int
-	}{{"mux", true, 1}, {"lockstep", false, 1}, {"mux2sess", true, 2}} {
+		name string
+		mux  bool
+		pin  int // sessions the client is held to; 0 leaves it alone
+	}{{"mux", true, 0}, {"mux1", true, 1}, {"lockstep", false, 0}} {
 		for _, nc := range muxSweep.callers {
 			for _, size := range muxSweep.sizes {
-				if mode.sessions > 1 && nc != mode.sessions {
-					continue
-				}
 				if size.elems >= 1<<20 && nc > 16 {
 					// 64 callers × 8 MiB would hold half a GiB of
 					// argument vectors in flight; the interesting
@@ -74,33 +70,32 @@ func BenchmarkMuxVsLockstep(b *testing.B) {
 				}
 				name := mode.name + "/c" + itoa(nc) + "/" + size.name
 				b.Run(name, func(b *testing.B) {
-					benchMuxCell(b, mode.mux, mode.sessions, nc, size.elems)
+					benchMuxCell(b, mode.mux, mode.pin, nc, size.elems)
 				})
 			}
 		}
 	}
 }
 
-// benchMuxCell runs b.N echo calls spread over nc concurrent callers,
-// the callers dealt round-robin to the given number of clients.
-func benchMuxCell(b *testing.B, mux bool, sessions, nc, elems int) {
-	clients, cleanup := benchClients(b, server.Config{PEs: 4}, sessions)
+// benchMuxCell runs b.N echo calls spread over nc concurrent callers of
+// one client.
+func benchMuxCell(b *testing.B, mux bool, pin, nc, elems int) {
+	c, cleanup := benchClient(b, server.Config{PEs: 4})
 	defer cleanup()
-	for _, c := range clients {
-		c.SetMultiplexing(mux)
-		if !mux {
-			// Give the lockstep path its best shot: one pooled connection
-			// per concurrent caller, so the comparison is mux vs a
-			// fully-provisioned pool, not mux vs pool starvation.
-			c.SetPoolSize(nc)
-		}
-		warm := make([]float64, elems)
-		if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
-			b.Fatal(err)
-		}
-		if c.Multiplexed() != mux {
-			b.Fatalf("client multiplexed = %v, want %v", c.Multiplexed(), mux)
-		}
+	c.SetMultiplexing(mux)
+	c.PinSessions(pin)
+	if !mux {
+		// Give the lockstep path its best shot: one pooled connection
+		// per concurrent caller, so the comparison is mux vs a
+		// fully-provisioned pool, not mux vs pool starvation.
+		c.SetPoolSize(nc)
+	}
+	warm := make([]float64, elems)
+	if _, err := c.Call("echo", elems, warm, make([]float64, elems)); err != nil {
+		b.Fatal(err)
+	}
+	if c.Multiplexed() != mux {
+		b.Fatalf("client multiplexed = %v, want %v", c.Multiplexed(), mux)
 	}
 
 	b.SetBytes(int64(2 * 8 * elems)) // echo moves the vector out and back
@@ -115,7 +110,6 @@ func benchMuxCell(b *testing.B, mux bool, sessions, nc, elems int) {
 			continue
 		}
 		wg.Add(1)
-		c := clients[w%sessions]
 		go func(calls int) {
 			defer wg.Done()
 			in := make([]float64, elems)
@@ -161,7 +155,9 @@ func itoa(n int) string {
 // link. The small caller is closed-loop: it completes many calls in
 // each quiet gap between chunks and one per chunk it waits behind, so
 // p50-ms mostly describes the gaps; mean-ms (elapsed ÷ calls) weighs
-// every wait by its length.
+// every wait by its length. The client is pinned to one session: the
+// cell is about how one writer interleaves the two, and left alone the
+// small call would get a session — and a writer — of its own.
 func BenchmarkMuxMixed(b *testing.B) {
 	for _, cell := range []struct {
 		name string
@@ -203,6 +199,7 @@ func benchMuxMixedCell(b *testing.B, linkBps float64, threshold int) {
 	}
 	defer c.Close()
 	c.SetBulkThreshold(threshold)
+	c.PinSessions(1)
 
 	const bulkElems = 1 << 20 // 8 MiB per direction
 	smallIn := []float64{42}

@@ -170,13 +170,6 @@ func BenchmarkSimulatorCell(b *testing.B) {
 
 func benchClient(b *testing.B, cfg server.Config) (*ninf.Client, func()) {
 	b.Helper()
-	cs, cleanup := benchClients(b, cfg, 1)
-	return cs[0], cleanup
-}
-
-// benchClients starts one loopback server and n clients of it.
-func benchClients(b *testing.B, cfg server.Config, n int) ([]*ninf.Client, func()) {
-	b.Helper()
 	reg, err := library.NewRegistry()
 	if err != nil {
 		b.Fatal(err)
@@ -187,22 +180,15 @@ func benchClients(b *testing.B, cfg server.Config, n int) ([]*ninf.Client, func(
 		b.Fatal(err)
 	}
 	go s.Serve(l)
-	var cs []*ninf.Client
-	cleanup := func() {
-		for _, c := range cs {
-			c.Close()
-		}
+	c, err := ninf.Dial("tcp", l.Addr().String())
+	if err != nil {
+		s.Close()
+		b.Fatal(err)
+	}
+	return c, func() {
+		c.Close()
 		s.Close()
 	}
-	for len(cs) < n {
-		c, err := ninf.Dial("tcp", l.Addr().String())
-		if err != nil {
-			cleanup()
-			b.Fatal(err)
-		}
-		cs = append(cs, c)
-	}
-	return cs, cleanup
 }
 
 func BenchmarkAblationMPPSched(b *testing.B) { benchExperiment(b, "ablation-mpp-sched") }

@@ -254,7 +254,9 @@ func TestBulkFetchDuringCloseFailsRetryable(t *testing.T) {
 // time: a 512 KiB one takes 3 s at this rate, which outlasts the 2 s the
 // session gives its writer to let go of the caller's slices — the call
 // came back after 2.3 s over a session it had just torn down, and the
-// small call sharing that session failed with it.
+// small call sharing that session failed with it. The client is pinned
+// to one session: left alone it would open a second for the small call,
+// which would then say nothing about the one the stream was abandoned on.
 func TestBulkAbandonOnSlowLinkKeepsSession(t *testing.T) {
 	const (
 		rate     = 170_000 // bytes/s
@@ -282,6 +284,7 @@ func TestBulkAbandonOnSlowLinkKeepsSession(t *testing.T) {
 		dials.Add(1)
 		return net.Dial("tcp", l.Addr().String())
 	}, shaped))
+	c.PinSessions(1)
 
 	small := func() error {
 		in, out := []float64{7}, []float64{0}

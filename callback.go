@@ -41,7 +41,7 @@ func (c *Client) RegisterCallback(name string, fn CallbackFunc) {
 	registered := len(c.cb.fns) > 0
 	c.cb.mu.Unlock()
 	if registered {
-		c.closeSession()
+		c.retire(nil)
 	}
 }
 

@@ -38,11 +38,12 @@ import (
 
 // Client is the handle on one Ninf computational server. It is safe
 // for concurrent use: every verb runs the one exchange path of
-// session.go, over the client's multiplexed session once one is
-// negotiated, and otherwise on a connection checked out of a bounded
-// idle pool fed by the dialer — so neither a burst of calls against a
-// legacy server nor the verbs issued before the session is up dial per
-// exchange.
+// session.go, over one of the client's multiplexed sessions once one is
+// negotiated — one session for calls that come one after another, up to
+// GOMAXPROCS for calls that overlap — and otherwise on a connection
+// checked out of a bounded idle pool fed by the dialer, so neither a
+// burst of calls against a legacy server nor the verbs issued before a
+// session is up dial per exchange.
 type Client struct {
 	pool *connPool
 
@@ -403,16 +404,17 @@ func (c *Client) bulkThreshold() int {
 // when every pooled connection is busy, additional exchanges dial
 // through the dialer and the surplus connections are closed on return.
 // A multiplexed session's connection is checked out for the session's
-// life and does not count against the bound.
+// life and does not count against the bound; nor does this bound how
+// many sessions the client holds (see session.go).
 func (c *Client) SetPoolSize(n int) { c.pool.setMaxIdle(n) }
 
-// Close releases the idle pool and the multiplexed session, and severs
+// Close releases the idle pool and every multiplexed session, and severs
 // any in-flight exchange: a CallAsync or Submit blocked on a dead
 // server returns a classified connection error (wrapping
 // ErrClientClosed) rather than hanging.
 func (c *Client) Close() error {
 	c.pool.closeAll()
-	c.closeSession()
+	c.retire(nil)
 	return nil
 }
 

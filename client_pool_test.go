@@ -3,6 +3,7 @@ package ninf_test
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,6 +60,14 @@ func (l *recListener) closeAccepted() {
 	for _, c := range conns {
 		c.Close()
 	}
+}
+
+// closeOne closes the server end of the i-th connection accepted.
+func (l *recListener) closeOne(i int) {
+	l.mu.Lock()
+	c := l.conns[i]
+	l.mu.Unlock()
+	c.Close()
 }
 
 func (l *recListener) accepted() int {
@@ -259,45 +268,72 @@ func TestSetPoolSizeClosesSurplus(t *testing.T) {
 	}
 }
 
-// TestOneSocketPerServer pins the client's connection topology: the
-// connection NewClient dials carries the first interface fetch, then
-// the Hello, and — upgraded — the session itself, so a multiplexing
-// client costs the server one socket and one serving goroutine, even
-// when its first calls arrive all at once (they share one interface
-// fetch and one negotiation). Against a server that refuses the
-// upgrade, the refused Hello was a complete lockstep exchange and the
-// same connection goes on to carry the call.
+// TestOneSocketPerServer pins the client's connection topology: sockets
+// ≤ min(GOMAXPROCS, peak exchanges in flight). The connection NewClient
+// dials carries the first interface fetch, then the Hello, and —
+// upgraded — the first session, and a client whose exchanges never
+// overlap never needs another: it costs the server one socket and one
+// serving goroutine whatever the core count. Overlapping callers get at
+// most one session per P, so exactly one at -cpu 1, and when they all
+// arrive cold they wait for the one handshake (and share one interface
+// fetch) instead of each falling to a lockstep connection of its own.
+// Against a server that refuses the upgrade, the refused Hello was a
+// complete lockstep exchange and the same connection goes on to carry
+// the call.
 func TestOneSocketPerServer(t *testing.T) {
+	echo := smallEcho
+	twoPhase := func(c *ninf.Client) error {
+		in, out := []float64{1, 2}, make([]float64, 2)
+		job, err := c.Submit("echo", 2, in, out)
+		if err != nil {
+			return err
+		}
+		_, err = job.Fetch(true)
+		return err
+	}
 	for _, tc := range []struct {
 		name    string
 		cfg     server.Config
-		callers int
+		callers int // concurrent, each running every step
+		warm    bool
+		steps   []func(*ninf.Client) error
+		repeat  int
+		most    int // sockets allowed
 		mux     bool
 	}{
-		{"mux", server.Config{}, 1, true},
-		{"mux-concurrent-cold-start", server.Config{PEs: 4}, 16, true},
-		{"legacy-server", server.Config{DisableMux: true}, 1, false},
+		{"mux", server.Config{}, 1, false, []func(*ninf.Client) error{echo, twoPhase}, 100, 1, true},
+		{"mux-overlapping", server.Config{PEs: 4}, 16, true, []func(*ninf.Client) error{echo}, 20, runtime.GOMAXPROCS(0), true},
+		{"mux-concurrent-cold-start", server.Config{PEs: 4}, 16, false, []func(*ninf.Client) error{echo}, 1, runtime.GOMAXPROCS(0), true},
+		{"legacy-server", server.Config{DisableMux: true}, 1, false, []func(*ninf.Client) error{echo}, 1, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l, dials, _, dial, _ := startPoolServerCfg(t, tc.cfg)
 			c := newClient(t, dial)
+			if tc.warm {
+				if err := echo(c); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var wg sync.WaitGroup
 			errs := make(chan error, tc.callers)
 			for i := 0; i < tc.callers; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					in, out := []float64{1, 2}, make([]float64, 2)
-					_, err := c.Call("echo", 2, in, out)
-					errs <- err
+					for k := 0; k < tc.repeat; k++ {
+						for _, step := range tc.steps {
+							if err := step(c); err != nil {
+								errs <- err
+								return
+							}
+						}
+					}
 				}()
 			}
 			wg.Wait()
 			close(errs)
 			for err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
+				t.Fatal(err)
 			}
 			if err := c.Ping(); err != nil {
 				t.Fatal(err)
@@ -305,8 +341,14 @@ func TestOneSocketPerServer(t *testing.T) {
 			if c.Multiplexed() != tc.mux {
 				t.Fatalf("Multiplexed() = %v, want %v", c.Multiplexed(), tc.mux)
 			}
-			if d, a := dials.Load(), l.accepted(); d != 1 || a != 1 {
-				t.Errorf("client dialed %d connections and the server accepted %d, want 1 and 1", d, a)
+			if tc.mux {
+				// Every connection dialed is (or, its handshake still
+				// running behind the callers, is about to be) a session:
+				// none was a call's own lockstep connection.
+				waitUntil(t, 5*time.Second, func() bool { return int64(c.Sessions()) == dials.Load() })
+			}
+			if d, a := dials.Load(), l.accepted(); d < 1 || d > int64(tc.most) || int(d) != a {
+				t.Errorf("client dialed %d connections and the server accepted %d, want the same and 1..%d", d, a, tc.most)
 			}
 		})
 	}

@@ -39,8 +39,9 @@ type muxCell struct {
 }
 
 // mixedCell is one mixed-size measurement: 8 B calls timed while a
-// concurrent 8 MiB caller occupies the same session on an emulated
-// shared access link. This is the cell the plain sweep is blind to —
+// concurrent 8 MiB caller occupies the same client — one session on one
+// core; on more the small calls find it busy and get a second — on an
+// emulated access link both share. This is the cell the plain sweep is blind to —
 // per-mode aggregate throughput barely moves, but the small calls'
 // tail latency collapses when the bulk transfer streams as bounded
 // chunks instead of one monolithic frame.

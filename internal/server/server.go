@@ -805,9 +805,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 // peer address plus a per-connection serial. The serial matters
 // because distinct clients can share an address (loopback tests,
 // net.Pipe's constant "pipe", NATed sites), so identity is really
-// per-connection — one multiplexed session is one client, which is
-// the data plane's norm; a lockstep client gets one identity per
-// pooled connection.
+// per-connection. A client whose calls never overlap holds one
+// multiplexed session and is one identity. One whose calls do holds k
+// sessions, k ≤ its own GOMAXPROCS, and so k identities and k ×
+// MaxPerClient of queue share — exactly as a lockstep client gets one
+// identity per pooled connection, and always has.
 func (s *Server) clientID(conn net.Conn) string {
 	addr := "conn"
 	if ra := conn.RemoteAddr(); ra != nil {

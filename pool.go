@@ -12,7 +12,7 @@ import (
 const DefaultPoolSize = 4
 
 // connPool supplies every connection a client uses: one per lockstep
-// exchange in flight, and the one a multiplexed session lives on. It
+// exchange in flight, and the one each multiplexed session lives on. It
 // keeps a bounded stack of idle connections so exchanges reuse
 // established connections instead of paying a fresh TCP (and, on a
 // WAN, a full round-trip) per call — the per-call connection setup the

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,48 +34,79 @@ import (
 //     connection out of the pool, runs a single lockstep request/reply on
 //     it under the caller's context, and pools or discards it.
 //
-// The connection NewClient dials eagerly seeds the pool, and a session
-// is negotiated on a pooled connection, so a multiplexing client holds
-// exactly one socket per server once its session is up.
+// A session has one goroutine per stage, so exchanges that overlap on it
+// queue behind one another's wake-ups on one P however many cores are
+// idle (EXPERIMENTS.md "Why one session trails two"). A client whose
+// calls overlap therefore holds several: session() hands each exchange
+// the live session with the fewest in flight, and opens a further one
+// only when every live one is busy and there are fewer than GOMAXPROCS.
+// A client that never overlaps calls holds exactly one socket: the
+// connection NewClient dials eagerly seeds the pool and the first
+// session is negotiated on it. What the client knows of the server — the
+// warm-digest set, the epoch, the retry budget — is per client, since
+// the server's cache and job table are per server; what a handshake
+// answered — version and capability flags — is per session.
+
+// A live is one negotiated session and what is per session about it.
+type live struct {
+	sess  *mux.Session
+	conn  net.Conn // its transport, checked out of the pool so closeAll severs it
+	flags uint32   // its HelloReply capability flags
+}
 
 // sessionState holds the client's multiplexing state; embedded in
 // Client so the zero value (mux on, not yet probed) is ready to use.
 type sessionState struct {
-	mu     sync.Mutex
-	sess   *mux.Session
-	conn   net.Conn // the session's transport, checked out of the pool so closeAll severs it
-	legacy bool     // peer answered Hello as a version-1 server; sticky until SetMultiplexing(true)
-	off    bool     // SetMultiplexing(false)
-	flags  uint32   // HelloReply capability flags of the live session
+	mu      sync.Mutex
+	live    []live
+	turn    uint          // where the next scan for the least-loaded session starts
+	opening chan struct{} // non-nil while a handshake runs (one at a time); closed when it ends
+	gen     int           // counts retire-alls: a handshake that straddles one is not installed
+	max     int           // tests pin the session count; 0 means GOMAXPROCS
+	legacy  bool          // peer answered Hello as a version-1 server; sticky until SetMultiplexing(true)
+	off     bool          // SetMultiplexing(false)
 }
 
 // SetMultiplexing toggles the multiplexed session layer. It is on by
 // default: the client probes the server's protocol version on first
 // use and falls back to lockstep exchanges against legacy servers
-// automatically. Passing false closes any live session and keeps the
+// automatically. Passing false closes every live session and keeps the
 // client on pooled lockstep connections (useful for A/B measurement and
 // as an escape hatch); passing true re-enables probing, including
 // against a peer previously seen as legacy (it may have been upgraded
 // since).
 func (c *Client) SetMultiplexing(on bool) {
 	c.sess.mu.Lock()
-	s, conn := c.sess.sess, c.sess.conn
-	c.sess.sess, c.sess.conn = nil, nil
 	c.sess.off = !on
 	c.sess.legacy = false
 	c.sess.mu.Unlock()
-	retireSession(c, s, conn)
+	c.retire(nil)
 }
 
-// retireSession closes a session detached from the client state and
-// returns its transport to the pool's books (discard: the stream
-// carries interleaved mux frames and must never be reused).
-func retireSession(c *Client, s *mux.Session, conn net.Conn) {
-	if s != nil {
-		s.Close()
+// retire detaches only — or, given nil, every session: Client.Close, a
+// registered callback, SetMultiplexing, a legacy answer — from the
+// client and closes it, returning its transport to the pool's books
+// (discard: the stream carries interleaved mux frames and must never be
+// reused). Exchanges in flight on a retired session fail retryably;
+// those on the others are untouched.
+func (c *Client) retire(only *mux.Session) {
+	st := &c.sess
+	st.mu.Lock()
+	var out []live
+	st.live = slices.DeleteFunc(st.live, func(l live) bool {
+		if only != nil && l.sess != only {
+			return false
+		}
+		out = append(out, l)
+		return true
+	})
+	if only == nil {
+		st.gen++
 	}
-	if conn != nil {
-		c.pool.discard(conn)
+	st.mu.Unlock()
+	for _, l := range out {
+		l.sess.Close()
+		c.pool.discard(l.conn)
 	}
 }
 
@@ -83,95 +116,162 @@ func retireSession(c *Client, s *mux.Session, conn net.Conn) {
 func (c *Client) Multiplexed() bool {
 	c.sess.mu.Lock()
 	defer c.sess.mu.Unlock()
-	return c.sess.sess != nil && !c.sess.sess.Broken()
+	for _, l := range c.sess.live {
+		if !l.sess.Broken() {
+			return true
+		}
+	}
+	return false
 }
 
-// closeSession tears down the live session, if any, as part of
-// Client.Close.
-func (c *Client) closeSession() {
-	c.sess.mu.Lock()
-	s, conn := c.sess.sess, c.sess.conn
-	c.sess.sess, c.sess.conn = nil, nil
-	c.sess.mu.Unlock()
-	retireSession(c, s, conn)
+// pick returns the live session with the fewest exchanges in flight and
+// that count — or the first broken one it meets, with -1, for the caller
+// to retire. Ties go to the session after the one the last pick began
+// at, not to the lowest index: closed-loop callers finish in step and
+// find every session idle together, and all would land on session 0.
+func (st *sessionState) pick() (s *mux.Session, load int) {
+	st.turn++
+	for i := range st.live {
+		l := st.live[(st.turn+uint(i))%uint(len(st.live))].sess
+		if l.Broken() {
+			return l, -1
+		}
+		if n := l.InFlight(); s == nil || n < load {
+			s, load = l, n
+		}
+	}
+	return s, load
 }
 
-// session picks the transport for one exchange: the live multiplexed
+// session picks the transport for one exchange: a live multiplexed
 // session, or nil for a pooled lockstep connection. nil means
 // multiplexing is off, the peer is legacy, the client has callbacks
 // registered (the §2.3 callback facility needs the quiet parked stream
 // of a lockstep call and cannot share a connection carrying interleaved
 // sequenced frames), or — with negotiate false — no session is up yet.
-// The data verbs pass negotiate true and get a session dialed and
-// negotiated when none is live; interface and control verbs pass false:
-// they ride a session for free but must not force (or block on) a
-// handshake for an exchange any pooled connection serves equally well.
-// ctx bounds only the dial+negotiate handshake.
+// The data verbs pass negotiate true: with no session live the first of
+// them dials and negotiates one under its ctx while the rest wait for
+// that handshake, and when every live session already has an exchange
+// in flight one more is opened behind the caller's back, which goes out
+// on the least loaded at once — no call waits for a dial it did not
+// need. Interface and control verbs pass false: they ride a session for
+// free but must not force (or block on) a handshake for an exchange any
+// pooled connection serves equally well.
 func (c *Client) session(ctx context.Context, negotiate bool) (*mux.Session, error) {
 	if c.hasCallbacks() {
 		return nil, nil
 	}
-	c.sess.mu.Lock()
-	defer c.sess.mu.Unlock()
-	if c.sess.off || c.sess.legacy {
-		return nil, nil
-	}
-	if s := c.sess.sess; s != nil {
-		if !s.Broken() {
-			return s, nil
+	st := &c.sess
+	for {
+		st.mu.Lock()
+		if st.off || st.legacy {
+			st.mu.Unlock()
+			return nil, nil
 		}
-		conn := c.sess.conn
-		c.sess.sess, c.sess.conn = nil, nil
-		//lint:ninflint locknet — the session is already Broken: Close and discard on its dead socket return immediately
-		retireSession(c, s, conn)
+		s, load := st.pick()
+		if load < 0 {
+			st.mu.Unlock()
+			c.retire(s)
+			continue
+		}
+		opening, gen := st.opening, st.gen
+		open := negotiate && opening == nil && (s == nil || load > 0 && len(st.live) < st.limit())
+		if open {
+			st.opening = make(chan struct{})
+		}
+		st.mu.Unlock()
+		switch {
+		case open && s != nil:
+			go c.open(context.Background(), gen)
+			return s, nil
+		case open:
+			if err := c.open(ctx, gen); err != nil {
+				return nil, err
+			}
+		case s != nil || !negotiate:
+			return s, nil
+		default:
+			select {
+			case <-opening:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
 	}
-	if !negotiate {
-		return nil, nil
+}
+
+// limit is the most sessions the client holds: one per P, because the
+// convoy a further session breaks up is per P.
+func (st *sessionState) limit() int {
+	if st.max > 0 {
+		return st.max
 	}
-	// Checking the connection out of the pool keeps it on the active
-	// books: Close's pool.closeAll severs a handshake blocked against a
-	// dead server, and severs the session transport itself later — the
-	// connection stays checked out for the session's whole life.
-	// sess.mu serializes session (re)establishment; pool.closeAll and
-	// guardConn both sever a handshake blocked under it.
+	return runtime.GOMAXPROCS(0)
+}
+
+// open dials and negotiates one session and installs it, outside the
+// state mutex: callers that can ride a live session never wait for it.
+// ctx bounds the handshake; Client.Close severs it too. A session that
+// finishes negotiating after a retire-all is retired, not installed, and
+// a legacy answer takes the client off every session it holds.
+func (c *Client) open(ctx context.Context, gen int) error {
+	l, err := c.handshake(ctx)
+	legacy := errors.Is(err, mux.ErrLegacy)
+	st := &c.sess
+	st.mu.Lock()
+	stale := st.gen != gen
+	if err == nil && !stale {
+		st.live = append(st.live, l)
+	}
+	st.legacy = st.legacy || legacy
+	close(st.opening)
+	st.opening = nil
+	st.mu.Unlock()
+	switch {
+	case legacy:
+		c.retire(nil)
+		return nil
+	case err == nil && stale:
+		l.sess.Close()
+		c.pool.discard(l.conn)
+	}
+	return err
+}
+
+// handshake checks a connection out of the pool and negotiates a session
+// on it. Checked out, the connection is on the pool's active books:
+// Close's pool.closeAll severs a handshake blocked against a dead
+// server, and severs the session transport itself later — it stays
+// checked out for the session's whole life.
+func (c *Client) handshake(ctx context.Context) (live, error) {
 	conn, err := c.pool.get()
 	if err != nil {
-		return nil, err
+		return live{}, err
 	}
-	//lint:ninflint locknet — guardConn only registers a context callback; it performs no socket I/O
 	stop := guardConn(ctx, conn)
-	//lint:ninflint locknet — negotiation must finish before any verb uses the session; the guard (and Close) severs a black-holed handshake
 	hello, err := mux.NegotiateHello(conn, c.maxPayload)
-	if !stop() {
-		//lint:ninflint locknet — discard only closes the socket (non-blocking) and updates the pool books
-		c.pool.discard(conn)
-		if err != nil {
-			return nil, ctxErr(ctx, err)
-		}
-		return nil, ctx.Err()
-	}
-	if errors.Is(err, mux.ErrLegacy) {
+	fired := !stop()
+	switch {
+	case fired && err == nil:
+		err = ctx.Err()
+	case fired:
+		err = ctxErr(ctx, err)
+	case errors.Is(err, mux.ErrLegacy):
 		// The refused Hello was a complete lockstep exchange, so the
 		// connection is still in frame sync — back to the pool with it.
-		c.sess.legacy = true
 		c.pool.put(conn)
-		return nil, nil
+		return live{}, err
+	case err == nil:
+		// The hello reply carries the server's incarnation epoch (0 from
+		// journal-less or pre-epoch servers); noting it here is how the
+		// client detects a restart at the first exchange after a re-dial,
+		// before any digest reference or data handle can hit the reborn
+		// (empty) cache.
+		c.noteEpoch(hello.Epoch)
+		return live{mux.New(conn, c.maxPayload, int(hello.Version)), conn, hello.Flags}, nil
 	}
-	if err != nil {
-		//lint:ninflint locknet — discard only closes the socket (non-blocking) and updates the pool books
-		c.pool.discard(conn)
-		return nil, err
-	}
-	// The hello reply carries the server's incarnation epoch (0 from
-	// journal-less or pre-epoch servers); noting it here is how the
-	// client detects a restart at the first exchange after a re-dial,
-	// before any digest reference or data handle can hit the reborn
-	// (empty) cache.
-	c.noteEpoch(hello.Epoch)
-	//lint:ninflint locknet — New only starts the session goroutines; it performs no blocking socket I/O itself
-	s := mux.New(conn, c.maxPayload, int(hello.Version))
-	c.sess.sess, c.sess.conn, c.sess.flags = s, conn, hello.Flags
-	return s, nil
+	c.pool.discard(conn)
+	return live{}, err
 }
 
 // cacheOn reports whether sess negotiated feature level 4 against a
@@ -185,23 +285,12 @@ func (c *Client) cacheOn(sess *mux.Session) bool {
 	}
 	c.sess.mu.Lock()
 	defer c.sess.mu.Unlock()
-	return c.sess.sess == sess && c.sess.flags&protocol.HelloFlagArgCache != 0
-}
-
-// dropSession retires s if it is still the client's current session
-// and has failed; the next session() call dials afresh.
-func (c *Client) dropSession(s *mux.Session) {
-	if !s.Broken() {
-		return
+	for _, l := range c.sess.live {
+		if l.sess == sess {
+			return l.flags&protocol.HelloFlagArgCache != 0
+		}
 	}
-	c.sess.mu.Lock()
-	var conn net.Conn
-	if c.sess.sess == s {
-		conn = c.sess.conn
-		c.sess.sess, c.sess.conn = nil, nil
-	}
-	c.sess.mu.Unlock()
-	retireSession(c, s, conn)
+	return false
 }
 
 // request is one encoded request awaiting a transport — the client-side
@@ -279,8 +368,8 @@ func (c *Client) exchange(ctx context.Context, sess *mux.Session, rq request) (p
 	}
 	if sess == nil {
 		err = c.releaseGuarded(ctx, conn, stop, err)
-	} else if err != nil {
-		c.dropSession(sess)
+	} else if err != nil && sess.Broken() {
+		c.retire(sess)
 	}
 	if err != nil {
 		return 0, nil, nil, err
