@@ -1,11 +1,14 @@
 package ninf_test
 
 import (
+	"net"
 	"runtime"
 	"testing"
 
 	"ninf"
+	"ninf/internal/library"
 	"ninf/internal/server"
+	"ninf/internal/server/journal"
 )
 
 // allocPerCall reports the bytes allocated per call of fn, process-wide
@@ -64,6 +67,59 @@ func TestAllocBudgetMid(t *testing.T) {
 		if got > budget {
 			t.Errorf("mux=%v: %.0f bytes allocated per 64 KiB echo, budget %d", mux, got, budget)
 		}
+	}
+}
+
+// TestAllocBudgetJournaledSubmit is the gate on the two-phase path with
+// a journal attached: a steady-state Submit + Fetch(wait) of dmmul(8),
+// client and server together. The submit record is framed straight
+// into the journal's pending tail — the arrival bytes, not a re-encode —
+// so appending allocates nothing once the tail has grown; the budget is the
+// measured ≈4.2 KB per call plus headroom (≈7.3 KB when every record
+// was encoded into its own buffer and the submit re-encoded first).
+func TestAllocBudgetJournaledSubmit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random; the budget assumes they are kept")
+	}
+	const budget = 6 << 10
+	reg, err := library.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Config{PEs: 2}, reg)
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.AttachJournal(t.TempDir(), journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	c := newClient(t, func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) })
+
+	const n = 8
+	a, b, got := make([]float64, n*n), make([]float64, n*n), make([]float64, n*n)
+	for i := range a {
+		a[i], b[i] = float64(i%5), float64(i%3)
+	}
+	submitFetch := func() {
+		got[n*n-1] = -1
+		j, err := c.Submit("dmmul", n, a, b, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Fetch(true); err != nil {
+			t.Fatal(err)
+		}
+		if got[n*n-1] < 0 {
+			t.Fatal("fetch did not fill the result")
+		}
+	}
+	perCall := allocPerCall(100, 1000, submitFetch)
+	t.Logf("%.0f bytes allocated per journaled dmmul(8) submit + fetch", perCall)
+	if perCall > budget {
+		t.Errorf("%.0f bytes allocated per journaled submit + fetch, budget %d", perCall, budget)
 	}
 }
 

@@ -54,7 +54,7 @@ func main() {
 	bulkThreshold := flag.Int("bulk-threshold", 0, "stream replies at or above this many payload bytes as chunked bulk frames (0 = default 256 KiB, negative = never)")
 	cacheBudget := flag.Int64("cache-budget", 0, "argument-cache byte budget for content-addressed operands and retained results (0 = cache off, protocol stays level 3 on the wire)")
 	journalDir := flag.String("journal-dir", "", "directory for the crash-recovery submit journal and incarnation epoch (empty = volatile server, no journal)")
-	fsyncPolicy := flag.String("fsync", "interval", "journal durability: interval (batched fsync), always (fsync per record), never (page cache only)")
+	fsyncPolicy := flag.String("fsync", "interval", "journal durability: interval (background fsync every 100ms), always (fsync per written batch, before acknowledging), never (page cache only)")
 	flag.Parse()
 
 	var execMode server.ExecMode

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ninf/internal/idl"
+	"ninf/internal/xdr"
 )
 
 // FuzzReadFrame checks the frame reader never panics and never returns
@@ -71,7 +72,9 @@ func FuzzDecodePayloads(f *testing.F) {
 // FuzzJournalRecord checks the write-ahead journal record codec:
 // decoding arbitrary bytes never panics, and any record that decodes
 // round-trips bit-identically — replay after a crash must never
-// reinterpret what admission wrote.
+// reinterpret what admission wrote. It also cross-checks the appending
+// encoder the journal frames with against the XDR stream encoding the
+// log format was defined by, behind an arbitrary prefix.
 func FuzzJournalRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&JournalRecord{Kind: JournalSubmit, JobID: 7, Key: 42, Client: "c1", Payload: []byte("req")}).Encode())
@@ -89,6 +92,22 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 		if re2 := rec2.Encode(); !bytes.Equal(re, re2) {
 			t.Fatal("journal record does not round-trip bit-identically")
+		}
+		var ref bytes.Buffer
+		e := xdr.NewEncoder(&ref)
+		e.PutUint32(uint32(rec.Kind))
+		e.PutUint64(rec.JobID)
+		e.PutUint64(rec.Key)
+		e.PutString(rec.Client)
+		e.PutUint32(rec.ErrCode)
+		e.PutString(rec.ErrDetail)
+		e.PutOpaque(rec.Payload)
+		if !bytes.Equal(re, ref.Bytes()) {
+			t.Fatalf("Encode (%d bytes) differs from the XDR stream encoding (%d bytes)", len(re), ref.Len())
+		}
+		prefix := data[:len(data)%7]
+		if got := rec.AppendTo(bytes.Clone(prefix)); !bytes.Equal(got, append(bytes.Clone(prefix), re...)) {
+			t.Fatal("AppendTo behind a prefix differs from prefix + Encode")
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ninf/internal/xdr"
@@ -62,18 +63,27 @@ type JournalRecord struct {
 }
 
 // Encode serializes the record.
-func (r *JournalRecord) Encode() []byte {
-	size := 4 + 8 + 8 + xdr.SizeString(len(r.Client)) + 4 +
-		xdr.SizeString(len(r.ErrDetail)) + 4 + len(r.Payload) + 3
-	return encodePayload(size, func(e *xdr.Encoder) {
-		e.PutUint32(uint32(r.Kind))
-		e.PutUint64(r.JobID)
-		e.PutUint64(r.Key)
-		e.PutString(r.Client)
-		e.PutUint32(r.ErrCode)
-		e.PutString(r.ErrDetail)
-		e.PutOpaque(r.Payload)
-	})
+func (r *JournalRecord) Encode() []byte { return r.AppendTo(nil) }
+
+// AppendTo appends the record's encoding to b: the one encoder behind
+// Encode and the journal's framer, which writes records straight into
+// its pending tail with no intermediate buffer.
+func (r *JournalRecord) AppendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(r.Kind))
+	b = binary.BigEndian.AppendUint64(b, r.JobID)
+	b = binary.BigEndian.AppendUint64(b, r.Key)
+	b = appendOpaque(b, r.Client)
+	b = binary.BigEndian.AppendUint32(b, r.ErrCode)
+	b = appendOpaque(b, r.ErrDetail)
+	return appendOpaque(b, r.Payload)
+}
+
+// appendOpaque appends v as XDR variable-length opaque data (a string is
+// the same bytes): the count word, the bytes, zero padding to a word.
+func appendOpaque[T string | []byte](b []byte, v T) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+	b = append(b, v...)
+	return append(b, make([]byte, xdr.SizeOpaque(len(v))-4-len(v))...)
 }
 
 // DecodeJournalRecord parses one journal record body. The returned

@@ -32,12 +32,25 @@
 // surviving records are rewritten to a temporary file that atomically
 // replaces the old log, so delivered jobs do not accrete forever.
 //
-// Durability is configurable (Options.Fsync): FsyncAlways flushes
-// after every append and loses nothing a crash-stopped kernel had
-// acknowledged; FsyncInterval (the default) bounds loss to the
-// configured window; FsyncNever leaves flushing to the OS. The journal
-// never retains caller buffers: Append copies the encoded record into
-// its own scratch buffer before writing.
+// Appending is group commit by ticket. Enqueue frames a record into a
+// pending tail under the journal's own mutex — a copy, never a syscall
+// — and returns a ticket; Commit(ticket) returns once the record is in
+// the file. The first committer to find its record pending writes the
+// whole tail with one write(2); committers that write covered return
+// without a syscall. A caller can therefore fix a record's place in the
+// log under its own lock (the server enqueues a submit next to minting
+// its job ID) and wait for the disk after releasing it. Records are
+// copied when enqueued; the journal never retains caller buffers.
+//
+// Durability is configurable (Options.Fsync): FsyncAlways fsyncs once
+// per written batch, before any of its committers returns, and loses
+// nothing a crash-stopped kernel had acknowledged; FsyncInterval (the
+// default) bounds loss to the configured window with a goroutine the
+// journal owns, which fsyncs whenever the file has grown, so no request
+// path ever waits for it and the bound holds when traffic stops;
+// FsyncNever leaves flushing to the OS. A failed write or fsync is
+// sticky: the file may now end in a torn record replay cannot read
+// past, so every later Commit reports the failure.
 //
 // Open holds a POSIX fcntl lock (lock file) for the journal's
 // lifetime, so a second server *process* pointed at the same directory
@@ -63,6 +76,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ninf/internal/protocol"
@@ -73,11 +87,13 @@ type Policy int
 
 // Fsync policies.
 const (
-	// FsyncInterval flushes at most once per Options.SyncEvery; a crash
-	// loses at most that window of acknowledged submits. The default.
+	// FsyncInterval flushes at most once per Options.SyncEvery, off
+	// every caller's path; a crash loses at most that window of
+	// acknowledged submits. The default.
 	FsyncInterval Policy = iota
-	// FsyncAlways flushes after every append, before the caller
-	// acknowledges the client. Durable, and on the admission path.
+	// FsyncAlways flushes every written batch before its committers
+	// return, so before the caller acknowledges the client. Durable, and
+	// on the admission path.
 	FsyncAlways
 	// FsyncNever never calls fsync; the OS flushes when it pleases. A
 	// process crash (the common case) still loses nothing — the
@@ -143,21 +159,34 @@ const (
 	maxRecord = 64 << 20
 )
 
-// Journal is an open write-ahead log. Append is safe for concurrent
-// use; in the server every append happens under the server mutex, so
-// the log's record order is the order the server observed.
+// Journal is an open write-ahead log, safe for concurrent use. Records
+// reach the file in the order they were enqueued.
 type Journal struct {
 	dir   string
 	opts  Options
 	epoch uint64
+	f     *os.File
+	lock  *os.File // held fcntl lock on the directory's lock file
 
+	// mu guards the pending tail: records framed and ticketed but not yet
+	// handed to the file. It is held for a copy, never for a syscall.
 	mu       sync.Mutex
-	f        *os.File
-	lock     *os.File // held fcntl lock on the directory's lock file
-	scratch  []byte   // header+body assembly, reused across appends
-	lastSync time.Time
+	tail     []byte
+	spare    []byte // the buffer of the batch being written, the next tail
+	enqueued uint64 // bytes framed since Open: the newest ticket
 	closed   bool
+	err      error // the first failed write or fsync, or errClosed
+
+	// wmu makes one committer at a time the writer; written is the
+	// ticket the file has reached (and, under FsyncAlways, synced).
+	wmu     sync.Mutex
+	written atomic.Uint64
+
+	stop, stopped chan struct{} // the FsyncInterval syncer's; nil otherwise
+	ioHook        atomic.Pointer[func(op string)]
 }
+
+var errClosed = errors.New("journal: closed")
 
 // Open creates (or opens) the journal in dir, advances and persists
 // the incarnation epoch, compacts the existing log, and returns the
@@ -199,7 +228,11 @@ func Open(dir string, opts Options) (*Journal, []protocol.JournalRecord, error) 
 		lock.Close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts, epoch: epoch, f: f, lock: lock, lastSync: time.Now()}
+	j := &Journal{dir: dir, opts: opts, epoch: epoch, f: f, lock: lock}
+	if opts.Fsync == FsyncInterval {
+		j.stop, j.stopped = make(chan struct{}), make(chan struct{})
+		go j.syncer()
+	}
 	return j, live, nil
 }
 
@@ -212,71 +245,200 @@ func (j *Journal) ResultCap() int { return j.opts.ResultCap }
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Append encodes and writes one record, flushing per the fsync policy.
-// The record's byte slices are copied before the call returns; the
-// caller keeps ownership of whatever they alias.
+// Append writes one record and returns once it is in the file (synced
+// under FsyncAlways): Enqueue and Commit in one call. The record's byte
+// slices are copied before the call returns; the caller keeps ownership
+// of whatever they alias.
 func (j *Journal) Append(rec *protocol.JournalRecord) error {
-	body := rec.Encode()
+	return j.Commit(j.Enqueue(rec))
+}
+
+// Enqueue frames rec onto the pending tail and returns its ticket: the
+// log's length, in bytes since Open, with rec in it. The record is
+// copied before Enqueue returns; nothing reaches the file until a
+// Commit covers the ticket. After Close (or a failed write) the record
+// is dropped and its ticket's Commit reports why.
+func (j *Journal) Enqueue(rec *protocol.JournalRecord) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("journal: closed")
+	if j.err != nil || j.closed {
+		return j.enqueued + 1 // past everything that will ever be written
 	}
-	need := 8 + len(body)
-	if cap(j.scratch) < need {
-		j.scratch = make([]byte, 0, need)
+	n := len(j.tail)
+	j.tail = frame(j.tail, rec)
+	j.enqueued += uint64(len(j.tail) - n)
+	return j.enqueued
+}
+
+// Commit returns once the record ticket names, and every record
+// enqueued before it, is in the file — and, under FsyncAlways, on
+// stable storage. The first committer to find its record pending writes
+// the whole tail in one write (and one fsync); a committer whose record
+// that batch covered waits for it and returns without a syscall.
+func (j *Journal) Commit(ticket uint64) error {
+	if ticket <= j.written.Load() {
+		return nil
 	}
-	b := j.scratch[:8]
-	binary.BigEndian.PutUint32(b[0:], uint32(len(body)))
-	binary.BigEndian.PutUint32(b[4:], crc32.ChecksumIEEE(body))
-	b = append(b, body...)
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	if ticket <= j.written.Load() {
+		return nil
 	}
-	switch j.opts.Fsync {
-	case FsyncAlways:
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-	case FsyncInterval:
-		if now := time.Now(); now.Sub(j.lastSync) >= j.opts.SyncEvery {
-			if err := j.f.Sync(); err != nil {
-				return fmt.Errorf("journal: sync: %w", err)
-			}
-			j.lastSync = now
-		}
+	if err := j.flushLocked(j.opts.Fsync == FsyncAlways); err != nil {
+		return err
+	}
+	if ticket > j.written.Load() {
+		return errClosed // Enqueue refused the record: Close had begun
 	}
 	return nil
 }
 
-// Sync flushes the log to stable storage regardless of policy.
-func (j *Journal) Sync() error {
+// flushLocked hands the whole pending tail to the file in one write,
+// fsyncs it when sync is set, and advances written. Callers hold wmu.
+func (j *Journal) flushLocked(sync bool) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
+	if err := j.err; err != nil {
+		j.mu.Unlock()
+		return err
 	}
+	batch, end := j.tail, j.enqueued
+	j.tail, j.spare = j.spare[:0], nil
+	j.mu.Unlock()
+
+	var err error
+	if len(batch) > 0 {
+		j.io("write")
+		_, err = j.f.Write(batch)
+	}
+	if err == nil && sync {
+		err = j.sync()
+	}
+
+	j.mu.Lock()
+	j.spare = batch[:0]
+	if err != nil {
+		j.fail(err)
+		err = j.err
+	}
+	j.mu.Unlock()
+	if err == nil {
+		j.written.Store(end)
+	}
+	return err
+}
+
+// fail makes err sticky and drops what it stranded in the tail. Callers
+// hold mu.
+func (j *Journal) fail(err error) {
+	if j.err == nil {
+		j.err = fmt.Errorf("journal: %w", err)
+	}
+	j.tail = j.tail[:0]
+}
+
+// sync fsyncs the log file.
+func (j *Journal) sync() error {
+	j.io("sync")
 	return j.f.Sync()
 }
 
-// Close flushes and closes the log. The epoch file stays; the next
-// Open mints the next incarnation.
+// syncer is FsyncInterval's flusher, started by Open and stopped by
+// Close: every SyncEvery it fsyncs the log if the file has grown since
+// the last time. It never holds wmu, so no commit waits for it, and it
+// keeps the loss bound when traffic stops.
+func (j *Journal) syncer() {
+	defer close(j.stopped)
+	tick := time.NewTicker(j.opts.SyncEvery)
+	defer tick.Stop()
+	var synced uint64
+	for {
+		select {
+		case <-j.stop:
+			return
+		case <-tick.C:
+		}
+		w := j.written.Load()
+		if w == synced {
+			continue
+		}
+		if err := j.sync(); err != nil {
+			j.mu.Lock()
+			j.fail(err)
+			j.mu.Unlock()
+			return
+		}
+		synced = w
+	}
+}
+
+// SetIOHook installs fn to run before every write and fsync of the log
+// file, told which ("write" or "sync"); nil removes it. It exists for
+// the tests that hold or count the journal's I/O to check who waits for
+// it; nothing else may set it.
+func (j *Journal) SetIOHook(fn func(op string)) {
+	if fn == nil {
+		j.ioHook.Store(nil)
+		return
+	}
+	j.ioHook.Store(&fn)
+}
+
+func (j *Journal) io(op string) {
+	if fn := j.ioHook.Load(); fn != nil {
+		(*fn)(op)
+	}
+}
+
+// Sync writes whatever is pending and flushes the log to stable storage
+// regardless of policy. A no-op after Close.
+func (j *Journal) Sync() error {
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	if err := j.flushLocked(true); !errors.Is(err, errClosed) {
+		return err
+	}
+	return nil
+}
+
+// Close stops the syncer, writes what was enqueued before it, flushes
+// and closes the log. The epoch file stays; the next Open mints the
+// next incarnation.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
+		j.mu.Unlock()
 		return nil
 	}
 	j.closed = true
-	serr := j.f.Sync()
-	cerr := j.f.Close()
+	j.mu.Unlock()
+	if j.stop != nil {
+		close(j.stop)
+		<-j.stopped
+	}
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	err := j.flushLocked(true)
+	j.mu.Lock()
+	j.err = errClosed
+	j.mu.Unlock()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
 	if j.lock != nil {
 		j.lock.Close() // releases the fcntl directory lock
 	}
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return err
+}
+
+// frame appends rec to b as one log record: u32 body length, u32 CRC-32
+// (IEEE) of the body, then the body.
+func frame(b []byte, rec *protocol.JournalRecord) []byte {
+	at := len(b)
+	b = rec.AppendTo(append(b, make([]byte, 8)...))
+	body := b[at+8:]
+	binary.BigEndian.PutUint32(b[at:], uint32(len(body)))
+	binary.BigEndian.PutUint32(b[at+4:], crc32.ChecksumIEEE(body))
+	return b
 }
 
 // advanceEpoch reads, increments, and atomically rewrites the epoch
@@ -446,20 +608,10 @@ func rewriteLog(dir string, recs []protocol.JournalRecord) error {
 
 // writeRecords writes the file header and framed records.
 func writeRecords(w io.Writer, recs []protocol.JournalRecord) error {
-	if _, err := io.WriteString(w, fileHeader); err != nil {
-		return err
-	}
-	var hdr [8]byte
+	b := []byte(fileHeader)
 	for i := range recs {
-		body := recs[i].Encode()
-		binary.BigEndian.PutUint32(hdr[0:], uint32(len(body)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
+		b = frame(b, &recs[i])
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }

@@ -122,8 +122,14 @@ type Server struct {
 
 	// journal is the crash-recovery write-ahead log (nil unless
 	// AttachJournal was called); epoch is the incarnation epoch it
-	// minted, 0 for journal-less servers. Appends happen under mu, so
-	// the log's record order is the order the server observed.
+	// minted, 0 for journal-less servers. Records are enqueued where
+	// their place is decided — a submit under mu, beside its job ID — and
+	// committed with mu released: no journal syscall runs under mu. A
+	// job's records still reach the log in order, because the journal
+	// writes in enqueue order and causality enqueues them in order: the
+	// submit before the job can be dispatched, the completion before done
+	// closes, the fetched record after a fetch saw done (DESIGN.md §7,
+	// "Journal: who waits for what").
 	journal *journal.Journal
 	epoch   atomic.Uint64
 
@@ -196,6 +202,12 @@ type task struct {
 	reply     []byte
 	expire    time.Time
 	delivered bool // reply frame written at least once (under server mu)
+
+	// submitTicket is the journal ticket of the submit record (0: none);
+	// SubmitOK waits for its commit. fetchedJournaled claims the one
+	// fetched record, for whichever comes first: delivery or expiry.
+	submitTicket     uint64
+	fetchedJournaled atomic.Bool
 
 	// Argument-cache bookkeeping (level 4). pins holds the cache
 	// entries this call resolved by digest, released on every terminal
@@ -489,35 +501,41 @@ func (s *Server) replayTaskLocked(r *protocol.JournalRecord) (*task, error) {
 	return t, nil
 }
 
-// journalSubmitRecord re-encodes an admitted submission in plain form
+// journalSubmitPayload re-encodes an admitted submission in plain form
 // (digest references resolved, bulk segments folded in) so replay can
 // decode it against an empty cache, and copies the encoded bytes out
-// of the pooled frame buffer into the record.
+// of the pooled frame buffer.
 //
-//ninflint:owner borrow — fb is drained into the record's copy and Released here; the WAL never retains it
-func journalSubmitRecord(info *idl.Info, req *protocol.CallRequest, key uint64, client string) (*protocol.JournalRecord, error) {
+//ninflint:owner borrow — fb is drained into the returned copy and Released here; the WAL never retains it
+func journalSubmitPayload(info *idl.Info, req *protocol.CallRequest) ([]byte, error) {
 	_, fb, err := protocol.EncodeRequest(info, protocol.MsgCall, req, 0, protocol.Shape{})
 	if err != nil {
 		return nil, err
 	}
-	return &protocol.JournalRecord{
-		Kind:    protocol.JournalSubmit,
-		Key:     key,
-		Client:  client,
-		Payload: protocol.CopyOut(fb),
-	}, nil
+	return protocol.CopyOut(fb), nil
 }
 
-// journalAppendLocked appends one record, best-effort: a failing log
-// (disk full, torn device) degrades durability, not availability.
-// Callers hold mu.
-func (s *Server) journalAppendLocked(rec *protocol.JournalRecord) {
-	if s.journal == nil {
+// journalCommit waits for the record a ticket names to reach the log,
+// best-effort: a failing log (disk full, torn device) degrades
+// durability, not availability. Ticket 0 — no record, as on every
+// journal-less path — returns at once. Never called under mu.
+func (s *Server) journalCommit(ticket uint64) {
+	if ticket == 0 {
 		return
 	}
-	if err := s.journal.Append(rec); err != nil {
+	if err := s.journal.Commit(ticket); err != nil {
 		s.logf("ninf server: journal: %v", err)
 	}
+}
+
+// journalFetched enqueues a job's fetched record, once per job
+// whichever of delivery and expiry gets there first, and returns its
+// ticket (0 when there is nothing to write).
+func (s *Server) journalFetched(id uint64, t *task) uint64 {
+	if s.journal == nil || !t.fetchedJournaled.CompareAndSwap(false, true) {
+		return 0
+	}
+	return s.journal.Enqueue(&protocol.JournalRecord{Kind: protocol.JournalFetched, JobID: id})
 }
 
 // logf logs through the configured logger, if any.
@@ -883,18 +901,22 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	if bulk != nil {
 		reqBytes = int64(len(bulk.Base)) // head plus segments
 	}
-	// Build the WAL record before taking the lock: the re-encode is the
-	// expensive part, and the append itself must happen under mu (after
-	// the job ID is assigned, before the job can complete) so the log
-	// order matches the server's.
-	var jrec *protocol.JournalRecord
+	// The WAL record's payload is settled before taking the lock; the
+	// record is enqueued under mu, once the job has its ID and before it
+	// can be dispatched, and the caller commits it before acknowledging.
+	// A request that arrived as one frame with nothing resolved from the
+	// cache already is the plain encoding replay needs, so its own bytes
+	// are the payload; a chunked or digest-bearing one is re-encoded.
+	var jpay []byte
 	if twoPhase && s.journal != nil {
-		var jerr error
-		jrec, jerr = journalSubmitRecord(ex.Info,
-			&protocol.CallRequest{Name: name, Args: args, Deadline: deadline, Retain: retain},
-			key, client)
-		if jerr != nil {
-			s.logf("ninf server: journal: encode submit: %v", jerr)
+		jpay = payload
+		if bulk != nil {
+			var jerr error
+			jpay, jerr = journalSubmitPayload(ex.Info,
+				&protocol.CallRequest{Name: name, Args: args, Deadline: deadline, Retain: retain})
+			if jerr != nil {
+				s.logf("ninf server: journal: encode submit: %v", jerr)
+			}
 		}
 	}
 	pes := s.peAllocation(ex)
@@ -988,9 +1010,9 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 		if key != 0 {
 			s.submitKeys[key] = t.job.ID
 		}
-		if jrec != nil {
-			jrec.JobID = t.job.ID
-			s.journalAppendLocked(jrec)
+		if jpay != nil {
+			t.submitTicket = s.journal.Enqueue(&protocol.JournalRecord{
+				Kind: protocol.JournalSubmit, JobID: t.job.ID, Key: key, Client: client, Payload: jpay})
 		}
 	}
 	s.acct.jobQueued(now)
@@ -1184,6 +1206,20 @@ func (s *Server) run(t *task) {
 			t.reply, t.err = protocol.CopyOut(fb), encErr
 		}
 		t.releaseArrays()
+		// Journal the outcome before done closes, so a fetch never
+		// returns a result whose completion record is not in the file.
+		if s.journal != nil {
+			jrec := &protocol.JournalRecord{Kind: protocol.JournalComplete, JobID: t.job.ID}
+			if t.err != nil {
+				jrec.ErrCode = t.failCode()
+				jrec.ErrDetail = t.err.Error()
+			} else if len(t.reply) <= s.journal.ResultCap() {
+				jrec.Payload = t.reply
+			}
+			// An oversized success journals as completed-without-payload;
+			// replay re-executes the job rather than bloating the WAL.
+			s.journalCommit(s.journal.Enqueue(jrec))
+		}
 	}
 
 	s.mu.Lock()
@@ -1200,18 +1236,6 @@ func (s *Server) run(t *task) {
 	}
 	if t.twoPhase {
 		t.expire = now.Add(s.cfg.JobTTL)
-		if s.journal != nil {
-			jrec := &protocol.JournalRecord{Kind: protocol.JournalComplete, JobID: t.job.ID}
-			if t.err != nil {
-				jrec.ErrCode = t.failCode()
-				jrec.ErrDetail = t.err.Error()
-			} else if len(t.reply) <= s.journal.ResultCap() {
-				jrec.Payload = t.reply
-			}
-			// An oversized success journals as completed-without-payload;
-			// replay re-executes the job rather than bloating the WAL.
-			s.journalAppendLocked(jrec)
-		}
 	}
 	s.schedule()
 	s.cond.Broadcast()
@@ -1233,14 +1257,21 @@ func (s *Server) execute(t *task) (err error) {
 	return t.ex.Handler(t.ctx, t.args)
 }
 
-// markDeliveredLocked records that a job's reply frame was written:
-// the journal learns the job is done with (the fetched record compacts
-// it away on the next open — a post-crash retry re-submits, which is
-// one execution on the new incarnation), while in memory the job
-// lingers re-fetchable until the shortened DeliveredTTL expiry covers
-// the window where the written reply was lost in transit. Idempotent;
-// callers hold mu.
-func (s *Server) markDeliveredLocked(id uint64, t *task) {
+// markDelivered records that a job's reply frame was written: the
+// journal learns the job is done with (the fetched record compacts it
+// away on the next open — a post-crash retry re-submits, which is one
+// execution on the new incarnation), while in memory the job lingers
+// re-fetchable until the shortened DeliveredTTL expiry covers the
+// window where the written reply was lost in transit. It runs as the
+// reply's sent hook, on the framer's writer, so it stays short: one
+// write(2) and no fsync (except under FsyncAlways, which fsyncs every
+// batch), none of it under mu, which is taken only once the record is in
+// the file — a job reads as delivered only when its fetched record is.
+// Idempotent.
+func (s *Server) markDelivered(id uint64, t *task) {
+	s.journalCommit(s.journalFetched(id, t))
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if t.delivered {
 		return
 	}
@@ -1248,22 +1279,20 @@ func (s *Server) markDeliveredLocked(id uint64, t *task) {
 	if exp := time.Now().Add(s.cfg.DeliveredTTL); exp.Before(t.expire) {
 		t.expire = exp
 	}
-	s.journalAppendLocked(&protocol.JournalRecord{Kind: protocol.JournalFetched, JobID: id})
 }
 
 // removeJobLocked drops a completed two-phase job and its submit
 // idempotency key. Jobs that were never delivered (TTL expiry of an
-// unfetched result) journal their fetched record here so replay does
-// not resurrect them; delivered jobs already journaled it. Callers
-// hold mu.
-func (s *Server) removeJobLocked(id uint64, t *task) {
+// unfetched result) get their fetched record here so replay does not
+// resurrect them; the returned ticket is the caller's to commit once
+// mu is released (0: delivered jobs already journaled it). Callers hold
+// mu.
+func (s *Server) removeJobLocked(id uint64, t *task) uint64 {
 	delete(s.jobs, id)
 	if t.key != 0 && s.submitKeys[t.key] == id {
 		delete(s.submitKeys, t.key)
 	}
-	if !t.delivered {
-		s.journalAppendLocked(&protocol.JournalRecord{Kind: protocol.JournalFetched, JobID: id})
-	}
+	return s.journalFetched(id, t)
 }
 
 // ExpireJobs drops completed two-phase jobs whose TTL passed; servers
@@ -1271,17 +1300,19 @@ func (s *Server) removeJobLocked(id uint64, t *task) {
 // ninfserver command runs it on a ticker).
 func (s *Server) ExpireJobs(now time.Time) int {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
+	var ticket uint64
 	for id, t := range s.jobs {
 		select {
 		case <-t.done:
 			if !t.expire.IsZero() && now.After(t.expire) {
-				s.removeJobLocked(id, t)
+				ticket = max(ticket, s.removeJobLocked(id, t))
 				n++
 			}
 		default:
 		}
 	}
+	s.mu.Unlock()
+	s.journalCommit(ticket)
 	return n
 }

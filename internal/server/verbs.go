@@ -154,6 +154,10 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		if err != nil {
 			return errReplyHint(code, err.Error(), hint)
 		}
+		// No SubmitOK before the submit record is in the log. A retried
+		// submit answered with the job already admitted waits for the
+		// original's record too.
+		s.journalCommit(t.submitTicket)
 		sr := protocol.SubmitReply{JobID: t.job.ID}
 		return reply{t: protocol.MsgSubmitOK, fb: protocol.BufferFor(sr.Encode())}
 
@@ -226,7 +230,7 @@ func (s *Server) attachCache(bulk *protocol.BulkInfo, head []byte, cacheOK bool)
 // leaves the job fully fetchable for the client's retried fetch. A
 // delivered job is not consumed on the spot either — a locally
 // successful write can still be lost in transit — it lingers
-// re-fetchable for Config.DeliveredTTL (see markDeliveredLocked), so
+// re-fetchable for Config.DeliveredTTL (see markDelivered), so
 // the retry re-reads the retained result instead of getting
 // CodeUnknownJob and re-executing the work through an idempotent
 // re-Submit. Large stored results stream back chunked where the peer
@@ -255,10 +259,6 @@ func (s *Server) fetch(req protocol.FetchRequest, bulkOK bool) reply {
 	} else {
 		r = reply{t: protocol.MsgFetchOK, fb: protocol.BufferFor(t.reply)}
 	}
-	r.sent = func() {
-		s.mu.Lock()
-		s.markDeliveredLocked(req.JobID, t)
-		s.mu.Unlock()
-	}
+	r.sent = func() { s.markDelivered(req.JobID, t) }
 	return r
 }
