@@ -9,6 +9,11 @@
 // crossing the same link converge to fair shares of its capacity,
 // reproducing the single-site WAN saturation the paper measured
 // (0.17 MB/s Ocha-U↔ETL split among c clients).
+//
+// A link's long-run rate never exceeds its capacity: over any interval
+// it carries at most capacity × interval plus one bucket, and a bucket
+// is 2 ms of traffic at the link's rate (two chunks, 16 KiB, on links
+// at or below about 8 MB/s).
 package emunet
 
 import (
@@ -18,10 +23,24 @@ import (
 	"time"
 )
 
-// DefaultChunk is the shaping granularity in bytes; smaller values
-// share more fairly at more overhead. 8 KiB keeps the token-bucket
-// mutex cool while still interleaving well below typical frame sizes.
+// DefaultChunk is the shaping granularity in bytes: concurrent streams
+// on a link take turns a chunk at a time, so it sets how fairly they
+// share (smaller is fairer, at more overhead). It does not set the
+// bucket depth; timerFloor does. 8 KiB keeps the token-bucket mutex
+// cool while still interleaving well below typical frame sizes.
 const DefaultChunk = 8 << 10
+
+// timerFloor is the shortest sleep the pacer relies on the OS to keep:
+// a sub-millisecond time.Sleep commonly lasts a millisecond or more. A
+// bucket holds at least this long of traffic, so the credit a sender
+// earns while oversleeping is kept instead of spilling over the top.
+const timerFloor = 2 * time.Millisecond
+
+// depth is the bucket depth for a link of the given rate: timerFloor's
+// worth of bytes, and never less than two chunks.
+func depth(rate float64) float64 {
+	return max(2*DefaultChunk, rate*timerFloor.Seconds())
+}
 
 // A Link models one network segment with finite capacity. All
 // connections routed over the link share its bandwidth.
@@ -35,18 +54,19 @@ type Link struct {
 	last   time.Time
 }
 
-// NewLink creates a link with the given capacity in bytes/second.
-// A burst of one chunk is allowed so small messages are not over-
-// delayed.
+// NewLink creates a link with the given capacity in bytes/second. Its
+// bucket starts full, so the first depth(bytesPerSec) bytes pass
+// without delay.
 func NewLink(name string, bytesPerSec float64) *Link {
 	if bytesPerSec <= 0 {
 		panic(fmt.Sprintf("emunet: link %q needs positive capacity", name))
 	}
+	d := depth(bytesPerSec)
 	return &Link{
 		name:   name,
 		rate:   bytesPerSec,
-		burst:  2 * DefaultChunk,
-		tokens: 2 * DefaultChunk,
+		burst:  d,
+		tokens: d,
 		last:   time.Now(),
 	}
 }
@@ -62,6 +82,7 @@ func (l *Link) Rate() float64 {
 }
 
 // SetRate changes the capacity, e.g. to emulate congestion changes.
+// The bucket depth follows the new rate; credit above it is dropped.
 func (l *Link) SetRate(bytesPerSec float64) {
 	if bytesPerSec <= 0 {
 		return
@@ -70,6 +91,8 @@ func (l *Link) SetRate(bytesPerSec float64) {
 	defer l.mu.Unlock()
 	l.refill(time.Now())
 	l.rate = bytesPerSec
+	l.burst = depth(bytesPerSec)
+	l.tokens = min(l.tokens, l.burst)
 }
 
 // refill adds tokens for elapsed time. Callers hold mu.
@@ -86,10 +109,10 @@ func (l *Link) refill(now time.Time) {
 
 // acquire charges n bytes against the bucket and sleeps off any
 // resulting debt. Tokens may go negative: the sender pays up front and
-// waits until the debt would have drained at the link rate. Because
-// the next refill credits real elapsed time, oversleeping (coarse OS
-// timers under load) is automatically credited back, so the long-run
-// rate converges to the configured capacity instead of below it.
+// waits until the debt would have drained at the link rate. The next
+// refill credits the real elapsed time, oversleep included, but only up
+// to the bucket depth: a sleep that overruns its target by more than
+// timerFloor loses the excess, and the link runs below its rate.
 // Concurrent acquirers interleave chunk by chunk, yielding approximate
 // fair sharing.
 func (l *Link) acquire(n int) {
