@@ -365,9 +365,6 @@ func (c *Client) SetRetryBudget(b RetryBudget) {
 // exists to bound.
 func (c *Client) Attempts() int64 { return c.attempts.Load() }
 
-// SetMaxPayload bounds reply frame payloads (default 1 GiB).
-func (c *Client) SetMaxPayload(n int) { c.maxPayload = n }
-
 // SetBulkThreshold adjusts the payload size at which requests to a
 // bulk-capable server switch to chunked zero-copy streaming (default
 // protocol.DefaultBulkThreshold, 256 KiB). Pass a negative value to

@@ -1,7 +1,9 @@
 package ninf_test
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -11,22 +13,45 @@ import (
 
 	"ninf"
 	"ninf/internal/library"
+	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
 
-// faultConn wraps a connection with an injectable write fault and a
-// close flag, so tests can break a pooled connection on demand.
+// faultConn wraps a connection with injectable faults and a close flag,
+// so tests can break a pooled connection on demand: failing writes, or
+// the reply to the next request replaced by canned bytes.
 type faultConn struct {
 	net.Conn
 	failWrites *atomic.Bool
 	closed     atomic.Bool
+
+	// answer, once stored, replaces the reply to the next request
+	// written: reads return its bytes and then io.EOF.
+	answer atomic.Pointer[[]byte]
+	canned []byte
+	cut    bool
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
 	if c.failWrites.Load() {
 		return 0, errors.New("injected write failure")
 	}
+	if a := c.answer.Swap(nil); a != nil {
+		c.canned, c.cut = *a, true
+	}
 	return c.Conn.Write(p)
+}
+
+func (c *faultConn) Read(p []byte) (int, error) {
+	if !c.cut {
+		return c.Conn.Read(p)
+	}
+	if len(c.canned) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.canned)
+	c.canned = c.canned[n:]
+	return n, nil
 }
 
 func (c *faultConn) Close() error {
@@ -196,29 +221,65 @@ func TestSubmitFetchReusePool(t *testing.T) {
 	}
 }
 
+// TestPoolDiscardsConnOnWriteError pins which outcomes of a lockstep
+// exchange return its connection to the pool (connReusable): a failed
+// write, a reply cut short and a reply with a bad magic word leave the
+// stream out of frame sync, so the connection is closed and the next
+// call dials; a decoded MsgError leaves it in sync, so it is kept.
 func TestPoolDiscardsConnOnWriteError(t *testing.T) {
-	_, dials, failWrites, dial, lastConn := startPoolServer(t)
-	c := newPoolClient(t, dial)
-
-	asyncPing(t, c) // warm the interface cache; the one connection goes back to the pool
-	pooled := lastConn()
-	if pooled == nil || dials.Load() != 1 {
-		t.Fatalf("expected one pooled connection after warmup, dials = %d", dials.Load())
+	var frame bytes.Buffer
+	if err := protocol.WriteFrame(&frame, protocol.MsgCallOK, make([]byte, 64)); err != nil {
+		t.Fatal(err)
 	}
+	truncated := frame.Bytes()[:frame.Len()-54]
+	badMagic := bytes.Clone(frame.Bytes())
+	badMagic[0] ^= 0xff
+	for _, tc := range []struct {
+		name      string
+		failWrite bool   // the request's write fails
+		answer    []byte // replaces the reply
+		routine   string
+		kept      bool
+	}{
+		{name: "write-error", failWrite: true, routine: "echo"},
+		{name: "truncated-reply", answer: truncated, routine: "echo"},
+		{name: "bad-magic", answer: badMagic, routine: "echo"},
+		{name: "remote-error", routine: "nosuchroutine", kept: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, dials, failWrites, dial, lastConn := startPoolServer(t)
+			c := newPoolClient(t, dial)
+			c.SetRetryPolicy(ninf.NoRetry)
 
-	failWrites.Store(true)
-	if _, err := c.CallAsync("echo", 1, []float64{1}, make([]float64, 1)).Wait(); err == nil {
-		t.Fatal("call with broken transport unexpectedly succeeded")
-	}
-	failWrites.Store(false)
+			asyncPing(t, c) // warm the interface cache; the one connection goes back to the pool
+			pooled := lastConn()
+			if pooled == nil || dials.Load() != 1 {
+				t.Fatalf("expected one pooled connection after warmup, dials = %d", dials.Load())
+			}
 
-	if !pooled.closed.Load() {
-		t.Error("connection not closed after I/O error")
-	}
-	// The broken connection must not be reused: the next call dials.
-	asyncPing(t, c)
-	if got := dials.Load(); got != 2 {
-		t.Errorf("dials = %d, want 2 (fresh dial after discard)", got)
+			failWrites.Store(tc.failWrite)
+			if tc.answer != nil {
+				pooled.answer.Store(&tc.answer)
+			}
+			_, err := c.CallAsync(tc.routine, 1, []float64{1}, make([]float64, 1)).Wait()
+			failWrites.Store(false)
+			var re *protocol.RemoteError
+			if err == nil || errors.As(err, &re) != tc.kept {
+				t.Fatalf("call error = %v, want a remote error: %v", err, tc.kept)
+			}
+			if pooled.closed.Load() == tc.kept {
+				t.Errorf("connection closed = %v, want %v", tc.kept, !tc.kept)
+			}
+			// A discarded connection is not reused: the next call dials.
+			asyncPing(t, c)
+			want := int64(2)
+			if tc.kept {
+				want = 1
+			}
+			if got := dials.Load(); got != want {
+				t.Errorf("dials = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,11 @@
 // Ninflint checks the repository against the data-plane invariants the
-// Ninf port depends on: pooled frame buffers released on every path,
-// pooled connections discarded after I/O errors, XDR encode/decode
-// symmetry, no network I/O under mutexes, context propagation into
-// dials, seq-map lifecycle hygiene, feature-level gating, error-chain
-// classification, and hotpath allocation discipline. Run it standalone:
+// Ninf port depends on: pooled frame buffers released on every path, no
+// network I/O under mutexes, context propagation into dials,
+// feature-level gating, error-chain classification, and hotpath
+// allocation discipline. Run it standalone:
 //
 //	go run ./cmd/ninflint ./...
-//	go run ./cmd/ninflint -passes releasecheck,xdrsym ./internal/protocol
+//	go run ./cmd/ninflint -passes releasecheck,hotalloc ./internal/protocol
 //	go run ./cmd/ninflint -fix ./...          # apply mechanical fixes
 //	go run ./cmd/ninflint -sarif out.sarif ./...
 //	go run ./cmd/ninflint -audit ./...        # flag stale suppressions

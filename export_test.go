@@ -26,6 +26,10 @@ func (c *Client) Sessions() int {
 	return n
 }
 
+// SetMaxPayload bounds reply frame payloads (default 1 GiB). The limit
+// is read without a lock, so set it before c's first exchange.
+func (c *Client) SetMaxPayload(n int) { c.maxPayload = n }
+
 // PickSession runs the per-exchange session choice of a data verb and
 // reports whether it chose a session.
 func (c *Client) PickSession(ctx context.Context) (bool, error) {

@@ -6,13 +6,13 @@
 // protocol, and the analysistest fixture runner) supply the loaded
 // packages and decide what to do with the findings.
 //
-// The analyzers enforce the data-plane invariants the PR 1 performance
-// work introduced — pooled frame buffers that must be released on every
-// control-flow path, pooled connections that must not be re-pooled
-// after an I/O error, XDR encode/decode symmetry, no blocking network
-// I/O under a mutex, and context propagation into dials — because the
-// paper's multi-client throughput numbers (§5–6) are only trustworthy
-// while those invariants hold under concurrency.
+// The analyzers enforce the data-plane invariants the performance work
+// introduced — pooled frame buffers that must be released on every
+// control-flow path, no blocking network I/O under a mutex, context
+// propagation into dials, negotiated feature levels, error-chain
+// classification and allocation-free hot loops — because the paper's
+// multi-client throughput numbers (§5–6) are only trustworthy while
+// those invariants hold under concurrency.
 //
 // Intentional violations are suppressed with a comment on the flagged
 // line or the line above:
@@ -395,11 +395,8 @@ func filterSuppressed(fset *token.FileSet, files []*ast.File, diags []Diagnostic
 func All() []*Analyzer {
 	return []*Analyzer{
 		ReleaseCheck,
-		PoolDiscard,
-		XDRSym,
 		LockNet,
 		CtxDeadline,
-		SeqLife,
 		FeatGate,
 		ErrClass,
 		HotAlloc,

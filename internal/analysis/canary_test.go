@@ -48,21 +48,44 @@ func runCanary(t *testing.T, az *analysis.Analyzer, files map[string]string, wan
 	t.Fatalf("canary bug not detected: no %s finding containing %q; got %v", az.Name, wantSub, diags)
 }
 
-func TestCanarySeqLife(t *testing.T) {
-	runCanary(t, analysis.SeqLife, map[string]string{
+func TestCanaryLockNet(t *testing.T) {
+	runCanary(t, analysis.LockNet, map[string]string{
 		"canary.go": `package canary
 
-type sess struct {
-	pending map[uint32]chan int
+import (
+	"net"
+	"sync"
+)
+
+type shared struct {
+	mu   sync.Mutex
+	conn net.Conn
 }
 
-func (s *sess) open(seq uint32) chan int {
-	ch := make(chan int, 1)
-	s.pending[seq] = ch
-	return ch
+func (s *shared) send(p []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.conn.Write(p)
+	return err
 }
 `,
-	}, "never deleted in this package")
+	}, "conn.Write while holding s.mu")
+}
+
+func TestCanaryCtxDeadline(t *testing.T) {
+	runCanary(t, analysis.CtxDeadline, map[string]string{
+		"canary.go": `package canary
+
+import (
+	"context"
+	"net"
+)
+
+func Open(ctx context.Context, addr string) (net.Conn, error) {
+	return net.Dial("tcp", addr)
+}
+`,
+	}, "Dial ignores the ctx parameter")
 }
 
 func TestCanaryFeatGate(t *testing.T) {

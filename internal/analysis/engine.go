@@ -13,8 +13,7 @@ import (
 // pass supplies the semantics through hooks: what counts as the
 // tracked variable, what discharges the obligation, how conditions
 // guard it, and what to say when a path leaks. releasecheck
-// instantiates it per pooled buffer; seqlife instantiates it per
-// registered Seq.
+// instantiates it per pooled buffer.
 
 // flowState is the per-path obligation state of one tracked resource.
 type flowState struct {
@@ -53,7 +52,7 @@ type tracker struct {
 	// isVar reports whether id denotes the tracked resource.
 	isVar func(id *ast.Ident) bool
 	// releases reports whether the call explicitly discharges the
-	// obligation (v.Release(), s.deregister(seq), delete(m, seq)).
+	// obligation (v.Release()).
 	releases func(call *ast.CallExpr) bool
 	// transfersIn reports whether the call consumes the resource
 	// (passed by value to a non-borrowing callee).
@@ -64,10 +63,6 @@ type tracker struct {
 	// captures reports whether the function literal captures the
 	// resource (ownership escapes into the closure).
 	captures func(fl *ast.FuncLit) bool
-	// discharges, if non-nil, recognizes additional discharging nodes
-	// inside expressions (e.g. seqlife treats receiving from the
-	// registered reply channel as the reply-path discharge).
-	discharges func(n ast.Node) bool
 	// guardKind classifies branch conditions relative to the resource.
 	guardKind func(cond ast.Expr) guard
 
@@ -349,7 +344,7 @@ func mergeBranches(outs []outcome) (flowState, bool) {
 
 // applyExpr folds discharge effects of an expression into the state:
 // an explicit discharge call, the resource passed to a consuming call,
-// a capturing function literal, or a pass-specific discharging node.
+// or a capturing function literal.
 func (tr *tracker) applyExpr(e ast.Expr, st flowState) flowState {
 	if e == nil || st.released {
 		return st
@@ -370,11 +365,6 @@ func (tr *tracker) applyExpr(e ast.Expr, st flowState) flowState {
 				released = true // closure capture: ownership escapes
 			}
 			return false
-		default:
-			if tr.discharges != nil && tr.discharges(n) {
-				released = true
-				return false
-			}
 		}
 		return true
 	})

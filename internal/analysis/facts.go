@@ -11,15 +11,14 @@ import (
 // Cross-package function summaries ("facts"). PR 2's passes were
 // strictly intra-function: a pooled buffer handed to a callee was
 // assumed consumed, because nothing recorded what the callee actually
-// does with it. The fact store generalizes the releasecheck/pooldiscard
-// ownership conventions into interprocedural summaries: while a driver
-// analyzes packages in dependency order (RunAll), each package records
-// what its functions do — this callee consumes its buffer argument,
-// that one merely borrows it, this one registers a Seq in a session
-// map, that one requires a negotiated feature level — and packages
-// analyzed later consult those summaries at call sites. Summaries come
-// from two sources: //ninflint: annotations on declarations, and
-// inference over the callee's own body.
+// does with it. The fact store generalizes releasecheck's ownership
+// conventions into interprocedural summaries: while a driver analyzes
+// packages in dependency order (RunAll), each package records what its
+// functions do — this callee consumes its buffer argument, that one
+// merely borrows it, another requires a negotiated feature level — and
+// packages analyzed later consult those summaries at call sites.
+// Summaries come from two sources: //ninflint: annotations on
+// declarations, and inference over the callee's own body.
 //
 // Annotation vocabulary (placed in the doc comment of a declaration,
 // conventionally as its last line; see docs/ninflint.md):
@@ -56,13 +55,6 @@ type FuncFact struct {
 	// body constructs or sends feature-gated messages undominated by a
 	// gate of that class.
 	RequiresGate []string
-	// SeqRegisters names the seq-keyed map field (package-qualified)
-	// the function inserts into, handing the registration obligation
-	// to its caller.
-	SeqRegisters string
-	// SeqDeregisters names the seq-keyed map field the function
-	// deletes from; calling it discharges a registration obligation.
-	SeqDeregisters string
 }
 
 // A FactStore accumulates function summaries across one analysis run.
@@ -155,36 +147,6 @@ func (s *FactStore) RequiresGate(fn *types.Func) []string {
 		return append([]string(nil), f.RequiresGate...)
 	}
 	return nil
-}
-
-// SetSeqMap records seq-map registration effects of a function.
-func (s *FactStore) SetSeqMap(key, registers, deregisters string) {
-	if key == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.fact(key)
-	if registers != "" {
-		f.SeqRegisters = registers
-	}
-	if deregisters != "" {
-		f.SeqDeregisters = deregisters
-	}
-}
-
-// SeqMap returns the seq-map fields fn registers into / deregisters
-// from ("" for neither).
-func (s *FactStore) SeqMap(fn *types.Func) (registers, deregisters string) {
-	if s == nil {
-		return "", ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f := s.funcs[funcKey(fn)]; f != nil {
-		return f.SeqRegisters, f.SeqDeregisters
-	}
-	return "", ""
 }
 
 // directivePrefix introduces a ninflint annotation comment. Unlike

@@ -37,8 +37,8 @@ func TestParseSuppressionsGrammar(t *testing.T) {
 	fset, files := parseSup(t, `package p
 
 //lint:ninflint
-//lint:ninflint seqlife — channel received elsewhere
-//lint:ninflint seqlife, errclass -- two passes, dashed reason
+//lint:ninflint hotalloc — warm-up iteration only
+//lint:ninflint hotalloc, errclass -- two passes, dashed reason
 //lint:ninflintnotadirective
 func f() {}
 `)
@@ -49,10 +49,10 @@ func f() {}
 	if sups[0].passes != nil || len(sups[0].names) != 0 {
 		t.Errorf("bare directive should suppress all passes, got names %v", sups[0].names)
 	}
-	if len(sups[1].names) != 1 || sups[1].names[0] != "seqlife" {
+	if len(sups[1].names) != 1 || sups[1].names[0] != "hotalloc" {
 		t.Errorf("em-dash justification not stripped: names %v", sups[1].names)
 	}
-	if len(sups[2].names) != 2 || sups[2].names[0] != "seqlife" || sups[2].names[1] != "errclass" {
+	if len(sups[2].names) != 2 || sups[2].names[0] != "hotalloc" || sups[2].names[1] != "errclass" {
 		t.Errorf("comma list mis-parsed: names %v", sups[2].names)
 	}
 	if !sups[2].passes["errclass"] {
@@ -79,13 +79,13 @@ func f() int {
 func TestFilterSuppressedNextLineNamed(t *testing.T) {
 	fset, files := parseSup(t, `package p
 
-//lint:ninflint seqlife — reply channel received by the pump goroutine
+//lint:ninflint hotalloc — warm-up iteration only
 func f() {}
 `)
-	diags := []Diagnostic{diagAt(4, "seqlife"), diagAt(4, "errclass")}
+	diags := []Diagnostic{diagAt(4, "hotalloc"), diagAt(4, "errclass")}
 	out, unused := filterSuppressed(fset, files, diags)
 	if len(out) != 1 || out[0].Analyzer != "errclass" {
-		t.Errorf("named next-line directive should drop only seqlife, got %v", out)
+		t.Errorf("named next-line directive should drop only hotalloc, got %v", out)
 	}
 	if len(unused) != 0 {
 		t.Errorf("used directive reported unused: %+v", unused)
@@ -95,12 +95,12 @@ func f() {}
 func TestFilterSuppressedCommaList(t *testing.T) {
 	fset, files := parseSup(t, `package p
 
-//lint:ninflint seqlife, errclass -- both findings are intentional here
+//lint:ninflint hotalloc, errclass -- both findings are intentional here
 func f() {}
 `)
-	diags := []Diagnostic{diagAt(4, "seqlife"), diagAt(4, "errclass"), diagAt(4, "hotalloc")}
+	diags := []Diagnostic{diagAt(4, "hotalloc"), diagAt(4, "errclass"), diagAt(4, "locknet")}
 	out, unused := filterSuppressed(fset, files, diags)
-	if len(out) != 1 || out[0].Analyzer != "hotalloc" {
+	if len(out) != 1 || out[0].Analyzer != "locknet" {
 		t.Errorf("comma list should drop exactly its two passes, got %v", out)
 	}
 	if len(unused) != 0 {
@@ -153,7 +153,7 @@ func TestAuditSuppressionsStale(t *testing.T) {
 //lint:ninflint
 func f() {}
 
-//lint:ninflint seqlife, errclass — nothing fires here anymore
+//lint:ninflint hotalloc, errclass — nothing fires here anymore
 func g() {}
 `)
 	_, unused := filterSuppressed(fset, files, nil)
@@ -172,7 +172,7 @@ func g() {}
 	if want := "stale suppression: no any pass finding on this or the next line"; diags[0].Message != want {
 		t.Errorf("bare stale message = %q, want %q", diags[0].Message, want)
 	}
-	if want := "stale suppression: no seqlife, errclass finding on this or the next line"; diags[1].Message != want {
+	if want := "stale suppression: no hotalloc, errclass finding on this or the next line"; diags[1].Message != want {
 		t.Errorf("named stale message = %q, want %q", diags[1].Message, want)
 	}
 	if diags[0].Pos.Line != 3 || diags[1].Pos.Line != 6 {

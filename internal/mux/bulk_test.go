@@ -298,6 +298,9 @@ func TestRoundtripBulkCtxCancel(t *testing.T) {
 		t.Fatalf("exchange after bulk abandonment: %v %v", rt, err)
 	}
 	fb.Release()
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("in-flight after bulk abandonment = %d", n)
+	}
 }
 
 // TestRoundtripBulkRequiresNegotiation: a feature-level-2 session must

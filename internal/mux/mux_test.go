@@ -180,6 +180,17 @@ func TestSessionCtxAbandonsSeq(t *testing.T) {
 	if s.Broken() {
 		t.Fatal("session died with the abandoned seq")
 	}
+	// The same through Post: a Wait whose ctx has already ended
+	// deregisters the sequence instead of awaiting its reply.
+	ended, end := context.WithCancel(context.Background())
+	p, err := s.Post(ended, protocol.MsgCall, reqBuf("blackhole"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	end()
+	if _, _, _, err := p.Wait(ended); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait on an ended ctx: got %v, want Canceled", err)
+	}
 	rt, fb, _, err := s.Roundtrip(context.Background(), protocol.MsgCall, reqBuf("after"))
 	if err != nil || rt != protocol.MsgCallOK || string(fb.Payload()) != "after" {
 		t.Fatalf("exchange after abandonment: %v %v", rt, err)
@@ -223,6 +234,9 @@ func TestSessionTeardownFailsInFlight(t *testing.T) {
 	if !s.Broken() {
 		t.Fatal("session not Broken after teardown")
 	}
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("in-flight after teardown = %d", n)
+	}
 	if _, _, _, err := s.Roundtrip(context.Background(), protocol.MsgCall, reqBuf("late")); err == nil {
 		t.Fatal("roundtrip on a dead session succeeded")
 	}
@@ -245,6 +259,9 @@ func TestSessionCloseFailsInFlight(t *testing.T) {
 	s.Close()
 	if err := <-errCh; !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("close error = %v, want net.ErrClosed in chain", err)
+	}
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("in-flight after close = %d", n)
 	}
 }
 

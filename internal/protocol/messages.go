@@ -870,7 +870,6 @@ func decodeArg(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo, arrays *
 		}
 		return nil, fmt.Errorf("unsupported scalar type %v", p.Type)
 	}
-	//lint:ninflint xdrsym — asymmetric by design: encodeArg's vector puts are matched by locating the elements (or the marker putBulkMarker wrote) and converting them with fillRaw
 	src, le, err := locateArray(d, p, count, bulk)
 	if err != nil {
 		return nil, err
