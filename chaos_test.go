@@ -485,12 +485,12 @@ func TestChaosMuxPartitionFailover(t *testing.T) {
 		servers = append(servers, s)
 	}
 
-	// n = 64 makes a call ~0.3 ms of dmmul: with srv0 executing one at a
-	// time its half of the pipeline takes ~10 ms, so the 200 µs poll
-	// below strikes while most of it is still queued there. At n = 16 the
-	// whole pipeline could drain between two polls and the partition hit
-	// an idle session (no failover, no refused re-dial).
-	const n, calls = 64, 64
+	// n = 96 makes a call ~0.2 ms of dmmul on the vector kernel: with
+	// srv0 executing one at a time its half of the pipeline takes ~6 ms,
+	// so the 200 µs poll below strikes while most of it is still queued
+	// there. At n = 64 (~0.07 ms) the pipeline could drain before the
+	// failover probed srv0 again (no refused re-dial), about 1 run in 20.
+	const n, calls = 96, 64
 	tx := ninf.BeginTransaction(meta)
 	tx.SetMaxAttempts(4)
 	tx.SetRetryPolicy(ninf.RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond})

@@ -83,16 +83,14 @@ func Dgefa(a []float64, n int, ipvt []int64) error {
 		}
 		// Compute multipliers and eliminate.
 		pivot := a[k*n+k]
+		rowK := a[k*n+k+1 : k*n+n]
 		for i := k + 1; i < n; i++ {
 			m := a[i*n+k] / pivot
 			a[i*n+k] = m
 			if m == 0 {
 				continue
 			}
-			rowI, rowK := a[i*n:i*n+n], a[k*n:k*n+n]
-			for j := k + 1; j < n; j++ {
-				rowI[j] -= m * rowK[j]
-			}
+			axpy(a[i*n+k+1:i*n+n], rowK, m)
 		}
 	}
 	if n > 0 {
@@ -210,18 +208,16 @@ func DgefaBlocked(a []float64, n int, ipvt []int64, block int) error {
 				}
 			}
 			pivot := a[k*n+k]
+			// Update only within the panel; the trailing matrix is
+			// updated in the blocked GEMM below.
+			rowK := a[k*n+k+1 : k*n+kend]
 			for i := k + 1; i < n; i++ {
 				m := a[i*n+k] / pivot
 				a[i*n+k] = m
 				if m == 0 {
 					continue
 				}
-				rowI, rowK := a[i*n:i*n+n], a[k*n:k*n+n]
-				// Update only within the panel; the trailing
-				// matrix is updated in the blocked GEMM below.
-				for j := k + 1; j < kend; j++ {
-					rowI[j] -= m * rowK[j]
-				}
+				axpy(a[i*n+k+1:i*n+kend], rowK, m)
 			}
 		}
 		if kend == n {
@@ -229,14 +225,10 @@ func DgefaBlocked(a []float64, n int, ipvt []int64, block int) error {
 		}
 		// Triangular solve: U12 = L11⁻¹ · A12 for the block rows.
 		for k := kb; k < kend; k++ {
+			rowK := a[k*n+kend : k*n+n]
 			for i := k + 1; i < kend; i++ {
-				m := a[i*n+k]
-				if m == 0 {
-					continue
-				}
-				rowI, rowK := a[i*n:i*n+n], a[k*n:k*n+n]
-				for j := kend; j < n; j++ {
-					rowI[j] -= m * rowK[j]
+				if m := a[i*n+k]; m != 0 {
+					axpy(a[i*n+kend:i*n+n], rowK, m)
 				}
 			}
 		}
@@ -250,13 +242,8 @@ func DgefaBlocked(a []float64, n int, ipvt []int64, block int) error {
 			for i := start; i < end; i++ {
 				rowI := a[i*n : i*n+n]
 				for k := kb; k < kend; k++ {
-					m := rowI[k]
-					if m == 0 {
-						continue
-					}
-					rowK := a[k*n : k*n+n]
-					for j := kend; j < n; j++ {
-						rowI[j] -= m * rowK[j]
+					if m := rowI[k]; m != 0 {
+						axpy(rowI[kend:], a[k*n+kend:k*n+n], m)
 					}
 				}
 			}
@@ -289,23 +276,45 @@ func Dmmul(n int, a, b, c []float64) error {
 }
 
 // dmmulRows computes rows [start, end) of C = A·B with the serial
-// i-k-j kernel.
+// i-k-j kernel. Row k of B is accumulated as an axpy with −aik: in IEEE
+// 754, y − (−a)·x is y + a·x bit for bit, signed zeros included.
 func dmmulRows(n int, a, b, c []float64, start, end int) {
 	for i := start; i < end; i++ {
 		rowC := c[i*n : i*n+n]
-		for j := range rowC {
-			rowC[j] = 0
-		}
+		clear(rowC)
 		for k := 0; k < n; k++ {
-			aik := a[i*n+k]
-			if aik == 0 {
-				continue
-			}
-			rowB := b[k*n : k*n+n]
-			for j := 0; j < n; j++ {
-				rowC[j] += aik * rowB[j]
+			if aik := a[i*n+k]; aik != 0 {
+				axpy(rowC, b[k*n:k*n+n], -aik)
 			}
 		}
+	}
+}
+
+// axpy sets y[j] -= m·x[j] for every j < len(y), len(x) ≥ len(y): the
+// inner loop of all four O(n³) loops above. The vector kernel, where
+// there is one, takes the leading multiple of 4 of a long enough row
+// and axpyGeneric the rest; the bits are the same either way.
+func axpy(y, x []float64, m float64) {
+	n := 0
+	if !portableOnly {
+		n = axpyVector(y, x, m)
+	}
+	axpyGeneric(y[n:], x[n:], m)
+}
+
+// portableOnly, set only by tests, keeps every axpy on axpyGeneric: the
+// reference the vector kernel is held to.
+var portableOnly bool
+
+// axpyGeneric is axpy in portable Go: all of it on a CPU without a
+// vector kernel, the tail behind one, and the tests' reference. The
+// explicit conversion rounds the product before the subtraction — the
+// Go spec forbids fusing it into an FMA — so every platform computes
+// the bits the kernel does.
+func axpyGeneric(y, x []float64, m float64) {
+	x = x[:len(y)]
+	for j := range y {
+		y[j] -= float64(m * x[j])
 	}
 }
 

@@ -3,7 +3,6 @@ package linpack
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Kernel parallelism. Dmmul and DgefaBlocked split their row-wise
@@ -11,46 +10,34 @@ import (
 // paper's data-parallel J90 runs, where one Ninf_call occupies all
 // PEs. Each worker executes the exact serial inner loops over its row
 // range, so parallel results are bit-identical to the serial ones.
-// Below ParallelThreshold (or with a single worker) the kernels run
+// Below parallelThreshold (or with a single worker) the kernels run
 // the serial path unchanged.
 
 // defaultParallelThreshold is the matrix order below which the kernels
-// stay serial: under ~192 the per-call goroutine fork/join overhead
-// outweighs the arithmetic.
+// stay serial. Measured with the vector axpy on 2 vCPU (parallel over
+// serial Mflops, medians of 5–26 runs of
+// Benchmark{DgefaBlocked,Dmmul}{Serial,Parallel}): DgefaBlocked −10% at 128, −6% at
+// 160, +2% at 192, +3% at 256, +8% at 384; Dmmul −2% at 64, +19% at 96
+// and 128, +28% at 192. DgefaBlocked forks once per 48-column block, on
+// a trailing matrix smaller than n, so it crosses over later; the
+// threshold is its crossover, and Dmmul between 96 and 191 gives up
+// what parallelism would have bought it.
 const defaultParallelThreshold = 192
 
+// parallelThreshold and kernelWorkers are set only by tests, before
+// the kernels they pin run.
 var (
-	parallelThreshold atomic.Int64
-	kernelWorkers     atomic.Int64 // 0 means GOMAXPROCS
+	parallelThreshold = defaultParallelThreshold
+	kernelWorkers     int // 0 means GOMAXPROCS
 )
-
-func init() { parallelThreshold.Store(defaultParallelThreshold) }
-
-// SetParallelThreshold adjusts the matrix order below which Dmmul and
-// DgefaBlocked run serially; n <= 0 restores the default.
-func SetParallelThreshold(n int) {
-	if n <= 0 {
-		n = defaultParallelThreshold
-	}
-	parallelThreshold.Store(int64(n))
-}
-
-// SetKernelWorkers fixes the number of worker goroutines the parallel
-// kernels use; n <= 0 restores the default of GOMAXPROCS.
-func SetKernelWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	kernelWorkers.Store(int64(n))
-}
 
 // workersFor resolves the worker count for a kernel invocation on a
 // matrix of order n.
 func workersFor(n int) int {
-	if n < int(parallelThreshold.Load()) {
+	if n < parallelThreshold {
 		return 1
 	}
-	w := int(kernelWorkers.Load())
+	w := kernelWorkers
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}

@@ -1,47 +1,51 @@
 package linpack
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
 
 // forceWorkers pins the kernel worker count and parallel threshold for
 // the duration of a test, restoring the defaults afterwards.
-func forceWorkers(t *testing.T, workers, threshold int) {
+func forceWorkers(t testing.TB, workers, threshold int) {
 	t.Helper()
-	SetKernelWorkers(workers)
-	SetParallelThreshold(threshold)
+	kernelWorkers, parallelThreshold = workers, threshold
 	t.Cleanup(func() {
-		SetKernelWorkers(0)
-		SetParallelThreshold(0)
+		kernelWorkers, parallelThreshold = 0, defaultParallelThreshold
 	})
 }
 
 func TestDmmulParallelBitIdentical(t *testing.T) {
 	// The parallel row split must reproduce the serial product
 	// bit-for-bit: each worker runs the same inner loops over its rows.
+	// The serial reference runs the portable loop, so a wrong vector
+	// kernel cannot agree with itself here.
 	n := 65 // odd size exercises uneven chunking
 	a := make([]float64, n*n)
 	b := make([]float64, n*n)
 	Matgen(a, n)
-	copy(b, a)
+	// Not Matgen: its entries have 16 significant bits, so every
+	// product is exact and a fused kernel would pass.
+	rng := rand.New(rand.NewSource(65))
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
 
 	serial := make([]float64, n*n)
 	forceWorkers(t, 1, 1)
-	if err := Dmmul(n, a, b, serial); err != nil {
+	if err := onPortable(func() error { return Dmmul(n, a, b, serial) }); err != nil {
 		t.Fatal(err)
 	}
 
 	par := make([]float64, n*n)
 	for _, workers := range []int{2, 3, 4, 7} {
-		SetKernelWorkers(workers)
+		kernelWorkers = workers
 		if err := Dmmul(n, a, b, par); err != nil {
 			t.Fatal(err)
 		}
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: C[%d] = %v, serial %v", workers, i, par[i], serial[i])
-			}
+		if i := firstBitDiff(par, serial); i >= 0 {
+			t.Fatalf("workers=%d: C[%d] = %v, serial %v", workers, i, par[i], serial[i])
 		}
 	}
 }
@@ -57,21 +61,19 @@ func TestDgefaBlockedParallelBitIdentical(t *testing.T) {
 	serialA := append([]float64(nil), src...)
 	serialP := make([]int64, n)
 	forceWorkers(t, 1, 1)
-	if err := DgefaBlocked(serialA, n, serialP, 32); err != nil {
+	if err := onPortable(func() error { return DgefaBlocked(serialA, n, serialP, 32) }); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{2, 4, 5} {
-		SetKernelWorkers(workers)
+		kernelWorkers = workers
 		parA := append([]float64(nil), src...)
 		parP := make([]int64, n)
 		if err := DgefaBlocked(parA, n, parP, 32); err != nil {
 			t.Fatal(err)
 		}
-		for i := range parA {
-			if parA[i] != serialA[i] {
-				t.Fatalf("workers=%d: a[%d] = %v, serial %v", workers, i, parA[i], serialA[i])
-			}
+		if i := firstBitDiff(parA, serialA); i >= 0 {
+			t.Fatalf("workers=%d: a[%d] = %v, serial %v", workers, i, parA[i], serialA[i])
 		}
 		for i := range parP {
 			if parP[i] != serialP[i] {
@@ -105,8 +107,6 @@ func TestParallelSolveResidual(t *testing.T) {
 func TestSerialFallbackBelowThreshold(t *testing.T) {
 	// Below the threshold workersFor must report a single worker, and
 	// the kernels must still be correct there.
-	SetKernelWorkers(0)
-	SetParallelThreshold(0)
 	if w := workersFor(defaultParallelThreshold - 1); w != 1 {
 		t.Errorf("workersFor(threshold-1) = %d, want 1", w)
 	}
@@ -135,23 +135,12 @@ func TestParallelRowsCoversRange(t *testing.T) {
 	parallelRows(5, 5, 4, func(int, int) { t.Fatal("fn called on empty range") })
 }
 
-// benchKernelWorkers restores kernel tuning after a benchmark.
-func benchKernelWorkers(b *testing.B, workers, threshold int) {
-	b.Helper()
-	SetKernelWorkers(workers)
-	SetParallelThreshold(threshold)
-	b.Cleanup(func() {
-		SetKernelWorkers(0)
-		SetParallelThreshold(0)
-	})
-}
-
 func benchmarkDmmul(b *testing.B, n, workers int) {
 	threshold := 1
 	if workers == 1 {
 		threshold = n + 1 // force the serial path
 	}
-	benchKernelWorkers(b, workers, threshold)
+	forceWorkers(b, workers, threshold)
 	a := make([]float64, n*n)
 	Matgen(a, n)
 	bb := append([]float64(nil), a...)
@@ -166,14 +155,18 @@ func benchmarkDmmul(b *testing.B, n, workers int) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflops")
 }
 
+// thresholdSizes straddle defaultParallelThreshold: serial against
+// parallel at these orders is where its value comes from.
+var thresholdSizes = []int{64, 96, 128, 160, 192, 256, 384, 512}
+
 func BenchmarkDmmulSerial(b *testing.B) {
-	for _, n := range []int{256, 512} {
+	for _, n := range thresholdSizes {
 		b.Run(sizeName(n), func(b *testing.B) { benchmarkDmmul(b, n, 1) })
 	}
 }
 
 func BenchmarkDmmulParallel(b *testing.B) {
-	for _, n := range []int{256, 512} {
+	for _, n := range thresholdSizes {
 		b.Run(sizeName(n), func(b *testing.B) { benchmarkDmmul(b, n, runtime.GOMAXPROCS(0)) })
 	}
 }
@@ -183,9 +176,13 @@ func benchmarkDgefaBlockedWorkers(b *testing.B, n, workers int) {
 	if workers == 1 {
 		threshold = n + 1
 	}
-	benchKernelWorkers(b, workers, threshold)
+	forceWorkers(b, workers, threshold)
+	// Not Matgen: at n = 256, 384 and 512 its rows repeat.
+	rng := rand.New(rand.NewSource(int64(n)))
 	src := make([]float64, n*n)
-	Matgen(src, n)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
 	a := make([]float64, n*n)
 	ipvt := make([]int64, n)
 	b.ResetTimer()
@@ -199,13 +196,13 @@ func benchmarkDgefaBlockedWorkers(b *testing.B, n, workers int) {
 }
 
 func BenchmarkDgefaBlockedSerial(b *testing.B) {
-	for _, n := range []int{500, 1000} {
+	for _, n := range thresholdSizes {
 		b.Run(sizeName(n), func(b *testing.B) { benchmarkDgefaBlockedWorkers(b, n, 1) })
 	}
 }
 
 func BenchmarkDgefaBlockedParallel(b *testing.B) {
-	for _, n := range []int{500, 1000} {
+	for _, n := range thresholdSizes {
 		b.Run(sizeName(n), func(b *testing.B) { benchmarkDgefaBlockedWorkers(b, n, runtime.GOMAXPROCS(0)) })
 	}
 }

@@ -1,30 +1,24 @@
 package xdr
 
+import "ninf/internal/cpufeat"
+
 // swabVectorMin is the shortest span handed to the vector kernel. The
 // kernel costs about 8 ns however short the span (the call, the mask
 // load, VZEROUPPER), which is what the Go loop takes for 64 bytes;
 // below that the loop wins.
 const swabVectorMin = 64
 
-// haveAVX2 is read once from CPUID: AVX2 present and the OS saving the
-// YMM state (cpuHasAVX2 in swab_amd64.s).
-var haveAVX2 = cpuHasAVX2()
-
 // swabVector converts the leading 32-byte-multiple of a long enough
 // span with the AVX2 kernel and reports its length; 0 when the span is
 // short or the CPU has no AVX2, and swabGeneric does it all.
 func swabVector(dst, src []byte, size int) int {
 	n := len(src) &^ 31
-	if !haveAVX2 || n < swabVectorMin {
+	if !cpufeat.AVX2 || n < swabVectorMin {
 		return 0
 	}
 	swabAVX2(dst[:n], src[:n], size)
 	return n
 }
-
-// cpuHasAVX2 reports CPUID leaf 7 AVX2 together with OSXSAVE, AVX and
-// XCR0 bits 1–2 (the OS preserves XMM and YMM registers).
-func cpuHasAVX2() bool
 
 // swabAVX2 is Swab for len(src) a positive multiple of 32 and
 // len(dst) ≥ len(src): 32 bytes per VPSHUFB, four to an iteration.
