@@ -263,8 +263,7 @@ func (c *Client) FetchData(ctx context.Context, h DataHandle, dst any) error {
 	if err != nil {
 		return err
 	}
-	cacheOK := c.cacheOn(sess)
-	if !cacheOK {
+	if !c.cacheOn(sess) {
 		return errors.New("ninf: server offers no argument cache")
 	}
 	// session() above refreshed the observed epoch if it (re)negotiated,

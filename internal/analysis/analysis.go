@@ -9,8 +9,8 @@
 // The analyzers enforce the data-plane invariants the performance work
 // introduced — pooled frame buffers that must be released on every
 // control-flow path, no blocking network I/O under a mutex, context
-// propagation into dials, negotiated feature levels, error-chain
-// classification and allocation-free hot loops — because the paper's
+// propagation into dials, error-chain classification and
+// allocation-free hot loops — because the paper's
 // multi-client throughput numbers (§5–6) are only trustworthy while
 // those invariants hold under concurrency.
 //
@@ -155,7 +155,7 @@ const suppAuditName = "suppaudit"
 
 // RunAll analyzes the packages in dependency order — a package is
 // scheduled only after every listed import inside the set — so
-// cross-package facts (ownership summaries, gate requirements) are
+// cross-package facts (ownership summaries) are
 // complete before any dependent call site is inspected. Packages with
 // no ordering edge between them run in parallel, bounded by
 // opts.Workers. Diagnostics are merged and sorted by position.
@@ -397,7 +397,6 @@ func All() []*Analyzer {
 		ReleaseCheck,
 		LockNet,
 		CtxDeadline,
-		FeatGate,
 		ErrClass,
 		HotAlloc,
 	}

@@ -88,23 +88,6 @@ func Open(ctx context.Context, addr string) (net.Conn, error) {
 	}, "Dial ignores the ctx parameter")
 }
 
-func TestCanaryFeatGate(t *testing.T) {
-	runCanary(t, analysis.FeatGate, map[string]string{
-		"proto/proto.go": `package proto
-
-func BulkShape(threshold int) int { return threshold }
-`,
-		"canary.go": `package canary
-
-import "fixture/@BASE@/proto"
-
-func shape() int {
-	return proto.BulkShape(1)
-}
-`,
-	}, `requires negotiated feature level "bulk" but no gate`)
-}
-
 func TestCanaryErrClass(t *testing.T) {
 	runCanary(t, analysis.ErrClass, map[string]string{
 		"canary.go": `package canary

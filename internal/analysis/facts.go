@@ -15,8 +15,8 @@ import (
 // conventions into interprocedural summaries: while a driver analyzes
 // packages in dependency order (RunAll), each package records what its
 // functions do — this callee consumes its buffer argument, that one
-// merely borrows it, another requires a negotiated feature level — and
-// packages analyzed later consult those summaries at call sites.
+// merely borrows it — and packages analyzed later consult those
+// summaries at call sites.
 // Summaries come from two sources: //ninflint: annotations on
 // declarations, and inference over the callee's own body.
 //
@@ -50,11 +50,6 @@ type FuncFact struct {
 	// OwnerInferred marks an Owner derived from the body rather than
 	// an annotation (diagnostics mention which).
 	OwnerInferred bool
-	// RequiresGate lists feature classes ("bulk", "mux") whose
-	// negotiated-level check the function's callers must provide: the
-	// body constructs or sends feature-gated messages undominated by a
-	// gate of that class.
-	RequiresGate []string
 }
 
 // A FactStore accumulates function summaries across one analysis run.
@@ -117,36 +112,6 @@ func (s *FactStore) Owner(fn *types.Func) ParamRole {
 		return f.Owner
 	}
 	return RoleUnknown
-}
-
-// SetRequiresGate records that fn's callers must provide a negotiated
-// feature-level check of the given class.
-func (s *FactStore) SetRequiresGate(key, class string) {
-	if key == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.fact(key)
-	for _, c := range f.RequiresGate {
-		if c == class {
-			return
-		}
-	}
-	f.RequiresGate = append(f.RequiresGate, class)
-}
-
-// RequiresGate returns the feature classes fn's callers must gate.
-func (s *FactStore) RequiresGate(fn *types.Func) []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f := s.funcs[funcKey(fn)]; f != nil {
-		return append([]string(nil), f.RequiresGate...)
-	}
-	return nil
 }
 
 // directivePrefix introduces a ninflint annotation comment. Unlike

@@ -101,8 +101,7 @@ func pkgPathOf(f *types.Func) string {
 
 // isTestFile reports whether the file is a _test.go file; the runtime
 // invariants the protocol passes enforce do not bind test scaffolding
-// (tests legitimately skip gates and compare errors directly to probe
-// those paths).
+// (tests legitimately compare errors directly to probe those paths).
 func isTestFile(pass *Pass, f *ast.File) bool {
 	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 }

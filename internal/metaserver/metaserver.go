@@ -406,12 +406,17 @@ func (m *Metaserver) BreakerEvents() []BreakerEvent {
 	return append([]BreakerEvent(nil), m.events...)
 }
 
+// pollStats asks one server for its Stats and execution trace, both on
+// one connection. The whole exchange is bounded by metaExchangeTimeout:
+// PollOnce waits for every probe, so a server that accepts and then
+// stalls would otherwise freeze liveness and Stats for all of them.
 func pollStats(dial func() (net.Conn, error)) (protocol.Stats, map[string]time.Duration, error) {
 	conn, err := dial()
 	if err != nil {
 		return protocol.Stats{}, nil, err
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(metaExchangeTimeout))
 	if err := protocol.WriteFrame(conn, protocol.MsgStats, nil); err != nil {
 		return protocol.Stats{}, nil, err
 	}

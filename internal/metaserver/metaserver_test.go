@@ -92,6 +92,69 @@ func TestPollOnce(t *testing.T) {
 	}
 }
 
+// TestPollOnceBoundsStalledServer: a server that accepts the probe and
+// never answers (a partition, a stopped process) costs PollOnce the
+// exchange deadline, not forever, and holds up no other server: the
+// healthy one's LastSeen advances and the stalled one counts a failure.
+func TestPollOnceBoundsStalledServer(t *testing.T) {
+	old := metaExchangeTimeout
+	metaExchangeTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { metaExchangeTimeout = old })
+
+	m := New(Config{FailThreshold: 3})
+	_, addr, dial := startServer(t, server.Config{Hostname: "alpha"})
+	if err := m.AddServer("alpha", addr, 100, dial); err != nil {
+		t.Fatal(err)
+	}
+	stall, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan net.Conn, 1) // the one poll dials once
+	go func() {
+		for {
+			c, err := stall.Accept()
+			if err != nil {
+				return
+			}
+			held <- c // accepted, never read or answered
+		}
+	}()
+	t.Cleanup(func() {
+		stall.Close()
+		for len(held) > 0 {
+			(<-held).Close()
+		}
+	})
+	stallAddr := stall.Addr().String()
+	if err := m.AddServer("stalled", stallAddr, 100, func() (net.Conn, error) { return net.Dial("tcp", stallAddr) }); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	done := make(chan int, 1)
+	go func() { done <- m.PollOnce() }()
+	select {
+	case ok := <-done:
+		if ok != 1 {
+			t.Errorf("PollOnce = %d, want 1", ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("PollOnce is still waiting on the stalled server after 5 s")
+	}
+	if took := time.Since(start); took > 10*metaExchangeTimeout {
+		t.Errorf("PollOnce took %v with a %v exchange bound", took, metaExchangeTimeout)
+	}
+	snaps := m.Servers()
+	SortSnapshotsByName(snaps)
+	if alpha := snaps[0]; alpha.Name != "alpha" || !alpha.LastSeen.After(start) {
+		t.Errorf("healthy server not seen by the poll: %+v", alpha)
+	}
+	if stalled := snaps[1]; stalled.Name != "stalled" || stalled.Fails != 1 {
+		t.Errorf("stalled server: %+v, want one failure counted", stalled)
+	}
+}
+
 func TestPlaceExcludesAndLiveness(t *testing.T) {
 	m := New(Config{FailThreshold: 1})
 	_, addrA, dialA := startServer(t, server.Config{})

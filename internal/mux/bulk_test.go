@@ -307,7 +307,7 @@ func TestRoundtripBulkCtxCancel(t *testing.T) {
 // refuse chunked sends (callers fall back to monolithic frames).
 func TestRoundtripBulkRequiresNegotiation(t *testing.T) {
 	s, _ := dialSession(t, echoHandler) // fakeMuxServer negotiates version 2
-	if s.Bulk() {
+	if s.Version() >= protocol.MuxVersionBulk {
 		t.Fatal("v2 session claims bulk support")
 	}
 	m := protocol.RawBulkMsg(protocol.MsgCall, make([]byte, 1<<10))

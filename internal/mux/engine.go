@@ -117,15 +117,17 @@ type stream struct {
 
 // A Writer is the single serialized writer of a version-2 connection.
 type Writer struct {
-	conn  io.WriteCloser
-	queue chan Item
+	conn    io.WriteCloser
+	version int // the connection's negotiated feature level
+	queue   chan Item
 
 	// expected counts frames likely to be queued within a scheduler pass
 	// or two; it gates the pre-flush yield (see Expect).
 	expected atomic.Int32
 
-	failed  func(error) // told the first write error
-	settled func()      // told of every settled item; may be nil
+	failOnce sync.Once
+	failed   func(error) // told the first failure
+	settled  func()      // told of every settled item; may be nil
 
 	// chunk is the data size of the next bulk chunk and now the clock
 	// its writes are timed on; both belong to the writer goroutine. One
@@ -139,19 +141,21 @@ type Writer struct {
 	stopped   chan struct{} // closed when the goroutine has exited
 }
 
-// NewWriter starts the writer of conn. A write error closes conn (which
-// wakes the connection's reader, so the whole connection tears down),
-// is reported once to failed, and settles every item queued then or
-// later as not written; the writer keeps draining until Close. settled,
-// if non-nil, runs after each item is settled, written or not.
-func NewWriter(conn io.WriteCloser, failed func(error), settled func()) *Writer {
-	return newWriter(conn, failed, settled, time.Now)
+// NewWriter starts the writer of conn, a connection that negotiated
+// feature level version. A write error closes conn (which wakes the
+// connection's reader, so the whole connection tears down), is reported
+// once to failed, and settles every item queued then or later as not
+// written; the writer keeps draining until Close. settled, if non-nil,
+// runs after each item is settled, written or not.
+func NewWriter(conn io.WriteCloser, version int, failed func(error), settled func()) *Writer {
+	return newWriter(conn, version, failed, settled, time.Now)
 }
 
 // newWriter is NewWriter on a given clock; only tests pass another.
-func newWriter(conn io.WriteCloser, failed func(error), settled func(), now func() time.Time) *Writer {
+func newWriter(conn io.WriteCloser, version int, failed func(error), settled func(), now func() time.Time) *Writer {
 	w := &Writer{
 		conn:    conn,
+		version: version,
 		queue:   make(chan Item, queueDepth),
 		failed:  failed,
 		settled: settled,
@@ -164,11 +168,23 @@ func newWriter(conn io.WriteCloser, failed func(error), settled func(), now func
 	return w
 }
 
-// Send queues it, blocking while the queue is full. It reports false —
-// with the item settled as not written — when cancel (which may be nil)
-// fires or the writer is found exited first. A queued item is settled
-// by the writer, or on its behalf if it exits without taking it.
-func (w *Writer) Send(it Item, cancel <-chan struct{}) bool {
+// Send queues it, blocking while the queue is full. An item the
+// connection's feature level does not admit — a type of a higher level
+// (protocol.MsgType.Level), or a Bulk stream below MuxVersionBulk — is
+// refused: nothing of it reaches the wire. Send reports an error, with
+// the item settled as not written, for such an item and when cancel
+// (which may be nil) fires or the writer is found exited first. A queued
+// item is settled by the writer, or on its behalf if it exits without
+// taking it.
+func (w *Writer) Send(it Item, cancel <-chan struct{}) error {
+	need := it.Type.Level()
+	if it.Bulk != nil {
+		need = max(need, protocol.MsgBulkBegin.Level())
+	}
+	if need > w.version {
+		w.settle(&it, false)
+		return fmt.Errorf("mux: a %v item (bulk %t) needs feature level %d, the connection negotiated %d", it.Type, it.Bulk != nil, need, w.version)
+	}
 	select {
 	case w.queue <- it:
 		select {
@@ -177,12 +193,12 @@ func (w *Writer) Send(it Item, cancel <-chan struct{}) bool {
 			w.drain()
 		default:
 		}
-		return true
+		return nil
 	case <-w.stopped:
 	case <-cancel:
 	}
 	w.settle(&it, false)
-	return false
+	return errNotQueued
 }
 
 // Expect notes that a goroutine is about to queue a frame: the client's
@@ -256,7 +272,7 @@ func (w *Writer) run() {
 			if !broken {
 				if err := protocol.WriteStampedFrames(w.conn, bufs); err != nil {
 					broken = true
-					w.fail(err)
+					w.Fail(err)
 				}
 			}
 			for i := range batch {
@@ -278,7 +294,7 @@ func (w *Writer) run() {
 		done, err := w.step(st)
 		if err != nil {
 			broken = true
-			w.fail(err)
+			w.Fail(err)
 			continue // the next turn settles every stream, st included
 		}
 		if done {
@@ -310,19 +326,17 @@ func (w *Writer) take(it Item, batch []Item, active []stream) ([]Item, []stream)
 // that lets the receiver drop a begun, unfinished reassembly. It
 // reports whether the stream is over (fully written, or abandoned).
 func (w *Writer) step(st *stream) (bool, error) {
-	//lint:ninflint featgate — a Bulk item exists only where gated code built one: RoundtripBulk under s.Bulk(), the server's handle under caps.bulkOK
-	begin, abort := protocol.MsgBulkBegin, protocol.MsgBulkAbort
 	abandoned := st.hold != nil && st.hold.abandoned.Load()
 	switch {
 	case abandoned && !st.begun:
 		return true, nil // nothing on the wire to retract
 	case abandoned:
 		st.hold.sent = st.cur.Sent()
-		return true, protocol.WriteMuxFrame(w.conn, abort, st.Seq, nil)
+		return true, protocol.WriteMuxFrame(w.conn, protocol.MsgBulkAbort, st.Seq, nil)
 	case !st.begun:
 		st.begun = true
 		fb := st.Bulk.EncodeBegin()
-		err := protocol.WriteMuxFrameBuf(w.conn, begin, st.Seq, fb)
+		err := protocol.WriteMuxFrameBuf(w.conn, protocol.MsgBulkBegin, st.Seq, fb)
 		fb.Release()
 		return false, err
 	}
@@ -372,10 +386,14 @@ func (w *Writer) settle(it *Item, written bool) {
 	}
 }
 
-// fail reports the first write error and closes the connection.
-func (w *Writer) fail(err error) {
-	w.conn.Close()
-	w.failed(err)
+// Fail fails the connection as a write error does: conn closes, so no
+// later write succeeds, and failed hears err unless it already heard of
+// an earlier failure.
+func (w *Writer) Fail(err error) {
+	w.failOnce.Do(func() {
+		w.conn.Close()
+		w.failed(err)
+	})
 }
 
 // drain settles whatever is queued as not written.

@@ -33,6 +33,7 @@
 package mux
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -53,6 +54,10 @@ var ErrLegacy = errors.New("mux: peer speaks the lockstep protocol only")
 // wraps net.ErrClosed so the client's transport-fault classification
 // (and its closed-client refinement) applies unchanged.
 var errSessionClosed = fmt.Errorf("mux: session closed: %w", net.ErrClosed)
+
+// errNotQueued is Writer.Send's error for an item that found the writer
+// exited or its cancel fired.
+var errNotQueued = errors.New("mux: writer stopped before the frame was queued")
 
 // NegotiateHello upgrades conn to the multiplexed protocol: it sends
 // MsgHello and reads the reply, both in version-1 framing. On success
@@ -112,7 +117,6 @@ const bulkAbandonStall = 2 * time.Second
 type Session struct {
 	conn       net.Conn
 	maxPayload int
-	version    int
 	w          *Writer
 
 	mu      sync.Mutex
@@ -132,25 +136,22 @@ func New(conn net.Conn, maxPayload, version int) *Session {
 	s := &Session{
 		conn:       conn,
 		maxPayload: maxPayload,
-		version:    version,
 		pending:    make(map[uint32]chan Message),
 		done:       make(chan struct{}),
 		readDone:   make(chan struct{}),
 	}
-	s.w = NewWriter(conn, func(err error) {
+	s.w = NewWriter(conn, version, func(err error) {
 		s.fail(fmt.Errorf("mux: session write failed: %w", err))
 	}, nil)
 	go s.readLoop()
 	return s
 }
 
-// Bulk reports whether the peer negotiated chunked bulk streaming.
-func (s *Session) Bulk() bool { return s.version >= protocol.MuxVersionBulk }
-
-// Cache reports whether the peer negotiated content-addressed argument
-// caching (feature level 4). The caller must additionally check the
-// server's HelloFlagArgCache advertisement before emitting digests.
-func (s *Session) Cache() bool { return s.version >= protocol.MuxVersionCache }
+// Version reports the negotiated feature level: protocol.MuxVersion,
+// MuxVersionBulk (chunked bulk streaming) or MuxVersionCache (argument
+// caching, live only where the server also advertised
+// HelloFlagArgCache). The session's writer refuses any frame above it.
+func (s *Session) Version() int { return s.w.version }
 
 // Broken reports whether the session has failed and must be replaced.
 func (s *Session) Broken() bool {
@@ -289,8 +290,8 @@ func (s *Session) post(ctx context.Context, it Item) (Posted, error) {
 	s.pending[p.seq] = p.ch
 	s.mu.Unlock()
 	it.Seq = p.seq
-	if !s.w.Send(it, ctx.Done()) {
-		return Posted{}, s.deregister(ctx, p.seq, p.ch)
+	if err := s.w.Send(it, ctx.Done()); err != nil {
+		return Posted{}, cmp.Or(s.deregister(ctx, p.seq, p.ch), err)
 	}
 	return p, nil
 }
@@ -323,7 +324,8 @@ func (r Retracted) Error() string {
 // return until the writer provably holds no reference to them — on
 // success, abandonment (MsgBulkAbort covers a partially-sent stream),
 // or session failure — so the caller may reuse the slices immediately
-// after return.
+// after return. Below feature level 3 the writer refuses the stream, and
+// the error says so.
 func (s *Session) RoundtripBulk(ctx context.Context, m *protocol.BulkMsg) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	return s.RoundtripRetract(ctx, m, nil)
 }
@@ -344,11 +346,7 @@ func (s *Session) RoundtripRetract(ctx context.Context, m *protocol.BulkMsg, ret
 // roundtripBulk is RoundtripRetract on a given hold; only tests pass
 // their own, to see the abandonment the writer sees.
 func (s *Session) roundtripBulk(ctx context.Context, m *protocol.BulkMsg, retract <-chan struct{}, h *hold) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	if !s.Bulk() {
-		m.Release()
-		return 0, nil, nil, fmt.Errorf("mux: peer version %d lacks bulk streaming", s.version)
-	}
-	p, err := s.post(ctx, Item{Bulk: m, hold: h})
+	p, err := s.post(ctx, Item{Type: m.Type, Bulk: m, hold: h})
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -2,6 +2,7 @@ package mux
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -127,8 +128,13 @@ type script struct {
 }
 
 func newScript(t *testing.T, c *recConn, items int) *script {
+	return newScriptAt(t, c, protocol.MuxVersionCache, items)
+}
+
+// newScriptAt is newScript on a connection that negotiated version.
+func newScriptAt(t *testing.T, c *recConn, version, items int) *script {
 	s := &script{t: t, sent: make(map[uint32]int), want: int32(items), done: make(chan struct{})}
-	s.w = newWriter(c, func(err error) { s.failed = append(s.failed, err) }, func() {
+	s.w = newWriter(c, version, func(err error) { s.failed = append(s.failed, err) }, func() {
 		if s.settled.Add(1) == s.want {
 			close(s.done)
 		}
@@ -147,8 +153,8 @@ func (s *script) bulk(seq uint32, payload []byte, h *hold) Item {
 }
 
 func (s *script) send(it Item) {
-	if !s.w.Send(it, nil) {
-		s.t.Errorf("Send(seq %d) refused", it.Seq)
+	if err := s.w.Send(it, nil); err != nil {
+		s.t.Errorf("Send(seq %d) refused: %v", it.Seq, err)
 	}
 }
 
@@ -433,4 +439,98 @@ func TestWriterChunkAdapts(t *testing.T) {
 			t.Errorf("ReadFrames over the recorded stream: err %v, payload equal %v", err, bytes.Equal(got, payload))
 		}
 	})
+}
+
+// TestWriterLevelGate holds the level table where every frame either end
+// sends passes, the writer. At each negotiated level an item whose type,
+// or for a stream the bulk frames, needs more is refused, and one at or
+// below it goes out. A refused item puts no byte on the wire and runs no
+// Sent hook; it is settled, which releases its buffer and closes its
+// hold; and on a session its exchange leaves nothing in flight.
+func TestWriterLevelGate(t *testing.T) {
+	type gateCase struct {
+		typ  protocol.MsgType
+		need int
+		bulk bool // a stream of typ, which needs the bulk frames whatever typ is
+	}
+	cases := []gateCase{
+		{protocol.MsgCall, 0, false},
+		{protocol.MsgBulkBegin, protocol.MuxVersionBulk, false},
+		{protocol.MsgBulkChunk, protocol.MuxVersionBulk, false},
+		{protocol.MsgBulkAbort, protocol.MuxVersionBulk, false},
+		{protocol.MsgCallDigest, protocol.MuxVersionCache, false},
+		{protocol.MsgDigestStatus, protocol.MuxVersionCache, false},
+		{protocol.MsgDataHandle, protocol.MuxVersionCache, false},
+		{protocol.MsgDataHandleOK, protocol.MuxVersionCache, false},
+		{protocol.MsgCall, protocol.MuxVersionBulk, true},
+	}
+	for typ := protocol.MsgType(0); typ < 1<<10; typ++ {
+		i := slices.IndexFunc(cases, func(c gateCase) bool { return c.typ == typ && !c.bulk })
+		if i < 0 && typ.Level() > 0 || i >= 0 && typ.Level() != cases[i].need {
+			t.Errorf("%v.Level() = %d, not as this table has it", typ, typ.Level())
+		}
+	}
+	payload := make([]byte, chunkFloor)
+	for _, level := range []int{protocol.MuxVersion, protocol.MuxVersionBulk, protocol.MuxVersionCache} {
+		for _, tc := range cases {
+			name := tc.typ.String()
+			if tc.bulk {
+				name = "stream-of-" + name
+			}
+			t.Run(fmt.Sprintf("v%d/%s", level, name), func(t *testing.T) {
+				refused := tc.need > level
+
+				c := &recConn{failAt: -1, keep: true}
+				s := newScriptAt(t, c, level, 1)
+				h := newHold()
+				it := s.frame(1)
+				it.Type = tc.typ
+				if tc.bulk {
+					it = s.bulk(1, payload, h)
+				}
+				err := s.w.Send(it, nil)
+				s.wait()
+				s.w.Close()
+				if (err != nil) != refused {
+					t.Fatalf("Send: err %v, want refused %t", err, refused)
+				}
+				if refused {
+					if len(c.raw) != 0 {
+						t.Errorf("a refused item wrote %d bytes: %v", len(c.raw), c.frames)
+					}
+					s.sentSeqs()
+				} else {
+					s.sentSeqs(1)
+				}
+				if tc.bulk && (!isSettled(h) || h.written == refused) {
+					t.Errorf("hold settled %t, written %t", isSettled(h), h.written)
+				}
+
+				sess, sc := scriptSession(t, level)
+				answered := false
+				sc.rec.onFrame = func(string) {
+					if !answered {
+						answered = true
+						sc.feed(protocol.MsgCallOK, 1, "ok")
+					}
+				}
+				var fb *protocol.Buffer
+				if tc.bulk {
+					_, fb, _, err = sess.RoundtripBulk(context.Background(), protocol.RawBulkMsg(protocol.MsgCall, payload))
+				} else {
+					_, fb, _, err = sess.Roundtrip(context.Background(), tc.typ, reqBuf("x"))
+				}
+				fb.Release()
+				if (err != nil) != refused {
+					t.Fatalf("session exchange: err %v, want refused %t", err, refused)
+				}
+				if refused && len(sc.rec.frames) != 0 {
+					t.Errorf("a refused exchange wrote %v", sc.rec.frames)
+				}
+				if n := sess.InFlight(); n != 0 || sess.Broken() {
+					t.Errorf("after the exchange: %d in flight, broken %t", n, sess.Broken())
+				}
+			})
+		}
+	}
 }

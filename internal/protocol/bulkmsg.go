@@ -41,19 +41,19 @@ func bulkSpanFor(p *idl.Param, v idl.Value) []byte {
 }
 
 // EncodeCallRequestChunks is EncodeRequest for a MsgCall under
-// BulkShape(threshold), returning (nil, nil) when no argument is
+// segments at threshold, returning (nil, nil) when no argument is
 // eligible (pinned by benchmark/layers.go, like the fronts in
 // messages.go).
 func EncodeCallRequestChunks(info *idl.Info, req *CallRequest, threshold int) (*BulkMsg, error) {
-	bm, fb, err := EncodeRequest(info, MsgCall, req, 0, BulkShape(threshold))
+	bm, fb, err := EncodeRequest(info, MsgCall, req, 0, Shape{threshold: threshold})
 	fb.Release()
 	return bm, err
 }
 
-// EncodeCallReplyChunks is EncodeReply under BulkShape(threshold),
+// EncodeCallReplyChunks is EncodeReply with segments at threshold,
 // returning (nil, nil) when no result is eligible (pinned likewise).
 func EncodeCallReplyChunks(info *idl.Info, tm Timings, args []idl.Value, threshold int) (*BulkMsg, error) {
-	bm, fb, err := EncodeReply(info, tm, args, BulkShape(threshold))
+	bm, fb, err := EncodeReply(info, tm, args, Shape{threshold: threshold})
 	fb.Release()
 	return bm, err
 }

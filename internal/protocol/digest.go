@@ -181,7 +181,7 @@ func NormalizeSegmentLE(seg []byte, le bool, elem int) []byte {
 // CallRequestDigests computes the digests of the call's bulk-eligible
 // arguments (encoded size ≥ threshold) in parameter order — the order
 // the encoder consumes them in, so the returned list goes into
-// DigestShape without hashing twice. Empty when nothing is
+// NewShape without hashing twice. Empty when nothing is
 // bulk-eligible.
 func CallRequestDigests(info *idl.Info, req *CallRequest, threshold int) ([]Digest, error) {
 	if threshold <= 0 {
@@ -207,15 +207,16 @@ func CallRequestDigests(info *idl.Info, req *CallRequest, threshold int) ([]Dige
 	return digs, nil
 }
 
-// EncodeCallRequestDigest is EncodeRequest under DigestShape(threshold,
-// digs, warm applied to each of digs) (pinned by benchmark/layers.go,
-// like the fronts in messages.go; warmFlags goes with it).
+// EncodeCallRequestDigest is EncodeRequest with segments at threshold
+// and digest markers for digs, warm applied to each of them (pinned by
+// benchmark/layers.go, like the fronts in messages.go; warmFlags goes
+// with it).
 func EncodeCallRequestDigest(info *idl.Info, req *CallRequest, keyed bool, key uint64, threshold int, digs []Digest, warm func(Digest) bool) (*BulkMsg, *Buffer, error) {
 	t := MsgCall
 	if keyed {
 		t = MsgSubmit
 	}
-	return EncodeRequest(info, t, req, key, DigestShape(threshold, digs, warmFlags(digs, warm)))
+	return EncodeRequest(info, t, req, key, Shape{threshold: threshold, digest: true, digs: digs, warm: warmFlags(digs, warm)})
 }
 
 func warmFlags(digs []Digest, warm func(Digest) bool) []bool {

@@ -67,6 +67,20 @@ const (
 	MsgTraceOK
 )
 
+// Level is the feature level a mux connection must have negotiated to
+// carry a frame of type t: MuxVersionBulk for the bulk stream frames,
+// MuxVersionCache for the argument-cache frames, and 0 — nothing beyond
+// the connection itself — for every other type.
+func (t MsgType) Level() int {
+	switch t {
+	case MsgBulkBegin, MsgBulkChunk, MsgBulkAbort:
+		return MuxVersionBulk
+	case MsgCallDigest, MsgDigestStatus, MsgDataHandle, MsgDataHandleOK:
+		return MuxVersionCache
+	}
+	return 0
+}
+
 // String returns a symbolic name for the message type.
 func (t MsgType) String() string {
 	switch t {

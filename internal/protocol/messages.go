@@ -177,9 +177,9 @@ func argSize(p *idl.Param, count int, v idl.Value) int {
 // A Shape says where an encoded message may put its array arguments —
 // the one thing the peer's negotiated level changes about encoding. The
 // zero Shape puts every array inline behind its count word: levels 1–2,
-// lockstep connections, journal records. BulkShape and DigestShape build
-// the other two; each side builds its Shape once per message from what
-// the session negotiated. locateArray is the decode-side mirror.
+// lockstep connections, journal records. NewShape builds the shape a
+// connection's level allows; each side builds one per message from what
+// its session negotiated. locateArray is the decode-side mirror.
 type Shape struct {
 	threshold int      // > 0: arrays of at least this many bytes leave the head
 	digest    bool     // digs and warm list those arrays, in parameter order
@@ -187,17 +187,24 @@ type Shape struct {
 	warm      []bool   // true: the peer holds it, the 20-byte marker suffices
 }
 
-// BulkShape is the level-3 shape: an array whose elements reach
-// threshold bytes rides as a zero-copy segment behind the head, which
-// keeps a marker word and the segment's offset. A threshold ≤ 0 is the
-// zero Shape.
-func BulkShape(threshold int) Shape { return Shape{threshold: threshold} }
-
-// DigestShape is the level-4 shape: BulkShape, except that an eligible
-// array the peer's argument cache already holds becomes a digest marker
-// carrying no bytes. digs must come from CallRequestDigests for the same
-// request and threshold; warm[i] says whether the peer holds digs[i].
-func DigestShape(threshold int, digs []Digest, warm []bool) Shape {
+// NewShape is the shape a connection at negotiated feature level level
+// allows. Below MuxVersionBulk it is the zero Shape. From there an array
+// whose elements reach threshold bytes rides as a zero-copy segment
+// behind the head, which keeps a marker word and the segment's offset (a
+// threshold ≤ 0 keeps every array inline). At MuxVersionCache, with cache
+// set because the server advertised a live argument cache
+// (HelloFlagArgCache), an eligible array the cache already holds becomes
+// a digest marker carrying no bytes: digs must then come from
+// CallRequestDigests for the same request and threshold, and warm[i]
+// says whether the peer holds digs[i]. Without both, digs and warm are
+// ignored.
+func NewShape(level int, cache bool, threshold int, digs []Digest, warm []bool) Shape {
+	switch {
+	case level < MuxVersionBulk:
+		return Shape{}
+	case level < MuxVersionCache || !cache || len(digs) == 0:
+		return Shape{threshold: threshold}
+	}
 	return Shape{threshold: threshold, digest: true, digs: digs, warm: warm}
 }
 

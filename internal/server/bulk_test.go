@@ -17,7 +17,7 @@ import (
 func bulkSession(t *testing.T, s *Server) *mux.Session {
 	t.Helper()
 	sess := muxSession(t, s)
-	if !sess.Bulk() {
+	if sess.Version() < protocol.MuxVersionBulk {
 		t.Fatal("server did not negotiate bulk feature level")
 	}
 	return sess
@@ -130,7 +130,7 @@ func TestMuxBulkSubmitFetch(t *testing.T) {
 	v := bigVec(n)
 	vals := []idl.Value{int64(n), v, nil}
 	m, _, err := protocol.EncodeRequest(info, protocol.MsgSubmit,
-		&protocol.CallRequest{Name: "double_it", Args: vals}, 42, protocol.BulkShape(1024))
+		&protocol.CallRequest{Name: "double_it", Args: vals}, 42, protocol.NewShape(protocol.MuxVersionBulk, false, 1024, nil, nil))
 	if err != nil || m == nil {
 		t.Fatalf("encode: %v %v", m, err)
 	}

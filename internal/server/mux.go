@@ -54,10 +54,7 @@ func (s *Server) hello(payload []byte) (reply, int) {
 	if s.cfg.DisableMux || req.MaxVersion < protocol.MuxVersion {
 		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", protocol.MsgHello)), 0
 	}
-	version := req.MaxVersion
-	if version > protocol.MuxVersionCache {
-		version = protocol.MuxVersionCache
-	}
+	version := min(req.MaxVersion, protocol.MuxVersionCache)
 	rep := protocol.HelloReply{Version: version, Epoch: s.epoch.Load()}
 	if version >= protocol.MuxVersionCache && s.cache != nil {
 		// Digest references are only legal once the server says its
@@ -89,14 +86,14 @@ func (s *Server) serveMux(conn net.Conn, client string, version int) {
 		s:      s,
 		client: client,
 		cp: caps{
-			bulkOK:  version >= protocol.MuxVersionBulk,
+			level:   version,
 			cacheOK: version >= protocol.MuxVersionCache && s.cache != nil,
 		},
 		// Every accepted frame was counted by replyPending; the writer
 		// counts it off (replyDone) when its reply is settled — written,
 		// or lost with the connection, where the client's retry path owns
 		// recovery and Drain must not wait for it.
-		w: mux.NewWriter(conn, func(err error) {
+		w: mux.NewWriter(conn, version, func(err error) {
 			s.logf("ninf server: mux write: %v", err)
 		}, s.replyDone),
 		sem: make(chan struct{}, DefaultMuxConcurrency),
@@ -139,6 +136,11 @@ func (d *muxDispatch) dispatch(seq uint32, m mux.Message) {
 		defer d.wg.Done()
 		defer func() { <-d.sem }()
 		r := d.s.handle(d.client, d.cp, m.Type, m.FB, m.Bulk)
-		d.w.Send(mux.Item{Type: r.t, Seq: seq, Frame: r.fb, Bulk: r.bulk, Sent: r.sent}, nil)
+		if err := d.w.Send(mux.Item{Type: r.t, Seq: seq, Frame: r.fb, Bulk: r.bulk, Sent: r.sent}, nil); err != nil {
+			// The writer outlives every dispatch, so the one refusal is a
+			// reply above the connection's level: a bug in handle, and the
+			// connection fails rather than carry it.
+			d.w.Fail(err)
+		}
 	}()
 }

@@ -31,7 +31,7 @@ type reply struct {
 
 // caps is what the connection's framing lets a verb do.
 type caps struct {
-	bulkOK  bool // peer accepts chunked replies (feature level ≥ 3)
+	level   int  // negotiated feature level; 0 on a lockstep connection
 	cacheOK bool // digest references and data handles are live (level 4, cache on)
 	// callback reaches the calling client while a blocking call runs.
 	// Only a lockstep connection has one: its stream is quiet while the
@@ -123,11 +123,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		if t.err != nil {
 			return errReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
 		}
-		var shape protocol.Shape
-		if cp.bulkOK {
-			shape = protocol.BulkShape(s.bulkThreshold())
-		}
-		bm, rb, err := protocol.EncodeReply(t.ex.Info, t.timings, t.args, shape)
+		bm, rb, err := protocol.EncodeReply(t.ex.Info, t.timings, t.args, protocol.NewShape(cp.level, cp.cacheOK, s.bulkThreshold(), nil, nil))
 		if err != nil {
 			return errReply(protocol.CodeInternal, err.Error())
 		}
@@ -167,7 +163,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		if err != nil {
 			return errReply(protocol.CodeBadArguments, err.Error())
 		}
-		return s.fetch(req, cp.bulkOK)
+		return s.fetch(req, cp.level >= protocol.MuxVersionBulk)
 
 	case protocol.MsgCallDigest:
 		digs, err := protocol.DecodeDigestQuery(payload)

@@ -280,7 +280,7 @@ func (c *Client) handshake(ctx context.Context) (live, error) {
 // appear on the wire; anywhere below, the byte stream is bit-identical
 // to level 3.
 func (c *Client) cacheOn(sess *mux.Session) bool {
-	if sess == nil || c.noArgCache.Load() || !sess.Cache() {
+	if sess == nil || c.noArgCache.Load() || sess.Version() < protocol.MuxVersionCache {
 		return false
 	}
 	c.sess.mu.Lock()
@@ -332,7 +332,6 @@ func (c *Client) exchange(ctx context.Context, sess *mux.Session, rq request) (p
 	)
 	switch {
 	case rq.bulk != nil:
-		//lint:ninflint featgate — a bulk request exists only where send built one, under sess.Bulk() or a live cache
 		rt, fb, bulk, err = sess.RoundtripRetract(ctx, rq.bulk, rq.retract)
 	case sess != nil:
 		rt, fb, bulk, err = sess.Roundtrip(ctx, rq.t, rq.fb)
@@ -418,11 +417,11 @@ func (c *Client) query(ctx context.Context, negotiate bool, t protocol.MsgType, 
 // with the 20-byte marker; one it has finished is the call, and its
 // reply is awaited. Either way the routine runs once.
 func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	var shape protocol.Shape
-	thr := c.bulkThreshold()
-	if sess != nil && sess.Bulk() {
-		shape = protocol.BulkShape(thr)
+	level := 0 // a pooled lockstep connection
+	if sess != nil {
+		level = sess.Version()
 	}
+	thr := c.bulkThreshold()
 	var digs []protocol.Digest
 	var warm []bool
 	unknown := false
@@ -433,9 +432,9 @@ func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType
 		creq.Retain = c.retainRes.Load()
 		if digs, _ = protocol.CallRequestDigests(info, creq, thr); len(digs) > 0 {
 			warm, unknown = c.warmth(digs)
-			shape = protocol.DigestShape(thr, digs, warm)
 		}
 	}
+	shape := protocol.NewShape(level, cacheOK, thr, digs, warm)
 	for {
 		rq := request{t: t}
 		var err error
@@ -459,8 +458,7 @@ func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType
 				// Never a request, so this is no second attempt: the same
 				// call, in the shape the answer gives it.
 				rep.Retracted = int64(r.Sent)
-				//lint:ninflint featgate — sp is set only under cacheOK
-				shape, unknown = protocol.DigestShape(thr, digs, sp.warm), false
+				shape, unknown = protocol.NewShape(level, cacheOK, thr, digs, sp.warm), false
 				//lint:ninflint releasecheck — an exchange that ended Retracted returned no buffer
 				continue
 			}

@@ -485,15 +485,20 @@ func TestSessionsControlVerbsNeverDial(t *testing.T) {
 	c := newClient(t, dial)
 	c.PinSessions(2)
 	callOnce(t, c)
+	// The wait polls from a second client: a Stats of c's in flight when
+	// the busy call picks its session would make the call open a second
+	// one, which is the data path's rule, not a control verb dialing.
+	watch := newClient(t, dial)
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Call("busy", 300)
 		done <- err
 	}()
 	waitUntil(t, 5*time.Second, func() bool {
-		st, err := c.Stats()
+		st, err := watch.Stats()
 		return err == nil && st.Running == 1
 	})
+	dials.Add(-1) // watch's own connection
 	for i := 0; i < 20; i++ {
 		if err := c.Ping(); err != nil {
 			t.Fatal(err)
