@@ -175,9 +175,14 @@ func (l *wireLog) render() string {
 		if f.hello {
 			w = &hello
 		}
+		// A callback is the server's request: pinned like the client's.
+		dir := "C"
 		if !f.fromClient {
-			fmt.Fprintf(w, "S %v len=%d\n", f.t, len(f.payload))
-			continue
+			if f.t != protocol.MsgCallback {
+				fmt.Fprintf(w, "S %v len=%d\n", f.t, len(f.payload))
+				continue
+			}
+			dir = "S"
 		}
 		p := append([]byte(nil), f.payload...)
 		switch {
@@ -192,12 +197,12 @@ func (l *wireLog) render() string {
 		}
 		switch {
 		case len(p) == 0:
-			fmt.Fprintf(w, "C %v -\n", f.t)
+			fmt.Fprintf(w, "%s %v -\n", dir, f.t)
 		case len(p) > 256:
 			sum := sha256.Sum256(p)
-			fmt.Fprintf(w, "C %v len=%d sha256=%x\n", f.t, len(p), sum[:8])
+			fmt.Fprintf(w, "%s %v len=%d sha256=%x\n", dir, f.t, len(p), sum[:8])
 		default:
-			fmt.Fprintf(w, "C %v %s\n", f.t, hex.EncodeToString(p))
+			fmt.Fprintf(w, "%s %v %s\n", dir, f.t, hex.EncodeToString(p))
 		}
 	}
 	return "== hello ==\n" + hello.String() + "== frames ==\n" + rest.String()
@@ -248,26 +253,56 @@ func TestWireGolden(t *testing.T) {
 			if c.Multiplexed() != p.expect {
 				t.Fatalf("Multiplexed() = %v, want %v", c.Multiplexed(), p.expect)
 			}
-			got := log.render()
-			path := filepath.Join("testdata", "wire", p.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("wire capture differs from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
+			checkGolden(t, p.name, log.render())
 		})
 	}
+}
+
+// checkGolden compares a rendered capture with testdata/wire/name.golden,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "wire", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("wire capture differs from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestWireGoldenCallback pins client callbacks inside a blocking call:
+// the server's MsgCallback requests, the client's CallbackOK answers,
+// and the MsgError it sends back for a callback it has not registered.
+func TestWireGoldenCallback(t *testing.T) {
+	dial := startCallbackServer(t)
+	log := &wireLog{}
+	c := newClient(t, func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return &recConn{Conn: conn, log: log}, nil
+	})
+	c.RegisterCallback("progress", func([]byte) ([]byte, error) { return []byte("go"), nil })
+	var result float64
+	if _, err := c.Call("steered", 2, &result); err != nil || result != 2 {
+		t.Fatalf("steered = %v, %v", result, err)
+	}
+	if _, err := c.Call("puller", 1, &result); err == nil || !strings.Contains(err.Error(), "no client callback") {
+		t.Fatalf("puller without its callback: %v", err)
+	}
+	checkGolden(t, "callback", log.render())
 }
 
 // wireScenario issues every client verb once, in a fixed order.
