@@ -52,25 +52,27 @@ func (c *Client) lookupCallback(name string) CallbackFunc {
 }
 
 // answerCallback serves one MsgCallback frame read in the middle of a
-// lockstep exchange: it runs the registered function and replies on the
-// same connection. Unknown names and function errors are reported to
-// the server as MsgError; the call itself keeps waiting.
-func (c *Client) answerCallback(conn net.Conn, payload []byte) error {
-	req, err := protocol.DecodeCallbackRequest(payload)
+// lockstep exchange, consuming it: it runs the registered function,
+// sends the answer on the same connection and returns the frame that
+// follows — the call's reply or its next callback. Unknown names and
+// function errors are reported to the server as MsgError; the call
+// itself keeps waiting.
+func (c *Client) answerCallback(conn net.Conn, fb *protocol.Buffer) (protocol.MsgType, *protocol.Buffer, error) {
+	req, err := protocol.DecodeCallbackRequest(fb.Payload())
+	fb.Release()
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	fn := c.lookupCallback(req.Name)
 	if fn == nil {
-		return protocol.WriteFrame(conn, protocol.MsgError,
-			protocol.EncodeErrorReply(protocol.CodeUnknownRoutine,
-				fmt.Sprintf("no client callback %q", req.Name)))
+		return protocol.Roundtrip(conn, protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReply(
+			protocol.CodeUnknownRoutine, fmt.Sprintf("no client callback %q", req.Name))), c.maxPayload)
 	}
 	data, err := fn(req.Data)
 	if err != nil {
-		return protocol.WriteFrame(conn, protocol.MsgError,
-			protocol.EncodeErrorReply(protocol.CodeExecFailed, err.Error()))
+		return protocol.Roundtrip(conn, protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReply(
+			protocol.CodeExecFailed, err.Error())), c.maxPayload)
 	}
 	reply := protocol.CallbackReply{Data: data}
-	return protocol.WriteFrame(conn, protocol.MsgCallbackOK, reply.Encode())
+	return protocol.Roundtrip(conn, protocol.MsgCallbackOK, protocol.BufferFor(reply.Encode()), c.maxPayload)
 }

@@ -3,7 +3,6 @@ package metaserver
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sort"
@@ -41,81 +40,97 @@ func (m *Metaserver) Serve(l net.Listener) error {
 	}
 }
 
+// connReadTimeout bounds how long the daemon waits for the next frame
+// on an accepted connection before severing it: the guard against
+// half-dead clients parking read loops forever. A var so tests can
+// shrink it.
+var connReadTimeout = 2 * time.Minute
+
 // ServeConn handles one client connection. Every frame is read under
-// Config.ConnReadTimeout — a peer that connects and then stalls (or
-// dies without a FIN) is severed instead of parking this goroutine
-// forever — and bounded by daemonMaxPayload. Protocol violations
-// (malformed payloads, unknown frame types, oversized frames) answer
-// one MsgError and close the connection; only application-level
-// refusals (no eligible server) keep it open.
+// connReadTimeout — a peer that connects and then stalls (or dies
+// without a FIN) is severed instead of parking this goroutine forever —
+// and bounded by daemonMaxPayload. handle answers it; a protocol
+// violation (malformed payload, unknown frame type, oversized frame) is
+// answered with one MsgError and the connection closes, and only an
+// application-level refusal (no eligible server) keeps it open.
 func (m *Metaserver) ServeConn(conn net.Conn) {
 	for {
-		conn.SetDeadline(time.Now().Add(m.cfg.ConnReadTimeout))
-		typ, payload, err := protocol.ReadFrame(conn, daemonMaxPayload)
+		conn.SetDeadline(time.Now().Add(connReadTimeout))
+		typ, fb, err := protocol.ReadFrameBuf(conn, daemonMaxPayload)
+		var r reply
 		if err != nil {
-			if errors.Is(err, protocol.ErrOversized) {
-				writeErr(conn, protocol.CodeBadArguments, err.Error())
+			if !errors.Is(err, protocol.ErrOversized) {
+				return
 			}
-			return
+			r = errReply(protocol.CodeBadArguments, err.Error(), true)
+		} else {
+			r = m.handle(typ, fb)
 		}
-		switch typ {
-		case protocol.MsgPing:
-			if protocol.WriteFrame(conn, protocol.MsgPong, nil) != nil {
-				return
-			}
-		case protocol.MsgSchedule:
-			req, err := protocol.DecodeScheduleRequest(payload)
-			if err != nil {
-				writeErr(conn, protocol.CodeBadArguments, err.Error())
-				return
-			}
-			pl, err := m.Place(ninf.SchedRequest{
-				Routine:  req.Routine,
-				InBytes:  req.InBytes,
-				OutBytes: req.OutBytes,
-				Ops:      req.Ops,
-				Exclude:  req.Exclude,
-				Affinity: req.Affinity,
-			})
-			if err != nil {
-				if writeErr(conn, protocol.CodeOverloaded, err.Error()) != nil {
-					return
-				}
-				continue
-			}
-			reply := protocol.ScheduleReply{Name: pl.Name, Addr: m.addrOf(pl.Name)}
-			if protocol.WriteFrame(conn, protocol.MsgScheduleOK, reply.Encode()) != nil {
-				return
-			}
-		case protocol.MsgObserve:
-			req, err := protocol.DecodeObserveRequest(payload)
-			if err != nil {
-				writeErr(conn, protocol.CodeBadArguments, err.Error())
-				return
-			}
-			m.ObserveRemote(req)
-			if protocol.WriteFrame(conn, protocol.MsgObserveOK, nil) != nil {
-				return
-			}
-		case protocol.MsgGossip:
-			req, err := protocol.DecodeGossipRequest(payload)
-			if err != nil {
-				writeErr(conn, protocol.CodeBadArguments, err.Error())
-				return
-			}
-			reply := m.handleGossip(req)
-			fb := protocol.AcquireBuffer(reply.SizeHint())
-			reply.EncodeInto(fb.Encoder())
-			err = writeGossipFrame(conn, protocol.MsgGossipOK, fb)
-			fb.Release()
-			if err != nil {
-				return
-			}
-		default:
-			writeErr(conn, protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ))
+		err = protocol.WriteFrameBuf(conn, r.t, r.fb)
+		r.fb.Release()
+		if err != nil || r.fatal {
 			return
 		}
 	}
+}
+
+// reply is the daemon's answer to one frame; fatal closes the
+// connection once it is written.
+type reply struct {
+	t     protocol.MsgType
+	fb    *protocol.Buffer
+	fatal bool
+}
+
+// errReply builds a MsgError reply.
+func errReply(code uint32, detail string, fatal bool) reply {
+	return reply{protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReply(code, detail)), fatal}
+}
+
+// handle answers one request frame, consuming fb. It never sees the
+// connection: ServeConn writes what it returns.
+func (m *Metaserver) handle(typ protocol.MsgType, fb *protocol.Buffer) reply {
+	p := fb.Payload()
+	defer fb.Release()
+	switch typ {
+	case protocol.MsgPing:
+		return reply{t: protocol.MsgPong, fb: protocol.AcquireBuffer(0)}
+	case protocol.MsgSchedule:
+		req, err := protocol.DecodeScheduleRequest(p)
+		if err != nil {
+			return errReply(protocol.CodeBadArguments, err.Error(), true)
+		}
+		pl, err := m.Place(ninf.SchedRequest{
+			Routine:  req.Routine,
+			InBytes:  req.InBytes,
+			OutBytes: req.OutBytes,
+			Ops:      req.Ops,
+			Exclude:  req.Exclude,
+			Affinity: req.Affinity,
+		})
+		if err != nil {
+			return errReply(protocol.CodeOverloaded, err.Error(), false)
+		}
+		out := protocol.ScheduleReply{Name: pl.Name, Addr: m.addrOf(pl.Name)}
+		return reply{t: protocol.MsgScheduleOK, fb: protocol.BufferFor(out.Encode())}
+	case protocol.MsgObserve:
+		req, err := protocol.DecodeObserveRequest(p)
+		if err != nil {
+			return errReply(protocol.CodeBadArguments, err.Error(), true)
+		}
+		m.ObserveRemote(req)
+		return reply{t: protocol.MsgObserveOK, fb: protocol.AcquireBuffer(0)}
+	case protocol.MsgGossip:
+		req, err := protocol.DecodeGossipRequest(p)
+		if err != nil {
+			return errReply(protocol.CodeBadArguments, err.Error(), true)
+		}
+		out := m.handleGossip(req)
+		r := reply{t: protocol.MsgGossipOK, fb: protocol.AcquireBuffer(out.SizeHint())}
+		out.EncodeInto(r.fb.Encoder())
+		return r
+	}
+	return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ), true)
 }
 
 func (m *Metaserver) addrOf(name string) string {
@@ -125,10 +140,6 @@ func (m *Metaserver) addrOf(name string) string {
 		return e.Addr
 	}
 	return ""
-}
-
-func writeErr(conn io.Writer, code uint32, detail string) error {
-	return protocol.WriteFrame(conn, protocol.MsgError, protocol.EncodeErrorReply(code, detail))
 }
 
 // Client control-path timeouts. The gossip path between replicas got
@@ -146,7 +157,7 @@ var (
 
 // metaConnIdle is how long a pooled control connection may sit unused
 // before it is preemptively redialed: the daemon severs idle
-// connections (Config.ConnReadTimeout), and sending a non-idempotent
+// connections (connReadTimeout), and sending a non-idempotent
 // request down a likely-dead conn forces the replay question below.
 const metaConnIdle = 30 * time.Second
 
@@ -189,10 +200,6 @@ type cacheEntry struct {
 // exclusions, with Placement.Degraded set so callers can see they ran
 // on possibly-stale routing.
 type RemoteScheduler struct {
-	// DialMeta opens a connection to the (single) metaserver. It is
-	// the pre-HA configuration surface, used only when no addresses
-	// were given to NewRemoteScheduler.
-	DialMeta func() (net.Conn, error)
 	// DialServer opens a connection to a computational server given
 	// the address advertised by the metaserver. nil means net.Dial
 	// over TCP.
@@ -250,9 +257,6 @@ func (r *RemoteScheduler) ensureLocked() {
 		return
 	}
 	r.init = true
-	if len(r.metas) == 0 && r.DialMeta != nil {
-		r.metas = append(r.metas, &metaReplica{addr: "metaserver", dial: r.DialMeta})
-	}
 	if r.CacheTTL <= 0 {
 		r.CacheTTL = 30 * time.Second
 	}
@@ -287,7 +291,7 @@ var errNoMetaserver = errors.New("metaserver: no metaserver configured")
 // replica first, then the others, replicas inside their backoff
 // window last (they are still tried, so a full outage probes everyone
 // before giving up). A MsgError reply is the daemon answering — it
-// converts to RemoteError and does not fail over.
+// comes back as RemoteError and does not fail over.
 func (r *RemoteScheduler) roundTrip(typ protocol.MsgType, payload []byte) (protocol.MsgType, []byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -312,7 +316,7 @@ func (r *RemoteScheduler) roundTrip(typ protocol.MsgType, payload []byte) (proto
 	var lastErr error
 	for _, mr := range order {
 		rt, rp, err := r.exchangeLocked(mr, typ, payload)
-		if err != nil {
+		if !answered(err) {
 			lastErr = err
 			mr.fails++
 			mr.avoidUntil = time.Now().Add(metaBackoff(mr.fails))
@@ -326,16 +330,16 @@ func (r *RemoteScheduler) roundTrip(typ protocol.MsgType, payload []byte) (proto
 				r.cur = i
 			}
 		}
-		if rt == protocol.MsgError {
-			er, derr := protocol.DecodeErrorReply(rp)
-			if derr != nil {
-				return 0, nil, derr
-			}
-			return 0, nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
-		}
-		return rt, rp, nil
+		return rt, rp, err
 	}
 	return 0, nil, fmt.Errorf("metaserver: all %d metaservers unreachable: %w", n, lastErr)
+}
+
+// answered reports whether a round trip reached the daemon and back:
+// with a reply, or with the daemon's refusal as a *protocol.RemoteError.
+func answered(err error) bool {
+	var re *protocol.RemoteError
+	return err == nil || errors.As(err, &re)
 }
 
 // idempotentMsg reports whether a frame is safe to execute twice
@@ -351,73 +355,59 @@ func idempotentMsg(t protocol.MsgType) bool {
 // existing pooled connection (the daemon's idle timeout may have
 // severed it) is retried once on a fresh dial before the replica is
 // declared down — but only when the replay cannot execute the request
-// twice server-side: either the pooled write itself failed (a partial
-// frame is unparseable, so nothing ran) or the frame is idempotent.
-// A non-idempotent frame whose write was accepted before the
-// connection died may already have executed; replaying it would
-// double-run it, so the attempt fails and ordinary failover takes
-// over. Idle connections are preemptively redialed so the ambiguous
-// case stays rare. Callers hold r.mu.
+// twice server-side: either the pooled write itself failed
+// (protocol.ErrWrite: a partial frame is unparseable, so nothing ran)
+// or the frame is idempotent. A non-idempotent frame whose write was
+// accepted before the connection died may already have executed;
+// replaying it would double-run it, so the attempt fails and ordinary
+// failover takes over. Idle connections are preemptively redialed so
+// the ambiguous case stays rare. Callers hold r.mu.
 func (r *RemoteScheduler) exchangeLocked(mr *metaReplica, typ protocol.MsgType, payload []byte) (protocol.MsgType, []byte, error) {
 	if mr.conn != nil && time.Since(mr.lastOK) > metaConnIdle {
 		r.dropLocked(mr)
 	}
 	if mr.conn != nil {
-		rt, rp, sent, err := r.onceLocked(mr, typ, payload, false)
-		if err == nil {
-			return rt, rp, nil
-		}
-		if sent && !idempotentMsg(typ) {
-			return 0, nil, err
+		rt, rp, err := r.onceLocked(mr, typ, payload, false)
+		if answered(err) || (!errors.Is(err, protocol.ErrWrite) && !idempotentMsg(typ)) {
+			return rt, rp, err
 		}
 	}
-	rt, rp, _, err := r.onceLocked(mr, typ, payload, mr.fails > 0)
-	return rt, rp, err
+	return r.onceLocked(mr, typ, payload, mr.fails > 0)
 }
 
-// onceLocked performs a single attempt, dialing if needed. ping makes
-// a replica that previously failed prove liveness with a MsgPing round
-// trip before the real request. sent reports whether the request frame
-// was fully handed to the transport (and so may have been executed
-// even when the reply never arrived). Callers hold r.mu.
-func (r *RemoteScheduler) onceLocked(mr *metaReplica, typ protocol.MsgType, payload []byte, ping bool) (rt protocol.MsgType, rp []byte, sent bool, err error) {
-	fresh := false
-	if mr.conn == nil {
+// onceLocked performs a single attempt, dialing if needed, and drops
+// the connection unless the daemon answered. ping makes a replica that
+// previously failed prove liveness with a MsgPing round trip before the
+// real request. Callers hold r.mu.
+func (r *RemoteScheduler) onceLocked(mr *metaReplica, typ protocol.MsgType, payload []byte, ping bool) (protocol.MsgType, []byte, error) {
+	fresh := mr.conn == nil
+	if fresh {
 		conn, err := mr.dial()
 		if err != nil {
-			return 0, nil, false, err
+			return 0, nil, err
 		}
 		mr.conn = conn
-		fresh = true
 	}
 	// The whole exchange runs under a deadline: a replica that accepts
 	// and then black-holes must fail over as fast as one that crashed.
 	mr.conn.SetDeadline(time.Now().Add(metaExchangeTimeout))
 	if fresh && ping {
-		if err := protocol.WriteFrame(mr.conn, protocol.MsgPing, nil); err != nil {
-			r.dropLocked(mr)
-			return 0, nil, false, err
+		pt, fb, err := protocol.Roundtrip(mr.conn, protocol.MsgPing, protocol.AcquireBuffer(0), daemonMaxPayload)
+		fb.Release()
+		if answered(err) && pt != protocol.MsgPong {
+			// Refused or answered otherwise: the replica is still down.
+			err = fmt.Errorf("metaserver: unexpected reply %v to ping", pt)
 		}
-		pt, _, err := protocol.ReadFrame(mr.conn, daemonMaxPayload)
 		if err != nil {
 			r.dropLocked(mr)
-			return 0, nil, false, err
-		}
-		if pt != protocol.MsgPong {
-			r.dropLocked(mr)
-			return 0, nil, false, fmt.Errorf("metaserver: unexpected reply %v to ping", pt)
+			return 0, nil, err
 		}
 	}
-	if err := protocol.WriteFrame(mr.conn, typ, payload); err != nil {
+	rt, fb, err := protocol.Roundtrip(mr.conn, typ, protocol.BufferFor(payload), daemonMaxPayload)
+	if !answered(err) {
 		r.dropLocked(mr)
-		return 0, nil, false, err
 	}
-	rt, rp, err = protocol.ReadFrame(mr.conn, daemonMaxPayload)
-	if err != nil {
-		r.dropLocked(mr)
-		return 0, nil, true, err
-	}
-	return rt, rp, true, nil
+	return rt, protocol.CopyOut(fb), err
 }
 
 // dropLocked discards a replica's pooled connection. Callers hold

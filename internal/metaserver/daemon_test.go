@@ -204,8 +204,11 @@ func TestDaemonSeversStalledConn(t *testing.T) {
 	// leaves the daemon reading a connection that will never produce a
 	// frame. Before per-connection read deadlines the handler
 	// goroutine parked forever; now it must exit within
-	// ConnReadTimeout.
-	m := New(Config{ConnReadTimeout: 100 * time.Millisecond})
+	// connReadTimeout.
+	old := connReadTimeout
+	connReadTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { connReadTimeout = old })
+	m := New(Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -105,14 +105,6 @@ type Config struct {
 	// DialServer reaches a computational server learned through gossip
 	// by its advertised address; nil means plain TCP.
 	DialServer func(addr string) (net.Conn, error)
-	// GossipInterval is the default anti-entropy period for StartGossip
-	// (default 500ms).
-	GossipInterval time.Duration
-	// ConnReadTimeout bounds how long the daemon waits for the next
-	// frame on an accepted connection before severing it (default 2m).
-	// It is the guard against half-dead clients parking read loops
-	// forever.
-	ConnReadTimeout time.Duration
 }
 
 // Metaserver monitors servers and places calls. It implements
@@ -170,12 +162,6 @@ func New(cfg Config) *Metaserver {
 	}
 	if cfg.OverloadPenalty <= 0 {
 		cfg.OverloadPenalty = time.Second
-	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 500 * time.Millisecond
-	}
-	if cfg.ConnReadTimeout <= 0 {
-		cfg.ConnReadTimeout = 2 * time.Minute
 	}
 	if cfg.Origin == "" {
 		cfg.Origin = "meta"
@@ -409,7 +395,9 @@ func (m *Metaserver) BreakerEvents() []BreakerEvent {
 // pollStats asks one server for its Stats and execution trace, both on
 // one connection. The whole exchange is bounded by metaExchangeTimeout:
 // PollOnce waits for every probe, so a server that accepts and then
-// stalls would otherwise freeze liveness and Stats for all of them.
+// stalls would otherwise freeze liveness and Stats for all of them. Each
+// reply is bounded by daemonMaxPayload, so a corrupt or hostile length
+// word fails the poll at once instead of sizing a buffer.
 func pollStats(dial func() (net.Conn, error)) (protocol.Stats, map[string]time.Duration, error) {
 	conn, err := dial()
 	if err != nil {
@@ -417,31 +405,29 @@ func pollStats(dial func() (net.Conn, error)) (protocol.Stats, map[string]time.D
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(metaExchangeTimeout))
-	if err := protocol.WriteFrame(conn, protocol.MsgStats, nil); err != nil {
-		return protocol.Stats{}, nil, err
+	typ, fb, err := protocol.Roundtrip(conn, protocol.MsgStats, protocol.AcquireBuffer(0), daemonMaxPayload)
+	if err == nil && typ != protocol.MsgStatsOK {
+		fb.Release()
+		err = fmt.Errorf("metaserver: unexpected reply %v to stats", typ)
 	}
-	typ, p, err := protocol.ReadFrame(conn, 0)
 	if err != nil {
 		return protocol.Stats{}, nil, err
 	}
-	if typ != protocol.MsgStatsOK {
-		return protocol.Stats{}, nil, fmt.Errorf("metaserver: unexpected reply %v to stats", typ)
-	}
-	st, err := protocol.DecodeStats(p)
+	st, err := protocol.DecodeStats(fb.Payload())
+	fb.Release()
 	if err != nil {
 		return protocol.Stats{}, nil, err
 	}
 	// Fetch the §5.1 execution trace on the same connection; servers
-	// without history return an empty list.
-	if err := protocol.WriteFrame(conn, protocol.MsgTrace, nil); err != nil {
-		return st, nil, nil // stats succeeded; trace is best-effort
-	}
-	typ, p, err = protocol.ReadFrame(conn, 0)
-	if err != nil || typ != protocol.MsgTraceOK {
+	// without history return an empty list. It is best-effort: the
+	// stats stand without it.
+	typ, fb, err = protocol.Roundtrip(conn, protocol.MsgTrace, protocol.AcquireBuffer(0), daemonMaxPayload)
+	if err != nil {
 		return st, nil, nil
 	}
-	ts, err := server.DecodeTraces(p)
-	if err != nil {
+	ts, err := server.DecodeTraces(fb.Payload())
+	fb.Release()
+	if err != nil || typ != protocol.MsgTraceOK {
 		return st, nil, nil
 	}
 	trace := make(map[string]time.Duration, len(ts))

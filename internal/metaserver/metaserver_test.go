@@ -1,6 +1,7 @@
 package metaserver
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -152,6 +153,34 @@ func TestPollOnceBoundsStalledServer(t *testing.T) {
 	}
 	if stalled := snaps[1]; stalled.Name != "stalled" || stalled.Fails != 1 {
 		t.Errorf("stalled server: %+v, want one failure counted", stalled)
+	}
+}
+
+// TestPollStatsBoundsReply: a reply header announcing more than
+// daemonMaxPayload fails the poll at once with ErrOversized. Read with
+// no limit, the announced size is allocated and the poll waits out the
+// exchange deadline for a body that never comes.
+func TestPollStatsBoundsReply(t *testing.T) {
+	client, fake := net.Pipe()
+	t.Cleanup(func() { fake.Close() })
+	go func() {
+		if _, _, err := protocol.ReadFrame(fake, 0); err != nil {
+			return
+		}
+		var hdr [16]byte
+		binary.BigEndian.PutUint32(hdr[0:], protocol.Magic)
+		binary.BigEndian.PutUint32(hdr[4:], protocol.Version)
+		binary.BigEndian.PutUint32(hdr[8:], uint32(protocol.MsgStatsOK))
+		binary.BigEndian.PutUint32(hdr[12:], uint32(daemonMaxPayload+1))
+		fake.Write(hdr[:])
+	}()
+	start := time.Now()
+	_, _, err := pollStats(func() (net.Conn, error) { return client, nil })
+	if !errors.Is(err, protocol.ErrOversized) {
+		t.Fatalf("pollStats = %v, want ErrOversized", err)
+	}
+	if took := time.Since(start); took >= metaExchangeTimeout {
+		t.Errorf("pollStats took %v: it waited for the body", took)
 	}
 }
 

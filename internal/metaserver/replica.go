@@ -512,14 +512,6 @@ func (m *Metaserver) GossipOnce() int {
 	return ok
 }
 
-// writeGossipFrame writes one encoded gossip message from a pooled
-// frame buffer — the zero-copy send shared by both exchange sides.
-//
-//ninflint:owner borrow — fb is only written; the caller keeps ownership and Releases it
-func writeGossipFrame(conn net.Conn, t protocol.MsgType, fb *protocol.Buffer) error {
-	return protocol.WriteFrameBuf(conn, t, fb)
-}
-
 // exchangeGossip performs one MsgGossip round trip on a fresh
 // connection.
 func exchangeGossip(dial func() (net.Conn, error), req protocol.GossipRequest) (protocol.GossipReply, error) {
@@ -529,21 +521,17 @@ func exchangeGossip(dial func() (net.Conn, error), req protocol.GossipRequest) (
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	fb := protocol.AcquireBuffer(req.SizeHint())
-	req.EncodeInto(fb.Encoder())
-	err = writeGossipFrame(conn, protocol.MsgGossip, fb)
-	fb.Release()
+	out := protocol.AcquireBuffer(req.SizeHint())
+	req.EncodeInto(out.Encoder())
+	typ, fb, err := protocol.Roundtrip(conn, protocol.MsgGossip, out, daemonMaxPayload)
 	if err != nil {
 		return protocol.GossipReply{}, err
 	}
-	typ, p, err := protocol.ReadFrame(conn, daemonMaxPayload)
-	if err != nil {
-		return protocol.GossipReply{}, err
-	}
+	defer fb.Release()
 	if typ != protocol.MsgGossipOK {
 		return protocol.GossipReply{}, fmt.Errorf("metaserver: unexpected reply %v to gossip", typ)
 	}
-	return protocol.DecodeGossipReply(p)
+	return protocol.DecodeGossipReply(fb.Payload())
 }
 
 // handleGossip is the serving side of one anti-entropy exchange: apply
@@ -564,8 +552,5 @@ func (m *Metaserver) handleGossip(req protocol.GossipRequest) protocol.GossipRep
 // interval (full-jitter, like the monitor's poll schedule) until the
 // returned stop function is called.
 func (m *Metaserver) StartGossip(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = m.cfg.GossipInterval
-	}
 	return startJitteredLoop(interval, func() { m.GossipOnce() })
 }

@@ -75,31 +75,29 @@ var errNotQueued = errors.New("mux: writer stopped before the frame was queued")
 // error is a transport fault.
 func NegotiateHello(conn net.Conn, maxPayload int) (protocol.HelloReply, error) {
 	req := protocol.HelloRequest{MaxVersion: protocol.MuxVersionCache}
-	if err := protocol.WriteFrame(conn, protocol.MsgHello, req.Encode()); err != nil {
+	t, fb, err := protocol.Roundtrip(conn, protocol.MsgHello, protocol.BufferFor(req.Encode()), maxPayload)
+	if err != nil {
+		if errors.As(err, new(*protocol.RemoteError)) {
+			// A pre-mux server rejects the unknown frame type; a post-mux
+			// server never answers Hello with an error. Either way the
+			// lockstep path is the one to use.
+			err = ErrLegacy
+		}
 		return protocol.HelloReply{}, err
 	}
-	t, p, err := protocol.ReadFrame(conn, maxPayload)
+	if t != protocol.MsgHelloOK {
+		fb.Release()
+		return protocol.HelloReply{}, fmt.Errorf("mux: unexpected reply %v to hello", t)
+	}
+	rep, err := protocol.DecodeHelloReply(fb.Payload())
+	fb.Release()
 	if err != nil {
 		return protocol.HelloReply{}, err
 	}
-	switch t {
-	case protocol.MsgHelloOK:
-		rep, err := protocol.DecodeHelloReply(p)
-		if err != nil {
-			return protocol.HelloReply{}, err
-		}
-		if rep.Version < protocol.MuxVersion || rep.Version > protocol.MuxVersionCache {
-			return protocol.HelloReply{}, fmt.Errorf("mux: peer chose unsupported version %d", rep.Version)
-		}
-		return rep, nil
-	case protocol.MsgError:
-		// A pre-mux server rejects the unknown frame type; a post-mux
-		// server never answers Hello with an error. Either way the
-		// lockstep path is the one to use.
-		return protocol.HelloReply{}, ErrLegacy
-	default:
-		return protocol.HelloReply{}, fmt.Errorf("mux: unexpected reply %v to hello", t)
+	if rep.Version < protocol.MuxVersion || rep.Version > protocol.MuxVersionCache {
+		return protocol.HelloReply{}, fmt.Errorf("mux: peer chose unsupported version %d", rep.Version)
 	}
+	return rep, nil
 }
 
 // bulkAbandonStall bounds how long an abandoning caller waits for the

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"net"
 	"slices"
 	"sync"
 
@@ -158,6 +157,7 @@ var (
 	ErrBadMagic   = errors.New("protocol: bad frame magic")
 	ErrBadVersion = errors.New("protocol: unsupported protocol version")
 	ErrOversized  = errors.New("protocol: frame exceeds payload limit")
+	ErrWrite      = errors.New("protocol: write frame")
 )
 
 // Buffer pooling. Frame buffers are recycled through size-classed
@@ -312,7 +312,7 @@ func WriteFrameBuf(w io.Writer, t MsgType, fb *Buffer) error {
 	putU32(fb.b[8:], uint32(t))
 	putU32(fb.b[12:], uint32(fb.Len()))
 	if _, err := w.Write(fb.b); err != nil {
-		return fmt.Errorf("protocol: write frame: %w", err)
+		return fmt.Errorf("%w: %w", ErrWrite, err)
 	}
 	return nil
 }
@@ -353,52 +353,54 @@ func ReadFrameBuf(r io.Reader, maxPayload int) (MsgType, *Buffer, error) {
 	return t, fb, nil
 }
 
-// frameWriter is the pooled scratch for WriteFrame's vectored path.
-type frameWriter struct {
-	hdr [headerSize]byte
-	vec net.Buffers
-	arr [2][]byte
-}
-
-var frameWriterPool = sync.Pool{New: func() any { return new(frameWriter) }}
-
-// WriteFrame writes one frame: header plus payload. Header and payload
-// go out in a single vectored write (writev on TCP connections), so a
-// frame never straddles two syscalls. Callers that assemble payloads
-// in a Buffer should prefer WriteFrameBuf, which skips the gather.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	fw := frameWriterPool.Get().(*frameWriter)
-	putU32(fw.hdr[0:], Magic)
-	putU32(fw.hdr[4:], Version)
-	putU32(fw.hdr[8:], uint32(t))
-	putU32(fw.hdr[12:], uint32(len(payload)))
-	var err error
-	if len(payload) == 0 {
-		_, err = w.Write(fw.hdr[:])
-	} else {
-		fw.vec = append(net.Buffers(fw.arr[:0]), fw.hdr[:], payload)
-		_, err = fw.vec.WriteTo(w)
-		fw.arr[0], fw.arr[1] = nil, nil // drop the payload reference
-	}
-	frameWriterPool.Put(fw)
-	if err != nil {
-		return fmt.Errorf("protocol: write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame is ReadFrameBuf for callers that want the payload as a
-// plain slice they own: the frame is read into a pooled buffer and
-// copied out.
-func ReadFrame(r io.Reader, maxPayload int) (MsgType, []byte, error) {
-	t, fb, err := ReadFrameBuf(r, maxPayload)
+// Roundtrip runs one lockstep exchange on rw, the version-1 twin of
+// mux.Session.Roundtrip: it writes the request frame from req, which it
+// consumes whatever the outcome, and reads one reply of at most
+// maxPayload bytes (0 means DefaultMaxPayload) into a pooled buffer the
+// caller must Release. A MsgError reply comes back as *RemoteError (see
+// Reply). A failed write wraps ErrWrite: the request never left whole,
+// so the peer cannot have acted on it.
+func Roundtrip(rw io.ReadWriter, t MsgType, req *Buffer, maxPayload int) (MsgType, *Buffer, error) {
+	err := WriteFrameBuf(rw, t, req)
+	req.Release()
 	if err != nil {
 		return 0, nil, err
 	}
-	payload := make([]byte, fb.Len())
-	copy(payload, fb.Payload())
+	return Reply(ReadFrameBuf(rw, maxPayload))
+}
+
+// Reply settles one reply read by any transport: a MsgError frame is
+// decoded into a *RemoteError, with the server's code, detail and
+// retry-after hint, and its buffer released; any other frame or error
+// passes through. It is the one place a MsgError becomes an error.
+func Reply(t MsgType, fb *Buffer, err error) (MsgType, *Buffer, error) {
+	if err != nil || t != MsgError {
+		return t, fb, err
+	}
+	er, err := DecodeErrorReply(fb.Payload())
 	fb.Release()
-	return t, payload, nil
+	if err != nil {
+		return 0, nil, err
+	}
+	return 0, nil, &RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
+}
+
+// WriteFrame writes one frame from a plain payload slice, copied into a
+// pooled buffer first. It is kept for callers outside the module's
+// transport; code that assembles a payload writes its Buffer with
+// WriteFrameBuf or Roundtrip.
+func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
+	fb := BufferFor(payload)
+	err := WriteFrameBuf(w, t, fb)
+	fb.Release()
+	return err
+}
+
+// ReadFrame is ReadFrameBuf with the payload copied out into a slice
+// the caller owns.
+func ReadFrame(r io.Reader, maxPayload int) (MsgType, []byte, error) {
+	t, fb, err := ReadFrameBuf(r, maxPayload)
+	return t, CopyOut(fb), err
 }
 
 func putU32(b []byte, v uint32) {

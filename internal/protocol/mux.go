@@ -162,26 +162,12 @@ func WriteMuxFrameBuf(w io.Writer, t MsgType, seq uint32, fb *Buffer) error {
 }
 
 // WriteMuxFrame writes one version-2 frame from a plain payload slice,
-// header and payload in a single vectored write.
+// copied into a pooled buffer first.
 func WriteMuxFrame(w io.Writer, t MsgType, seq uint32, payload []byte) error {
-	fw := frameWriterPool.Get().(*frameWriter)
-	putU32(fw.hdr[0:], Magic)
-	putU32(fw.hdr[4:], MuxVersion<<16|uint32(t)&maxMuxType)
-	putU32(fw.hdr[8:], seq)
-	putU32(fw.hdr[12:], uint32(len(payload)))
-	var err error
-	if len(payload) == 0 {
-		_, err = w.Write(fw.hdr[:])
-	} else {
-		fw.vec = append(net.Buffers(fw.arr[:0]), fw.hdr[:], payload)
-		_, err = fw.vec.WriteTo(w)
-		fw.arr[0], fw.arr[1] = nil, nil
-	}
-	frameWriterPool.Put(fw)
-	if err != nil {
-		return fmt.Errorf("protocol: write mux frame: %w", err)
-	}
-	return nil
+	fb := BufferFor(payload)
+	err := WriteMuxFrameBuf(w, t, seq, fb)
+	fb.Release()
+	return err
 }
 
 // WriteStampedFrames gathers already-stamped frames into a single

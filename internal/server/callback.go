@@ -46,38 +46,28 @@ func Callback(ctx context.Context, name string, data []byte) ([]byte, error) {
 // connInvoker builds the invoker bound to a blocking call's
 // connection. The connection is otherwise quiet while the executable
 // runs — the serving goroutine is parked on the task — so the invoker
-// may write its frame and read the reply directly. A mutex serializes
-// invocations from executables that spawn internal goroutines.
+// may run its round trip on it directly. A mutex serializes invocations
+// from executables that spawn internal goroutines. The client's
+// MsgError answer comes back as the *protocol.RemoteError it is.
 func (s *Server) connInvoker(conn net.Conn) CallbackInvoker {
 	var mu sync.Mutex
 	return func(name string, data []byte) ([]byte, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		req := protocol.CallbackRequest{Name: name, Data: data}
-		//lint:ninflint locknet — mu intentionally serializes callback exchanges from concurrent executable goroutines on one conn
-		if err := protocol.WriteFrame(conn, protocol.MsgCallback, req.Encode()); err != nil {
-			return nil, fmt.Errorf("server: callback %s: %w", name, err)
-		}
-		//lint:ninflint locknet — the matching reply is read under the same serialization as the request
-		typ, p, err := protocol.ReadFrame(conn, s.cfg.MaxPayload)
+		//lint:ninflint locknet — mu intentionally serializes callback round trips from concurrent executable goroutines on one conn
+		typ, fb, err := protocol.Roundtrip(conn, protocol.MsgCallback, protocol.BufferFor(req.Encode()), s.cfg.MaxPayload)
 		if err != nil {
-			return nil, fmt.Errorf("server: callback %s: %w", name, err)
-		}
-		switch typ {
-		case protocol.MsgCallbackOK:
-			reply, err := protocol.DecodeCallbackReply(p)
-			if err != nil {
+			if errors.As(err, new(*protocol.RemoteError)) {
 				return nil, err
 			}
-			return reply.Data, nil
-		case protocol.MsgError:
-			er, derr := protocol.DecodeErrorReply(p)
-			if derr != nil {
-				return nil, derr
-			}
-			return nil, &protocol.RemoteError{Code: er.Code, Detail: er.Detail}
-		default:
+			return nil, fmt.Errorf("server: callback %s: %w", name, err)
+		}
+		defer fb.Release()
+		if typ != protocol.MsgCallbackOK {
 			return nil, fmt.Errorf("server: callback %s: unexpected reply %v", name, typ)
 		}
+		reply, err := protocol.DecodeCallbackReply(fb.Payload())
+		return reply.Data, err
 	}
 }

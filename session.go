@@ -17,8 +17,8 @@ import (
 
 // One exchange path. Every client verb is "prepare the request, run
 // exchange, decode the reply"; exchange is the only code that moves a
-// frame to the server and a reply back, and the only place a MsgError
-// frame becomes a *protocol.RemoteError. What varies is the transport
+// frame to the server and a reply back, and a MsgError frame reaches
+// the verb as a *protocol.RemoteError. What varies is the transport
 // it is handed, and that is decided by what the client has observed,
 // never by which verb is running:
 //
@@ -311,9 +311,9 @@ type request struct {
 // the reply in a pooled buffer the caller must Release after decoding;
 // a non-nil BulkInfo means the peer streamed it chunked.
 //
-// Errors: a MsgError reply comes back as *protocol.RemoteError (this is
-// the one place that translation happens, so every verb on every
-// transport sees the server's code, detail and retry-after hint alike).
+// Errors: a MsgError reply comes back as *protocol.RemoteError
+// (protocol.Reply translates it for both transports, so every verb sees
+// the server's code, detail and retry-after hint alike).
 // A transport fault fails the session — the next session() call dials
 // afresh — or discards the pooled connection; either way it surfaces as
 // a retryable error for the enclosing withRetry. ctx bounds the whole
@@ -323,7 +323,7 @@ type request struct {
 func (c *Client) exchange(ctx context.Context, sess *mux.Session, rq request) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	var (
 		rt protocol.MsgType
-		//lint:ninflint releasecheck — assigned in the transport switch, settled after it: released if a MsgError, nil after any other error, else returned
+		//lint:ninflint releasecheck — assigned in the transport switch, settled after it: a MsgError released by protocol.Reply, nil after any other error, else returned
 		fb   *protocol.Buffer
 		bulk *protocol.BulkInfo
 		err  error
@@ -341,34 +341,21 @@ func (c *Client) exchange(ctx context.Context, sess *mux.Session, rq request) (p
 			return 0, nil, nil, err
 		}
 		stop = guardConn(ctx, conn)
-		err = protocol.WriteFrameBuf(conn, rq.t, rq.fb)
-		rq.fb.Release()
+		rt, fb, err = protocol.Roundtrip(conn, rq.t, rq.fb, c.maxPayload)
 		// While a blocking call's executable runs, the server may
-		// interleave MsgCallback frames before the final reply; each is
-		// answered inline on the same quiet connection.
-		for err == nil {
-			rt, fb, err = protocol.ReadFrameBuf(conn, c.maxPayload)
-			if err != nil || rt != protocol.MsgCallback {
-				break
-			}
-			err = c.answerCallback(conn, fb.Payload())
-			fb.Release()
-			fb = nil
-		}
-	}
-	if err == nil && rt == protocol.MsgError {
-		var er protocol.ErrorReply
-		er, err = protocol.DecodeErrorReply(fb.Payload())
-		fb.Release()
-		fb = nil
-		if err == nil {
-			err = &protocol.RemoteError{Code: er.Code, Detail: er.Detail, RetryAfterMillis: er.RetryAfterMillis}
+		// interleave MsgCallback frames before the final reply; each
+		// answer is one more round trip on the same quiet connection.
+		for err == nil && rt == protocol.MsgCallback {
+			rt, fb, err = c.answerCallback(conn, fb)
 		}
 	}
 	if sess == nil {
 		err = c.releaseGuarded(ctx, conn, stop, err)
-	} else if err != nil && sess.Broken() {
-		c.retire(sess)
+	} else {
+		rt, fb, err = protocol.Reply(rt, fb, err)
+		if err != nil && sess.Broken() {
+			c.retire(sess)
+		}
 	}
 	if err != nil {
 		return 0, nil, nil, err
