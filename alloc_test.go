@@ -11,10 +11,11 @@ import (
 	"ninf/internal/server/journal"
 )
 
-// allocPerCall reports the bytes allocated per call of fn, process-wide
-// (the client and the in-process server together), over calls calls
-// after warm-up. GC settings are whatever the test binary runs with.
-func allocPerCall(warmup, calls int, fn func()) float64 {
+// allocPerCall reports the bytes and the heap objects allocated per
+// call of fn, process-wide (the client and the in-process server
+// together), over calls calls after warm-up. GC settings are whatever
+// the test binary runs with.
+func allocPerCall(warmup, calls int, fn func()) (bytes, objects float64) {
 	for i := 0; i < warmup; i++ {
 		fn()
 	}
@@ -24,7 +25,8 @@ func allocPerCall(warmup, calls int, fn func()) float64 {
 		fn()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(calls)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(calls),
+		float64(after.Mallocs-before.Mallocs) / float64(calls)
 }
 
 // echoCaller returns a func that makes one checked n-element echo call.
@@ -62,10 +64,35 @@ func TestAllocBudgetMid(t *testing.T) {
 		_, dial := startServer(t, server.Config{})
 		c := newClient(t, dial)
 		c.SetMultiplexing(mux)
-		got := allocPerCall(50, 300, echoCaller(t, c, 8192))
+		got, _ := allocPerCall(50, 300, echoCaller(t, c, 8192))
 		t.Logf("mux=%v: %.0f bytes allocated per 64 KiB echo", mux, got)
 		if got > budget {
 			t.Errorf("mux=%v: %.0f bytes allocated per 64 KiB echo, budget %d", mux, got, budget)
+		}
+	}
+}
+
+// TestAllocBudgetSmall is the gate on the per-call fixed cost: the heap
+// objects one steady-state 8-byte echo allocates, client and server
+// together, over mux and over lockstep. Measured on linux/amd64: 21 over
+// mux, 25 over lockstep. It was 28 and 30 while every blocking call got
+// a run goroutine of its own, schedule built its job view anew each
+// pass, and the mux header read and DimSizes each allocated.
+func TestAllocBudgetSmall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random; the budget assumes they are kept")
+	}
+	for _, c := range []struct {
+		mux    bool
+		budget float64
+	}{{true, 23}, {false, 27}} {
+		_, dial := startServer(t, server.Config{})
+		cl := newClient(t, dial)
+		cl.SetMultiplexing(c.mux)
+		_, got := allocPerCall(200, 2000, echoCaller(t, cl, 1))
+		t.Logf("mux=%v: %.1f allocations per 8-byte echo", c.mux, got)
+		if got > c.budget {
+			t.Errorf("mux=%v: %.1f allocations per 8-byte echo, budget %.0f", c.mux, got, c.budget)
 		}
 	}
 }
@@ -116,7 +143,7 @@ func TestAllocBudgetJournaledSubmit(t *testing.T) {
 			t.Fatal("fetch did not fill the result")
 		}
 	}
-	perCall := allocPerCall(100, 1000, submitFetch)
+	perCall, _ := allocPerCall(100, 1000, submitFetch)
 	t.Logf("%.0f bytes allocated per journaled dmmul(8) submit + fetch", perCall)
 	if perCall > budget {
 		t.Errorf("%.0f bytes allocated per journaled submit + fetch, budget %d", perCall, budget)
@@ -135,7 +162,7 @@ func TestAllocBudgetBulk(t *testing.T) {
 	const budget = 1 << 20
 	_, dial := startServer(t, server.Config{})
 	c := newClient(t, dial)
-	got := allocPerCall(5, 200, echoCaller(t, c, 1<<20))
+	got, _ := allocPerCall(5, 200, echoCaller(t, c, 1<<20))
 	t.Logf("%.0f bytes allocated per 8 MiB echo", got)
 	if !c.Multiplexed() {
 		t.Fatal("the calls did not ride the mux session")

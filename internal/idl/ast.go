@@ -25,7 +25,9 @@
 package idl
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 )
@@ -117,6 +119,27 @@ type Param struct {
 // IsScalar reports whether the parameter is a scalar.
 func (p *Param) IsScalar() bool { return len(p.Dims) == 0 }
 
+// Count multiplies out the parameter's dimensions under env: 1 for a
+// scalar, an error for a negative dimension or a product that
+// overflows int (a wrapped product could come out small, even 0).
+func (p *Param) Count(env map[string]int64) (int, error) {
+	count := int64(1)
+	for _, d := range p.Dims {
+		n, err := d.Eval(env)
+		if err != nil {
+			return 0, err
+		}
+		if n < 0 {
+			return 0, fmt.Errorf("negative (%d)", n)
+		}
+		if n != 0 && count > math.MaxInt/n {
+			return 0, errors.New("element count overflows")
+		}
+		count *= n
+	}
+	return int(count), nil
+}
+
 // String returns the IDL spelling of the parameter.
 func (p *Param) String() string {
 	var b strings.Builder
@@ -199,28 +222,23 @@ func (in *Info) scalarEnv(args []Value) (map[string]int64, error) {
 
 // DimSizes evaluates every dimension expression of every parameter
 // against the scalar arguments of a call and returns, per parameter,
-// the total element count (product of dims; 1 for scalars).
-func (in *Info) DimSizes(args []Value) ([]int, error) {
+// the total element count (product of dims; 1 for scalars). The counts
+// go into counts' storage when it has room for every parameter, so a
+// caller can keep them off the heap; pass nil to have them allocated.
+func (in *Info) DimSizes(args []Value, counts []int) ([]int, error) {
 	env, err := in.scalarEnv(args)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseEnv(env)
-	counts := make([]int, len(in.Params))
+	if cap(counts) < len(in.Params) {
+		counts = make([]int, len(in.Params))
+	}
+	counts = counts[:len(in.Params)]
 	for i := range in.Params {
-		p := &in.Params[i]
-		count := int64(1)
-		for _, d := range p.Dims {
-			n, err := d.Eval(env)
-			if err != nil {
-				return nil, fmt.Errorf("idl: %s: dimension of %q: %w", in.Name, p.Name, err)
-			}
-			if n < 0 {
-				return nil, fmt.Errorf("idl: %s: dimension of %q is negative (%d)", in.Name, p.Name, n)
-			}
-			count *= n
+		if counts[i], err = in.Params[i].Count(env); err != nil {
+			return nil, fmt.Errorf("idl: %s: dimension of %q: %w", in.Name, in.Params[i].Name, err)
 		}
-		counts[i] = int(count)
 	}
 	return counts, nil
 }
@@ -249,7 +267,7 @@ func (in *Info) PredictedOps(args []Value) (int64, bool) {
 // information the metaserver uses to weigh communication against
 // computation when placing calls (§5.1).
 func (in *Info) TransferBytes(args []Value) (inBytes, outBytes int64, err error) {
-	counts, err := in.DimSizes(args)
+	counts, err := in.DimSizes(args, nil)
 	if err != nil {
 		return 0, 0, err
 	}

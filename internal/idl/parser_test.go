@@ -103,7 +103,7 @@ func TestDimSizesAndTransferBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []Value{int64(10), nil, nil, nil}
-	sizes, err := in.DimSizes(args)
+	sizes, err := in.DimSizes(args, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestScalarOnlySignature(t *testing.T) {
 	if !ok || ops != 1<<25 {
 		t.Errorf("ops = %d, ok=%v, want %d", ops, ok, 1<<25)
 	}
-	sizes, err := in.DimSizes([]Value{int64(24), nil, nil, nil})
+	sizes, err := in.DimSizes([]Value{int64(24), nil, nil, nil}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +256,38 @@ func TestNegativeDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.DimSizes([]Value{int64(5), nil}); err == nil {
+	if _, err := in.DimSizes([]Value{int64(5), nil}, nil); err == nil {
 		t.Error("negative dimension not rejected")
+	}
+}
+
+// TestDimSizesOverflow: a product of dimensions past int is an error,
+// not a wrapped count (2^32 · 2^32 wraps to 0).
+func TestDimSizesOverflow(t *testing.T) {
+	in, err := ParseOne(`Define f(mode_in int n, mode_out double c[n][n]) Calls "C" f(n, c);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sizes, err := in.DimSizes([]Value{int64(1) << 32, nil}, nil); err == nil {
+		t.Errorf("overflowing dimensions accepted: %v", sizes)
+	}
+	if sizes, err := in.DimSizes([]Value{int64(1) << 31, nil}, nil); err != nil || sizes[1] != 1<<62 {
+		t.Errorf("sizes = %v, %v; want [1 %d]", sizes, err, 1<<62)
+	}
+}
+
+// TestDimSizesFillsStorage: counts land in the caller's storage when it
+// has room, so a caller's stack array keeps them off the heap.
+func TestDimSizesFillsStorage(t *testing.T) {
+	in, err := ParseOne(dmmulIDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []Value{int64(10), nil, nil, nil}
+	var few [8]int
+	sizes, err := in.DimSizes(args, few[:0])
+	if err != nil || &sizes[0] != &few[0] || sizes[3] != 100 {
+		t.Fatalf("sizes = %v, %v: not filled into the caller's storage", sizes, err)
 	}
 }
 

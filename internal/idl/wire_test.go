@@ -42,8 +42,8 @@ func TestWireRoundTripPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []Value{int64(37), nil, nil, nil}
-	s1, err1 := in.DimSizes(args)
-	s2, err2 := back.DimSizes(args)
+	s1, err1 := in.DimSizes(args, nil)
+	s2, err2 := back.DimSizes(args, nil)
 	if err1 != nil || err2 != nil || !reflect.DeepEqual(s1, s2) {
 		t.Errorf("DimSizes diverge after round trip: %v/%v vs %v/%v", s1, err1, s2, err2)
 	}

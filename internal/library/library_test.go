@@ -51,7 +51,7 @@ func invoke(t *testing.T, name string, args ...idl.Value) []idl.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, _, err := protocol.DecodeCallArgsPooled(ex.Info, rest, nil, nil, nil)
+	decoded, _, err := protocol.DecodeCallArgsPooled(ex.Info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestHostileCountWordAllocatesNothing(t *testing.T) {
 		// only the missing bytes give the payload away.
 		for _, n := range []int64{1, 1 << 27} {
 			var err error
-			got := totalAlloc(func() { _, _, err = DecodeCallArgsPooled(info, hostileArgs(n), nil, nil, nil) })
+			got := totalAlloc(func() { _, _, err = DecodeCallArgsPooled(info, hostileArgs(n), nil, nil, nil, 0) })
 			if err == nil {
 				t.Errorf("%s n=%d: hostile request decoded", info.Name, n)
 			}
@@ -79,7 +79,7 @@ func TestHostileCountWordAllocatesNothing(t *testing.T) {
 				t.Errorf("%s n=%d: request decode allocated %d bytes for a 12-byte payload (%v)", info.Name, n, got, err)
 			}
 			arrays := NewArrays()
-			got = totalAlloc(func() { _, _, err = DecodeCallArgsPooled(info, hostileArgs(n), nil, nil, arrays) })
+			got = totalAlloc(func() { _, _, err = DecodeCallArgsPooled(info, hostileArgs(n), nil, nil, arrays, 0) })
 			arrays.Release()
 			if err == nil || got > 1<<20 {
 				t.Errorf("%s n=%d: pooled request decode: err %v, %d bytes allocated", info.Name, n, err, got)
@@ -112,7 +112,7 @@ func TestCountWordHeldToIDL(t *testing.T) {
 	for _, count := range []uint32{2, 4} {
 		bad := append([]byte(nil), rest...)
 		binary.BigEndian.PutUint32(bad[8:], count)
-		if _, _, err := DecodeCallArgsPooled(info, bad, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "IDL dimensions give 3") {
+		if _, _, err := DecodeCallArgsPooled(info, bad, nil, nil, nil, 0); err == nil || !strings.Contains(err.Error(), "IDL dimensions give 3") {
 			t.Errorf("count word %d against IDL count 3: %v", count, err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestArraysPoolFloorAndZeroing(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			recycled = 0
 			arrays := NewArrays()
-			args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, arrays)
+			args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, arrays, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

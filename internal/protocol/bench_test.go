@@ -167,7 +167,7 @@ func BenchmarkDecodeCallArgs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil); err != nil {
+		if _, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

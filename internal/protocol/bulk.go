@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -479,8 +480,8 @@ func ReadMuxHeader(r io.Reader, maxPayload int) (MsgType, uint32, int, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := readHeader(r)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, 0, 0, io.EOF
 		}
@@ -500,6 +501,24 @@ func ReadMuxHeader(r io.Reader, maxPayload int) (MsgType, uint32, int, error) {
 		return 0, 0, 0, fmt.Errorf("%w: %d bytes", ErrOversized, n)
 	}
 	return t, seq, n, nil
+}
+
+// readHeader reads one frame header. From a bufio.Reader — the mux read
+// loops' — it is peeked in place: an array handed to r.Read escapes, one
+// allocation per frame. The peeked bytes stay valid until r is next read.
+func readHeader(r io.Reader) ([]byte, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		hdr := make([]byte, headerSize)
+		_, err := io.ReadFull(r, hdr)
+		return hdr, err
+	}
+	hdr, err := br.Peek(headerSize)
+	if len(hdr) > 0 && errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn header
+	}
+	br.Discard(len(hdr))
+	return hdr, err
 }
 
 // ReadMuxPayload reads an n-byte payload (already validated by

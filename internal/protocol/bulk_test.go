@@ -97,7 +97,7 @@ func TestBulkCallRequestChunkedRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Fatalf("name %q", name)
 	}
-	vals, deadline, err := DecodeCallArgsPooled(info, rest, &bd.Bulk, nil, nil)
+	vals, deadline, err := DecodeCallArgsPooled(info, rest, &bd.Bulk, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestBulkSubmitRequestChunkedRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Fatalf("name %q", name)
 	}
-	vals, _, err := DecodeCallArgsPooled(info, rest, &bd.Bulk, nil, nil)
+	vals, _, err := DecodeCallArgsPooled(info, rest, &bd.Bulk, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestMonolithicDecodeRejectsMarkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil); err == nil {
+	if _, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0); err == nil {
 		t.Fatal("monolithic decode accepted a bulk-marker head")
 	}
 }

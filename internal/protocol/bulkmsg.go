@@ -141,7 +141,8 @@ func decodeCallReply(info *idl.Info, callArgs []idl.Value, dst []any, p []byte, 
 	if err := d.Err(); err != nil {
 		return t, nil, err
 	}
-	counts, err := info.DimSizes(callArgs)
+	var fewCounts [8]int
+	counts, err := info.DimSizes(callArgs, fewCounts[:0])
 	if err != nil {
 		return t, nil, err
 	}

@@ -87,7 +87,7 @@ func goldenArgs(t *testing.T, info *idl.Info) []idl.Value {
 			args[i] = n
 		}
 	}
-	counts, err := info.DimSizes(args)
+	counts, err := info.DimSizes(args, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

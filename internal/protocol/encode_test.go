@@ -53,7 +53,7 @@ func TestTrailersRideEveryShape(t *testing.T) {
 					t.Fatal(err)
 				}
 				var retain bool
-				args, deadline, err := DecodeCallArgsPooled(info, rest, bulk, &retain, nil)
+				args, deadline, err := DecodeCallArgsPooled(info, rest, bulk, &retain, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

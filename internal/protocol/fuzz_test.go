@@ -46,7 +46,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	infos := echoInfos(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, info := range infos {
-			DecodeCallArgsPooled(info, data, nil, nil, nil)
+			DecodeCallArgsPooled(info, data, nil, nil, nil, 0)
 			DecodeCallReply(info, []idl.Value{int64(len(data)), nil, nil}, data)
 			into := []any{nil, nil, make([]float64, len(data))}
 			DecodeCallReplyInto(info, []idl.Value{int64(len(data)), nil, nil}, into, data, nil)

@@ -297,7 +297,8 @@ func encodeMessage(info *idl.Info, env *envelope, args []idl.Value, sh Shape) (*
 	if len(args) != len(info.Params) {
 		return nil, nil, fmt.Errorf("protocol: %s takes %d arguments, got %d", info.Name, len(info.Params), len(args))
 	}
-	counts, err := info.DimSizes(args)
+	var fewCounts [8]int
+	counts, err := info.DimSizes(args, fewCounts[:0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -430,7 +431,7 @@ func DecodeCallName(p []byte) (name string, rest []byte, err error) {
 // DecodeCallArgsDeadlineRetainBulk is DecodeCallArgsPooled into arrays
 // the caller keeps (pinned by benchmark/layers.go).
 func DecodeCallArgsDeadlineRetainBulk(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool) ([]idl.Value, int64, error) {
-	return DecodeCallArgsPooled(info, rest, bulk, retainOut, nil)
+	return DecodeCallArgsPooled(info, rest, bulk, retainOut, nil, 0)
 }
 
 // DecodeCallArgsPooled decodes the in-shipping arguments of a call
@@ -452,20 +453,35 @@ func DecodeCallArgsDeadlineRetainBulk(info *idl.Info, rest []byte, bulk *BulkInf
 // it holds whatever was handed out before the payload went wrong — and
 // Releases once nothing reads the returned values any more.
 //
+// In-arrays are bounded by the payload they are read from; out-only
+// arrays are sized by scalars alone, so maxOut bounds their total bytes
+// (0 means DefaultMaxPayload) and a call over it is rejected before any
+// is allocated: one small frame must not make the receiver allocate, or
+// answer with, more than a frame may carry.
+//
 //ninflint:owner borrow
-func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool, arrays *Arrays) ([]idl.Value, int64, error) {
+func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool, arrays *Arrays, maxOut int) ([]idl.Value, int64, error) {
+	if maxOut <= 0 {
+		maxOut = DefaultMaxPayload
+	}
 	pd := acquireDecoder(rest)
 	defer pd.release()
 	d := &pd.d
 	args := make([]idl.Value, len(info.Params))
-	// First pass: decode in-shipping values in order. Scalars land in
-	// args as they are read so later dims can be evaluated.
+	// env holds the int scalars decoded so far, which later dimensions
+	// are evaluated against.
+	env := envPool.Get().(map[string]int64)
+	defer func() {
+		clear(env)
+		envPool.Put(env)
+	}()
+	// First pass: decode in-shipping values in order.
 	for i := range info.Params {
 		p := &info.Params[i]
 		if !p.Mode.Ships(false) {
 			continue
 		}
-		count, err := paramCount(info, p, args)
+		count, err := paramCount(info, p, env)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -473,17 +489,28 @@ func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut
 		if err != nil {
 			return nil, 0, fmt.Errorf("protocol: %s argument %q: %w", info.Name, p.Name, err)
 		}
+		if n, ok := v.(int64); ok {
+			env[p.Name] = n
+		}
 		args[i] = v
 	}
-	// Second pass: allocate out-only parameters.
+	// Second pass: allocate out-only parameters, holding their total
+	// bytes to maxOut before each one is allocated.
+	outBytes := 0
 	for i := range info.Params {
 		p := &info.Params[i]
 		if p.Mode != idl.Out {
 			continue
 		}
-		count, err := paramCount(info, p, args)
+		count, err := paramCount(info, p, env)
 		if err != nil {
 			return nil, 0, err
+		}
+		if !p.IsScalar() {
+			if count > (maxOut-outBytes)/bulkElemSize(p.Type) {
+				return nil, 0, fmt.Errorf("protocol: %s out-only arrays exceed %d bytes at %q (%d elements)", info.Name, maxOut, p.Name, count)
+			}
+			outBytes += count * bulkElemSize(p.Type)
 		}
 		args[i] = zeroValue(p, count, arrays)
 	}
@@ -725,41 +752,12 @@ var envPool = sync.Pool{New: func() any { return make(map[string]int64, 8) }}
 
 // paramCount evaluates one parameter's element count against the
 // scalar arguments decoded so far.
-func paramCount(info *idl.Info, p *idl.Param, args []idl.Value) (int, error) {
-	count := 1
-	env := scalarEnvSoFar(info, args)
-	defer func() {
-		clear(env)
-		envPool.Put(env)
-	}()
-	for _, dim := range p.Dims {
-		n, err := dim.Eval(env)
-		if err != nil {
-			return 0, fmt.Errorf("protocol: %s dimension of %q: %w", info.Name, p.Name, err)
-		}
-		if n < 0 {
-			return 0, fmt.Errorf("protocol: %s dimension of %q is negative", info.Name, p.Name)
-		}
-		count *= int(n)
+func paramCount(info *idl.Info, p *idl.Param, env map[string]int64) (int, error) {
+	count, err := p.Count(env)
+	if err != nil {
+		return 0, fmt.Errorf("protocol: %s dimension of %q: %w", info.Name, p.Name, err)
 	}
 	return count, nil
-}
-
-func scalarEnvSoFar(info *idl.Info, args []idl.Value) map[string]int64 {
-	env := envPool.Get().(map[string]int64)
-	for i := range info.Params {
-		p := &info.Params[i]
-		if !p.IsScalar() || p.Type != idl.Int {
-			continue
-		}
-		switch v := args[i].(type) {
-		case int64:
-			env[p.Name] = v
-		case int:
-			env[p.Name] = int64(v)
-		}
-	}
-	return env
 }
 
 // zeroValue allocates the zero value for an out-only parameter, an

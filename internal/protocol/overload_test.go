@@ -69,7 +69,7 @@ func TestCallRequestDeadlineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, got, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	args, got, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCallRequestDeadlineRoundTrip(t *testing.T) {
 	// The old decoder path must still parse the args, ignoring the
 	// trailer — a new client calling an old server loses the deadline
 	// but not the call.
-	oldArgs, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	oldArgs, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("old-style decode with deadline trailer: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestCallRequestNoDeadlineUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, deadline, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	_, deadline, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func randomArgs(r *rand.Rand, in *idl.Info) []idl.Value {
 			args[i] = int64(1 + r.Intn(4))
 		}
 	}
-	counts, err := in.DimSizes(args)
+	counts, err := in.DimSizes(args, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -179,11 +179,11 @@ func TestRandomInterfaceRoundTrips(t *testing.T) {
 		if err != nil || name != info.Name {
 			t.Fatalf("trial %d: name: %v %q", trial, err, name)
 		}
-		decoded, _, err := DecodeCallArgsPooled(info, rest, bulk, nil, nil)
+		decoded, _, err := DecodeCallArgsPooled(info, rest, bulk, nil, nil, 0)
 		if err != nil {
 			t.Fatalf("trial %d: decode args: %v\n%s", trial, err, info)
 		}
-		counts, err := info.DimSizes(args)
+		counts, err := info.DimSizes(args, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

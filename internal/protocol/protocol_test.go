@@ -135,7 +135,7 @@ func TestCallRequestRoundTrip(t *testing.T) {
 	if name != "dmmul" {
 		t.Errorf("name = %q", name)
 	}
-	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestInoutShipsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestDecodeCallArgsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Truncate mid-arguments.
-	if _, _, err := DecodeCallArgsPooled(info, rest[:len(rest)-6], nil, nil, nil); err == nil {
+	if _, _, err := DecodeCallArgsPooled(info, rest[:len(rest)-6], nil, nil, nil, 0); err == nil {
 		t.Error("truncated args decoded")
 	}
 }
@@ -350,7 +350,7 @@ func TestStringScalarParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	args, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

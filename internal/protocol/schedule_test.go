@@ -77,7 +77,7 @@ Define mix(mode_in int n,
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	decoded, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFloat64ScalarAndFloat32Conversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rest, _ := DecodeCallName(p)
-	decoded, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil)
+	decoded, _, err := DecodeCallArgsPooled(info, rest, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ func Callback(ctx context.Context, name string, data []byte) ([]byte, error) {
 
 // connInvoker builds the invoker bound to a blocking call's
 // connection. The connection is otherwise quiet while the executable
-// runs — the serving goroutine is parked on the task — so the invoker
-// may run its round trip on it directly. A mutex serializes invocations
+// runs — the serving goroutine runs the task — so the invoker may run
+// its round trip on it directly. A mutex serializes invocations
 // from executables that spawn internal goroutines. The client's
 // MsgError answer comes back as the *protocol.RemoteError it is.
 func (s *Server) connInvoker(conn net.Conn) CallbackInvoker {

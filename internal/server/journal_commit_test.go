@@ -109,7 +109,7 @@ func TestJournalSubmitRecordIsArrivalBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			var retain bool
-			vals, deadline, err := protocol.DecodeCallArgsPooled(info, argBytes, nil, &retain, nil)
+			vals, deadline, err := protocol.DecodeCallArgsPooled(info, argBytes, nil, &retain, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,6 +136,7 @@ type Server struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	queue      []*task
+	jobScratch []*sched.Job // schedule's view of queue, reused pass to pass
 	freePEs    int
 	seq        uint64
 	jobs       map[uint64]*task  // two-phase jobs by ID
@@ -185,6 +186,14 @@ type task struct {
 	timings protocol.Timings
 	err     error
 	done    chan struct{}
+
+	// A blocking call runs on the goroutine that admitted it. started
+	// (under mu) records that a schedule pass granted its PEs. start is
+	// made, by admit, only for a call that queued: the pass that later
+	// starts it closes start to wake the admitter. A call that starts in
+	// admit's own pass never needs it.
+	started bool
+	start   chan struct{}
 
 	reqBytes int64  // request payload size, for the execution trace
 	deadline int64  // caller's absolute deadline (UnixNano), 0 = none
@@ -476,7 +485,7 @@ func (s *Server) replayTaskLocked(r *protocol.JournalRecord) (*task, error) {
 		return nil, fmt.Errorf("no routine %q", name)
 	}
 	var retain bool
-	args, deadline, err := protocol.DecodeCallArgsPooled(ex.Info, rest, nil, &retain, nil)
+	args, deadline, err := protocol.DecodeCallArgsPooled(ex.Info, rest, nil, &retain, nil, s.cfg.MaxPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -838,7 +847,8 @@ func (s *Server) clientID(conn net.Conn) string {
 
 // admit decodes a call payload, runs admission control, enqueues the
 // job, and (for two-phase submissions) records it in the job table. It
-// returns the task; for blocking calls the caller waits on task.done.
+// returns the task; a blocking call's caller then runs it, once
+// awaitStart says its PEs are granted.
 // A nonzero key is the submitter's idempotency key: a payload re-sent
 // with a key already in the job table is a transport-level retry,
 // answered with the already-admitted job instead of being executed a
@@ -886,7 +896,7 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 		return nil, protocol.CodeUnknownRoutine, 0, fmt.Errorf("no routine %q", name)
 	}
 	var retain bool
-	args, deadline, err := protocol.DecodeCallArgsPooled(ex.Info, rest, bulk, &retain, arrays)
+	args, deadline, err := protocol.DecodeCallArgsPooled(ex.Info, rest, bulk, &retain, arrays, s.cfg.MaxPayload)
 	if err != nil {
 		if errors.Is(err, protocol.ErrDigestMiss) {
 			// The referenced cache entry was evicted between the client's
@@ -962,39 +972,29 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 			delete(s.submitKeys, key)
 		}
 	}
-	if s.draining {
+	// An overload rejection counts its cause and carries the hint.
+	reject := func(cause *atomic.Int64, err error) (*task, uint32, uint32, error) {
 		hint := s.retryAfterLocked()
 		s.mu.Unlock()
-		s.rejectedDraining.Add(1)
-		return nil, protocol.CodeOverloaded, hint, errors.New("server draining")
+		cause.Add(1)
+		return nil, protocol.CodeOverloaded, hint, err
+	}
+	if s.draining {
+		return reject(&s.rejectedDraining, errors.New("server draining"))
 	}
 	if !s.cfg.DisableShedding && deadline != 0 {
 		if deadline <= now.UnixNano() {
-			hint := s.retryAfterLocked()
-			s.mu.Unlock()
-			s.rejectedDeadline.Add(1)
-			return nil, protocol.CodeOverloaded, hint, errors.New("deadline already expired on arrival")
+			return reject(&s.rejectedDeadline, errors.New("deadline already expired on arrival"))
 		}
 		if wait := s.queueWaitLocked(); wait > 0 && now.Add(wait).UnixNano() > deadline {
-			hint := s.retryAfterLocked()
-			s.mu.Unlock()
-			s.rejectedDeadline.Add(1)
-			return nil, protocol.CodeOverloaded, hint,
-				fmt.Errorf("deadline unmeetable: est queue wait %v", wait.Round(time.Millisecond))
+			return reject(&s.rejectedDeadline, fmt.Errorf("deadline unmeetable: est queue wait %v", wait.Round(time.Millisecond)))
 		}
 	}
 	if s.cfg.MaxQueue > 0 && len(s.queue) >= s.cfg.MaxQueue {
-		hint := s.retryAfterLocked()
-		s.mu.Unlock()
-		s.rejectedQueue.Add(1)
-		return nil, protocol.CodeOverloaded, hint, fmt.Errorf("queue full (%d jobs)", s.cfg.MaxQueue)
+		return reject(&s.rejectedQueue, fmt.Errorf("queue full (%d jobs)", s.cfg.MaxQueue))
 	}
 	if share := s.maxPerClient(); share > 0 && client != "" && s.clientQueued[client] >= share {
-		hint := s.retryAfterLocked()
-		s.mu.Unlock()
-		s.rejectedClient.Add(1)
-		return nil, protocol.CodeOverloaded, hint,
-			fmt.Errorf("per-client queue share exhausted (%d jobs)", share)
+		return reject(&s.rejectedClient, fmt.Errorf("per-client queue share exhausted (%d jobs)", share))
 	}
 	s.seq++
 	t.job.Seq = s.seq
@@ -1017,9 +1017,27 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	}
 	s.acct.jobQueued(now)
 	s.schedule()
+	if !twoPhase && !t.started {
+		t.start = make(chan struct{})
+	}
 	s.mu.Unlock()
 	adopted = true
 	return t, 0, 0, nil
+}
+
+// awaitStart holds a blocking call's admitter until a schedule pass
+// grants the call its PEs — true: the admitter runs it now — or the
+// call ends unexecuted, shed or failed at shutdown. A call that admit's
+// own pass started has no start channel and returns at once.
+func (t *task) awaitStart() bool {
+	if t.start != nil {
+		select {
+		case <-t.start:
+		case <-t.done:
+			return false
+		}
+	}
+	return true
 }
 
 // maxPerClient resolves the per-client queue share.
@@ -1095,30 +1113,26 @@ func (s *Server) peAllocation(ex *Executable) int {
 }
 
 // schedule dispatches queued jobs while the policy finds one that fits.
-// Callers hold mu.
+// A two-phase job gets a goroutine of its own; a blocking call is
+// started for its admitter, which runs it (awaitStart). Callers hold mu.
 func (s *Server) schedule() {
 	for {
 		if s.closed {
 			// Fail queued jobs so waiters do not hang.
 			for _, t := range s.queue {
-				t.err = errors.New("server: shut down before execution")
-				s.acct.jobAbandoned(time.Now())
-				s.clientDequeuedLocked(t)
-				t.releasePins()
-				if t.twoPhase {
-					t.releaseArrays()
-				}
-				close(t.done)
+				s.abandonLocked(t, errors.New("server: shut down before execution"))
 			}
 			s.queue = nil
 			return
 		}
 		s.shedExpiredLocked()
-		jobs := make([]*sched.Job, len(s.queue))
-		for i, t := range s.queue {
-			jobs[i] = &t.job
+		jobs := s.jobScratch[:0]
+		for _, t := range s.queue {
+			jobs = append(jobs, &t.job)
 		}
 		idx := s.policy.Next(jobs, s.freePEs)
+		clear(jobs) // the scratch must not keep finished tasks alive
+		s.jobScratch = jobs
 		if idx < 0 || idx >= len(s.queue) {
 			return
 		}
@@ -1130,7 +1144,14 @@ func (s *Server) schedule() {
 		t.timings.Dequeue = now.UnixNano()
 		s.acct.jobStarted(now, t.job.PEs)
 		s.wg.Add(1)
-		go s.run(t)
+		if t.twoPhase {
+			go s.run(t)
+			continue
+		}
+		t.started = true
+		if t.start != nil {
+			close(t.start)
+		}
 	}
 }
 
@@ -1142,26 +1163,21 @@ func (s *Server) shedExpiredLocked() {
 	if s.cfg.DisableShedding {
 		return
 	}
-	nowNS := time.Now().UnixNano()
+	var nowNS int64 // read once a queued job has a deadline to hold it to
 	kept := s.queue[:0]
 	shed := false
 	for _, t := range s.queue {
+		if t.deadline != 0 && nowNS == 0 {
+			nowNS = time.Now().UnixNano()
+		}
 		if t.deadline == 0 || t.deadline > nowNS {
 			kept = append(kept, t)
 			continue
 		}
-		t.err = errors.New("shed: caller deadline expired before execution")
 		t.errCode = protocol.CodeOverloaded
 		t.retryAfter = s.retryAfterLocked()
-		s.clientDequeuedLocked(t)
-		s.acct.jobAbandoned(time.Now())
 		s.shedExpired.Add(1)
-		if t.twoPhase {
-			t.expire = time.Now().Add(s.cfg.JobTTL)
-			t.releaseArrays()
-		}
-		t.releasePins()
-		close(t.done)
+		s.abandonLocked(t, errors.New("shed: caller deadline expired before execution"))
 		shed = true
 	}
 	// Zero the freed tail so shed tasks are not pinned by the backing
@@ -1173,6 +1189,20 @@ func (s *Server) shedExpiredLocked() {
 	if shed {
 		s.cond.Broadcast()
 	}
+}
+
+// abandonLocked ends a queued task unexecuted, failed with err: shed,
+// or at shutdown. Callers hold mu and take t off the queue.
+func (s *Server) abandonLocked(t *task, err error) {
+	t.err = err
+	s.clientDequeuedLocked(t)
+	s.acct.jobAbandoned(time.Now())
+	if t.twoPhase {
+		t.expire = time.Now().Add(s.cfg.JobTTL)
+		t.releaseArrays()
+	}
+	t.releasePins()
+	close(t.done)
 }
 
 // run executes one job and returns its processors.

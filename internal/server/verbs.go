@@ -35,7 +35,7 @@ type caps struct {
 	cacheOK bool // digest references and data handles are live (level 4, cache on)
 	// callback reaches the calling client while a blocking call runs.
 	// Only a lockstep connection has one: its stream is quiet while the
-	// serving goroutine is parked on the task, which the §2.3 callback
+	// serving goroutine runs the task, which the §2.3 callback
 	// exchange needs. Multiplexed connections carry interleaved
 	// sequenced frames, so executables that call back there get
 	// ErrNoCallback (clients with registered callbacks stay lockstep).
@@ -54,7 +54,7 @@ func errReplyHint(code uint32, detail string, retryAfterMillis uint32) reply {
 }
 
 // handle services one request. It owns fb and releases it once the
-// payload is decoded — before waiting on execution, so a large argument
+// payload is decoded — before the call executes, so a large argument
 // frame is not pinned while the executable runs (admit copies every
 // argument out, reassembled bulk requests included). bulk carries the
 // segment metadata of a reassembled chunked request. On a multiplexed
@@ -116,7 +116,9 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		if err != nil {
 			return errReplyHint(code, err.Error(), hint)
 		}
-		<-t.done
+		if t.awaitStart() {
+			s.run(t)
+		}
 		// The task is over and this goroutine is the last reader of its
 		// arguments: whichever way out, their pooled arrays go back.
 		defer t.releaseArrays()
