@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 )
 
 // Mode is an argument access mode.
@@ -119,13 +118,15 @@ type Param struct {
 // IsScalar reports whether the parameter is a scalar.
 func (p *Param) IsScalar() bool { return len(p.Dims) == 0 }
 
-// Count multiplies out the parameter's dimensions under env: 1 for a
-// scalar, an error for a negative dimension or a product that
-// overflows int (a wrapped product could come out small, even 0).
-func (p *Param) Count(env map[string]int64) (int, error) {
+// Count multiplies out the parameter's dimensions against a call's
+// positional arguments: 1 for a scalar, an error for a negative
+// dimension or a product that overflows int (a wrapped product could
+// come out small, even 0). Only the earlier scalars its dimensions
+// reference need be filled in.
+func (p *Param) Count(args []Value) (int, error) {
 	count := int64(1)
 	for _, d := range p.Dims {
-		n, err := d.Eval(env)
+		n, err := d.Eval(args)
 		if err != nil {
 			return 0, err
 		}
@@ -177,66 +178,19 @@ func (in *Info) ParamIndex(name string) int {
 	return -1
 }
 
-// envPool recycles expression environments: the maps are built and
-// discarded on every marshalling call, so pooling keeps the per-call
-// data path free of map allocations. Cleared maps keep their buckets.
-var envPool = sync.Pool{New: func() any { return make(map[string]int64, 8) }}
-
-func releaseEnv(env map[string]int64) {
-	clear(env)
-	envPool.Put(env)
-}
-
-// scalarEnv builds the expression environment from the scalar in-mode
-// arguments of a call. args must be positional, one value per Param;
-// non-scalar and out-only entries are ignored. The caller must return
-// the environment with releaseEnv.
-func (in *Info) scalarEnv(args []Value) (map[string]int64, error) {
-	env := envPool.Get().(map[string]int64)
-	for i := range in.Params {
-		p := &in.Params[i]
-		if !p.IsScalar() || !p.Mode.Ships(false) {
-			continue
-		}
-		if i >= len(args) {
-			releaseEnv(env)
-			return nil, fmt.Errorf("idl: %s: missing argument %q", in.Name, p.Name)
-		}
-		switch v := args[i].(type) {
-		case int64:
-			env[p.Name] = v
-		case int:
-			env[p.Name] = int64(v)
-		case float64:
-			env[p.Name] = int64(v)
-		case nil:
-			releaseEnv(env)
-			return nil, fmt.Errorf("idl: %s: scalar argument %q is nil", in.Name, p.Name)
-		default:
-			// Non-integer scalars (strings, doubles that are not
-			// used in dims) simply do not enter the environment.
-		}
-	}
-	return env, nil
-}
-
 // DimSizes evaluates every dimension expression of every parameter
 // against the scalar arguments of a call and returns, per parameter,
 // the total element count (product of dims; 1 for scalars). The counts
 // go into counts' storage when it has room for every parameter, so a
 // caller can keep them off the heap; pass nil to have them allocated.
 func (in *Info) DimSizes(args []Value, counts []int) ([]int, error) {
-	env, err := in.scalarEnv(args)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseEnv(env)
 	if cap(counts) < len(in.Params) {
 		counts = make([]int, len(in.Params))
 	}
 	counts = counts[:len(in.Params)]
 	for i := range in.Params {
-		if counts[i], err = in.Params[i].Count(env); err != nil {
+		var err error
+		if counts[i], err = in.Params[i].Count(args); err != nil {
 			return nil, fmt.Errorf("idl: %s: dimension of %q: %w", in.Name, in.Params[i].Name, err)
 		}
 	}
@@ -244,17 +198,13 @@ func (in *Info) DimSizes(args []Value, counts []int) ([]int, error) {
 }
 
 // PredictedOps evaluates the Complexity clause for a call. It returns
-// 0, false when the IDL declares no complexity.
+// 0, false when the IDL declares no complexity or the clause cannot be
+// evaluated: a missing argument, a negative count, an overflow.
 func (in *Info) PredictedOps(args []Value) (int64, bool) {
 	if in.Complexity == nil {
 		return 0, false
 	}
-	env, err := in.scalarEnv(args)
-	if err != nil {
-		return 0, false
-	}
-	defer releaseEnv(env)
-	n, err := in.Complexity.Eval(env)
+	n, err := in.Complexity.Eval(args)
 	if err != nil || n < 0 {
 		return 0, false
 	}

@@ -31,21 +31,16 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalBytecode(b *testing.B) {
-	e, err := ParseExpr("2*n^3/3 + 2*n^2")
+func BenchmarkExprEval(b *testing.B) {
+	infos, err := Parse(linpackIDL) // dgefa(n, a, ipvt) first
 	if err != nil {
 		b.Fatal(err)
 	}
-	code, err := CompileExpr(e, map[string]int{"n": 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	argAt := func(int) (int64, error) { return 1400, nil }
+	info, args := infos[0], []Value{int64(1400), nil, nil}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvalBytecode(code, argAt); err != nil {
-			b.Fatal(err)
+		if _, ok := info.PredictedOps(args); !ok {
+			b.Fatal("no prediction")
 		}
 	}
 }

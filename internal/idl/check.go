@@ -18,7 +18,8 @@ func checkErrf(format string, args ...any) error {
 //   - every dimension expression references only scalar, in-shipping
 //     (mode_in or mode_inout) integer parameters declared *earlier* in
 //     the signature, so a left-to-right marshaller always has the
-//     values it needs;
+//     values it needs, and each reference carries that parameter's
+//     position, which evaluation reads;
 //   - string parameters are scalar (no string arrays);
 //   - the Complexity expression references only scalar in-shipping
 //     integer parameters;
@@ -36,9 +37,6 @@ func Check(in *Info) error {
 	}
 
 	seen := make(map[string]int, len(in.Params))
-	// scalarIn collects parameters legal to reference from dimension
-	// and complexity expressions.
-	scalarIn := make(map[string]bool)
 	for i := range in.Params {
 		p := &in.Params[i]
 		if p.Name == "" {
@@ -58,22 +56,19 @@ func Check(in *Info) error {
 			return checkErrf("%s: parameter %q: string arrays are not supported", in.Name, p.Name)
 		}
 		for di, d := range p.Dims {
-			for _, ref := range Refs(d) {
-				if !scalarIn[ref] {
+			for _, ref := range d.refs(nil) {
+				if !in.refersBefore(ref, i) {
 					return checkErrf("%s: parameter %q dimension %d references %q, which is not an earlier scalar in-mode integer parameter",
-						in.Name, p.Name, di, ref)
+						in.Name, p.Name, di, ref.Name)
 				}
 			}
-		}
-		if p.IsScalar() && p.Type == Int && p.Mode.Ships(false) {
-			scalarIn[p.Name] = true
 		}
 	}
 
 	if in.Complexity != nil {
-		for _, ref := range Refs(in.Complexity) {
-			if !scalarIn[ref] {
-				return checkErrf("%s: Complexity references %q, which is not a scalar in-mode integer parameter", in.Name, ref)
+		for _, ref := range in.Complexity.refs(nil) {
+			if !in.refersBefore(ref, len(in.Params)) {
+				return checkErrf("%s: Complexity references %q, which is not a scalar in-mode integer parameter", in.Name, ref.Name)
 			}
 		}
 	}
@@ -84,4 +79,14 @@ func Check(in *Info) error {
 		}
 	}
 	return nil
+}
+
+// refersBefore reports whether r names, by both name and position, a
+// scalar in-shipping integer parameter declared before position end.
+func (in *Info) refersBefore(r Ref, end int) bool {
+	if r.Index < 0 || r.Index >= end {
+		return false
+	}
+	p := &in.Params[r.Index]
+	return p.Name == r.Name && p.IsScalar() && p.Type == Int && p.Mode.Ships(false)
 }

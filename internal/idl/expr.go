@@ -3,55 +3,76 @@ package idl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
 // An Expr is an integer expression over scalar in-mode arguments:
 // array dimensions and complexity declarations are Exprs.
 type Expr interface {
-	// Eval computes the expression given values for the scalar
-	// arguments it references.
-	Eval(env map[string]int64) (int64, error)
-	// refs appends the names of referenced arguments.
-	refs(dst []string) []string
+	// Eval computes the expression against a call's positional
+	// arguments, one value per parameter.
+	Eval(args []Value) (int64, error)
+	// refs appends the referenced arguments.
+	refs(dst []Ref) []Ref
 	fmt.Stringer
 }
 
 // ErrUnboundRef reports a reference to a scalar argument absent from
-// the evaluation environment.
+// the argument vector, or one not resolved to a parameter position.
 var ErrUnboundRef = errors.New("idl: unbound argument reference")
 
 // ErrDivByZero reports division (or modulo) by zero during expression
 // evaluation.
 var ErrDivByZero = errors.New("idl: division by zero")
 
+// ErrOverflow reports an intermediate result outside int64: a wrapped
+// value could pass for a small dimension or a cheap call.
+var ErrOverflow = errors.New("idl: integer overflow")
+
 // Num is an integer literal.
 type Num int64
 
 // Eval implements Expr.
-func (n Num) Eval(map[string]int64) (int64, error) { return int64(n), nil }
+func (n Num) Eval([]Value) (int64, error) { return int64(n), nil }
 
-func (n Num) refs(dst []string) []string { return dst }
+func (n Num) refs(dst []Ref) []Ref { return dst }
 
 // String implements fmt.Stringer.
 func (n Num) String() string { return fmt.Sprintf("%d", int64(n)) }
 
-// Ref is a reference to a scalar in-mode argument by name.
-type Ref string
-
-// Eval implements Expr.
-func (r Ref) Eval(env map[string]int64) (int64, error) {
-	v, ok := env[string(r)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnboundRef, string(r))
-	}
-	return v, nil
+// Ref is a reference to a scalar in-mode argument: its name, and the
+// position of that parameter in the signature, resolved when the Info
+// is parsed or decoded and verified by Check.
+type Ref struct {
+	Name  string
+	Index int
 }
 
-func (r Ref) refs(dst []string) []string { return append(dst, string(r)) }
+// Eval implements Expr. Integer arguments may arrive as int64, int or
+// (from loosely typed callers) float64.
+func (r Ref) Eval(args []Value) (int64, error) {
+	if r.Index < 0 || r.Index >= len(args) {
+		return 0, fmt.Errorf("%w: missing argument %q", ErrUnboundRef, r.Name)
+	}
+	switch v := args[r.Index].(type) {
+	case int64:
+		return v, nil
+	case int:
+		return int64(v), nil
+	case float64:
+		return int64(v), nil
+	case nil:
+		return 0, fmt.Errorf("scalar argument %q is nil", r.Name)
+	default:
+		return 0, fmt.Errorf("%w: argument %q is %T, not an integer", ErrUnboundRef, r.Name, v)
+	}
+}
+
+func (r Ref) refs(dst []Ref) []Ref { return append(dst, r) }
 
 // String implements fmt.Stringer.
-func (r Ref) String() string { return string(r) }
+func (r Ref) String() string { return r.Name }
 
 // Op identifies a binary operator.
 type Op byte
@@ -73,12 +94,12 @@ type BinOp struct {
 }
 
 // Eval implements Expr.
-func (b *BinOp) Eval(env map[string]int64) (int64, error) {
-	l, err := b.L.Eval(env)
+func (b *BinOp) Eval(args []Value) (int64, error) {
+	l, err := b.L.Eval(args)
 	if err != nil {
 		return 0, err
 	}
-	r, err := b.R.Eval(env)
+	r, err := b.R.Eval(args)
 	if err != nil {
 		return 0, err
 	}
@@ -88,11 +109,17 @@ func (b *BinOp) Eval(env map[string]int64) (int64, error) {
 func applyOp(op Op, l, r int64) (int64, error) {
 	switch op {
 	case OpAdd:
-		return l + r, nil
+		if s := l + r; (s > l) == (r > 0) {
+			return s, nil
+		}
+		return 0, ErrOverflow
 	case OpSub:
-		return l - r, nil
+		if d := l - r; (d < l) == (r > 0) {
+			return d, nil
+		}
+		return 0, ErrOverflow
 	case OpMul:
-		return l * r, nil
+		return mul(l, r)
 	case OpDiv:
 		if r == 0 {
 			return 0, ErrDivByZero
@@ -112,7 +139,10 @@ func applyOp(op Op, l, r int64) (int64, error) {
 		}
 		out := int64(1)
 		for i := int64(0); i < r; i++ {
-			out *= l
+			var err error
+			if out, err = mul(out, l); err != nil {
+				return 0, err
+			}
 		}
 		return out, nil
 	default:
@@ -120,7 +150,16 @@ func applyOp(op Op, l, r int64) (int64, error) {
 	}
 }
 
-func (b *BinOp) refs(dst []string) []string { return b.R.refs(b.L.refs(dst)) }
+// mul is l*r, or ErrOverflow when the product leaves int64.
+func mul(l, r int64) (int64, error) {
+	p := l * r
+	if l != 0 && (p/l != r || (l == -1 && r == math.MinInt64)) {
+		return 0, ErrOverflow
+	}
+	return p, nil
+}
+
+func (b *BinOp) refs(dst []Ref) []Ref { return b.R.refs(b.L.refs(dst)) }
 
 func opPrec(op Op) int {
 	switch op {
@@ -162,21 +201,6 @@ func writeOperand(sb *strings.Builder, e Expr, parentPrec int, isRight bool) {
 	sb.WriteString(e.String())
 }
 
-// Refs returns the distinct argument names referenced by the
-// expression, in first-appearance order.
-func Refs(e Expr) []string {
-	all := e.refs(nil)
-	seen := make(map[string]bool, len(all))
-	var out []string
-	for _, n := range all {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Bytecode: the wire form of an Expr, a stack-machine program. This is
 // the "interpretable code" shipped to clients in the two-stage RPC.
 // Programs are sequences of instructions:
@@ -186,7 +210,8 @@ func Refs(e Expr) []string {
 //	opAdd..opPow          pop two, apply, push
 //
 // Argument references are compiled to parameter indices so the client
-// need not ship names back and forth.
+// need not ship names back and forth. The receiver rebuilds the tree
+// (DecompileExpr), whose Refs keep those indices for Eval.
 const (
 	opPushConst byte = 0x01
 	opPushArg   byte = 0x02
@@ -234,9 +259,9 @@ func byteToOp(b byte) (Op, bool) {
 	return 0, false
 }
 
-// CompileExpr lowers an expression to bytecode, resolving argument
-// references through nameToIndex (parameter name → position).
-func CompileExpr(e Expr, nameToIndex map[string]int) ([]byte, error) {
+// CompileExpr lowers an expression to bytecode, each argument reference
+// to the parameter position its Ref carries.
+func CompileExpr(e Expr) ([]byte, error) {
 	var out []byte
 	var walk func(Expr) error
 	walk = func(e Expr) error {
@@ -245,12 +270,11 @@ func CompileExpr(e Expr, nameToIndex map[string]int) ([]byte, error) {
 			out = append(out, opPushConst)
 			out = appendInt64(out, int64(v))
 		case Ref:
-			idx, ok := nameToIndex[string(v)]
-			if !ok {
-				return fmt.Errorf("%w: %q", ErrUnboundRef, string(v))
+			if v.Index < 0 {
+				return fmt.Errorf("%w: %q", ErrUnboundRef, v.Name)
 			}
 			out = append(out, opPushArg)
-			out = appendUint32(out, uint32(idx))
+			out = appendUint32(out, uint32(v.Index))
 		case *BinOp:
 			if err := walk(v.L); err != nil {
 				return err
@@ -274,8 +298,8 @@ func CompileExpr(e Expr, nameToIndex map[string]int) ([]byte, error) {
 	return out, nil
 }
 
-// DecompileExpr rebuilds an expression tree from bytecode, mapping
-// argument indices back to names through indexToName. It is the exact
+// DecompileExpr rebuilds an expression tree from bytecode, naming each
+// argument index through indexToName. It is the exact
 // inverse of CompileExpr, which the property tests verify.
 func DecompileExpr(code []byte, indexToName []string) (Expr, error) {
 	var stack []Expr
@@ -299,7 +323,7 @@ func DecompileExpr(code []byte, indexToName []string) (Expr, error) {
 			if idx < 0 || idx >= len(indexToName) {
 				return nil, fmt.Errorf("idl: bytecode argument index %d out of range", idx)
 			}
-			stack = append(stack, Ref(indexToName[idx]))
+			stack = append(stack, Ref{Name: indexToName[idx], Index: idx})
 		default:
 			o, ok := byteToOp(op)
 			if !ok {
@@ -315,69 +339,6 @@ func DecompileExpr(code []byte, indexToName []string) (Expr, error) {
 	}
 	if len(stack) != 1 {
 		return nil, fmt.Errorf("idl: bytecode leaves %d values on stack, want 1", len(stack))
-	}
-	return stack[0], nil
-}
-
-// EvalBytecode interprets compiled dimension code directly against
-// positional scalar argument values, the way Ninf_call does on the
-// client: no tree reconstruction, just the stack machine.
-func EvalBytecode(code []byte, argAt func(i int) (int64, error)) (int64, error) {
-	var stack [16]int64
-	sp := 0
-	push := func(v int64) error {
-		if sp >= len(stack) {
-			return errors.New("idl: bytecode stack overflow")
-		}
-		stack[sp] = v
-		sp++
-		return nil
-	}
-	i := 0
-	for i < len(code) {
-		op := code[i]
-		i++
-		switch op {
-		case opPushConst:
-			if i+8 > len(code) {
-				return 0, errors.New("idl: truncated constant in bytecode")
-			}
-			if err := push(readInt64(code[i:])); err != nil {
-				return 0, err
-			}
-			i += 8
-		case opPushArg:
-			if i+4 > len(code) {
-				return 0, errors.New("idl: truncated argument index in bytecode")
-			}
-			v, err := argAt(int(readUint32(code[i:])))
-			if err != nil {
-				return 0, err
-			}
-			if err := push(v); err != nil {
-				return 0, err
-			}
-			i += 4
-		default:
-			o, ok := byteToOp(op)
-			if !ok {
-				return 0, fmt.Errorf("idl: unknown opcode %#x", op)
-			}
-			if sp < 2 {
-				return 0, errors.New("idl: stack underflow in bytecode")
-			}
-			v, err := applyOp(o, stack[sp-2], stack[sp-1])
-			if err != nil {
-				return 0, err
-			}
-			sp -= 2
-			if err := push(v); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if sp != 1 {
-		return 0, fmt.Errorf("idl: bytecode leaves %d values on stack, want 1", sp)
 	}
 	return stack[0], nil
 }

@@ -61,26 +61,13 @@ func ParseOne(src string) (*Info, error) {
 	return infos[0], nil
 }
 
-// ParseExpr parses a standalone dimension/complexity expression, used
-// by tests and by tools that evaluate complexity formulas.
-func ParseExpr(src string) (Expr, error) {
-	p := &parser{lex: newLexer(src)}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind != tokEOF {
-		return nil, p.errorf("unexpected %s after expression", p.tok.kind)
-	}
-	return e, nil
-}
-
 type parser struct {
 	lex *lexer
 	tok token
+	// in is the Define being parsed; a name in an expression resolves
+	// to the position of the parameter it names among those parsed so
+	// far (-1 when none does, which Check reports).
+	in *Info
 }
 
 func (p *parser) errorf(format string, args ...any) *SyntaxError {
@@ -122,6 +109,7 @@ func (p *parser) parseDefine() (*Info, error) {
 		return nil, err
 	}
 	in := &Info{Name: name.text}
+	p.in = in
 
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
@@ -386,7 +374,7 @@ func (p *parser) parseFactor() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return Ref(name), nil
+		return Ref{Name: name, Index: p.in.ParamIndex(name)}, nil
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err

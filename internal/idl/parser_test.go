@@ -261,18 +261,28 @@ func TestNegativeDimension(t *testing.T) {
 	}
 }
 
-// TestDimSizesOverflow: a product of dimensions past int is an error,
-// not a wrapped count (2^32 · 2^32 wraps to 0).
+// TestDimSizesOverflow: a dimension past int is an error, not a
+// wrapped count (2^32 · 2^32 wraps to 0), whether the product spans
+// dimensions or sits inside one expression.
 func TestDimSizesOverflow(t *testing.T) {
-	in, err := ParseOne(`Define f(mode_in int n, mode_out double c[n][n]) Calls "C" f(n, c);`)
+	for _, dims := range []string{"[n][n]", "[n*n]", "[n^2]"} {
+		in, err := ParseOne(`Define f(mode_in int n, mode_out double c` + dims + `) Calls "C" f(n, c);`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sizes, err := in.DimSizes([]Value{int64(1) << 32, nil}, nil); err == nil {
+			t.Errorf("c%s: overflowing dimensions accepted: %v", dims, sizes)
+		}
+		if sizes, err := in.DimSizes([]Value{int64(1) << 31, nil}, nil); err != nil || sizes[1] != 1<<62 {
+			t.Errorf("c%s: sizes = %v, %v; want [1 %d]", dims, sizes, err, 1<<62)
+		}
+	}
+	in, err := ParseOne(`Define f(mode_in int n) Complexity 2*n^3 Calls "C" f(n);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sizes, err := in.DimSizes([]Value{int64(1) << 32, nil}, nil); err == nil {
-		t.Errorf("overflowing dimensions accepted: %v", sizes)
-	}
-	if sizes, err := in.DimSizes([]Value{int64(1) << 31, nil}, nil); err != nil || sizes[1] != 1<<62 {
-		t.Errorf("sizes = %v, %v; want [1 %d]", sizes, err, 1<<62)
+	if ops, ok := in.PredictedOps([]Value{int64(1) << 21}); ok {
+		t.Errorf("2*n^3 at n=2^21 predicted %d ops, want no prediction", ops)
 	}
 }
 

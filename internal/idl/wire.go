@@ -30,11 +30,6 @@ const wireVersion = 1
 
 // Encode writes the interface description to w in wire form.
 func Encode(w io.Writer, in *Info) error {
-	nameToIndex := make(map[string]int, len(in.Params))
-	for i := range in.Params {
-		nameToIndex[in.Params[i].Name] = i
-	}
-
 	e := xdr.NewEncoder(w)
 	e.PutUint32(wireVersion)
 	e.PutString(in.Name)
@@ -54,7 +49,7 @@ func Encode(w io.Writer, in *Info) error {
 		e.PutUint32(uint32(p.Type))
 		e.PutUint32(uint32(len(p.Dims)))
 		for _, d := range p.Dims {
-			code, err := CompileExpr(d, nameToIndex)
+			code, err := CompileExpr(d)
 			if err != nil {
 				return fmt.Errorf("idl: encode %s: %w", in.Name, err)
 			}
@@ -63,7 +58,7 @@ func Encode(w io.Writer, in *Info) error {
 	}
 	if in.Complexity != nil {
 		e.PutBool(true)
-		code, err := CompileExpr(in.Complexity, nameToIndex)
+		code, err := CompileExpr(in.Complexity)
 		if err != nil {
 			return fmt.Errorf("idl: encode %s: %w", in.Name, err)
 		}

@@ -200,10 +200,6 @@ type cacheEntry struct {
 // exclusions, with Placement.Degraded set so callers can see they ran
 // on possibly-stale routing.
 type RemoteScheduler struct {
-	// DialServer opens a connection to a computational server given
-	// the address advertised by the metaserver. nil means net.Dial
-	// over TCP.
-	DialServer func(addr string) (net.Conn, error)
 	// CacheTTL bounds how long a cached placement may serve degraded
 	// mode (default 30s).
 	CacheTTL time.Duration
@@ -419,14 +415,10 @@ func (r *RemoteScheduler) dropLocked(mr *metaReplica) {
 	}
 }
 
-// serverDial builds the dialer a placement hands the transaction
-// layer.
-func (r *RemoteScheduler) serverDial(addr string) func() (net.Conn, error) {
-	dial := r.DialServer
-	if dial == nil {
-		dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
-	}
-	return func() (net.Conn, error) { return dial(addr) }
+// serverDial builds the plain-TCP dialer a placement hands the
+// transaction layer.
+func serverDial(addr string) func() (net.Conn, error) {
+	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 
 // Place implements ninf.Scheduler. A transport-level failure of every
@@ -461,7 +453,7 @@ func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	r.ensureLocked()
 	r.cache[reply.Name] = cacheEntry{addr: reply.Addr, at: time.Now()}
 	r.mu.Unlock()
-	return ninf.Placement{Name: reply.Name, Dial: r.serverDial(reply.Addr)}, nil
+	return ninf.Placement{Name: reply.Name, Dial: serverDial(reply.Addr)}, nil
 }
 
 // placeDegraded serves a placement from the cache of servers the
@@ -497,7 +489,7 @@ func (r *RemoteScheduler) placeDegraded(req ninf.SchedRequest, cause error) (nin
 	r.rrDeg++
 	name := names[r.rrDeg%len(names)]
 	r.degraded++
-	return ninf.Placement{Name: name, Dial: r.serverDial(r.cache[name].addr), Degraded: true}, nil
+	return ninf.Placement{Name: name, Dial: serverDial(r.cache[name].addr), Degraded: true}, nil
 }
 
 // Observe implements ninf.Scheduler.

@@ -3,6 +3,7 @@ package metaserver
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -118,6 +119,22 @@ func TestDaemonClosesOnMalformedSchedule(t *testing.T) {
 	// the daemon must answer MsgError and hang up, and nothing may
 	// panic.
 	if err := protocol.WriteFrame(conn, protocol.MsgSchedule, []byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	expectErrorThenClose(t, conn, protocol.CodeBadArguments)
+}
+
+// TestDaemonRefusesOversizedScheduleRequest: a request excluding more
+// servers than the decoder's bound is malformed, answered and hung up
+// on, not read as a shorter list with the next name as its Affinity.
+func TestDaemonRefusesOversizedScheduleRequest(t *testing.T) {
+	d := startMetaDaemon(t, New(Config{}))
+	conn := dialT(t, d.addr)
+	req := protocol.ScheduleRequest{Routine: "ep"}
+	for i := 0; i <= 1024; i++ {
+		req.Exclude = append(req.Exclude, fmt.Sprintf("srv%d", i))
+	}
+	if err := protocol.WriteFrame(conn, protocol.MsgSchedule, req.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	expectErrorThenClose(t, conn, protocol.CodeBadArguments)

@@ -94,17 +94,10 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker blocks placements
 	// before admitting a half-open probe (default 1s).
 	BreakerCooldown time.Duration
-	// OverloadPenalty is how long an overloaded reply biases placement
-	// away from the server when it carried no retry-after hint
-	// (default 1s). A hint overrides it, capped at 30s.
-	OverloadPenalty time.Duration
 	// Origin identifies this replica in gossip records and must be
 	// unique across a replica set (default "meta" — fine standalone,
 	// wrong for replication).
 	Origin string
-	// DialServer reaches a computational server learned through gossip
-	// by its advertised address; nil means plain TCP.
-	DialServer func(addr string) (net.Conn, error)
 }
 
 // Metaserver monitors servers and places calls. It implements
@@ -159,9 +152,6 @@ func New(cfg Config) *Metaserver {
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = time.Second
-	}
-	if cfg.OverloadPenalty <= 0 {
-		cfg.OverloadPenalty = time.Second
 	}
 	if cfg.Origin == "" {
 		cfg.Origin = "meta"
@@ -636,6 +626,14 @@ func (m *Metaserver) applyObserveLocked(e *entry, bytes int64, elapsed time.Dura
 	}
 }
 
+// An overloaded reply biases placement away from its server for the
+// server's retry-after hint, capped at maxOverloadPenalty, or for
+// overloadPenalty when it carried none.
+const (
+	overloadPenalty    = time.Second
+	maxOverloadPenalty = 30 * time.Second
+)
+
 // applyOverloadLocked is the effect of one overload rejection: a
 // placement-penalty window, never breaker advancement. Callers hold
 // m.mu.
@@ -644,12 +642,9 @@ func (m *Metaserver) applyOverloadLocked(e *entry, retryAfterMillis uint32) {
 	if e.Stats.Queued > 0 {
 		e.Stats.Queued--
 	}
-	cool := m.cfg.OverloadPenalty
+	cool := overloadPenalty
 	if retryAfterMillis > 0 {
-		cool = time.Duration(retryAfterMillis) * time.Millisecond
-		if cool > 30*time.Second {
-			cool = 30 * time.Second
-		}
+		cool = min(time.Duration(retryAfterMillis)*time.Millisecond, maxOverloadPenalty)
 	}
 	now := time.Now()
 	e.overloadUntil = now.Add(cool)
@@ -666,7 +661,7 @@ func (m *Metaserver) applyOverloadLocked(e *entry, retryAfterMillis uint32) {
 // toward BreakerOpen; a busy-but-healthy server ejected as dead is
 // exactly the §4 multi-client saturation regime misread as a crash.
 // Instead the reply opens a placement-penalty window (the server's own
-// retry-after hint when present, Config.OverloadPenalty otherwise)
+// retry-after hint when present, overloadPenalty otherwise)
 // that biases every policy away from the loaded server. A nil callErr
 // is a success; anything else follows Observe's failure accounting.
 func (m *Metaserver) ObserveErr(serverName string, bytes int64, elapsed time.Duration, callErr error) {

@@ -321,7 +321,7 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 			}
 			return
 		}
-		e := &entry{dial: m.serverDialer(rec.Addr), registeredAt: rec.AtUnixNanos}
+		e := &entry{dial: serverDialer(rec.Addr), registeredAt: rec.AtUnixNanos}
 		e.Name = rec.Name
 		e.Addr = rec.Addr
 		e.Alive = true
@@ -374,14 +374,10 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 	}
 }
 
-// serverDialer builds the dialer used for servers learned through
-// gossip, from Config.DialServer or plain TCP.
-func (m *Metaserver) serverDialer(addr string) func() (net.Conn, error) {
-	dial := m.cfg.DialServer
-	if dial == nil {
-		dial = func(a string) (net.Conn, error) { return net.DialTimeout("tcp", a, 5*time.Second) }
-	}
-	return func() (net.Conn, error) { return dial(addr) }
+// serverDialer builds the plain-TCP dialer used for servers learned
+// through gossip.
+func serverDialer(addr string) func() (net.Conn, error) {
+	return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) }
 }
 
 // A peer is one fellow replica this metaserver gossips with.

@@ -467,30 +467,22 @@ func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut
 	pd := acquireDecoder(rest)
 	defer pd.release()
 	d := &pd.d
+	// Dimensions are evaluated against args itself: Check lets them
+	// name only earlier int in-scalars, which are decoded by then.
 	args := make([]idl.Value, len(info.Params))
-	// env holds the int scalars decoded so far, which later dimensions
-	// are evaluated against.
-	env := envPool.Get().(map[string]int64)
-	defer func() {
-		clear(env)
-		envPool.Put(env)
-	}()
 	// First pass: decode in-shipping values in order.
 	for i := range info.Params {
 		p := &info.Params[i]
 		if !p.Mode.Ships(false) {
 			continue
 		}
-		count, err := paramCount(info, p, env)
+		count, err := p.Count(args)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("protocol: %s dimension of %q: %w", info.Name, p.Name, err)
 		}
 		v, err := decodeArg(d, p, count, bulk, arrays)
 		if err != nil {
 			return nil, 0, fmt.Errorf("protocol: %s argument %q: %w", info.Name, p.Name, err)
-		}
-		if n, ok := v.(int64); ok {
-			env[p.Name] = n
 		}
 		args[i] = v
 	}
@@ -502,9 +494,9 @@ func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut
 		if p.Mode != idl.Out {
 			continue
 		}
-		count, err := paramCount(info, p, env)
+		count, err := p.Count(args)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("protocol: %s dimension of %q: %w", info.Name, p.Name, err)
 		}
 		if !p.IsScalar() {
 			if count > (maxOut-outBytes)/bulkElemSize(p.Type) {
@@ -744,20 +736,6 @@ func DecodeStats(p []byte) (Stats, error) {
 	err := d.Err()
 	pd.release()
 	return m, err
-}
-
-// envPool recycles the per-decode expression environments, mirroring
-// the pool idl keeps for the encode side.
-var envPool = sync.Pool{New: func() any { return make(map[string]int64, 8) }}
-
-// paramCount evaluates one parameter's element count against the
-// scalar arguments decoded so far.
-func paramCount(info *idl.Info, p *idl.Param, env map[string]int64) (int, error) {
-	count, err := p.Count(env)
-	if err != nil {
-		return 0, fmt.Errorf("protocol: %s dimension of %q: %w", info.Name, p.Name, err)
-	}
-	return count, nil
 }
 
 // zeroValue allocates the zero value for an out-only parameter, an

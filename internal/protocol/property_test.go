@@ -31,8 +31,8 @@ func randomInterface(r *rand.Rand) *idl.Info {
 		}
 		dims := 1 + r.Intn(2)
 		for d := 0; d < dims; d++ {
-			ref := scalarNames[r.Intn(len(scalarNames))]
-			var e idl.Expr = idl.Ref(ref)
+			ref := r.Intn(len(scalarNames))
+			var e idl.Expr = idl.Ref{Name: scalarNames[ref], Index: ref}
 			if r.Intn(2) == 0 {
 				e = &idl.BinOp{Op: idl.OpAdd, L: e, R: idl.Num(int64(r.Intn(3)))}
 			}

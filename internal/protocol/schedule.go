@@ -1,6 +1,10 @@
 package protocol
 
-import "ninf/internal/xdr"
+import (
+	"fmt"
+
+	"ninf/internal/xdr"
+)
 
 // Scheduling frames, spoken between clients and the metaserver daemon
 // (§2.4). They extend the base protocol: a metaserver answers MsgPing
@@ -58,7 +62,13 @@ func (m *ScheduleRequest) Encode() []byte {
 	})
 }
 
-// DecodeScheduleRequest parses a MsgSchedule payload.
+// maxExclude bounds a schedule request's Exclude list.
+const maxExclude = 1024
+
+// DecodeScheduleRequest parses a MsgSchedule payload. An Exclude count
+// above maxExclude, or above what the rest of the payload can hold (4
+// bytes a name), is refused rather than read short, which would take
+// the next name for the Affinity trailer.
 func DecodeScheduleRequest(p []byte) (ScheduleRequest, error) {
 	pd := acquireDecoder(p)
 	defer pd.release()
@@ -69,11 +79,14 @@ func DecodeScheduleRequest(p []byte) (ScheduleRequest, error) {
 		OutBytes: d.Int64(),
 		Ops:      d.Int64(),
 	}
-	n := int(d.Uint32())
+	n := d.Uint32()
 	if err := d.Err(); err != nil {
 		return m, err
 	}
-	for i := 0; i < n && i < 1024; i++ {
+	if n > maxExclude || int(n) > (len(p)-int(d.Len()))/4 {
+		return m, fmt.Errorf("protocol: schedule request excludes %d servers (at most %d)", n, maxExclude)
+	}
+	for range n {
 		m.Exclude = append(m.Exclude, d.String())
 	}
 	if d.Err() == nil && len(p)-int(d.Len()) >= 4 {

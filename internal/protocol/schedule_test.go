@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -24,6 +26,28 @@ func TestScheduleRequestRoundTrip(t *testing.T) {
 	got, err = DecodeScheduleRequest(empty.Encode())
 	if err != nil || got.Routine != "ep" || len(got.Exclude) != 0 {
 		t.Errorf("empty: %+v %v", got, err)
+	}
+}
+
+// TestScheduleRequestExcludeBound: an Exclude list over the bound is
+// refused, not cut short with its next name read as the Affinity.
+func TestScheduleRequestExcludeBound(t *testing.T) {
+	m := ScheduleRequest{Routine: "ep"}
+	for i := 0; i <= maxExclude; i++ {
+		m.Exclude = append(m.Exclude, fmt.Sprintf("srv%d", i))
+	}
+	if got, err := DecodeScheduleRequest(m.Encode()); err == nil {
+		t.Errorf("%d excludes decoded as %d plus affinity %q", len(m.Exclude), len(got.Exclude), got.Affinity)
+	}
+	m.Exclude = m.Exclude[:maxExclude]
+	if got, err := DecodeScheduleRequest(m.Encode()); err != nil || len(got.Exclude) != maxExclude || got.Affinity != "" {
+		t.Errorf("%d excludes: got %d, affinity %q, %v", maxExclude, len(got.Exclude), got.Affinity, err)
+	}
+	// A count the payload cannot hold is refused before any name is read.
+	p := (&ScheduleRequest{Routine: "ep", Exclude: []string{"a"}}).Encode()
+	binary.BigEndian.PutUint32(p[len(p)-12:], 3)
+	if got, err := DecodeScheduleRequest(p); err == nil {
+		t.Errorf("3 excludes in room for 2 decoded: %+v", got)
 	}
 }
 

@@ -160,7 +160,8 @@ func TestBlockingCallRunsOnAdmitter(t *testing.T) {
 // TestOutOnlyBudget: an out-only array is sized by a scalar alone, so a
 // tiny request could make the server allocate — and answer with — an
 // array of any size. The out-only bytes are held to the payload limit,
-// and a dimension product that overflows is refused rather than wrapped;
+// and a dimension product that overflows, across dimensions or inside
+// one, is refused rather than wrapped;
 // either way the call gets CodeBadArguments and the server lives on.
 func TestOutOnlyBudget(t *testing.T) {
 	reg := NewRegistry()
@@ -169,9 +170,12 @@ Define dos(mode_in int m, mode_in int bins, mode_out double hist[bins])
     Calls "go" dos(m, bins, hist);
 Define sq(mode_in int n, mode_out double c[n][n])
     Calls "go" sq(n, c);
+Define sq1(mode_in int n, mode_out double c[n*n])
+    Calls "go" sq1(n, c);
 `, map[string]Handler{
 		"dos": func(context.Context, []idl.Value) error { t.Error("dos executed"); return nil },
 		"sq":  func(context.Context, []idl.Value) error { t.Error("sq executed"); return nil },
+		"sq1": func(context.Context, []idl.Value) error { t.Error("sq1 executed"); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,6 +205,7 @@ Define sq(mode_in int n, mode_out double c[n][n])
 		{"dos 2^40", raw(dosReq, int64(1), int64(1)<<40)},
 		{"dos 2^24", raw(dosReq, int64(1), int64(1)<<24)},
 		{"sq 2^32", raw(`Define sq(mode_in int n) Calls "go" sq(n);`, int64(1)<<32)},
+		{"sq1 2^32", raw(`Define sq1(mode_in int n) Calls "go" sq1(n);`, int64(1)<<32)},
 	} {
 		typ, p := call(t, conn, protocol.MsgCall, c.req)
 		if typ != protocol.MsgError {

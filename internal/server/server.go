@@ -29,6 +29,19 @@ import (
 	"ninf/internal/server/sched"
 )
 
+// How long a two-phase result is kept. A result is dropped jobTTL
+// after it completes. Once its reply frame is written it lingers only
+// deliveredTTL more, to cover the lost-reply window: a write that
+// succeeded locally can still be eaten by the network before the client
+// reads it, and the retried fetch must re-read the retained result —
+// were the job consumed on write, the retry would get CodeUnknownJob
+// and the client's idempotent re-Submit (its key released with the
+// job) would execute the work a second time on the same incarnation.
+const (
+	jobTTL       = 5 * time.Minute
+	deliveredTTL = 30 * time.Second
+)
+
 // ExecMode selects how many processors each Ninf_call occupies.
 type ExecMode int
 
@@ -69,19 +82,6 @@ type Config struct {
 	// MaxQueue rejects new calls with CodeOverloaded once this many
 	// jobs are waiting; 0 means unlimited.
 	MaxQueue int
-	// JobTTL bounds how long two-phase results are retained after
-	// completion before being dropped (default 5 minutes).
-	JobTTL time.Duration
-	// DeliveredTTL bounds how long a fetched two-phase result lingers
-	// re-fetchable after its reply frame was written (default 30s,
-	// capped at JobTTL). The linger covers the lost-reply window: a
-	// write that succeeded locally can still be eaten by the network
-	// before the client reads it, and the retried fetch must re-read
-	// the retained result — were the job consumed on write, the retry
-	// would get CodeUnknownJob and the client's idempotent re-Submit
-	// (its key released with the job) would execute the work a second
-	// time on the same incarnation.
-	DeliveredTTL time.Duration
 	// MaxPayload bounds incoming frame payloads (default 1 GiB).
 	MaxPayload int
 	// DisableMux refuses the MsgHello protocol upgrade, keeping every
@@ -270,15 +270,6 @@ func New(cfg Config, reg *Registry) *Server {
 	if cfg.PEs <= 0 {
 		cfg.PEs = 1
 	}
-	if cfg.JobTTL <= 0 {
-		cfg.JobTTL = 5 * time.Minute
-	}
-	if cfg.DeliveredTTL <= 0 {
-		cfg.DeliveredTTL = 30 * time.Second
-	}
-	if cfg.DeliveredTTL > cfg.JobTTL {
-		cfg.DeliveredTTL = cfg.JobTTL
-	}
 	if cfg.Hostname == "" {
 		cfg.Hostname = "ninf-server"
 	}
@@ -401,7 +392,7 @@ func (s *Server) AttachJournal(dir string, opts journal.Options) (Recovery, erro
 		switch {
 		case jr.complete != nil && (jr.complete.ErrCode != 0 || len(jr.complete.Payload) > 0):
 			// Done: re-serve the retained reply (or terminal error).
-			t := &task{twoPhase: true, done: make(chan struct{}), expire: now.Add(s.cfg.JobTTL)}
+			t := &task{twoPhase: true, done: make(chan struct{}), expire: now.Add(jobTTL)}
 			if jr.submit != nil {
 				t.key = jr.submit.Key
 				t.client = jr.submit.Client
@@ -428,19 +419,7 @@ func (s *Server) AttachJournal(dir string, opts journal.Options) (Recovery, erro
 				rec.Dropped++
 				continue
 			}
-			t.job.ID = id
-			s.seq++
-			t.job.Seq = s.seq
-			t.timings.Enqueue = now.UnixNano()
-			s.queue = append(s.queue, t)
-			if t.client != "" {
-				s.clientQueued[t.client]++
-			}
-			s.jobs[id] = t
-			if t.key != 0 {
-				s.submitKeys[t.key] = id
-			}
-			s.acct.jobQueued(now)
+			s.enqueueLocked(t, id, now)
 			rec.Requeued++
 		default:
 			rec.Dropped++
@@ -489,25 +468,57 @@ func (s *Server) replayTaskLocked(r *protocol.JournalRecord) (*task, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &task{
+	return s.newTask(&task{
 		ex:       ex,
 		args:     args,
 		ctx:      s.baseCtx,
-		done:     make(chan struct{}),
 		twoPhase: true,
 		reqBytes: int64(len(r.Payload)),
 		deadline: deadline,
 		client:   r.Client,
 		key:      r.Key,
-		retain:   retain && s.cache != nil,
-	}
-	t.job.PEs = s.peAllocation(ex)
-	if ops, ok := ex.Info.PredictedOps(args); ok {
+		retain:   retain,
+	}), nil
+}
+
+// newTask completes a task built from a decoded call: its done channel,
+// the retention the cache can honour, its PE grant and the cost SJF
+// orders it by.
+func (s *Server) newTask(t *task) *task {
+	t.done = make(chan struct{})
+	t.retain = t.retain && s.cache != nil
+	t.job.PEs = s.peAllocation(t.ex)
+	if ops, ok := t.ex.Info.PredictedOps(t.args); ok {
 		t.job.PredictedOps = ops
-	} else if d := s.trace.predictCompute(name); d > 0 {
+	} else if d := s.trace.predictCompute(t.ex.Info.Name); d > 0 {
+		// §5.1 fallback: no Complexity clause in the IDL, so predict
+		// from the server execution trace. Nanoseconds serve as the
+		// ops currency; SJF only compares magnitudes.
 		t.job.PredictedOps = int64(d)
 	}
-	return t, nil
+	return t
+}
+
+// enqueueLocked queues an admitted or replayed task under job ID id:
+// its FCFS sequence, enqueue stamp and per-client share, and for a
+// two-phase job its place in the job table and submit-key index.
+// Callers hold mu.
+func (s *Server) enqueueLocked(t *task, id uint64, now time.Time) {
+	s.seq++
+	t.job.Seq = s.seq
+	t.job.ID = id
+	t.timings.Enqueue = now.UnixNano()
+	s.queue = append(s.queue, t)
+	if t.client != "" {
+		s.clientQueued[t.client]++
+	}
+	if t.twoPhase {
+		s.jobs[id] = t
+		if t.key != 0 {
+			s.submitKeys[t.key] = id
+		}
+	}
+	s.acct.jobQueued(now)
 }
 
 // journalSubmitPayload re-encodes an admitted submission in plain form
@@ -929,29 +940,19 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 			}
 		}
 	}
-	pes := s.peAllocation(ex)
-	t := &task{
+	t := s.newTask(&task{
 		ex:       ex,
 		args:     args,
 		ctx:      ctx,
-		done:     make(chan struct{}),
 		twoPhase: twoPhase,
 		reqBytes: reqBytes,
 		deadline: deadline,
 		client:   client,
+		key:      key,
 		pins:     pins,
-		retain:   retain && s.cache != nil,
+		retain:   retain,
 		arrays:   arrays,
-	}
-	t.job.PEs = pes
-	if ops, ok := ex.Info.PredictedOps(args); ok {
-		t.job.PredictedOps = ops
-	} else if d := s.trace.predictCompute(name); d > 0 {
-		// §5.1 fallback: no Complexity clause in the IDL, so predict
-		// from the server execution trace. Nanoseconds serve as the
-		// ops currency; SJF only compares magnitudes.
-		t.job.PredictedOps = int64(d)
-	}
+	})
 
 	now := time.Now()
 	s.mu.Lock()
@@ -996,26 +997,11 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	if share := s.maxPerClient(); share > 0 && client != "" && s.clientQueued[client] >= share {
 		return reject(&s.rejectedClient, fmt.Errorf("per-client queue share exhausted (%d jobs)", share))
 	}
-	s.seq++
-	t.job.Seq = s.seq
-	t.job.ID = s.nextJob.Add(1)
-	t.timings.Enqueue = now.UnixNano()
-	s.queue = append(s.queue, t)
-	if client != "" {
-		s.clientQueued[client]++
+	s.enqueueLocked(t, s.nextJob.Add(1), now)
+	if jpay != nil {
+		t.submitTicket = s.journal.Enqueue(&protocol.JournalRecord{
+			Kind: protocol.JournalSubmit, JobID: t.job.ID, Key: key, Client: client, Payload: jpay})
 	}
-	if twoPhase {
-		t.key = key
-		s.jobs[t.job.ID] = t
-		if key != 0 {
-			s.submitKeys[key] = t.job.ID
-		}
-		if jpay != nil {
-			t.submitTicket = s.journal.Enqueue(&protocol.JournalRecord{
-				Kind: protocol.JournalSubmit, JobID: t.job.ID, Key: key, Client: client, Payload: jpay})
-		}
-	}
-	s.acct.jobQueued(now)
 	s.schedule()
 	if !twoPhase && !t.started {
 		t.start = make(chan struct{})
@@ -1198,7 +1184,7 @@ func (s *Server) abandonLocked(t *task, err error) {
 	s.clientDequeuedLocked(t)
 	s.acct.jobAbandoned(time.Now())
 	if t.twoPhase {
-		t.expire = time.Now().Add(s.cfg.JobTTL)
+		t.expire = time.Now().Add(jobTTL)
 		t.releaseArrays()
 	}
 	t.releasePins()
@@ -1265,7 +1251,7 @@ func (s *Server) run(t *task) {
 		}
 	}
 	if t.twoPhase {
-		t.expire = now.Add(s.cfg.JobTTL)
+		t.expire = now.Add(jobTTL)
 	}
 	s.schedule()
 	s.cond.Broadcast()
@@ -1291,7 +1277,7 @@ func (s *Server) execute(t *task) (err error) {
 // journal learns the job is done with (the fetched record compacts it
 // away on the next open — a post-crash retry re-submits, which is one
 // execution on the new incarnation), while in memory the job lingers
-// re-fetchable until the shortened DeliveredTTL expiry covers the
+// re-fetchable until the shortened deliveredTTL expiry covers the
 // window where the written reply was lost in transit. It runs as the
 // reply's sent hook, on the framer's writer, so it stays short: one
 // write(2) and no fsync (except under FsyncAlways, which fsyncs every
@@ -1306,7 +1292,7 @@ func (s *Server) markDelivered(id uint64, t *task) {
 		return
 	}
 	t.delivered = true
-	if exp := time.Now().Add(s.cfg.DeliveredTTL); exp.Before(t.expire) {
+	if exp := time.Now().Add(deliveredTTL); exp.Before(t.expire) {
 		t.expire = exp
 	}
 }

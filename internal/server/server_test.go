@@ -356,7 +356,7 @@ func TestTwoPhaseSubmitFetch(t *testing.T) {
 	}
 
 	// Delivery does not consume the job on the spot: it lingers
-	// re-fetchable for DeliveredTTL, covering a reply lost in transit
+	// re-fetchable for deliveredTTL, covering a reply lost in transit
 	// after a locally successful write.
 	typ, _ = call(t, conn, protocol.MsgFetch, fr.Encode())
 	if typ != protocol.MsgFetchOK {
@@ -500,7 +500,7 @@ func TestFetchReplyLostKeepsJob(t *testing.T) {
 
 func TestExpireJobs(t *testing.T) {
 	reg, _ := testRegistry(t)
-	s := New(Config{JobTTL: time.Millisecond}, reg)
+	s := New(Config{}, reg) // results live jobTTL; the sweep below runs past it
 	defer s.Close()
 	conn := pipeConn(t, s)
 

@@ -228,7 +228,7 @@ func (s *Server) attachCache(bulk *protocol.BulkInfo, head []byte, cacheOK bool)
 // leaves the job fully fetchable for the client's retried fetch. A
 // delivered job is not consumed on the spot either — a locally
 // successful write can still be lost in transit — it lingers
-// re-fetchable for Config.DeliveredTTL (see markDelivered), so
+// re-fetchable for deliveredTTL (see markDelivered), so
 // the retry re-reads the retained result instead of getting
 // CodeUnknownJob and re-executing the work through an idempotent
 // re-Submit. Large stored results stream back chunked where the peer

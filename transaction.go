@@ -369,12 +369,12 @@ func (tx *Transaction) fetchInterface(ctx context.Context, name string, args []a
 // circuit breaker — excluded from re-placement, and rerouted to the
 // next-best live server, re-executing the Ninf_call as §5 prescribes.
 func (tx *Transaction) execute(ctx context.Context, info *idl.Info, c *txCall) (*Report, error) {
-	inB, outB := estimateBytes(info, c.args)
-	var ops int64
+	// The interface sizes and costs the call for the scheduler; a call
+	// it cannot size is placed as if empty; the call reports the error.
+	var inB, outB, ops int64
 	if vals, err := toValues(info, c.args); err == nil {
-		if n, ok := info.PredictedOps(vals); ok {
-			ops = n
-		}
+		inB, outB, _ = info.TransferBytes(vals)
+		ops, _ = info.PredictedOps(vals)
 	}
 	var lastErr error
 	var excluded []string
@@ -586,35 +586,4 @@ func intersects(x, y []uintptr) bool {
 		}
 	}
 	return false
-}
-
-// estimateBytes sizes a call's payloads from its arguments and the
-// interface modes, for the scheduler's communication model.
-func estimateBytes(info *idl.Info, args []any) (in, out int64) {
-	for i, a := range args {
-		if i >= len(info.Params) {
-			break
-		}
-		var n int64
-		switch v := a.(type) {
-		case []float64:
-			n = int64(8 * len(v))
-		case []int64:
-			n = int64(8 * len(v))
-		case []float32:
-			n = int64(4 * len(v))
-		case string:
-			n = int64(len(v))
-		default:
-			n = 8
-		}
-		m := info.Params[i].Mode
-		if m.Ships(false) {
-			in += n
-		}
-		if m.Ships(true) {
-			out += n
-		}
-	}
-	return in, out
 }
