@@ -196,7 +196,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		for _, l := range c.opts.Up {
 			l.acquire(n)
 		}
-		//lint:ninflint locknet — c.wMu models the emulated link's serialization point; chunked writes must not interleave
+		// c.wMu models the emulated link's serialization point; chunked writes must not interleave.
 		w, err := c.Conn.Write(p[:n])
 		total += w
 		if err != nil {

@@ -82,8 +82,6 @@ func (l *originLog) has(seq uint64) bool {
 // seq its origin consumed but never delivered — e.g. a client burned a
 // seq on a report dropped during a total outage) can never grow the
 // log without bound.
-//
-//ninflint:hotpath — watermark advance and pruning run per applied record
 func (l *originLog) add(rec protocol.GossipRecord) {
 	l.recs[rec.Seq] = rec
 	if rec.Seq > l.max {
@@ -225,8 +223,6 @@ func (m *Metaserver) digestLocked() []protocol.GossipDigest {
 // watermark. Seqs inside the peer's gap windows are re-sent and
 // deduplicated there — anti-entropy trades a little redundancy for
 // convergence without per-seq bookkeeping. Callers hold m.mu.
-//
-//ninflint:hotpath — runs under m.mu every gossip round, over every retained record
 func (m *Metaserver) missingLocked(peerDigest []protocol.GossipDigest) []protocol.GossipRecord {
 	// An origin absent from the digest has floor zero: the peer gets
 	// everything retained and dedups on its side.
@@ -263,8 +259,6 @@ func (m *Metaserver) missingLocked(peerDigest []protocol.GossipDigest) []protoco
 // (origin, seq). Records are applied in per-origin sequence order so
 // order-sensitive effects (breaker streaks) see each origin's stream
 // as it was produced. Callers hold m.mu.
-//
-//ninflint:hotpath — the apply loop handles every inbound gossip record under m.mu
 func (m *Metaserver) applyLocked(recs []protocol.GossipRecord) int {
 	if len(recs) == 0 {
 		return 0

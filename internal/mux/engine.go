@@ -222,8 +222,6 @@ func (w *Writer) shutdown() { w.closeOnce.Do(func() { close(w.closing) }) }
 
 // run is the writer goroutine; the package comment above the constants
 // describes its schedule.
-//
-//ninflint:hotpath
 func (w *Writer) run() {
 	defer func() {
 		close(w.stopped)
@@ -433,8 +431,6 @@ type Message struct {
 // its MsgBulkBegin, the message is validated and discarded instead, so
 // an unwanted stream stays in sync without holding memory. A malformed,
 // oversized or out-of-order frame is an error: the stream is unsound.
-//
-//ninflint:hotpath
 func ReadFrames(r io.Reader, maxPayload int, wants func(seq uint32) bool, deliver func(seq uint32, m Message)) error {
 	// The buffered reader amortizes read syscalls across pipelined small
 	// frames: 4 KiB holds some forty 96-byte calls. It is no larger

@@ -483,10 +483,12 @@ func TestWriterLevelGate(t *testing.T) {
 				c := &recConn{failAt: -1, keep: true}
 				s := newScriptAt(t, c, level, 1)
 				h := newHold()
-				it := s.frame(1)
-				it.Type = tc.typ
+				var it Item
 				if tc.bulk {
 					it = s.bulk(1, payload, h)
+				} else {
+					it = s.frame(1)
+					it.Type = tc.typ
 				}
 				err := s.w.Send(it, nil)
 				s.wait()

@@ -15,9 +15,10 @@ import (
 )
 
 // streamBulk writes m as its begin frame plus chunks of at most limit
-// data bytes, exactly as the serialized writers do.
+// data bytes, exactly as the serialized writers do, and releases m.
 func streamBulk(t *testing.T, w io.Writer, m *BulkMsg, seq uint32, limit int) {
 	t.Helper()
+	defer m.Release()
 	fb := m.EncodeBegin()
 	if err := WriteMuxFrameBuf(w, MsgBulkBegin, seq, fb); err != nil {
 		t.Fatal(err)
@@ -553,6 +554,7 @@ func TestBulkEncodeZeroCopy(t *testing.T) {
 					break
 				}
 			}
+			m.Release()
 		}
 	})
 	if bpo := res.AllocedBytesPerOp(); bpo > 64<<10 {

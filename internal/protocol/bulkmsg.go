@@ -130,8 +130,6 @@ type arraySrc struct {
 // decodeCallReply decodes a call reply, array results into dst's
 // entries when dst is non-nil and into new caller-owned slices when it
 // is nil.
-//
-//ninflint:hotpath
 func decodeCallReply(info *idl.Info, callArgs []idl.Value, dst []any, p []byte, bulk *BulkInfo) (Timings, []idl.Value, error) {
 	pd := acquireDecoder(p)
 	defer pd.release()

@@ -20,6 +20,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ninf/internal/xdr"
 )
@@ -223,6 +224,7 @@ type Buffer struct {
 // payload size (the call encode/decode paths do) should pass it so the
 // buffer lands in the right size class and is reused at steady state.
 func AcquireBuffer(sizeHint int) *Buffer {
+	liveBuffers.Add(1)
 	need := headerSize + sizeHint
 	ci := poolClassFor(need)
 	if ci >= 0 {
@@ -240,6 +242,13 @@ func AcquireBuffer(sizeHint int) *Buffer {
 	return &Buffer{b: make([]byte, headerSize, size)}
 }
 
+// liveBuffers counts buffers acquired and not yet released.
+var liveBuffers atomic.Int64
+
+// LiveBuffers returns the number of buffers acquired and not yet
+// released: zero once every owner has handed its buffer back.
+func LiveBuffers() int64 { return liveBuffers.Load() }
+
 // Release returns the buffer to its size-class pool. The buffer (and
 // any slice of its payload) must not be used afterwards. Releasing nil
 // or an already-released buffer is a no-op so single-owner cleanup
@@ -249,6 +258,7 @@ func (fb *Buffer) Release() {
 		return
 	}
 	fb.released = true
+	liveBuffers.Add(-1)
 	ci := poolClassOf(cap(fb.b))
 	if ci < 0 {
 		return

@@ -291,8 +291,6 @@ func EncodeReply(info *idl.Info, tm Timings, args []idl.Value, sh Shape) (*BulkM
 }
 
 // encodeMessage is the one traversal that writes an argument vector.
-//
-//ninflint:hotpath
 func encodeMessage(info *idl.Info, env *envelope, args []idl.Value, sh Shape) (*BulkMsg, *Buffer, error) {
 	if len(args) != len(info.Params) {
 		return nil, nil, fmt.Errorf("protocol: %s takes %d arguments, got %d", info.Name, len(info.Params), len(args))
@@ -458,8 +456,6 @@ func DecodeCallArgsDeadlineRetainBulk(info *idl.Info, rest []byte, bulk *BulkInf
 // (0 means DefaultMaxPayload) and a call over it is rejected before any
 // is allocated: one small frame must not make the receiver allocate, or
 // answer with, more than a frame may carry.
-//
-//ninflint:owner borrow
 func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut *bool, arrays *Arrays, maxOut int) ([]idl.Value, int64, error) {
 	if maxOut <= 0 {
 		maxOut = DefaultMaxPayload
@@ -740,8 +736,6 @@ func DecodeStats(p []byte) (Stats, error) {
 
 // zeroValue allocates the zero value for an out-only parameter, an
 // array from arrays' pool when one is given.
-//
-//ninflint:owner borrow
 func zeroValue(p *idl.Param, count int, arrays *Arrays) idl.Value {
 	if p.IsScalar() {
 		switch p.Type {
@@ -759,8 +753,6 @@ func zeroValue(p *idl.Param, count int, arrays *Arrays) idl.Value {
 }
 
 // encodeArg writes one argument value per its IDL parameter.
-//
-//ninflint:hotpath
 func encodeArg(e *xdr.Encoder, p *idl.Param, count int, v idl.Value) error {
 	if p.IsScalar() {
 		switch p.Type {
@@ -836,9 +828,6 @@ func encodeArg(e *xdr.Encoder, p *idl.Param, count int, v idl.Value) error {
 // divert the element bytes to a segment of the reassembled payload. An
 // array is converted once, from wherever its bytes are straight into
 // its value, which comes from arrays' pool when one is given.
-//
-//ninflint:hotpath
-//ninflint:owner borrow
 func decodeArg(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo, arrays *Arrays) (idl.Value, error) {
 	if p.IsScalar() {
 		switch p.Type {

@@ -144,7 +144,6 @@ func deliver(t *testing.T, bm *BulkMsg, fb *Buffer, cache *mapResolver) ([]byte,
 	}
 	var wire bytes.Buffer
 	streamBulk(t, &wire, bm, 1, 100)
-	bm.Release()
 	bd := reassemble(t, &wire, false)
 	t.Cleanup(bd.FB.Release)
 	if cache != nil {

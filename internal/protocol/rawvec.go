@@ -68,8 +68,6 @@ func arrayLen(p *idl.Param, v idl.Value) (int, bool) {
 // byte order le, into dst, the host-order memory they are wanted in.
 // Matching orders cost one memmove, a foreign order one swapping pass.
 // XDR's inline arrays are the big-endian case of the same thing.
-//
-//ninflint:hotpath
 func fillRaw(dst, src []byte, le bool, elem int) {
 	if le == hostLittle {
 		copy(dst, src)

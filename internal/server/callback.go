@@ -55,7 +55,7 @@ func (s *Server) connInvoker(conn net.Conn) CallbackInvoker {
 		mu.Lock()
 		defer mu.Unlock()
 		req := protocol.CallbackRequest{Name: name, Data: data}
-		//lint:ninflint locknet — mu intentionally serializes callback round trips from concurrent executable goroutines on one conn
+		// mu intentionally serializes callback round trips from concurrent executable goroutines on one conn.
 		typ, fb, err := protocol.Roundtrip(conn, protocol.MsgCallback, protocol.BufferFor(req.Encode()), s.cfg.MaxPayload)
 		if err != nil {
 			if errors.As(err, new(*protocol.RemoteError)) {

@@ -525,8 +525,6 @@ func (s *Server) enqueueLocked(t *task, id uint64, now time.Time) {
 // (digest references resolved, bulk segments folded in) so replay can
 // decode it against an empty cache, and copies the encoded bytes out
 // of the pooled frame buffer.
-//
-//ninflint:owner borrow — fb is drained into the returned copy and Released here; the WAL never retains it
 func journalSubmitPayload(info *idl.Info, req *protocol.CallRequest) ([]byte, error) {
 	_, fb, err := protocol.EncodeRequest(info, protocol.MsgCall, req, 0, protocol.Shape{})
 	if err != nil {

@@ -8,11 +8,17 @@
 // Usage, one line per package:
 //
 //	func TestMain(m *testing.M) { testleak.Main(m) }
+//
+// A package whose code holds pooled objects also names their live
+// counts, which must read zero once the goroutines have settled:
+//
+//	func TestMain(m *testing.M) { testleak.Main(m, protocol.LiveBuffers) }
 package testleak
 
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,14 +31,24 @@ import (
 const settleTimeout = 5 * time.Second
 
 // Main runs the package's tests and then fails the process if
-// goroutines leaked. It exits; call it from TestMain only.
-func Main(m *testing.M) {
+// goroutines leaked or, once they have settled, any of the live counts
+// is not zero. It exits; call it from TestMain only.
+func Main(m *testing.M, live ...func() int64) {
 	code := m.Run()
 	if code == 0 {
 		if leaked := Check(settleTimeout); len(leaked) > 0 {
 			fmt.Fprintf(os.Stderr, "testleak: %d leaked goroutine(s) after tests:\n\n%s\n",
 				len(leaked), strings.Join(leaked, "\n\n"))
 			code = 1
+		}
+	}
+	if code == 0 {
+		for _, count := range live {
+			if n := count(); n != 0 {
+				name := runtime.FuncForPC(reflect.ValueOf(count).Pointer()).Name()
+				fmt.Fprintf(os.Stderr, "testleak: %s = %d after tests, want 0\n", name, n)
+				code = 1
+			}
 		}
 	}
 	os.Exit(code)

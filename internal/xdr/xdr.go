@@ -203,8 +203,6 @@ func rawBytes[T float64 | float32 | int64 | int32](v []T) []byte {
 // Where the CPU has a vector byte shuffle (swabVector, per GOARCH) the
 // body of a long enough span goes through it; swabGeneric converts the
 // rest — all of it on every other machine.
-//
-//ninflint:hotpath
 func Swab(dst, src []byte, size int) {
 	dst = dst[:len(src)]
 	n := swabVector(dst, src, size)
@@ -214,8 +212,6 @@ func Swab(dst, src []byte, size int) {
 // swabGeneric is Swab in portable Go: the tail handler behind the
 // vector kernel, the whole conversion where there is none, and the
 // reference the tests hold the kernel to. len(dst) == len(src).
-//
-//ninflint:hotpath
 func swabGeneric(dst, src []byte, size int) {
 	if size == 4 {
 		for len(src) >= 16 && len(dst) >= 16 {
@@ -246,8 +242,6 @@ func swabGeneric(dst, src []byte, size int) {
 
 // convert copies size-byte elements between host order and XDR's
 // big-endian order; the conversion is its own inverse.
-//
-//ninflint:hotpath
 func convert(dst, src []byte, size int) {
 	if hostLittle {
 		Swab(dst, src, size)
@@ -257,8 +251,6 @@ func convert(dst, src []byte, size int) {
 }
 
 // putVec encodes a counted vector whose host-order memory is raw.
-//
-//ninflint:hotpath
 func (e *Encoder) putVec(count int, raw []byte, size int) {
 	e.PutUint32(uint32(count))
 	if e.err != nil {
@@ -514,8 +506,6 @@ func (d *Decoder) opaque(n int) []byte {
 // getVec decodes len(raw)/size elements, with no length prefix, into
 // raw, the host-order memory of their destination. A byte-slice source
 // too short for them fails before raw is written.
-//
-//ninflint:hotpath
 func (d *Decoder) getVec(raw []byte, size int) {
 	if d.r == nil {
 		if src := d.View(len(raw)); src != nil {

@@ -322,8 +322,7 @@ type request struct {
 // returns within the caller's deadline.
 func (c *Client) exchange(ctx context.Context, sess *mux.Session, rq request) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	var (
-		rt protocol.MsgType
-		//lint:ninflint releasecheck — assigned in the transport switch, settled after it: a MsgError released by protocol.Reply, nil after any other error, else returned
+		rt   protocol.MsgType
 		fb   *protocol.Buffer
 		bulk *protocol.BulkInfo
 		err  error
@@ -446,7 +445,6 @@ func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType
 				// call, in the shape the answer gives it.
 				rep.Retracted = int64(r.Sent)
 				shape, unknown = protocol.NewShape(level, cacheOK, thr, digs, sp.warm), false
-				//lint:ninflint releasecheck — an exchange that ended Retracted returned no buffer
 				continue
 			}
 			if sp.refused {
