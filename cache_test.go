@@ -614,8 +614,7 @@ func TestCacheSpeculationStreamWins(t *testing.T) {
 
 // lyingHello sets HelloFlagArgCache in every hello reply it reads: the
 // client believes in a cache the server does not run, which is how a
-// server looks that lost its cache while the session stayed up. Such a
-// server sends no flags word at all, so the reply is grown by one.
+// server looks that lost its cache while the session stayed up.
 type lyingHello struct {
 	net.Conn
 	hello bool // the last read was a MsgHelloOK header; its payload is next
@@ -625,11 +624,10 @@ func (c *lyingHello) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	be := binary.BigEndian
 	switch {
-	case c.hello && n == 4 && len(p) == 8:
-		be.PutUint32(p[4:], protocol.HelloFlagArgCache)
-		c.hello, n = false, 8
-	case n == 16 && be.Uint32(p[4:]) == protocol.Version && protocol.MsgType(be.Uint32(p[8:])) == protocol.MsgHelloOK && be.Uint32(p[12:]) == 4:
-		be.PutUint32(p[12:], 8)
+	case c.hello && n >= 8:
+		be.PutUint32(p[4:], be.Uint32(p[4:])|protocol.HelloFlagArgCache)
+		c.hello = false
+	case n == 16 && be.Uint32(p[4:]) == protocol.Version && protocol.MsgType(be.Uint32(p[8:])) == protocol.MsgHelloOK:
 		c.hello = true
 	}
 	return n, err

@@ -66,12 +66,12 @@ func (c *Client) answerCallback(conn net.Conn, fb *protocol.Buffer) (protocol.Ms
 	fn := c.lookupCallback(req.Name)
 	if fn == nil {
 		return protocol.Roundtrip(conn, protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReply(
-			protocol.CodeUnknownRoutine, fmt.Sprintf("no client callback %q", req.Name))), c.maxPayload)
+			protocol.CodeUnknownRoutine, fmt.Sprintf("no client callback %q", req.Name), 0)), c.maxPayload)
 	}
 	data, err := fn(req.Data)
 	if err != nil {
 		return protocol.Roundtrip(conn, protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReply(
-			protocol.CodeExecFailed, err.Error())), c.maxPayload)
+			protocol.CodeExecFailed, err.Error(), 0)), c.maxPayload)
 	}
 	reply := protocol.CallbackReply{Data: data}
 	return protocol.Roundtrip(conn, protocol.MsgCallbackOK, protocol.BufferFor(reply.Encode()), c.maxPayload)

@@ -3,6 +3,8 @@ package idl
 import (
 	"bytes"
 	"testing"
+
+	"ninf/internal/xdr"
 )
 
 func BenchmarkParse(b *testing.B) {
@@ -25,7 +27,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		if err := Encode(&buf, info); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Decode(&buf); err != nil {
+		if _, err := Decode(xdr.NewDecoder(&buf)); err != nil {
 			b.Fatal(err)
 		}
 	}

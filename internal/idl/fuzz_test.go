@@ -3,6 +3,8 @@ package idl
 import (
 	"bytes"
 	"testing"
+
+	"ninf/internal/xdr"
 )
 
 // FuzzParse checks the parser never panics and that anything it
@@ -35,7 +37,7 @@ func FuzzParse(f *testing.F) {
 			if err := Encode(&buf, in); err != nil {
 				t.Fatalf("encode: %v", err)
 			}
-			if _, err := Decode(&buf); err != nil {
+			if _, err := Decode(xdr.NewDecoder(&buf)); err != nil {
 				t.Fatalf("decode: %v", err)
 			}
 		}
@@ -51,7 +53,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		info, err := Decode(bytes.NewReader(data))
+		info, err := Decode(xdr.NewDecoder(bytes.NewReader(data)))
 		if err == nil && info.Name == "" {
 			t.Fatal("decoder accepted an interface with no name")
 		}

@@ -72,8 +72,7 @@ func Encode(w io.Writer, in *Info) error {
 // Decode reads a wire-form interface description. The reconstructed
 // Info has expression trees rebuilt from the bytecode, so it satisfies
 // the same invariants as a parsed one (Check is re-run).
-func Decode(r io.Reader) (*Info, error) {
-	d := xdr.NewDecoder(r)
+func Decode(d *xdr.Decoder) (*Info, error) {
 	if v := d.Uint32(); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("idl: unsupported wire version %d", v)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"ninf/internal/xdr"
 )
 
 func TestWireRoundTrip(t *testing.T) {
@@ -17,7 +19,7 @@ func TestWireRoundTrip(t *testing.T) {
 			if err := Encode(&buf, in); err != nil {
 				t.Fatalf("encode %s: %v", in.Name, err)
 			}
-			back, err := Decode(&buf)
+			back, err := Decode(xdr.NewDecoder(&buf))
 			if err != nil {
 				t.Fatalf("decode %s: %v", in.Name, err)
 			}
@@ -37,7 +39,7 @@ func TestWireRoundTripPreservesSemantics(t *testing.T) {
 	if err := Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(&buf)
+	back, err := Decode(xdr.NewDecoder(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestDecodeGarbage(t *testing.T) {
 		{0, 0, 0, 1, 0, 0, 0, 200}, // version ok, then absurd string length… truncated
 	}
 	for i, b := range cases {
-		if _, err := Decode(bytes.NewReader(b)); err == nil {
+		if _, err := Decode(xdr.NewDecoder(bytes.NewReader(b))); err == nil {
 			t.Errorf("case %d: garbage decoded without error", i)
 		}
 	}
@@ -76,7 +78,7 @@ func TestDecodeImplausibleCounts(t *testing.T) {
 	// (12) + lang "C" (8) + target "f" (8) + nTargetArgs (4) = offset
 	// 4+8+12+8+8+4 = 44; params count at 44.
 	copy(b[44:48], []byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := Decode(bytes.NewReader(b)); err == nil {
+	if _, err := Decode(xdr.NewDecoder(bytes.NewReader(b))); err == nil {
 		t.Error("implausible parameter count accepted")
 	}
 }

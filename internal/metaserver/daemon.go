@@ -84,7 +84,7 @@ type reply struct {
 
 // errReply builds a MsgError reply.
 func errReply(code uint32, detail string, fatal bool) reply {
-	return reply{protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReply(code, detail)), fatal}
+	return reply{protocol.MsgError, protocol.BufferFor(protocol.EncodeErrorReply(code, detail, 0)), fatal}
 }
 
 // handle answers one request frame, consuming fb. It never sees the

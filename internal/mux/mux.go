@@ -64,10 +64,9 @@ var errNotQueued = errors.New("mux: writer stopped before the frame was queued")
 // it returns the server's full reply — the negotiated version
 // (protocol.MuxVersion for a plain mux peer, up to MuxVersionCache),
 // the capability flags (HelloFlagArgCache: the peer runs an enabled
-// argument cache, the precondition for emitting digest references;
-// zero from pre-cache servers), and, from crash-recovery journal
-// servers, the incarnation epoch, which lets the caller detect a server
-// restart across reconnects (0: none advertised) — and every subsequent
+// argument cache, the precondition for emitting digest references),
+// and the incarnation epoch, which lets the caller detect a server
+// restart across reconnects (0 from journal-less servers) — and every subsequent
 // frame on conn must use version-2 framing. ErrLegacy means the peer is
 // a version-1 server (it answered with MsgError); the connection has
 // carried a complete lockstep exchange and is technically still in

@@ -281,7 +281,7 @@ func TestNegotiateLegacy(t *testing.T) {
 		}
 		// What the pre-mux dispatch does with an unknown frame type.
 		protocol.WriteFrame(sc, protocol.MsgError,
-			protocol.EncodeErrorReply(protocol.CodeInternal, "unexpected frame Hello"))
+			protocol.EncodeErrorReply(protocol.CodeInternal, "unexpected frame Hello", 0))
 	}()
 	_, err := NegotiateHello(cc, 0)
 	<-done

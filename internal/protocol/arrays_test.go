@@ -64,7 +64,7 @@ func totalAlloc(fn func()) uint64 {
 // the payload really holds before anything is allocated for the array.
 // Twelve bytes used to cost the server 1 GiB (the decoder made the
 // vector, then found the payload empty), and a hostile reply cost the
-// client the same.
+// client the same; a 4-byte list reply cost it 16 MiB.
 func TestHostileCountWordAllocatesNothing(t *testing.T) {
 	for _, info := range echoInfos(t) {
 		// n=1 contradicts the count word; n=2^27 agrees with it, so
@@ -94,6 +94,12 @@ func TestHostileCountWordAllocatesNothing(t *testing.T) {
 				t.Errorf("%s n=%d: reply decode allocated %d bytes for a 28-byte payload (%v)", info.Name, n, got, err)
 			}
 		}
+	}
+	// A list reply's count word is held to the payload too.
+	var err error
+	list := []byte{0, 0x10, 0, 0} // 2^20 names and none of them
+	if got := totalAlloc(func() { _, err = DecodeListReply(list) }); err == nil || got > 1<<20 {
+		t.Errorf("a 4-byte list reply: err %v, %d bytes allocated", err, got)
 	}
 }
 

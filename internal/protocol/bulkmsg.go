@@ -13,7 +13,7 @@ import (
 // word (count | bulkArgFlag) plus the absolute offset of its raw
 // element bytes within the logical payload, and the slice itself rides
 // as a zero-copy segment span streamed by the chunk writer. Everything
-// else — scalars, strings, small arrays, the trailers — is
+// else — scalars, strings, small arrays, the deadline and retain words — is
 // normal XDR in the head, so a bulk head decodes with the same
 // machinery as a monolithic payload.
 
@@ -172,6 +172,9 @@ func decodeCallReply(info *idl.Info, callArgs []idl.Value, dst []any, p []byte, 
 				return t, nil, fmt.Errorf("protocol: %s result %q: cannot store %d elements into %T of len %d", info.Name, pa.Name, counts[i], dst[i], n)
 			}
 		}
+	}
+	if err := atEnd(d, len(p)); err != nil {
+		return t, nil, err
 	}
 	for i := range info.Params {
 		pa := &info.Params[i]

@@ -33,11 +33,9 @@ func (m *CallbackRequest) Encode() []byte {
 
 // DecodeCallbackRequest parses a MsgCallback payload.
 func DecodeCallbackRequest(p []byte) (CallbackRequest, error) {
-	pd := acquireDecoder(p)
-	m := CallbackRequest{Name: pd.d.String(), Data: pd.d.Opaque()}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (CallbackRequest, error) {
+		return CallbackRequest{Name: d.String(), Data: d.Opaque()}, nil
+	})
 }
 
 // CallbackReply is the payload of MsgCallbackOK.
@@ -54,9 +52,7 @@ func (m *CallbackReply) Encode() []byte {
 
 // DecodeCallbackReply parses a MsgCallbackOK payload.
 func DecodeCallbackReply(p []byte) (CallbackReply, error) {
-	pd := acquireDecoder(p)
-	m := CallbackReply{Data: pd.d.Opaque()}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (CallbackReply, error) {
+		return CallbackReply{Data: d.Opaque()}, nil
+	})
 }

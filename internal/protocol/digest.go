@@ -21,7 +21,7 @@ import (
 // folded in, so the same values always produce the same digest on both
 // ends regardless of which host hashed them.
 //
-// None of these frames, markers or trailers appear on the wire unless
+// None of these frames or markers appear on the wire unless
 // both peers negotiated feature level ≥ 4 AND the server advertised an
 // enabled cache in its HelloReply flags; below that the byte stream is
 // bit-identical to a level-3 (or level-2, or v1) conversation.
@@ -130,12 +130,6 @@ func leBytes(raw []byte, elem int) []byte {
 // DigestFloat64s hashes a []float64's little-endian element bytes,
 // zero-copy on little-endian hosts.
 func DigestFloat64s(v []float64) Digest { return DigestBytesLE(leBytes(f64Bytes(v), 8)) }
-
-// DigestFloat32s hashes a []float32's little-endian element bytes.
-func DigestFloat32s(v []float32) Digest { return DigestBytesLE(leBytes(f32Bytes(v), 4)) }
-
-// DigestInt64s hashes a []int64's little-endian element bytes.
-func DigestInt64s(v []int64) Digest { return DigestBytesLE(leBytes(i64Bytes(v), 8)) }
 
 // DigestValue hashes a bulk-capable array value; false for anything
 // that cannot ride as a bulk segment.
@@ -270,21 +264,20 @@ func EncodeDigestQueryBuf(digs []Digest) *Buffer {
 
 // DecodeDigestQuery parses a MsgCallDigest payload.
 func DecodeDigestQuery(p []byte) ([]Digest, error) {
-	pd := acquireDecoder(p)
-	defer pd.release()
-	d := &pd.d
-	n := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > len(p)/16 {
-		return nil, fmt.Errorf("protocol: digest query count %d exceeds payload", n)
-	}
-	digs := make([]Digest, n)
-	for i := range digs {
-		digs[i] = Digest{Hi: d.Uint64(), Lo: d.Uint64()}
-	}
-	return digs, d.Err()
+	return decodePayload(p, func(d *xdr.Decoder) ([]Digest, error) {
+		n := int(d.Uint32())
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if n > len(p)/16 {
+			return nil, fmt.Errorf("protocol: digest query count %d exceeds payload", n)
+		}
+		digs := make([]Digest, n)
+		for i := range digs {
+			digs[i] = Digest{Hi: d.Uint64(), Lo: d.Uint64()}
+		}
+		return digs, nil
+	})
 }
 
 // EncodeDigestStatusBuf serializes a MsgDigestStatus payload: one
@@ -301,21 +294,20 @@ func EncodeDigestStatusBuf(warm []bool) *Buffer {
 
 // DecodeDigestStatus parses a MsgDigestStatus payload.
 func DecodeDigestStatus(p []byte) ([]bool, error) {
-	pd := acquireDecoder(p)
-	defer pd.release()
-	d := &pd.d
-	n := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > len(p)/4 {
-		return nil, fmt.Errorf("protocol: digest status count %d exceeds payload", n)
-	}
-	warm := make([]bool, n)
-	for i := range warm {
-		warm[i] = d.Bool()
-	}
-	return warm, d.Err()
+	return decodePayload(p, func(d *xdr.Decoder) ([]bool, error) {
+		n := int(d.Uint32())
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if n > len(p)/4 {
+			return nil, fmt.Errorf("protocol: digest status count %d exceeds payload", n)
+		}
+		warm := make([]bool, n)
+		for i := range warm {
+			warm[i] = d.Bool()
+		}
+		return warm, nil
+	})
 }
 
 // EncodeDataHandleRequestBuf serializes a MsgDataHandle payload.
@@ -329,11 +321,9 @@ func EncodeDataHandleRequestBuf(d Digest) *Buffer {
 
 // DecodeDataHandleRequest parses a MsgDataHandle payload.
 func DecodeDataHandleRequest(p []byte) (Digest, error) {
-	pd := acquireDecoder(p)
-	d := Digest{Hi: pd.d.Uint64(), Lo: pd.d.Uint64()}
-	err := pd.d.Err()
-	pd.release()
-	return d, err
+	return decodePayload(p, func(d *xdr.Decoder) (Digest, error) {
+		return Digest{Hi: d.Uint64(), Lo: d.Uint64()}, nil
+	})
 }
 
 // EncodeDataHandleReplyBuf serializes a MsgDataHandleOK payload: the
@@ -350,10 +340,12 @@ func EncodeDataHandleReplyBuf(d Digest, b []byte) *Buffer {
 // DecodeDataHandleReply parses a MsgDataHandleOK payload. The returned
 // bytes alias p; callers copy if they outlive the frame buffer.
 func DecodeDataHandleReply(p []byte) (Digest, []byte, error) {
-	pd := acquireDecoder(p)
-	d := Digest{Hi: pd.d.Uint64(), Lo: pd.d.Uint64()}
-	b := pd.d.Opaque()
-	err := pd.d.Err()
-	pd.release()
-	return d, b, err
+	type reply struct {
+		dig Digest
+		b   []byte
+	}
+	r, err := decodePayload(p, func(d *xdr.Decoder) (reply, error) {
+		return reply{Digest{Hi: d.Uint64(), Lo: d.Uint64()}, d.Opaque()}, nil
+	})
+	return r.dig, r.b, err
 }

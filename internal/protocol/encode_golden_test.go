@@ -2,14 +2,14 @@ package protocol
 
 // Golden captures of the argument encoder. A fixed table of interfaces
 // is encoded as call request, keyed submit and reply, with the deadline
-// and retain trailers on and off, under every placement an array can be
+// and retain fields set and unset, under every placement an array can be
 // given — all inline; segments at a 4 KiB threshold; segments or digest
 // markers at the same threshold with none, some and all of the eligible
 // arrays warm — and the result is compared with testdata/encode.golden.
 // The file was generated from the five per-placement encoders before
-// they became one traversal (the plain chunked request then dropped the
-// retain trailer; those rows are the only ones regenerated since); it is
-// what "the encoder's bytes did not change" means. Regenerate with
+// they became one traversal; the request rows were regenerated when the
+// deadline and retain words became fixed fields, the reply rows never.
+// It is what "the encoder's bytes did not change" means. Regenerate with
 //
 //	go test ./internal/protocol -run EncodeGolden -update
 //
@@ -20,7 +20,8 @@ package protocol
 // placed (inline, seg@<patched offset>, dig) as read back from the head,
 // and the head bytes in hex — whole when short, else both ends plus a
 // SHA-256 of all of it, since an inline array is kilobytes of noise and
-// the trailers sit behind it. Segment bytes are the caller's own slices
+// the deadline and retain words (trailer=, the bytes after the last
+// argument) sit behind it. Segment bytes are the caller's own slices
 // in host order and are not recorded.
 
 import (

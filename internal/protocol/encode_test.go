@@ -7,7 +7,7 @@ import (
 	"ninf/internal/idl"
 )
 
-// TestTrailersRideEveryShape: the deadline and retain trailers are part
+// TestTrailersRideEveryShape: the deadline and retain words are part
 // of the envelope, not of a placement — whichever way the arrays go, a
 // call and a submit carry both. (The plain chunked request used to drop
 // retain, on exactly the path where a level-4 server refuses the warmth

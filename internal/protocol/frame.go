@@ -424,11 +424,10 @@ func getU32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// An ErrorReply is the payload of MsgError: a code plus human-readable
-// detail. RetryAfterMillis is an optional trailing back-pressure hint
-// (nonzero only on overload rejections from hint-aware servers): how
-// long the sender suggests waiting before retrying. Old peers never
-// emit it and ignore it when present, in both v1 and v2 framing.
+// An ErrorReply is the payload of MsgError: a code, human-readable
+// detail and a back-pressure hint, RetryAfterMillis — how long the
+// sender suggests waiting before retrying, nonzero only on overload
+// rejections.
 type ErrorReply struct {
 	Code             uint32
 	Detail           string
@@ -452,40 +451,19 @@ const (
 )
 
 // EncodeErrorReply serializes an error reply payload.
-func EncodeErrorReply(code uint32, detail string) []byte {
-	return EncodeErrorReplyHint(code, detail, 0)
-}
-
-// EncodeErrorReplyHint serializes an error reply payload with an
-// optional retry-after back-pressure hint. A zero hint produces the
-// wire shape old decoders expect; a nonzero hint is appended as a
-// trailing word that pre-hint decoders skip.
-func EncodeErrorReplyHint(code uint32, detail string, retryAfterMillis uint32) []byte {
-	size := 4 + xdr.SizeString(len(detail))
-	if retryAfterMillis > 0 {
-		size += 4
-	}
-	return encodePayload(size, func(e *xdr.Encoder) {
+func EncodeErrorReply(code uint32, detail string, retryAfterMillis uint32) []byte {
+	return encodePayload(8+xdr.SizeString(len(detail)), func(e *xdr.Encoder) {
 		e.PutUint32(code)
 		e.PutString(detail)
-		if retryAfterMillis > 0 {
-			e.PutUint32(retryAfterMillis)
-		}
+		e.PutUint32(retryAfterMillis)
 	})
 }
 
-// DecodeErrorReply parses an error reply payload. The retry-after hint
-// is read only when the sender appended one; its absence (an old peer)
-// leaves RetryAfterMillis zero.
+// DecodeErrorReply parses an error reply payload.
 func DecodeErrorReply(p []byte) (ErrorReply, error) {
-	pd := acquireDecoder(p)
-	er := ErrorReply{Code: pd.d.Uint32(), Detail: pd.d.String()}
-	if pd.d.Err() == nil && len(p)-int(pd.d.Len()) >= 4 {
-		er.RetryAfterMillis = pd.d.Uint32()
-	}
-	err := pd.d.Err()
-	pd.release()
-	return er, err
+	return decodePayload(p, func(d *xdr.Decoder) (ErrorReply, error) {
+		return ErrorReply{Code: d.Uint32(), Detail: d.String(), RetryAfterMillis: d.Uint32()}, nil
+	})
 }
 
 // RemoteError is the client-side representation of a MsgError frame.

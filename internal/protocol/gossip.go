@@ -1,6 +1,10 @@
 package protocol
 
-import "ninf/internal/xdr"
+import (
+	"fmt"
+
+	"ninf/internal/xdr"
+)
 
 // Replication frames, spoken between metaserver replicas (and only
 // them). A replica set keeps compatible placement views by
@@ -166,29 +170,44 @@ func (m *GossipRequest) Encode() []byte {
 
 // DecodeGossipRequest parses a MsgGossip payload.
 func DecodeGossipRequest(p []byte) (GossipRequest, error) {
-	pd := acquireDecoder(p)
-	defer pd.release()
-	d := &pd.d
-	m := GossipRequest{From: d.String()}
-	nd := int(d.Uint32())
-	if err := d.Err(); err != nil {
+	return decodePayload(p, func(d *xdr.Decoder) (GossipRequest, error) {
+		m := GossipRequest{From: d.String()}
+		var err error
+		m.Digest, m.Records, err = decodeGossipLists(d)
 		return m, err
+	})
+}
+
+// decodeGossipLists reads the digest and record lists that end both
+// gossip payloads, refusing a count above maxGossipEntries.
+func decodeGossipLists(d *xdr.Decoder) ([]GossipDigest, []GossipRecord, error) {
+	count := func() (int, error) {
+		n := d.Uint32()
+		if err := d.Err(); err != nil {
+			return 0, err
+		}
+		if n > maxGossipEntries {
+			return 0, fmt.Errorf("protocol: gossip list of %d entries (at most %d)", n, maxGossipEntries)
+		}
+		return int(n), nil
 	}
-	for i := 0; i < nd && i < maxGossipEntries; i++ {
-		m.Digest = append(m.Digest, GossipDigest{
-			Origin: d.String(),
-			Low:    d.Uint64(),
-			Max:    d.Uint64(),
-		})
+	nd, err := count()
+	if err != nil {
+		return nil, nil, err
 	}
-	nr := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return m, err
+	var digest []GossipDigest
+	for range nd {
+		digest = append(digest, GossipDigest{Origin: d.String(), Low: d.Uint64(), Max: d.Uint64()})
 	}
-	for i := 0; i < nr && i < maxGossipEntries; i++ {
-		m.Records = append(m.Records, decodeGossipRecord(d))
+	nr, err := count()
+	if err != nil {
+		return nil, nil, err
 	}
-	return m, d.Err()
+	var records []GossipRecord
+	for range nr {
+		records = append(records, decodeGossipRecord(d))
+	}
+	return digest, records, nil
 }
 
 // GossipReply is the payload of MsgGossipOK.
@@ -235,27 +254,10 @@ func (m *GossipReply) Encode() []byte {
 
 // DecodeGossipReply parses a MsgGossipOK payload.
 func DecodeGossipReply(p []byte) (GossipReply, error) {
-	pd := acquireDecoder(p)
-	defer pd.release()
-	d := &pd.d
-	var m GossipReply
-	nd := int(d.Uint32())
-	if err := d.Err(); err != nil {
+	return decodePayload(p, func(d *xdr.Decoder) (GossipReply, error) {
+		var m GossipReply
+		var err error
+		m.Digest, m.Records, err = decodeGossipLists(d)
 		return m, err
-	}
-	for i := 0; i < nd && i < maxGossipEntries; i++ {
-		m.Digest = append(m.Digest, GossipDigest{
-			Origin: d.String(),
-			Low:    d.Uint64(),
-			Max:    d.Uint64(),
-		})
-	}
-	nr := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return m, err
-	}
-	for i := 0; i < nr && i < maxGossipEntries; i++ {
-		m.Records = append(m.Records, decodeGossipRecord(d))
-	}
-	return m, d.Err()
+	})
 }

@@ -89,29 +89,27 @@ func appendOpaque[T string | []byte](b []byte, v T) []byte {
 // DecodeJournalRecord parses one journal record body. The returned
 // record owns its byte slices (nothing aliases p).
 func DecodeJournalRecord(p []byte) (JournalRecord, error) {
-	pd := acquireDecoder(p)
-	d := &pd.d
-	r := JournalRecord{
-		Kind:  JournalKind(d.Uint32()),
-		JobID: d.Uint64(),
-		Key:   d.Uint64(),
-	}
-	r.Client = d.String()
-	r.ErrCode = d.Uint32()
-	r.ErrDetail = d.String()
-	r.Payload = d.Opaque()
-	err := d.Err()
-	pd.release()
-	if err != nil {
-		return JournalRecord{}, err
-	}
-	switch r.Kind {
-	case JournalSubmit, JournalComplete, JournalFetched:
-	default:
-		return JournalRecord{}, fmt.Errorf("protocol: unknown journal record kind %d", r.Kind)
-	}
-	if r.JobID == 0 {
-		return JournalRecord{}, fmt.Errorf("protocol: journal record without job ID")
-	}
-	return r, nil
+	return decodePayload(p, func(d *xdr.Decoder) (JournalRecord, error) {
+		r := JournalRecord{
+			Kind:      JournalKind(d.Uint32()),
+			JobID:     d.Uint64(),
+			Key:       d.Uint64(),
+			Client:    d.String(),
+			ErrCode:   d.Uint32(),
+			ErrDetail: d.String(),
+			Payload:   d.Opaque(),
+		}
+		if err := d.Err(); err != nil {
+			return r, err
+		}
+		switch r.Kind {
+		case JournalSubmit, JournalComplete, JournalFetched:
+		default:
+			return r, fmt.Errorf("protocol: unknown journal record kind %d", r.Kind)
+		}
+		if r.JobID == 0 {
+			return r, fmt.Errorf("protocol: journal record without job ID")
+		}
+		return r, nil
+	})
 }

@@ -1,16 +1,12 @@
 package protocol
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"sync"
 
 	"ninf/internal/idl"
 	"ninf/internal/xdr"
 )
-
-func bytesReader(p []byte) io.Reader { return bytes.NewReader(p) }
 
 // encodePayload runs fn against a pooled buffer's encoder and returns
 // a compact copy of the resulting payload. It backs the []byte-
@@ -41,6 +37,36 @@ func (pd *payloadDecoder) release() {
 	decoderPool.Put(pd)
 }
 
+// decodePayload runs fn against a pooled decoder over p — the mirror of
+// encodePayload — and refuses p unless fn read it exactly to its end.
+// Every message has one fixed layout, so a payload that is short and
+// one with bytes left over are both malformed, never an older or newer
+// sender's variant.
+func decodePayload[T any](p []byte, fn func(d *xdr.Decoder) (T, error)) (T, error) {
+	pd := acquireDecoder(p)
+	defer pd.release()
+	m, err := fn(&pd.d)
+	if err == nil {
+		err = atEnd(&pd.d, len(p))
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return m, nil
+}
+
+// atEnd reports whether d has read all n bytes of its payload cleanly.
+func atEnd(d *xdr.Decoder, n int) error {
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if left := n - int(d.Len()); left != 0 {
+		return fmt.Errorf("protocol: %d bytes left after the last field", left)
+	}
+	return nil
+}
+
 // InterfaceRequest is the payload of MsgInterface.
 type InterfaceRequest struct {
 	Name string
@@ -55,11 +81,9 @@ func (m *InterfaceRequest) Encode() []byte {
 
 // DecodeInterfaceRequest parses a MsgInterface payload.
 func DecodeInterfaceRequest(p []byte) (InterfaceRequest, error) {
-	pd := acquireDecoder(p)
-	m := InterfaceRequest{Name: pd.d.String()}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (InterfaceRequest, error) {
+		return InterfaceRequest{Name: d.String()}, nil
+	})
 }
 
 // EncodeInterfaceReply serializes the compiled IDL for MsgInterfaceOK.
@@ -74,7 +98,7 @@ func EncodeInterfaceReply(info *idl.Info) ([]byte, error) {
 
 // DecodeInterfaceReply parses a MsgInterfaceOK payload.
 func DecodeInterfaceReply(p []byte) (*idl.Info, error) {
-	return idl.Decode(bytesReader(p))
+	return decodePayload(p, idl.Decode)
 }
 
 // ListReply is the payload of MsgListReply: the registered routine
@@ -99,25 +123,25 @@ func (m *ListReply) Encode() []byte {
 
 // DecodeListReply parses a MsgListReply payload.
 func DecodeListReply(p []byte) (ListReply, error) {
-	pd := acquireDecoder(p)
-	defer pd.release()
-	d := &pd.d
-	n := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return ListReply{}, err
-	}
-	if n > 1<<20 {
-		return ListReply{}, fmt.Errorf("protocol: implausible list length %d", n)
-	}
-	m := ListReply{Names: make([]string, 0, n)}
-	for i := 0; i < n; i++ {
-		m.Names = append(m.Names, d.String())
-	}
-	return m, d.Err()
+	return decodePayload(p, func(d *xdr.Decoder) (ListReply, error) {
+		n := int(d.Uint32())
+		if err := d.Err(); err != nil {
+			return ListReply{}, err
+		}
+		if n > 1<<20 || n > (len(p)-4)/4 { // a name takes at least 4 bytes
+			return ListReply{}, fmt.Errorf("protocol: implausible list length %d", n)
+		}
+		m := ListReply{Names: make([]string, 0, n)}
+		for i := 0; i < n; i++ {
+			m.Names = append(m.Names, d.String())
+		}
+		return m, nil
+	})
 }
 
-// CallRequest is the payload of MsgCall and MsgSubmit: a routine name
-// plus every in-shipping argument, positionally, encoded per the IDL.
+// CallRequest is the payload of MsgCall and MsgSubmit: a routine name,
+// every in-shipping argument, positionally, encoded per the IDL, then
+// the deadline (int64) and the retain flag (u32), always present.
 // Scalar values that only matter server-side (mode_out) are never
 // shipped.
 type CallRequest struct {
@@ -126,27 +150,13 @@ type CallRequest struct {
 	// may be nil; in-shipping entries must be concrete values.
 	Args []idl.Value
 	// Deadline is the caller's absolute deadline in Unix nanoseconds,
-	// or zero for no deadline. It rides as an optional magic-tagged
-	// trailer after the argument vector: old servers decode the args
-	// and ignore the trailer, old clients simply never emit it, so the
-	// field is compatible in both directions under v1 and v2 framing.
+	// or zero for no deadline.
 	Deadline int64
 	// Retain asks a cache-enabled server to keep this call's large
 	// out/inout results resident in its argument cache after the reply,
 	// so a later call on the same server can reference them by digest.
-	// It rides as a second magic-tagged trailer after the deadline;
-	// pre-cache servers skip it.
 	Retain bool
 }
-
-// callDeadlineMagic tags the optional deadline trailer on MsgCall and
-// MsgSubmit payloads ("NFDL"). A bare trailing 12 bytes without the
-// tag is not mistaken for a deadline.
-const callDeadlineMagic uint32 = 0x4e46444c
-
-// callRetainMagic tags the optional result-retention trailer ("NFRT"):
-// the magic word plus a u32 flag. Encoded after any deadline trailer.
-const callRetainMagic uint32 = 0x4e465254
 
 // argSize returns the encoded size in bytes of one argument, used to
 // pre-size frame buffers so steady-state calls stay in one size class.
@@ -211,7 +221,7 @@ func NewShape(level int, cache bool, threshold int, digs []Digest, warm []bool) 
 // envelope is what surrounds the argument vector in a message: a reply
 // leads with the server's timings; a request leads with the routine
 // name, a submit's idempotency key ahead of that, and ends with the
-// optional deadline and retain trailers.
+// deadline and the retain flag.
 type envelope struct {
 	t        MsgType // MsgCall, MsgSubmit or MsgCallOK
 	tm       Timings
@@ -225,14 +235,8 @@ func (env *envelope) size() int {
 	if env.t == MsgCallOK {
 		return 24 // three int64 timings
 	}
-	size := xdr.SizeString(len(env.name))
+	size := xdr.SizeString(len(env.name)) + 12 // + deadline and retain
 	if env.t == MsgSubmit {
-		size += 8
-	}
-	if env.deadline != 0 {
-		size += 12
-	}
-	if env.retain {
 		size += 8
 	}
 	return size
@@ -249,14 +253,10 @@ func (env *envelope) putLead(e *xdr.Encoder) {
 	e.PutString(env.name)
 }
 
-func (env *envelope) putTrailers(e *xdr.Encoder) {
-	if env.deadline != 0 {
-		e.PutUint32(callDeadlineMagic)
+func (env *envelope) putTail(e *xdr.Encoder) {
+	if env.t != MsgCallOK {
 		e.PutInt64(env.deadline)
-	}
-	if env.retain {
-		e.PutUint32(callRetainMagic)
-		e.PutUint32(1)
+		e.PutBool(env.retain)
 	}
 }
 
@@ -270,7 +270,8 @@ const (
 // EncodeRequest serializes a MsgCall or MsgSubmit payload — for a
 // submit the client's idempotency key, by which the server dedupes a
 // transport-level retry, then the routine name, every in-shipping
-// argument per the IDL, and the trailers — placing arrays as sh allows.
+// argument per the IDL, the deadline and the retain flag — placing
+// arrays as sh allows.
 // Exactly one of the two returns is non-nil: a *BulkMsg when at least
 // one segment must stream, else a pooled *Buffer holding the whole
 // payload (digest markers included; a zero-segment BulkMsg would never
@@ -377,7 +378,7 @@ func encodeMessage(info *idl.Info, env *envelope, args []idl.Value, sh Shape) (*
 			di++
 		}
 	}
-	env.putTrailers(e)
+	env.putTail(e)
 	if err := e.Err(); err != nil {
 		fb.Release()
 		return nil, nil, err
@@ -440,10 +441,9 @@ func DecodeCallArgsDeadlineRetainBulk(info *idl.Info, rest []byte, bulk *BulkInf
 // reassembled bulk payload it must be sliced to bulk.Head(), and bulk
 // supplies the full payload that marker offsets resolve against — with a
 // nil bulk the payload is monolithic and markers are rejected. It also
-// returns the caller's absolute Unix-nanosecond deadline from the
-// optional trailer (zero when the client sent none; older clients never
-// do) and stores the result-retention trailer through a non-nil
-// retainOut.
+// returns the caller's absolute Unix-nanosecond deadline (zero for
+// none) and stores the retain flag through a non-nil retainOut. rest
+// must end exactly after the retain flag.
 //
 // With a non-nil arrays the receiver recycles its argument arrays: large
 // in-arrays and zeroed out-arrays come from the array pool and are
@@ -502,34 +502,8 @@ func DecodeCallArgsPooled(info *idl.Info, rest []byte, bulk *BulkInfo, retainOut
 		}
 		args[i] = zeroValue(p, count, arrays)
 	}
-	// Optional magic-tagged trailers after the args: the caller
-	// deadline ("NFDL", 12 bytes) and the result-retention flag
-	// ("NFRT", 8 bytes), in that encode order. Unknown magics end the
-	// scan, so future trailers are skipped, not misparsed.
-	var deadline int64
-	var retain bool
-trailers:
-	for d.Err() == nil {
-		switch rem := len(rest) - int(d.Len()); {
-		case rem >= 12:
-			switch d.Uint32() {
-			case callDeadlineMagic:
-				deadline = d.Int64()
-			case callRetainMagic:
-				retain = d.Uint32() != 0
-			default:
-				break trailers
-			}
-		case rem >= 8:
-			if d.Uint32() != callRetainMagic {
-				break trailers
-			}
-			retain = d.Uint32() != 0
-		default:
-			break trailers
-		}
-	}
-	if err := d.Err(); err != nil {
+	deadline, retain := d.Int64(), d.Bool()
+	if err := atEnd(d, len(rest)); err != nil {
 		return nil, 0, err
 	}
 	if retainOut != nil {
@@ -602,11 +576,9 @@ func (m *SubmitReply) Encode() []byte {
 
 // DecodeSubmitReply parses a MsgSubmitOK payload.
 func DecodeSubmitReply(p []byte) (SubmitReply, error) {
-	pd := acquireDecoder(p)
-	m := SubmitReply{JobID: pd.d.Uint64()}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (SubmitReply, error) {
+		return SubmitReply{JobID: d.Uint64()}, nil
+	})
 }
 
 // FetchRequest is the payload of MsgFetch.
@@ -636,11 +608,9 @@ func (m *FetchRequest) EncodeBuf() *Buffer {
 
 // DecodeFetchRequest parses a MsgFetch payload.
 func DecodeFetchRequest(p []byte) (FetchRequest, error) {
-	pd := acquireDecoder(p)
-	m := FetchRequest{JobID: pd.d.Uint64(), Wait: pd.d.Bool()}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (FetchRequest, error) {
+		return FetchRequest{JobID: d.Uint64(), Wait: d.Bool()}, nil
+	})
 }
 
 // Stats is the payload of MsgStatsOK: the server self-report the
@@ -654,13 +624,9 @@ type Stats struct {
 	LoadAverage float64 // 1-minute style load average
 	CPUUtil     float64 // fraction 0..1 since last probe window
 	// Draining reports that the server is in graceful shutdown:
-	// finishing queued work but rejecting new calls. It rides as an
-	// optional trailing word — old pollers ignore it, old servers
-	// never send it (leaving it false).
+	// finishing queued work but rejecting new calls.
 	Draining bool
-	// Argument-cache counters (level-4 servers), riding as a second
-	// optional trailer after Draining. All zero on cache-less servers;
-	// old pollers ignore them, old servers never send them. The
+	// Argument-cache counters, all zero on cache-less servers. The
 	// metaserver gossips them with the rest of the snapshot, so every
 	// replica sees which servers run warm caches.
 	CacheHits        int64
@@ -670,18 +636,16 @@ type Stats struct {
 	CacheUsedBytes   int64
 	CacheBudget      int64
 	// Epoch is the server's incarnation epoch (crash-recovery journal
-	// servers mint a new one per start; see internal/server/journal).
-	// It rides as a third optional trailer after the cache counters and
-	// is omitted when zero, so journal-less servers keep today's byte
-	// stream exactly. A changed epoch tells pollers the server
-	// restarted and its volatile state (cache, breakers' evidence,
-	// un-journaled jobs) is gone.
+	// servers mint a new one per start; see internal/server/journal),
+	// zero on journal-less servers. A changed epoch tells pollers the
+	// server restarted and its volatile state (cache, breakers'
+	// evidence, un-journaled jobs) is gone.
 	Epoch uint64
 }
 
 // Encode serializes the stats.
 func (m *Stats) Encode() []byte {
-	return encodePayload(xdr.SizeString(len(m.Hostname))+108, func(e *xdr.Encoder) {
+	return encodePayload(xdr.SizeString(len(m.Hostname))+116, func(e *xdr.Encoder) {
 		e.PutString(m.Hostname)
 		e.PutInt64(m.PEs)
 		e.PutInt64(m.Running)
@@ -696,42 +660,31 @@ func (m *Stats) Encode() []byte {
 		e.PutInt64(m.CachePinnedBytes)
 		e.PutInt64(m.CacheUsedBytes)
 		e.PutInt64(m.CacheBudget)
-		if m.Epoch != 0 {
-			e.PutUint64(m.Epoch)
-		}
+		e.PutUint64(m.Epoch)
 	})
 }
 
 // DecodeStats parses a MsgStatsOK payload.
 func DecodeStats(p []byte) (Stats, error) {
-	pd := acquireDecoder(p)
-	d := &pd.d
-	m := Stats{
-		Hostname:    d.String(),
-		PEs:         d.Int64(),
-		Running:     d.Int64(),
-		Queued:      d.Int64(),
-		TotalCalls:  d.Int64(),
-		LoadAverage: d.Float64(),
-		CPUUtil:     d.Float64(),
-	}
-	if d.Err() == nil && len(p)-int(d.Len()) >= 4 {
-		m.Draining = d.Bool()
-	}
-	if d.Err() == nil && len(p)-int(d.Len()) >= 48 {
-		m.CacheHits = d.Int64()
-		m.CacheMisses = d.Int64()
-		m.CacheEvictions = d.Int64()
-		m.CachePinnedBytes = d.Int64()
-		m.CacheUsedBytes = d.Int64()
-		m.CacheBudget = d.Int64()
-	}
-	if d.Err() == nil && len(p)-int(d.Len()) >= 8 {
-		m.Epoch = d.Uint64()
-	}
-	err := d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (Stats, error) {
+		return Stats{
+			Hostname:         d.String(),
+			PEs:              d.Int64(),
+			Running:          d.Int64(),
+			Queued:           d.Int64(),
+			TotalCalls:       d.Int64(),
+			LoadAverage:      d.Float64(),
+			CPUUtil:          d.Float64(),
+			Draining:         d.Bool(),
+			CacheHits:        d.Int64(),
+			CacheMisses:      d.Int64(),
+			CacheEvictions:   d.Int64(),
+			CachePinnedBytes: d.Int64(),
+			CacheUsedBytes:   d.Int64(),
+			CacheBudget:      d.Int64(),
+			Epoch:            d.Uint64(),
+		}, nil
+	})
 }
 
 // zeroValue allocates the zero value for an out-only parameter, an

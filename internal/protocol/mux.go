@@ -64,11 +64,9 @@ func (m *HelloRequest) Encode() []byte {
 
 // DecodeHelloRequest parses a MsgHello payload.
 func DecodeHelloRequest(p []byte) (HelloRequest, error) {
-	pd := acquireDecoder(p)
-	m := HelloRequest{MaxVersion: pd.d.Uint32()}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (HelloRequest, error) {
+		return HelloRequest{MaxVersion: d.Uint32()}, nil
+	})
 }
 
 // HelloFlagArgCache in HelloReply flags advertises that the server
@@ -82,55 +80,30 @@ type HelloReply struct {
 	// Version is the protocol version the connection switches to.
 	Version uint32
 	// Flags advertises optional server capabilities at the negotiated
-	// version. It rides as an optional trailing word: pre-cache servers
-	// never send it and pre-cache clients never read it.
+	// version.
 	Flags uint32
 	// Epoch is the server's incarnation epoch, minted per start by
-	// crash-recovery journal servers (see internal/server/journal). It
-	// rides as a second optional trailer after Flags — journal-less
-	// servers omit it (keeping their byte stream exactly as before) and
-	// pre-epoch clients never read it. A client that sees the epoch
-	// change across reconnects knows the server restarted: warm-digest
-	// sets and data handles minted against the old incarnation are
-	// stale.
+	// crash-recovery journal servers (see internal/server/journal) and
+	// zero on journal-less ones. A client that sees the epoch change
+	// across reconnects knows the server restarted: warm-digest sets and
+	// data handles minted against the old incarnation are stale.
 	Epoch uint64
 }
 
 // Encode serializes the reply.
 func (m *HelloReply) Encode() []byte {
-	// The epoch trailer is positional after Flags, so a nonzero epoch
-	// forces the Flags word onto the wire even when zero.
-	size := 4
-	if m.Flags != 0 || m.Epoch != 0 {
-		size += 4
-	}
-	if m.Epoch != 0 {
-		size += 8
-	}
-	return encodePayload(size, func(e *xdr.Encoder) {
+	return encodePayload(16, func(e *xdr.Encoder) {
 		e.PutUint32(m.Version)
-		if m.Flags != 0 || m.Epoch != 0 {
-			e.PutUint32(m.Flags)
-		}
-		if m.Epoch != 0 {
-			e.PutUint64(m.Epoch)
-		}
+		e.PutUint32(m.Flags)
+		e.PutUint64(m.Epoch)
 	})
 }
 
 // DecodeHelloReply parses a MsgHelloOK payload.
 func DecodeHelloReply(p []byte) (HelloReply, error) {
-	pd := acquireDecoder(p)
-	m := HelloReply{Version: pd.d.Uint32()}
-	if pd.d.Err() == nil && len(p)-int(pd.d.Len()) >= 4 {
-		m.Flags = pd.d.Uint32()
-	}
-	if pd.d.Err() == nil && len(p)-int(pd.d.Len()) >= 8 {
-		m.Epoch = pd.d.Uint64()
-	}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (HelloReply, error) {
+		return HelloReply{Version: d.Uint32(), Flags: d.Uint32(), Epoch: d.Uint64()}, nil
+	})
 }
 
 // StampMux writes a version-2 header for the buffer's current payload

@@ -104,7 +104,7 @@ Define dmmul(mode_in int n,
     Calls "go" dmmul(n, A, B, C);
 `
 
-func dmmulInfo(t *testing.T) *idl.Info {
+func dmmulInfo(t testing.TB) *idl.Info {
 	t.Helper()
 	info, err := idl.ParseOne(dmmulIDL)
 	if err != nil {
@@ -268,7 +268,7 @@ func TestDecodeCallArgsCorrupt(t *testing.T) {
 }
 
 func TestErrorReplyRoundTrip(t *testing.T) {
-	p := EncodeErrorReply(CodeUnknownRoutine, "no such routine")
+	p := EncodeErrorReply(CodeUnknownRoutine, "no such routine", 0)
 	er, err := DecodeErrorReply(p)
 	if err != nil {
 		t.Fatal(err)

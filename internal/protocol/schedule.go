@@ -35,19 +35,14 @@ type ScheduleRequest struct {
 	Exclude []string
 	// Affinity names the server whose argument cache is warm for this
 	// call (a transaction dependency's executing server), so placement
-	// can bind downstream calls to the data. It rides as an optional
-	// trailer after Exclude — old daemons ignore it, old clients never
-	// send it. Advisory: an ineligible affinity server is skipped.
+	// can bind downstream calls to the data; empty for none. Advisory:
+	// an ineligible affinity server is skipped.
 	Affinity string
 }
 
 // Encode serializes the request.
 func (m *ScheduleRequest) Encode() []byte {
-	size := xdr.SizeString(len(m.Routine)) + 28
-	if m.Affinity != "" {
-		size += xdr.SizeString(len(m.Affinity))
-	}
-	return encodePayload(size, func(e *xdr.Encoder) {
+	return encodePayload(xdr.SizeString(len(m.Routine))+28+xdr.SizeString(len(m.Affinity)), func(e *xdr.Encoder) {
 		e.PutString(m.Routine)
 		e.PutInt64(m.InBytes)
 		e.PutInt64(m.OutBytes)
@@ -56,9 +51,7 @@ func (m *ScheduleRequest) Encode() []byte {
 		for i := range m.Exclude {
 			e.PutString(m.Exclude[i])
 		}
-		if m.Affinity != "" {
-			e.PutString(m.Affinity)
-		}
+		e.PutString(m.Affinity)
 	})
 }
 
@@ -67,32 +60,28 @@ const maxExclude = 1024
 
 // DecodeScheduleRequest parses a MsgSchedule payload. An Exclude count
 // above maxExclude, or above what the rest of the payload can hold (4
-// bytes a name), is refused rather than read short, which would take
-// the next name for the Affinity trailer.
+// bytes a name), is refused before anything is read for it.
 func DecodeScheduleRequest(p []byte) (ScheduleRequest, error) {
-	pd := acquireDecoder(p)
-	defer pd.release()
-	d := &pd.d
-	m := ScheduleRequest{
-		Routine:  d.String(),
-		InBytes:  d.Int64(),
-		OutBytes: d.Int64(),
-		Ops:      d.Int64(),
-	}
-	n := d.Uint32()
-	if err := d.Err(); err != nil {
-		return m, err
-	}
-	if n > maxExclude || int(n) > (len(p)-int(d.Len()))/4 {
-		return m, fmt.Errorf("protocol: schedule request excludes %d servers (at most %d)", n, maxExclude)
-	}
-	for range n {
-		m.Exclude = append(m.Exclude, d.String())
-	}
-	if d.Err() == nil && len(p)-int(d.Len()) >= 4 {
+	return decodePayload(p, func(d *xdr.Decoder) (ScheduleRequest, error) {
+		m := ScheduleRequest{
+			Routine:  d.String(),
+			InBytes:  d.Int64(),
+			OutBytes: d.Int64(),
+			Ops:      d.Int64(),
+		}
+		n := d.Uint32()
+		if err := d.Err(); err != nil {
+			return m, err
+		}
+		if n > maxExclude || int(n) > (len(p)-int(d.Len()))/4 {
+			return m, fmt.Errorf("protocol: schedule request excludes %d servers (at most %d)", n, maxExclude)
+		}
+		for range n {
+			m.Exclude = append(m.Exclude, d.String())
+		}
 		m.Affinity = d.String()
-	}
-	return m, d.Err()
+		return m, nil
+	})
 }
 
 // ScheduleReply names the chosen server and its dial address.
@@ -111,19 +100,16 @@ func (m *ScheduleReply) Encode() []byte {
 
 // DecodeScheduleReply parses a MsgScheduleOK payload.
 func DecodeScheduleReply(p []byte) (ScheduleReply, error) {
-	pd := acquireDecoder(p)
-	m := ScheduleReply{Name: pd.d.String(), Addr: pd.d.String()}
-	err := pd.d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (ScheduleReply, error) {
+		return ScheduleReply{Name: d.String(), Addr: d.String()}, nil
+	})
 }
 
-// ObserveRequest feeds a completed call back to the metaserver. The
-// overload fields ride as an optional trailer so old daemons and old
-// clients interoperate: Overloaded distinguishes back-pressure (the
-// server answered, but rejected for load) from genuine failure, and
-// RetryAfterMillis relays the server's hint so the metaserver can size
-// its placement-penalty window.
+// ObserveRequest feeds a completed call back to the metaserver.
+// Overloaded distinguishes back-pressure (the server answered, but
+// rejected for load) from genuine failure, and RetryAfterMillis relays
+// the server's hint so the metaserver can size its placement-penalty
+// window.
 type ObserveRequest struct {
 	Name             string // server the call ran on
 	Bytes            int64  // payload bytes both ways
@@ -131,11 +117,11 @@ type ObserveRequest struct {
 	Failed           bool   // the call errored (server suspect)
 	Overloaded       bool   // the failure was an overload rejection
 	RetryAfterMillis uint32 // server's back-pressure hint, 0 if none
-	// Origin and Seq, a second optional trailer, make the report
-	// idempotent: a client that resends an unacknowledged observation
-	// to another replica after a metaserver failover stamps both sends
-	// identically, so the replica set counts the outcome once, not per
-	// delivery. Zero Origin means a legacy (pre-HA) client.
+	// Origin and Seq make the report idempotent: a client that resends
+	// an unacknowledged observation to another replica after a
+	// metaserver failover stamps both sends identically, so the replica
+	// set counts the outcome once, not per delivery. An empty Origin
+	// opts out of dedupe.
 	Origin string
 	Seq    uint64
 }
@@ -156,23 +142,16 @@ func (m *ObserveRequest) Encode() []byte {
 
 // DecodeObserveRequest parses a MsgObserve payload.
 func DecodeObserveRequest(p []byte) (ObserveRequest, error) {
-	pd := acquireDecoder(p)
-	d := &pd.d
-	m := ObserveRequest{
-		Name:   d.String(),
-		Bytes:  d.Int64(),
-		Nanos:  d.Int64(),
-		Failed: d.Bool(),
-	}
-	if d.Err() == nil && len(p)-int(d.Len()) >= 8 {
-		m.Overloaded = d.Bool()
-		m.RetryAfterMillis = d.Uint32()
-	}
-	if d.Err() == nil && len(p)-int(d.Len()) >= 12 {
-		m.Origin = d.String()
-		m.Seq = d.Uint64()
-	}
-	err := d.Err()
-	pd.release()
-	return m, err
+	return decodePayload(p, func(d *xdr.Decoder) (ObserveRequest, error) {
+		return ObserveRequest{
+			Name:             d.String(),
+			Bytes:            d.Int64(),
+			Nanos:            d.Int64(),
+			Failed:           d.Bool(),
+			Overloaded:       d.Bool(),
+			RetryAfterMillis: d.Uint32(),
+			Origin:           d.String(),
+			Seq:              d.Uint64(),
+		}, nil
+	})
 }

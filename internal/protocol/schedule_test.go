@@ -45,9 +45,9 @@ func TestScheduleRequestExcludeBound(t *testing.T) {
 	}
 	// A count the payload cannot hold is refused before any name is read.
 	p := (&ScheduleRequest{Routine: "ep", Exclude: []string{"a"}}).Encode()
-	binary.BigEndian.PutUint32(p[len(p)-12:], 3)
+	binary.BigEndian.PutUint32(p[len(p)-16:], 4) // count, "a", empty affinity
 	if got, err := DecodeScheduleRequest(p); err == nil {
-		t.Errorf("3 excludes in room for 2 decoded: %+v", got)
+		t.Errorf("4 excludes in room for 3 decoded: %+v", got)
 	}
 }
 

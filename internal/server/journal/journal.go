@@ -21,10 +21,14 @@
 // On-disk format. The log is a stream of length-prefixed,
 // CRC-protected records:
 //
-//	file header:  "NINFWAL1" (8 bytes)
+//	file header:  "NINFWAL2" (8 bytes)
 //	record:       u32 body length | u32 CRC-32 (IEEE) of body | body
 //
-// Body encoding is protocol.JournalRecord (XDR). A torn tail — a
+// Body encoding is protocol.JournalRecord (XDR); a submit record embeds
+// the call request, so the header names the request layout too (logs
+// headed "NINFWAL1" hold requests from before the deadline and retain
+// words became fixed fields). Open refuses a non-empty log under any
+// other header and leaves the file as it is. A torn tail — a
 // partial record from a crash mid-append — fails the length or CRC
 // check; replay stops there and the file is truncated to the last
 // whole record, which is the correct recovery: the append that tore
@@ -66,6 +70,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -146,7 +151,7 @@ type Options struct {
 }
 
 const (
-	fileHeader       = "NINFWAL1"
+	fileHeader       = "NINFWAL2"
 	walName          = "wal.log"
 	epochName        = "epoch"
 	lockName         = "lock"
@@ -208,12 +213,12 @@ func Open(dir string, opts Options) (*Journal, []protocol.JournalRecord, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	epoch, err := advanceEpoch(dir)
+	recs, err := readLog(filepath.Join(dir, walName))
 	if err != nil {
 		lock.Close()
 		return nil, nil, err
 	}
-	recs, err := readLog(filepath.Join(dir, walName))
+	epoch, err := advanceEpoch(dir)
 	if err != nil {
 		lock.Close()
 		return nil, nil, err
@@ -492,7 +497,9 @@ func syncDir(dir string) {
 
 // readLog scans the log, decoding whole records until EOF, a torn
 // tail, or corruption; scanning stops at the first bad record (all
-// later bytes are unreachable by the append-only writer's ordering).
+// later bytes are unreachable by the append-only writer's ordering). A
+// non-empty log under another header is refused, not read as empty:
+// Open would compact it away.
 func readLog(path string) ([]protocol.JournalRecord, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -500,6 +507,9 @@ func readLog(path string) ([]protocol.JournalRecord, error) {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if len(b) > 0 && !bytes.HasPrefix(b, []byte(fileHeader)) {
+		return nil, fmt.Errorf("journal: %s has header %q, not %q; refusing to replay or rewrite it", path, b[:min(len(b), len(fileHeader))], fileHeader)
 	}
 	recs, _ := ScanRecords(b)
 	return recs, nil

@@ -1,10 +1,12 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -256,6 +258,35 @@ func TestScanRecordsRejectsBadHeader(t *testing.T) {
 	}
 	if recs, _ := ScanRecords(nil); recs != nil {
 		t.Fatalf("scan of empty input returned records")
+	}
+}
+
+// TestOpenRefusesForeignLog: a log under a header Open cannot read — an
+// older format's or another program's — is an error that names the
+// header, and the file is left byte for byte as it was, not compacted
+// to an empty log.
+func TestOpenRefusesForeignLog(t *testing.T) {
+	for _, header := range []string{"NINFWAL1", "NINFWAL9"} {
+		t.Run(header, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, walName)
+			log := append([]byte(header), make([]byte, 48)...)
+			log[len(header)+3] = 40 // a plausible first record length
+			if err := os.WriteFile(path, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, _, err := Open(dir, Options{})
+			if err == nil {
+				j.Close()
+				t.Fatal("Open accepted the log")
+			}
+			if !strings.Contains(err.Error(), strconv.Quote(header)) {
+				t.Errorf("error %q does not name the header %q", err, header)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
+				t.Fatalf("log changed: now %d bytes %q (%v), was %d bytes", len(got), got[:min(len(got), 8)], err, len(log))
+			}
+		})
 	}
 }
 

@@ -46,8 +46,8 @@ func quiet[T any](ch <-chan T) bool {
 // shortcut: a submission that arrives as one inline frame is journaled
 // as its own bytes, and those are exactly what re-encoding the decoded
 // call (journalSubmitPayload, still used for chunked and digest-bearing
-// submits) would write — for every test routine, bare and with each
-// call trailer.
+// submits) would write — for every test routine, bare, with a deadline
+// and with retain set.
 func TestJournalSubmitRecordIsArrivalBytes(t *testing.T) {
 	reg, release := testRegistry(t)
 	s := New(Config{PEs: 4}, reg)

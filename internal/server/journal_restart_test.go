@@ -357,8 +357,8 @@ func TestAttachJournalGuards(t *testing.T) {
 	}
 }
 
-// TestJournalLessUnchanged pins the bit-identical contract: without
-// AttachJournal the server writes no files and advertises no epoch.
+// TestJournalLessUnchanged: without AttachJournal the server writes no
+// files and advertises epoch 0.
 func TestJournalLessUnchanged(t *testing.T) {
 	reg, _ := testRegistry(t)
 	s := New(Config{}, reg)
@@ -376,15 +376,13 @@ func TestJournalLessUnchanged(t *testing.T) {
 	if typ, _ = call(t, conn, protocol.MsgFetch, fr.Encode()); typ != protocol.MsgFetchOK {
 		t.Fatalf("fetch → %v", typ)
 	}
-	// Hello carries no epoch trailer: the reply payload is the plain
-	// version word (plus a flags word only when flags are set).
 	hreq := protocol.HelloRequest{MaxVersion: protocol.MuxVersionCache}
 	typ, rp = call(t, conn, protocol.MsgHello, hreq.Encode())
 	if typ != protocol.MsgHelloOK {
 		t.Fatalf("hello → %v", typ)
 	}
-	if len(rp) > 8 {
-		t.Fatalf("journal-less hello reply is %d bytes — epoch trailer leaked onto the wire", len(rp))
+	if hr, err := protocol.DecodeHelloReply(rp); err != nil || hr.Epoch != 0 {
+		t.Fatalf("journal-less hello reply %+v, %v: want epoch 0", hr, err)
 	}
 	if s.Stats().Epoch != 0 || s.Epoch() != 0 {
 		t.Fatal("journal-less server advertises an epoch")

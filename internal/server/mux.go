@@ -49,10 +49,10 @@ const DefaultMuxConcurrency = 64
 func (s *Server) hello(payload []byte) (reply, int) {
 	req, err := protocol.DecodeHelloRequest(payload)
 	if err != nil {
-		return errReply(protocol.CodeBadArguments, err.Error()), 0
+		return errReply(protocol.CodeBadArguments, err.Error(), 0), 0
 	}
 	if s.cfg.DisableMux || req.MaxVersion < protocol.MuxVersion {
-		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", protocol.MsgHello)), 0
+		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", protocol.MsgHello), 0), 0
 	}
 	version := min(req.MaxVersion, protocol.MuxVersionCache)
 	rep := protocol.HelloReply{Version: version, Epoch: s.epoch.Load()}

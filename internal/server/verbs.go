@@ -42,15 +42,10 @@ type caps struct {
 	callback CallbackInvoker
 }
 
-// errReply builds a MsgError reply.
-func errReply(code uint32, detail string) reply {
-	return errReplyHint(code, detail, 0)
-}
-
-// errReplyHint is errReply carrying a retry-after hint on overload
-// rejections.
-func errReplyHint(code uint32, detail string, retryAfterMillis uint32) reply {
-	return reply{t: protocol.MsgError, fb: protocol.BufferFor(protocol.EncodeErrorReplyHint(code, detail, retryAfterMillis))}
+// errReply builds a MsgError reply; retryAfterMillis is the back-pressure
+// hint, nonzero only on overload rejections.
+func errReply(code uint32, detail string, retryAfterMillis uint32) reply {
+	return reply{t: protocol.MsgError, fb: protocol.BufferFor(protocol.EncodeErrorReply(code, detail, retryAfterMillis))}
 }
 
 // handle services one request. It owns fb and releases it once the
@@ -66,7 +61,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 	if bulk != nil {
 		if typ != protocol.MsgCall && typ != protocol.MsgSubmit {
 			fb.Release()
-			return errReply(protocol.CodeBadArguments, fmt.Sprintf("unexpected bulk frame %v", typ))
+			return errReply(protocol.CodeBadArguments, fmt.Sprintf("unexpected bulk frame %v", typ), 0)
 		}
 		payload = bulk.Head()
 	}
@@ -93,15 +88,15 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		req, err := protocol.DecodeInterfaceRequest(payload)
 		fb.Release()
 		if err != nil {
-			return errReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error(), 0)
 		}
 		ex := s.registry.Lookup(req.Name)
 		if ex == nil {
-			return errReply(protocol.CodeUnknownRoutine, fmt.Sprintf("no routine %q", req.Name))
+			return errReply(protocol.CodeUnknownRoutine, fmt.Sprintf("no routine %q", req.Name), 0)
 		}
 		p, err := protocol.EncodeInterfaceReply(ex.Info)
 		if err != nil {
-			return errReply(protocol.CodeInternal, err.Error())
+			return errReply(protocol.CodeInternal, err.Error(), 0)
 		}
 		return reply{t: protocol.MsgInterfaceOK, fb: protocol.BufferFor(p)}
 
@@ -114,7 +109,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		t, code, hint, err := s.admit(payload, bulk, false, ctx, 0, client)
 		fb.Release()
 		if err != nil {
-			return errReplyHint(code, err.Error(), hint)
+			return errReply(code, err.Error(), hint)
 		}
 		if t.awaitStart() {
 			s.run(t)
@@ -123,11 +118,11 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		// arguments: whichever way out, their pooled arrays go back.
 		defer t.releaseArrays()
 		if t.err != nil {
-			return errReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
+			return errReply(t.failCode(), t.err.Error(), t.retryAfter)
 		}
 		bm, rb, err := protocol.EncodeReply(t.ex.Info, t.timings, t.args, protocol.NewShape(cp.level, cp.cacheOK, s.bulkThreshold(), nil, nil))
 		if err != nil {
-			return errReply(protocol.CodeInternal, err.Error())
+			return errReply(protocol.CodeInternal, err.Error(), 0)
 		}
 		if bm != nil {
 			// Large results stream back chunked; the BulkMsg's segment
@@ -144,13 +139,13 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		key, rest, err := protocol.DecodeSubmitKey(payload)
 		if err != nil {
 			fb.Release()
-			return errReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error(), 0)
 		}
 		bulk = s.attachCache(bulk, rest, cp.cacheOK)
 		t, code, hint, err := s.admit(rest, bulk, true, nil, key, client)
 		fb.Release()
 		if err != nil {
-			return errReplyHint(code, err.Error(), hint)
+			return errReply(code, err.Error(), hint)
 		}
 		// No SubmitOK before the submit record is in the log. A retried
 		// submit answered with the job already admitted waits for the
@@ -163,7 +158,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		req, err := protocol.DecodeFetchRequest(payload)
 		fb.Release()
 		if err != nil {
-			return errReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error(), 0)
 		}
 		return s.fetch(req, cp.level >= protocol.MuxVersionBulk)
 
@@ -171,10 +166,10 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		digs, err := protocol.DecodeDigestQuery(payload)
 		fb.Release()
 		if err != nil {
-			return errReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error(), 0)
 		}
 		if !cp.cacheOK {
-			return errReply(protocol.CodeInternal, "argument cache disabled")
+			return errReply(protocol.CodeInternal, "argument cache disabled", 0)
 		}
 		warm := make([]bool, len(digs))
 		for i, d := range digs {
@@ -186,20 +181,20 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		d, err := protocol.DecodeDataHandleRequest(payload)
 		fb.Release()
 		if err != nil {
-			return errReply(protocol.CodeBadArguments, err.Error())
+			return errReply(protocol.CodeBadArguments, err.Error(), 0)
 		}
 		if !cp.cacheOK {
-			return errReply(protocol.CodeInternal, "argument cache disabled")
+			return errReply(protocol.CodeInternal, "argument cache disabled", 0)
 		}
 		b, ok := s.cache.get(d)
 		if !ok {
-			return errReply(protocol.CodeCacheMiss, fmt.Sprintf("no cached value %v", d))
+			return errReply(protocol.CodeCacheMiss, fmt.Sprintf("no cached value %v", d), 0)
 		}
 		return reply{t: protocol.MsgDataHandleOK, fb: protocol.EncodeDataHandleReplyBuf(d, b)}
 
 	default:
 		fb.Release()
-		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ))
+		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", typ), 0)
 	}
 }
 
@@ -239,7 +234,7 @@ func (s *Server) fetch(req protocol.FetchRequest, bulkOK bool) reply {
 	t, ok := s.jobs[req.JobID]
 	s.mu.Unlock()
 	if !ok {
-		return errReply(protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID))
+		return errReply(protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID), 0)
 	}
 	if req.Wait {
 		<-t.done
@@ -247,11 +242,11 @@ func (s *Server) fetch(req protocol.FetchRequest, bulkOK bool) reply {
 	select {
 	case <-t.done:
 	default:
-		return errReply(protocol.CodeNotReady, fmt.Sprintf("job %d still running", req.JobID))
+		return errReply(protocol.CodeNotReady, fmt.Sprintf("job %d still running", req.JobID), 0)
 	}
 	var r reply
 	if t.err != nil {
-		r = errReplyHint(t.failCode(), t.err.Error(), t.retryAfter)
+		r = errReply(t.failCode(), t.err.Error(), t.retryAfter)
 	} else if thr := s.bulkThreshold(); bulkOK && thr > 0 && len(t.reply) >= thr {
 		r = reply{t: protocol.MsgFetchOK, bulk: protocol.RawBulkMsg(protocol.MsgFetchOK, t.reply)}
 	} else {

@@ -42,7 +42,7 @@ func TestLockstepCallHonorsOverloadHint(t *testing.T) {
 			}
 			if typ == protocol.MsgCall && rejected.CompareAndSwap(false, true) {
 				err = protocol.WriteFrame(conn, protocol.MsgError,
-					protocol.EncodeErrorReplyHint(protocol.CodeOverloaded, "scripted overload", uint32(hint/time.Millisecond)))
+					protocol.EncodeErrorReply(protocol.CodeOverloaded, "scripted overload", uint32(hint/time.Millisecond)))
 			} else {
 				if err = protocol.WriteFrame(up, typ, p); err != nil {
 					return

@@ -263,7 +263,7 @@ func (c *Client) handshake(ctx context.Context) (live, error) {
 		return live{}, err
 	case err == nil:
 		// The hello reply carries the server's incarnation epoch (0 from
-		// journal-less or pre-epoch servers); noting it here is how the
+		// journal-less servers); noting it here is how the
 		// client detects a restart at the first exchange after a re-dial,
 		// before any digest reference or data handle can hit the reborn
 		// (empty) cache.

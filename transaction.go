@@ -324,20 +324,8 @@ func (tx *Transaction) fetchInterface(ctx context.Context, name string, args []a
 	for attempt := 0; attempt < tx.maxAttempts; attempt++ {
 		pl, err := tx.sched.Place(SchedRequest{Routine: name, Exclude: exclude})
 		if err != nil {
-			// All candidates excluded or all breakers open: clear the
-			// exclusions, wait out a slice of breaker cooldown, and
-			// re-place (see execute).
-			if lastErr == nil {
-				lastErr = err
-			} else {
-				lastErr = fmt.Errorf("%w (after: %v)", err, lastErr)
-			}
-			if attempt == tx.maxAttempts-1 {
-				return nil, lastErr
-			}
-			exclude = nil
-			if serr := sleepCtx(ctx, placementBackoff(attempt)); serr != nil {
-				return nil, fmt.Errorf("%w (after: %v)", serr, lastErr)
+			if err := tx.placementFailed(ctx, attempt, err, &lastErr, &exclude); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -390,23 +378,8 @@ func (tx *Transaction) execute(ctx context.Context, info *idl.Info, c *txCall) (
 			Exclude: excluded, Affinity: c.affinity,
 		})
 		if err != nil {
-			// No eligible server right now — likely every breaker is
-			// open or every candidate was excluded. Clear the
-			// exclusions (a previously-failed server may have
-			// recovered), wait out a slice of breaker cooldown, and
-			// re-place; only a placement failure on the final attempt
-			// is fatal.
-			if lastErr == nil {
-				lastErr = err
-			} else {
-				lastErr = fmt.Errorf("%w (after: %v)", err, lastErr)
-			}
-			if attempt == tx.maxAttempts-1 {
-				return nil, lastErr
-			}
-			excluded = nil
-			if serr := sleepCtx(ctx, placementBackoff(attempt)); serr != nil {
-				return nil, fmt.Errorf("%w (after: %v)", serr, lastErr)
+			if err := tx.placementFailed(ctx, attempt, err, &lastErr, &excluded); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -464,6 +437,29 @@ func staleData(err error) bool {
 	}
 	var re *protocol.RemoteError
 	return errors.As(err, &re) && re.Code == protocol.CodeCacheMiss
+}
+
+// placementFailed handles "no eligible server" from the scheduler on
+// attempt — likely every breaker is open or every candidate was
+// excluded. It chains err onto *lastErr, clears the exclusions (a
+// previously-failed server may have recovered) and waits out a slice of
+// breaker cooldown so the caller can re-place. A non-nil return ends
+// the call: the final attempt's placement failure, or ctx ending the
+// wait.
+func (tx *Transaction) placementFailed(ctx context.Context, attempt int, err error, lastErr *error, exclude *[]string) error {
+	if *lastErr == nil {
+		*lastErr = err
+	} else {
+		*lastErr = fmt.Errorf("%w (after: %v)", err, *lastErr)
+	}
+	if attempt == tx.maxAttempts-1 {
+		return *lastErr
+	}
+	*exclude = nil
+	if serr := sleepCtx(ctx, placementBackoff(attempt)); serr != nil {
+		return fmt.Errorf("%w (after: %v)", serr, *lastErr)
+	}
+	return nil
 }
 
 // placementBackoff is how long a call waits before re-asking the

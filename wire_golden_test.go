@@ -130,10 +130,6 @@ func (c *recConn) parse(buf []byte, fromClient bool) []byte {
 	return buf
 }
 
-// deadlineMagic tags the optional deadline trailer of a call payload
-// (protocol.callDeadlineMagic).
-var deadlineMagic = []byte{0x4e, 0x46, 0x44, 0x4c}
-
 // settleStatuses puts each DigestStatus where it is certain to have
 // arrived by: just ahead of the first other server frame after the
 // CallDigest it answers. The query travels beside an upload and the two
@@ -192,8 +188,9 @@ func (l *wireLog) render() string {
 		case f.t == protocol.MsgSubmit && len(p) >= 8:
 			copy(p, "KKKKKKKK")
 		}
-		if n := len(p); n >= 12 && bytes.Equal(p[n-12:n-8], deadlineMagic) {
-			copy(p[n-8:], "DDDDDDDD")
+		// A request ends with its deadline and retain words.
+		if n := len(p); (f.t == protocol.MsgCall || f.t == protocol.MsgSubmit) && n >= 12 && !bytes.Equal(p[n-12:n-4], make([]byte, 8)) {
+			copy(p[n-12:], "DDDDDDDD")
 		}
 		switch {
 		case len(p) == 0:
