@@ -12,6 +12,7 @@ package ninf_test
 // proving the cache (not luck) carries it.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -417,9 +418,9 @@ func TestChaosMetaserverPartitionHealConverges(t *testing.T) {
 	rsA.Origin = "client-1"
 	t.Cleanup(func() { rsA.Close() })
 	for i := 0; i < 4; i++ {
-		rsA.Observe("s0", 1024, time.Millisecond, false)
+		rsA.Observe("s0", 1024, time.Millisecond, nil)
 	}
-	rsA.Observe("s0", 0, 0, true) // seq 5 at A
+	rsA.Observe("s0", 0, 0, errors.New("call failed")) // seq 5 at A
 	b.ObserveRemote(protocol.ObserveRequest{Name: "s0", Failed: true, Origin: "client-1", Seq: 5})
 
 	if got := a.GossipOnce(); got != 0 {

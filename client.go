@@ -352,8 +352,8 @@ func (c *Client) Retry() RetryPolicy {
 }
 
 // SetRetryBudget replaces the client's cross-call retry budget (and
-// resets its balance to the new burst). Pass NoRetryBudget to remove
-// the bound; see RetryBudget for the storm-damping rationale.
+// resets its balance to the new burst); see RetryBudget for the
+// storm-damping rationale.
 func (c *Client) SetRetryBudget(b RetryBudget) {
 	c.budget.configure(b, time.Now())
 }
@@ -915,49 +915,27 @@ func (j *Job) Fetch(wait bool) (*Report, error) {
 // connection.
 const fetchPollCap = 250 * time.Millisecond
 
-// fetchPollHintCap bounds how far a server overload hint can stretch
-// the poll schedule, so one pathological hint cannot park a fetch for
-// the full 5-second hint ceiling.
-const fetchPollHintCap = 2 * time.Second
-
-// nextFetchDelay folds one poll outcome into the backoff schedule:
-// sleep is the wait before the next poll and next the schedule carried
-// forward. Without a hint the schedule doubles up to fetchPollCap. A
-// server overload hint observed during the poll becomes the schedule's
-// new baseline (capped at fetchPollHintCap): the poll after the hint
-// expires continues backing off from the hint instead of dropping back
-// to the millisecond floor and hammering the still-draining server.
-func nextFetchDelay(pollDelay, hint time.Duration) (sleep, next time.Duration) {
-	if hint > fetchPollHintCap {
-		hint = fetchPollHintCap
-	}
-	if hint > pollDelay {
-		pollDelay = hint
-	}
-	next = pollDelay
-	if next < fetchPollCap {
-		next *= 2
-		if next > fetchPollCap {
-			next = fetchPollCap
-		}
-	}
-	return pollDelay, next
+// nextFetchDelay is the poll schedule: each wait doubles the last, up
+// to fetchPollCap.
+func nextFetchDelay(pollDelay time.Duration) time.Duration {
+	return min(2*pollDelay, fetchPollCap)
 }
 
 // FetchContext is Fetch bounded by ctx. Waiting is client-driven:
 // rather than parking a connection in the server's fetch queue (where
 // a dying server would strand it), the job is polled with exponential
 // backoff capped at fetchPollCap, each poll one short exchange.
-// Overload hints honored during a poll carry into the schedule (see
-// nextFetchDelay). Cancelling ctx abandons the wait; transport faults
-// during a poll are retried per the client's RetryPolicy.
+// Cancelling ctx abandons the wait; transport faults during a poll are
+// retried per the client's RetryPolicy. The job's own error — a shed
+// job's CodeOverloaded included — is its outcome and returns at once;
+// submit the call again to retry it.
 func (j *Job) FetchContext(ctx context.Context, wait bool) (*Report, error) {
 	if j.done {
 		return nil, ErrJobDone
 	}
 	pollDelay := time.Millisecond
 	for {
-		rep, hint, err := j.fetchOnce(ctx)
+		rep, err := j.fetchOnce(ctx)
 		if err == nil {
 			j.done = true
 			return rep, nil
@@ -965,38 +943,34 @@ func (j *Job) FetchContext(ctx context.Context, wait bool) (*Report, error) {
 		if !errors.Is(err, ErrNotReady) || !wait {
 			return nil, err
 		}
-		var sleep time.Duration
-		sleep, pollDelay = nextFetchDelay(pollDelay, hint)
-		if serr := sleepCtx(ctx, sleep); serr != nil {
+		if serr := sleepCtx(ctx, pollDelay); serr != nil {
 			return nil, serr
 		}
+		pollDelay = nextFetchDelay(pollDelay)
 	}
 }
 
 // fetchOnce performs one non-blocking fetch exchange, with transport
-// faults retried under the client's policy. The second return is the
-// largest overload hint the server sent during the poll's attempts, so
-// the enclosing poll loop can respect it.
-func (j *Job) fetchOnce(ctx context.Context) (*Report, time.Duration, error) {
+// faults retried under the client's policy. A MsgError reply is an
+// answer, not a fault: not ready, no such job, or the job's own
+// outcome, so it passes the retry loop untouched.
+func (j *Job) fetchOnce(ctx context.Context) (*Report, error) {
 	var rep *Report
-	var hint time.Duration
+	var answer error
 	err := j.client.withRetry(ctx, fmt.Sprintf("fetch job %d", j.id), func() error {
 		var aerr error
 		rep, aerr = j.attemptFetch(ctx)
-		if h, ok := overloadHint(aerr); ok && h > hint {
-			hint = h
-		}
-		if errors.Is(aerr, ErrNotReady) {
-			// Not a fault: the job is just still running. Surface it
-			// past the retry loop untouched.
+		var re *protocol.RemoteError
+		if errors.Is(aerr, ErrNotReady) || errors.As(aerr, &re) {
+			answer = aerr
 			return nil
 		}
 		return aerr
 	})
-	if err == nil && rep == nil {
-		return nil, hint, ErrNotReady
+	if err != nil {
+		return nil, err
 	}
-	return rep, hint, err
+	return rep, answer
 }
 
 // attemptFetch is one non-blocking fetch exchange. Large stored results

@@ -108,5 +108,5 @@ func TestSingleServerSchedulerExcludesItself(t *testing.T) {
 	if err != nil || pl.Name != "only" {
 		t.Errorf("place: %+v %v", pl, err)
 	}
-	sched.Observe("only", 1, 1, false) // must not panic
+	sched.Observe("only", 1, 1, nil) // must not panic
 }

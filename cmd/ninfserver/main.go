@@ -101,7 +101,7 @@ func main() {
 		}
 		rec, err := s.AttachJournal(*journalDir, journal.Options{Fsync: pol})
 		if err != nil {
-			log.Fatalf("ninfserver: journal: %v", err)
+			log.Fatalf("ninfserver: %v", err)
 		}
 		log.Printf("ninfserver: journal %s (fsync %s): epoch %d, replay requeued %d jobs, restored %d results, dropped %d records",
 			*journalDir, pol, rec.Epoch, rec.Requeued, rec.Restored, rec.Dropped)
@@ -117,7 +117,7 @@ func main() {
 	go func() {
 		for range time.Tick(time.Minute) {
 			if n := s.ExpireJobs(time.Now()); n > 0 {
-				log.Printf("ninfserver: expired %d unfetched two-phase jobs", n)
+				log.Printf("ninfserver: dropped %d finished two-phase jobs past their retention", n)
 			}
 		}
 	}()

@@ -5,43 +5,18 @@ import (
 	"time"
 )
 
-// TestNextFetchDelayScriptedHints drives the poll-backoff schedule
-// through a scripted hint sequence and checks the regression the
-// schedule used to have: after a server's retry-after hint was honored
-// for one sleep, the next poll restarted from the 1ms floor instead of
-// continuing from the hint, so an overloaded server was re-polled
-// almost immediately after telling the client to back off.
-func TestNextFetchDelayScriptedHints(t *testing.T) {
-	steps := []struct {
-		hint      time.Duration
-		wantSleep time.Duration
-		wantNext  time.Duration
-	}{
-		// Plain doubling from the floor while the server stays quiet.
-		{0, time.Millisecond, 2 * time.Millisecond},
-		{0, 2 * time.Millisecond, 4 * time.Millisecond},
-		// The server hints 100ms: honored immediately...
-		{100 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond},
-		// ...and the hint is the new baseline: the next quiet poll
-		// continues from 200ms, not the floor.
-		{0, 200 * time.Millisecond, fetchPollCap},
-		{0, fetchPollCap, fetchPollCap},
-		// A hint below the current schedule never shortens it.
-		{10 * time.Millisecond, fetchPollCap, fetchPollCap},
-		// A hostile or corrupt hint is capped, and a capped hint at or
-		// above fetchPollCap holds the schedule there.
-		{time.Hour, fetchPollHintCap, fetchPollHintCap},
-		{0, fetchPollHintCap, fetchPollHintCap},
+// TestNextFetchDelay: the fetch poll schedule doubles from the 1ms
+// floor and holds at fetchPollCap.
+func TestNextFetchDelay(t *testing.T) {
+	want := []time.Duration{
+		2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,
+		16 * time.Millisecond, 32 * time.Millisecond, 64 * time.Millisecond,
+		128 * time.Millisecond, fetchPollCap, fetchPollCap,
 	}
-	pollDelay := time.Millisecond
-	for i, s := range steps {
-		sleep, next := nextFetchDelay(pollDelay, s.hint)
-		if sleep != s.wantSleep {
-			t.Fatalf("step %d (hint %v): sleep = %v, want %v", i, s.hint, sleep, s.wantSleep)
+	d := time.Millisecond
+	for i, w := range want {
+		if d = nextFetchDelay(d); d != w {
+			t.Fatalf("step %d: delay = %v, want %v", i, d, w)
 		}
-		if next != s.wantNext {
-			t.Fatalf("step %d (hint %v): next = %v, want %v", i, s.hint, next, s.wantNext)
-		}
-		pollDelay = next
 	}
 }

@@ -195,7 +195,7 @@ func runPlacementAblation(w io.Writer, opts Options) error {
 			if err != nil {
 				return err
 			}
-			m.Observe(name, rep.BytesOut+rep.BytesIn, time.Since(start), false)
+			m.Observe(name, rep.BytesOut+rep.BytesIn, time.Since(start), nil)
 		}
 
 		var elapsed metrics.Series
@@ -218,7 +218,7 @@ func runPlacementAblation(w io.Writer, opts Options) error {
 			if err != nil {
 				return err
 			}
-			m.Observe(pl.Name, rep.BytesOut+rep.BytesIn, d, false)
+			m.Observe(pl.Name, rep.BytesOut+rep.BytesIn, d, nil)
 			elapsed.Add(d.Seconds())
 		}
 		fmt.Fprintf(w, "%-16s mean call %.2f s  placements %v\n", polName, elapsed.Mean(), chosen)

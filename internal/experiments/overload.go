@@ -137,13 +137,13 @@ func runOverloadSweep(w io.Writer, opts Options) error {
 // one-PE server for roughly dur and counts requests that completed
 // within the deadline. In shed mode the deadline rides the wire (via
 // the call context), the queue is bounded, and retries are hinted and
-// budgeted; in noshed mode nothing knows about the deadline — clients
-// simply measure and count a miss, as the pre-overload-control system
-// would.
+// budgeted; in noshed mode no deadline goes on the wire, nothing is
+// retried and the queue is unbounded — clients simply measure and
+// count a miss, as the pre-overload-control system would.
 func runOverloadCell(shed bool, nc int, dur time.Duration) (overloadCell, error) {
-	cfg := server.Config{PEs: 1, MaxQueue: 4}
-	if !shed {
-		cfg = server.Config{PEs: 1, DisableShedding: true}
+	cfg := server.Config{PEs: 1}
+	if shed {
+		cfg.MaxQueue = 4
 	}
 	s, dial, err := startRealServer(cfg)
 	if err != nil {
@@ -163,7 +163,6 @@ func runOverloadCell(shed bool, nc int, dur time.Duration) (overloadCell, error)
 			c.SetRetryBudget(ninf.RetryBudget{Burst: 64, Rate: 32})
 		} else {
 			c.SetRetryPolicy(ninf.NoRetry)
-			c.SetRetryBudget(ninf.NoRetryBudget)
 		}
 		// Warm the connection and interface cache off the clock.
 		if _, err := c.Call("busy", 0); err != nil {

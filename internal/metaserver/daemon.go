@@ -148,7 +148,8 @@ func (m *Metaserver) addrOf(name string) string {
 // than RST) must fail over as fast as a crashed one, not after the OS
 // TCP timeout. Vars, not consts, so tests can shrink them.
 var (
-	// metaDialTimeout bounds connection establishment to a replica.
+	// metaDialTimeout bounds connection establishment to a replica, a
+	// peer or a computational server.
 	metaDialTimeout = 5 * time.Second
 	// metaExchangeTimeout bounds one request/reply round trip
 	// (including the liveness ping, when one is owed).
@@ -223,11 +224,7 @@ type RemoteScheduler struct {
 func NewRemoteScheduler(addrs ...string) *RemoteScheduler {
 	r := &RemoteScheduler{}
 	for _, a := range addrs {
-		a := a
-		r.metas = append(r.metas, &metaReplica{
-			addr: a,
-			dial: func() (net.Conn, error) { return net.DialTimeout("tcp", a, metaDialTimeout) },
-		})
+		r.AddMeta(a, nil)
 	}
 	return r
 }
@@ -237,7 +234,7 @@ func NewRemoteScheduler(addrs ...string) *RemoteScheduler {
 // in registration order; the first registered is preferred initially.
 func (r *RemoteScheduler) AddMeta(addr string, dial func() (net.Conn, error)) {
 	if dial == nil {
-		dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, metaDialTimeout) }
+		dial = tcpDialer(addr)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -415,10 +412,11 @@ func (r *RemoteScheduler) dropLocked(mr *metaReplica) {
 	}
 }
 
-// serverDial builds the plain-TCP dialer a placement hands the
-// transaction layer.
-func serverDial(addr string) func() (net.Conn, error) {
-	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
+// tcpDialer is the plain-TCP dialer, bounded by metaDialTimeout, for
+// every address the package dials itself: replicas, peers, servers
+// learned through gossip and the servers a placement names.
+func tcpDialer(addr string) func() (net.Conn, error) {
+	return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, metaDialTimeout) }
 }
 
 // Place implements ninf.Scheduler. A transport-level failure of every
@@ -453,7 +451,7 @@ func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	r.ensureLocked()
 	r.cache[reply.Name] = cacheEntry{addr: reply.Addr, at: time.Now()}
 	r.mu.Unlock()
-	return ninf.Placement{Name: reply.Name, Dial: serverDial(reply.Addr)}, nil
+	return ninf.Placement{Name: reply.Name, Dial: tcpDialer(reply.Addr)}, nil
 }
 
 // placeDegraded serves a placement from the cache of servers the
@@ -489,43 +487,16 @@ func (r *RemoteScheduler) placeDegraded(req ninf.SchedRequest, cause error) (nin
 	r.rrDeg++
 	name := names[r.rrDeg%len(names)]
 	r.degraded++
-	return ninf.Placement{Name: name, Dial: serverDial(r.cache[name].addr), Degraded: true}, nil
+	return ninf.Placement{Name: name, Dial: tcpDialer(r.cache[name].addr), Degraded: true}, nil
 }
 
-// Observe implements ninf.Scheduler.
-func (r *RemoteScheduler) Observe(serverName string, bytes int64, elapsed time.Duration, failed bool) {
-	r.observe(protocol.ObserveRequest{
-		Name:   serverName,
-		Bytes:  bytes,
-		Nanos:  int64(elapsed),
-		Failed: failed,
-	})
-}
-
-// ObserveErr forwards error-classified feedback: an overload rejection
-// is flagged (with its retry-after hint) so the daemon applies the
-// penalty path instead of breaker failure accounting.
-func (r *RemoteScheduler) ObserveErr(serverName string, bytes int64, elapsed time.Duration, callErr error) {
-	wire := protocol.ObserveRequest{
-		Name:   serverName,
-		Bytes:  bytes,
-		Nanos:  int64(elapsed),
-		Failed: callErr != nil,
-	}
-	var re *protocol.RemoteError
-	if callErr != nil && errors.As(callErr, &re) && re.Code == protocol.CodeOverloaded {
-		wire.Overloaded = true
-		wire.RetryAfterMillis = re.RetryAfterMillis
-	}
-	r.observe(wire)
-}
-
-// observe stamps the report with this scheduler's origin and next
-// sequence number — the identity that keeps a replayed report from
-// being double-counted — and sends it. Observations are advisory;
-// errors are deliberately dropped (roundTrip has already retried every
-// replica).
-func (r *RemoteScheduler) observe(wire protocol.ObserveRequest) {
+// Observe implements ninf.Scheduler. The outcome is reported as
+// observation describes it, stamped with this scheduler's origin and
+// next sequence number — the identity that keeps a replayed report
+// from being double-counted. Observations are advisory; errors are
+// deliberately dropped (roundTrip has already retried every replica).
+func (r *RemoteScheduler) Observe(serverName string, bytes int64, elapsed time.Duration, callErr error) {
+	wire := observation(serverName, bytes, elapsed, callErr)
 	r.mu.Lock()
 	r.ensureLocked()
 	r.seq++

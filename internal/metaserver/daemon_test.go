@@ -319,7 +319,7 @@ func TestRemoteSchedulerFailsOver(t *testing.T) {
 
 	// Outcome reports keep flowing to the survivor, stamped for
 	// idempotence.
-	rs.Observe("s0", 1024, time.Millisecond, false)
+	rs.Observe("s0", 1024, time.Millisecond, nil)
 	if got := mb.ObservationCount("s0"); got != 1 {
 		t.Errorf("survivor ObservationCount = %d, want 1", got)
 	}

@@ -14,7 +14,7 @@ import (
 // observeFail feeds n consecutive call failures for the named server.
 func observeFail(m *Metaserver, name string, n int) {
 	for i := 0; i < n; i++ {
-		m.Observe(name, 0, 0, true)
+		m.Observe(name, 0, 0, errCallFailed)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 	}
 
 	// Probe succeeds: breaker closes, traffic flows again.
-	m.Observe("a", 1000, time.Millisecond, false)
+	m.Observe("a", 1000, time.Millisecond, nil)
 	if s := snapshotOf(t, m, "a"); s.Breaker != BreakerClosed || !s.Alive {
 		t.Fatalf("after probe success: %+v", s)
 	}
@@ -109,7 +109,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if _, err := m.Place(ninf.SchedRequest{}); err != nil {
 		t.Fatal(err)
 	}
-	m.Observe("a", 0, 0, true) // probe fails
+	m.Observe("a", 0, 0, errCallFailed) // probe fails
 	if s := snapshotOf(t, m, "a"); s.Breaker != BreakerOpen {
 		t.Fatalf("after failed probe: %+v", s)
 	}
@@ -162,7 +162,7 @@ func TestDeadRevivedDeadCycle(t *testing.T) {
 
 	// And the mirror image: dead by polls, revived by a successful
 	// call observation.
-	m.Observe("alpha", 1000, time.Millisecond, false)
+	m.Observe("alpha", 1000, time.Millisecond, nil)
 	if s := snapshotOf(t, m, "alpha"); !s.Alive || s.Breaker != BreakerClosed {
 		t.Fatalf("after reviving call: %+v", s)
 	}
@@ -207,7 +207,7 @@ func TestPollFailureOpensBreakerAndCallRevives(t *testing.T) {
 	}
 
 	in.Heal()
-	m.Observe("a", 1000, time.Millisecond, false)
+	m.Observe("a", 1000, time.Millisecond, nil)
 	if s := snapshotOf(t, m, "a"); !s.Alive || s.Breaker != BreakerClosed {
 		t.Fatalf("after reviving call: %+v", s)
 	}

@@ -26,7 +26,6 @@ import (
 
 	"ninf"
 	"ninf/internal/protocol"
-	"ninf/internal/server"
 )
 
 // A Snapshot is the scheduler-visible view of one server.
@@ -82,12 +81,6 @@ type Policy interface {
 type Config struct {
 	// Policy picks servers; nil means BandwidthAware.
 	Policy Policy
-	// InitialBandwidth seeds the bandwidth estimate of servers with
-	// no observations yet (default 1 MB/s).
-	InitialBandwidth float64
-	// BandwidthDecay is the EWMA weight of a new observation
-	// (default 0.3).
-	BandwidthDecay float64
 	// FailThreshold opens a server's circuit breaker after this many
 	// consecutive failed calls or polls (default 3).
 	FailThreshold int
@@ -141,12 +134,6 @@ func (e *entry) refresh(now time.Time) {
 
 // New creates a metaserver.
 func New(cfg Config) *Metaserver {
-	if cfg.InitialBandwidth <= 0 {
-		cfg.InitialBandwidth = 1e6
-	}
-	if cfg.BandwidthDecay <= 0 || cfg.BandwidthDecay > 1 {
-		cfg.BandwidthDecay = 0.3
-	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
 	}
@@ -195,7 +182,7 @@ func (m *Metaserver) AddServer(name, addr string, powerMflops float64, dial func
 	e.Addr = addr
 	e.Alive = true
 	e.PowerMflops = powerMflops
-	e.Bandwidth = m.cfg.InitialBandwidth
+	e.Bandwidth = initialBandwidth
 	m.servers[name] = e
 	m.order = append(m.order, name)
 	// Registrations always enter the gossip log (a handful of records)
@@ -415,7 +402,7 @@ func pollStats(dial func() (net.Conn, error)) (protocol.Stats, map[string]time.D
 	if err != nil {
 		return st, nil, nil
 	}
-	ts, err := server.DecodeTraces(fb.Payload())
+	ts, err := protocol.DecodeTraces(fb.Payload())
 	fb.Release()
 	if err != nil || typ != protocol.MsgTraceOK {
 		return st, nil, nil
@@ -544,37 +531,39 @@ func (m *Metaserver) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	return ninf.Placement{Name: chosen.Name, Dial: chosen.dial}, nil
 }
 
-// Observe implements ninf.Scheduler: feedback from completed calls
-// updates the bandwidth estimate and failure accounting.
-func (m *Metaserver) Observe(serverName string, bytes int64, elapsed time.Duration, failed bool) {
-	m.observeLocal(protocol.GossipRecord{
-		Kind:   protocol.GossipObserve,
-		Name:   serverName,
-		Bytes:  bytes,
-		Nanos:  int64(elapsed),
-		Failed: failed,
-	})
+// Observe implements ninf.Scheduler: a call's outcome updates the
+// bandwidth estimate and failure accounting. It is applied exactly as
+// a RemoteScheduler's report of the same outcome would be.
+func (m *Metaserver) Observe(serverName string, bytes int64, elapsed time.Duration, callErr error) {
+	m.ObserveRemote(observation(serverName, bytes, elapsed, callErr))
 }
 
-// observeLocal applies a first-hand observation (embedded scheduler or
-// a legacy client without origin stamping) and, when replicating,
-// enters it into the gossip log under this replica's own origin.
-func (m *Metaserver) observeLocal(rec protocol.GossipRecord) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.peers) > 0 {
-		m.recordLocked(rec)
+// observation turns one call's outcome into the report every scheduler
+// applies: nil is a success, any error a failure. An overload
+// rejection (CodeOverloaded RemoteError) is flagged with its
+// retry-after hint, because the server answered, deliberately: it must
+// not advance the circuit breaker toward BreakerOpen — a busy-but-
+// healthy server ejected as dead is the §4 multi-client saturation
+// regime misread as a crash — but open a placement-penalty window
+// (applyOverloadLocked) that biases every policy away from it.
+func observation(serverName string, bytes int64, elapsed time.Duration, callErr error) protocol.ObserveRequest {
+	o := protocol.ObserveRequest{Name: serverName, Bytes: bytes, Nanos: int64(elapsed), Failed: callErr != nil}
+	var re *protocol.RemoteError
+	if errors.As(callErr, &re) && re.Code == protocol.CodeOverloaded {
+		o.Overloaded = true
+		o.RetryAfterMillis = re.RetryAfterMillis
 	}
-	m.applyRecordLocked(rec)
+	return o
 }
 
-// ObserveRemote applies a client's outcome report received by the
-// daemon. Reports stamped with an origin and sequence number are
-// idempotent: a replay — the same report resent to this replica after
-// a failover, or relayed back through gossip — is recognized by
-// (origin, seq) and dropped, so one call outcome never advances a
-// breaker or the bandwidth EWMA twice. Unstamped reports come from
-// legacy clients and apply directly.
+// ObserveRemote applies an outcome report: one a client sent the
+// daemon, or the embedded scheduler's own (Observe). Reports stamped
+// with an origin and sequence number are idempotent: a replay — the
+// same report resent to this replica after a failover, or relayed back
+// through gossip — is recognized by (origin, seq) and dropped, so one
+// call outcome never advances a breaker or the bandwidth EWMA twice.
+// An unstamped report is first-hand: it applies directly and, when
+// replicating, enters the gossip log under this replica's own origin.
 func (m *Metaserver) ObserveRemote(req protocol.ObserveRequest) {
 	rec := protocol.GossipRecord{
 		Kind:             protocol.GossipObserve,
@@ -585,13 +574,16 @@ func (m *Metaserver) ObserveRemote(req protocol.ObserveRequest) {
 		Overloaded:       req.Overloaded,
 		RetryAfterMillis: req.RetryAfterMillis,
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if req.Origin == "" {
-		m.observeLocal(rec)
+		if len(m.peers) > 0 {
+			m.recordLocked(rec)
+		}
+		m.applyRecordLocked(rec)
 		return
 	}
 	rec.Origin, rec.Seq = req.Origin, req.Seq
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	l := m.logLocked(rec.Origin)
 	if l.has(rec.Seq) {
 		return // duplicate delivery of an already-counted outcome
@@ -599,6 +591,14 @@ func (m *Metaserver) ObserveRemote(req protocol.ObserveRequest) {
 	l.add(rec)
 	m.applyRecordLocked(rec)
 }
+
+// A server's bandwidth estimate starts at initialBandwidth (bytes/s)
+// and its first observation replaces it; later ones blend in as an
+// EWMA with weight bandwidthDecay.
+const (
+	initialBandwidth = 1e6
+	bandwidthDecay   = 0.3
+)
 
 // applyObserveLocked is the effect of one non-overload call outcome on
 // a server's accounting. Callers hold m.mu.
@@ -620,8 +620,7 @@ func (m *Metaserver) applyObserveLocked(e *entry, bytes int64, elapsed time.Dura
 			e.Bandwidth = obs
 			e.observed = true
 		} else {
-			a := m.cfg.BandwidthDecay
-			e.Bandwidth = a*obs + (1-a)*e.Bandwidth
+			e.Bandwidth = bandwidthDecay*obs + (1-bandwidthDecay)*e.Bandwidth
 		}
 	}
 }
@@ -652,32 +651,6 @@ func (m *Metaserver) applyOverloadLocked(e *entry, retryAfterMillis uint32) {
 	e.brk.onSuccess(m.transition(e))
 	m.syncEntry(e)
 	e.refresh(now)
-}
-
-// ObserveErr is Observe with the failure's error retained, so overload
-// rejections can be told apart from genuine failures. An overloaded
-// reply (CodeOverloaded RemoteError) proves the server is alive — it
-// answered, deliberately — so it must NOT advance the circuit breaker
-// toward BreakerOpen; a busy-but-healthy server ejected as dead is
-// exactly the §4 multi-client saturation regime misread as a crash.
-// Instead the reply opens a placement-penalty window (the server's own
-// retry-after hint when present, overloadPenalty otherwise)
-// that biases every policy away from the loaded server. A nil callErr
-// is a success; anything else follows Observe's failure accounting.
-func (m *Metaserver) ObserveErr(serverName string, bytes int64, elapsed time.Duration, callErr error) {
-	var re *protocol.RemoteError
-	if callErr != nil && errors.As(callErr, &re) && re.Code == protocol.CodeOverloaded {
-		m.observeLocal(protocol.GossipRecord{
-			Kind:             protocol.GossipObserve,
-			Name:             serverName,
-			Bytes:            bytes,
-			Nanos:            int64(elapsed),
-			Overloaded:       true,
-			RetryAfterMillis: re.RetryAfterMillis,
-		})
-		return
-	}
-	m.Observe(serverName, bytes, elapsed, callErr != nil)
 }
 
 var _ ninf.Scheduler = (*Metaserver)(nil)

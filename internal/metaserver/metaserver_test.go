@@ -3,6 +3,7 @@ package metaserver
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -204,7 +205,7 @@ func TestPlaceExcludesAndLiveness(t *testing.T) {
 	}
 
 	// A failure observation kills a server at threshold 1.
-	m.Observe("b", 0, 0, true)
+	m.Observe("b", 0, 0, errCallFailed)
 	pl, err = m.Place(ninf.SchedRequest{Routine: "busy"})
 	if err != nil {
 		t.Fatal(err)
@@ -219,14 +220,14 @@ func TestPlaceExcludesAndLiveness(t *testing.T) {
 	}
 
 	// A successful observation revives.
-	m.Observe("b", 1000, time.Millisecond, false)
+	m.Observe("b", 1000, time.Millisecond, nil)
 	found := false
 	for i := 0; i < 8; i++ {
 		pl, err = m.Place(ninf.SchedRequest{Routine: "busy"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Observe(pl.Name, 1000, time.Millisecond, false)
+		m.Observe(pl.Name, 1000, time.Millisecond, nil)
 		if pl.Name == "b" {
 			found = true
 		}
@@ -237,23 +238,23 @@ func TestPlaceExcludesAndLiveness(t *testing.T) {
 }
 
 func TestBandwidthEWMA(t *testing.T) {
-	m := New(Config{BandwidthDecay: 0.5, InitialBandwidth: 999})
+	m := New(Config{})
 	_, addr, dial := startServer(t, server.Config{})
 	if err := m.AddServer("a", addr, 100, dial); err != nil {
 		t.Fatal(err)
 	}
 	// First observation replaces the seed outright.
-	m.Observe("a", 1_000_000, time.Second, false)
+	m.Observe("a", 1_000_000, time.Second, nil)
 	if bw := m.Servers()[0].Bandwidth; bw != 1e6 {
 		t.Errorf("bw = %g, want 1e6", bw)
 	}
-	// Second blends: 0.5·2e6 + 0.5·1e6.
-	m.Observe("a", 2_000_000, time.Second, false)
-	if bw := m.Servers()[0].Bandwidth; bw != 1.5e6 {
-		t.Errorf("bw = %g, want 1.5e6", bw)
+	// Second blends: 0.3·2e6 + 0.7·1e6.
+	m.Observe("a", 2_000_000, time.Second, nil)
+	if bw := m.Servers()[0].Bandwidth; math.Abs(bw-1.3e6) > 1e-3 {
+		t.Errorf("bw = %g, want 1.3e6", bw)
 	}
 	// Observations for unknown servers are ignored, not a panic.
-	m.Observe("zzz", 1, time.Second, false)
+	m.Observe("zzz", 1, time.Second, nil)
 }
 
 func TestLoadOnlyVsBandwidthAware(t *testing.T) {
@@ -446,7 +447,7 @@ func TestDaemonScheduleObserve(t *testing.T) {
 	if _, err := c.Call("busy", 1); err != nil {
 		t.Fatal(err)
 	}
-	rs.Observe("a", 1000, time.Millisecond, false)
+	rs.Observe("a", 1000, time.Millisecond, nil)
 
 	// A transaction through the remote scheduler works end to end.
 	var sx, sy float64

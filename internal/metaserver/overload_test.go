@@ -11,6 +11,9 @@ import (
 	"ninf/internal/server"
 )
 
+// errCallFailed is a call failure that is not an overload rejection.
+var errCallFailed = errors.New("call failed")
+
 // overloadErr builds the overload rejection a loaded server sends.
 func overloadErr(hintMillis uint32) error {
 	return &protocol.RemoteError{Code: protocol.CodeOverloaded, Detail: "queue full", RetryAfterMillis: hintMillis}
@@ -29,7 +32,7 @@ func TestOverloadDoesNotTripBreaker(t *testing.T) {
 
 	// Saturate: far more overload replies than the fail threshold.
 	for i := 0; i < 20; i++ {
-		m.ObserveErr("a", 0, 0, overloadErr(100))
+		m.Observe("a", 0, 0, overloadErr(100))
 	}
 	s := snapshotOf(t, m, "a")
 	if s.Breaker != BreakerClosed || !s.Alive {
@@ -46,16 +49,16 @@ func TestOverloadDoesNotTripBreaker(t *testing.T) {
 	}
 
 	// Overloads even reset a partial failure streak (liveness proof).
-	m.Observe("a", 0, 0, true)
-	m.Observe("a", 0, 0, true)
-	m.ObserveErr("a", 0, 0, overloadErr(0))
+	m.Observe("a", 0, 0, errCallFailed)
+	m.Observe("a", 0, 0, errCallFailed)
+	m.Observe("a", 0, 0, overloadErr(0))
 	if s := snapshotOf(t, m, "a"); s.Fails != 0 {
 		t.Errorf("overload did not reset the failure streak: %+v", s)
 	}
 
 	// Genuine failures still trip it.
 	for i := 0; i < 3; i++ {
-		m.ObserveErr("a", 0, 0, errors.New("connection reset"))
+		m.Observe("a", 0, 0, errors.New("connection reset"))
 	}
 	if s := snapshotOf(t, m, "a"); s.Breaker != BreakerOpen {
 		t.Fatalf("real failures no longer open the breaker: %+v", s)
@@ -76,7 +79,7 @@ func TestOverloadPenaltyBiasesPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.ObserveErr("a", 0, 0, overloadErr(80))
+	m.Observe("a", 0, 0, overloadErr(80))
 	for i := 0; i < 3; i++ {
 		pl, err := m.Place(ninf.SchedRequest{})
 		if err != nil {
@@ -85,7 +88,7 @@ func TestOverloadPenaltyBiasesPlacement(t *testing.T) {
 		if pl.Name != "b" {
 			t.Fatalf("placement %d landed on the overload-penalized server", i)
 		}
-		m.Observe("b", 0, 0, false) // return the optimistic queue credit
+		m.Observe("b", 0, 0, nil) // return the optimistic queue credit
 	}
 
 	time.Sleep(100 * time.Millisecond) // outlive the 80ms hint window
@@ -102,7 +105,7 @@ func TestOverloadPenaltyHintCap(t *testing.T) {
 	if err := m.AddServer("a", addr, 100, dial); err != nil {
 		t.Fatal(err)
 	}
-	m.ObserveErr("a", 0, 0, overloadErr(3_600_000)) // one hour, says the server
+	m.Observe("a", 0, 0, overloadErr(3_600_000)) // one hour, says the server
 	m.mu.Lock()
 	until := m.servers["a"].overloadUntil
 	m.mu.Unlock()
@@ -150,11 +153,34 @@ func TestPlaceSkipsDrainingServer(t *testing.T) {
 	}
 }
 
-// TestRemoteSchedulerObserveErrRoutesOverload: the daemon protocol
+// TestObservationClassifiesError: one function turns a call's error
+// into the report both schedulers apply, so an overload rejection —
+// however wrapped by the retry and failover layers — carries its hint,
+// and every other error is a plain failure.
+func TestObservationClassifiesError(t *testing.T) {
+	wrapped := &ninf.RetryError{Op: "call", Attempts: 4, Err: overloadErr(70)}
+	for _, c := range []struct {
+		name string
+		err  error
+		want protocol.ObserveRequest
+	}{
+		{"success", nil, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5}},
+		{"failure", errCallFailed, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: true}},
+		{"overload", overloadErr(40), protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: true, Overloaded: true, RetryAfterMillis: 40}},
+		{"wrapped overload", wrapped, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: true, Overloaded: true, RetryAfterMillis: 70}},
+		{"other remote error", &protocol.RemoteError{Code: protocol.CodeInternal, RetryAfterMillis: 9}, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: true}},
+	} {
+		if got := observation("a", 10, 5, c.err); got != c.want {
+			t.Errorf("%s: observation = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestRemoteSchedulerObserveRoutesOverload: the daemon protocol
 // carries the overload classification end to end — a remote client's
-// ObserveErr must penalize placement without advancing the breaker,
-// exactly like the in-process path.
-func TestRemoteSchedulerObserveErrRoutesOverload(t *testing.T) {
+// overload report must penalize placement without advancing the
+// breaker, exactly like the in-process path.
+func TestRemoteSchedulerObserveRoutesOverload(t *testing.T) {
 	m := New(Config{FailThreshold: 2, BreakerCooldown: time.Hour})
 	_, addr, dial := startServer(t, server.Config{})
 	if err := m.AddServer("a", addr, 100, dial); err != nil {
@@ -170,7 +196,7 @@ func TestRemoteSchedulerObserveErrRoutesOverload(t *testing.T) {
 	defer rs.Close()
 
 	for i := 0; i < 5; i++ {
-		rs.ObserveErr("a", 0, 0, overloadErr(200))
+		rs.Observe("a", 0, 0, overloadErr(200))
 	}
 	waitSnapshot(t, m, "a", func(s *Snapshot) bool { return s.Overloaded })
 	if s := snapshotOf(t, m, "a"); s.Breaker != BreakerClosed || !s.Alive {
@@ -178,8 +204,8 @@ func TestRemoteSchedulerObserveErrRoutesOverload(t *testing.T) {
 	}
 
 	// A genuine remote failure still feeds the breaker.
-	rs.ObserveErr("a", 0, 0, errors.New("connection reset"))
-	rs.ObserveErr("a", 0, 0, errors.New("connection reset"))
+	rs.Observe("a", 0, 0, errors.New("connection reset"))
+	rs.Observe("a", 0, 0, errors.New("connection reset"))
 	waitSnapshot(t, m, "a", func(s *Snapshot) bool { return s.Breaker == BreakerOpen })
 }
 

@@ -315,12 +315,12 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 			}
 			return
 		}
-		e := &entry{dial: serverDialer(rec.Addr), registeredAt: rec.AtUnixNanos}
+		e := &entry{dial: tcpDialer(rec.Addr), registeredAt: rec.AtUnixNanos}
 		e.Name = rec.Name
 		e.Addr = rec.Addr
 		e.Alive = true
 		e.PowerMflops = rec.Power
-		e.Bandwidth = m.cfg.InitialBandwidth
+		e.Bandwidth = initialBandwidth
 		m.servers[rec.Name] = e
 		m.order = append(m.order, rec.Name)
 	case protocol.GossipDeregister:
@@ -368,12 +368,6 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 	}
 }
 
-// serverDialer builds the plain-TCP dialer used for servers learned
-// through gossip.
-func serverDialer(addr string) func() (net.Conn, error) {
-	return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) }
-}
-
 // A peer is one fellow replica this metaserver gossips with.
 type peer struct {
 	addr string
@@ -406,7 +400,7 @@ func (m *Metaserver) AddPeer(addr string, dial func() (net.Conn, error)) error {
 		return errors.New("metaserver: peer needs an address")
 	}
 	if dial == nil {
-		dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) }
+		dial = tcpDialer(addr)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

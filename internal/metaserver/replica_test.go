@@ -2,6 +2,7 @@ package metaserver
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -144,6 +145,32 @@ func TestGossipConvergesSplitObservations(t *testing.T) {
 	}
 }
 
+// TestGossipConvergesPastManyOrigins: every RemoteScheduler is a new
+// origin and origin logs are kept, so a long-lived replica's digest
+// grows past any fixed entry cap. Replicas that have heard from 4101
+// client origins must still exchange gossip and converge.
+func TestGossipConvergesPastManyOrigins(t *testing.T) {
+	const origins = 4101
+	a, b, _ := twoReplicas(t)
+	a.GossipOnce() // replicate the registration first
+	for i := range origins {
+		a.ObserveRemote(protocol.ObserveRequest{Name: "s0", Bytes: 8, Nanos: 1e6, Origin: fmt.Sprintf("client-%d", i), Seq: 1})
+	}
+	b.ObserveRemote(protocol.ObserveRequest{Name: "s0", Bytes: 8, Nanos: 1e6, Origin: "client-b", Seq: 1})
+	// Records ship at most maxGossipBatch per exchange.
+	for round := 0; round < 2*origins/maxGossipBatch+2; round++ {
+		if ok := a.GossipOnce(); ok != 1 {
+			t.Fatalf("round %d: a.GossipOnce = %d, want 1", round, ok)
+		}
+		if ok := b.GossipOnce(); ok != 1 {
+			t.Fatalf("round %d: b.GossipOnce = %d, want 1", round, ok)
+		}
+	}
+	if ca, cb := a.ObservationCount("s0"), b.ObservationCount("s0"); ca != origins+1 || cb != origins+1 {
+		t.Errorf("ObservationCount a=%d b=%d, want both %d", ca, cb, origins+1)
+	}
+}
+
 func TestGossipSharesPollLiveness(t *testing.T) {
 	// B cannot reach the server (its entry arrives via gossip but we
 	// kill its polls by breaker-failing it); A's successful poll,
@@ -152,7 +179,7 @@ func TestGossipSharesPollLiveness(t *testing.T) {
 	a.GossipOnce()
 	// Fail the server on B until its breaker opens.
 	for i := 0; i < 3; i++ {
-		b.Observe("s0", 0, 0, true)
+		b.Observe("s0", 0, 0, errCallFailed)
 	}
 	if b.Servers()[0].Alive {
 		t.Fatal("server still alive on b after failures")

@@ -194,7 +194,7 @@ func TestMetaWireGolden(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != protocol.CodeOverloaded {
 		t.Fatalf("refused place: %v", err)
 	}
-	rs.Observe("s0", 6144, 3*time.Millisecond, false)
+	rs.Observe("s0", 6144, 3*time.Millisecond, nil)
 
 	section("gossip")
 	if n := a.GossipOnce(); n != 1 {

@@ -101,6 +101,11 @@ func TestHostileCountWordAllocatesNothing(t *testing.T) {
 	if got := totalAlloc(func() { _, err = DecodeListReply(list) }); err == nil || got > 1<<20 {
 		t.Errorf("a 4-byte list reply: err %v, %d bytes allocated", err, got)
 	}
+	// So is a trace reply's.
+	traces := []byte{0, 1, 0, 0} // 2^16 routine traces and none of them
+	if got := totalAlloc(func() { _, err = DecodeTraces(traces) }); err == nil || got > 1<<10 {
+		t.Errorf("a 4-byte trace reply: err %v, %d bytes allocated", err, got)
+	}
 }
 
 // TestCountWordHeldToIDL: the count word must be the IDL's count, and

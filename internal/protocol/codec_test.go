@@ -144,6 +144,10 @@ func codecRows(tb testing.TB) []codecRow {
 			tm, out, err := DecodeCallReply(info, []idl.Value{int64(2), nil, nil, nil}, p)
 			return callReply{tm, out}, err
 		}),
+		row("TraceOK", []RoutineTrace{
+			{Name: "dgefa", Count: 20, Failures: 21, MeanCompute: 22, MeanWait: 23, MeanBytes: 24},
+			{Name: "ep", Count: 25, Failures: 26, MeanCompute: 27, MeanWait: 28, MeanBytes: 29},
+		}, EncodeTraces, DecodeTraces),
 	}
 }
 

@@ -119,9 +119,15 @@ type GossipDigest struct {
 	Max    uint64
 }
 
-// maxGossipEntries bounds digest and record list lengths accepted from
-// the wire, so a corrupt length cannot balloon an allocation.
-const maxGossipEntries = 4096
+// The smallest encodings of a digest entry and of a record, every
+// string and the Stats opaque empty: a list's count word is held to
+// what the rest of its payload can hold, so a corrupt count cannot
+// balloon an allocation, and the digest of a replica that has heard
+// from many origins still decodes.
+const (
+	minDigestSize = 20
+	minRecordSize = 72
+)
 
 // GossipRequest is the payload of MsgGossip.
 type GossipRequest struct {
@@ -173,37 +179,38 @@ func DecodeGossipRequest(p []byte) (GossipRequest, error) {
 	return decodePayload(p, func(d *xdr.Decoder) (GossipRequest, error) {
 		m := GossipRequest{From: d.String()}
 		var err error
-		m.Digest, m.Records, err = decodeGossipLists(d)
+		m.Digest, m.Records, err = decodeGossipLists(d, len(p))
 		return m, err
 	})
 }
 
 // decodeGossipLists reads the digest and record lists that end both
-// gossip payloads, refusing a count above maxGossipEntries.
-func decodeGossipLists(d *xdr.Decoder) ([]GossipDigest, []GossipRecord, error) {
-	count := func() (int, error) {
+// gossip payloads, of size bytes, refusing a count the payload's
+// remaining bytes cannot hold.
+func decodeGossipLists(d *xdr.Decoder, size int) ([]GossipDigest, []GossipRecord, error) {
+	count := func(minSize int) (int, error) {
 		n := d.Uint32()
 		if err := d.Err(); err != nil {
 			return 0, err
 		}
-		if n > maxGossipEntries {
-			return 0, fmt.Errorf("protocol: gossip list of %d entries (at most %d)", n, maxGossipEntries)
+		if left := size - int(d.Len()); int64(n) > int64(left/minSize) {
+			return 0, fmt.Errorf("protocol: gossip list of %d entries in %d bytes", n, left)
 		}
 		return int(n), nil
 	}
-	nd, err := count()
+	nd, err := count(minDigestSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	var digest []GossipDigest
+	digest := make([]GossipDigest, 0, nd)
 	for range nd {
 		digest = append(digest, GossipDigest{Origin: d.String(), Low: d.Uint64(), Max: d.Uint64()})
 	}
-	nr, err := count()
+	nr, err := count(minRecordSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	var records []GossipRecord
+	records := make([]GossipRecord, 0, nr)
 	for range nr {
 		records = append(records, decodeGossipRecord(d))
 	}
@@ -257,7 +264,7 @@ func DecodeGossipReply(p []byte) (GossipReply, error) {
 	return decodePayload(p, func(d *xdr.Decoder) (GossipReply, error) {
 		var m GossipReply
 		var err error
-		m.Digest, m.Records, err = decodeGossipLists(d)
+		m.Digest, m.Records, err = decodeGossipLists(d, len(p))
 		return m, err
 	})
 }

@@ -275,22 +275,3 @@ func TestDrainTimeoutForcesClose(t *testing.T) {
 		t.Errorf("Drain = %v, want context.DeadlineExceeded", err)
 	}
 }
-
-func TestDisableSheddingAdmitsExpired(t *testing.T) {
-	reg, _ := testRegistry(t)
-	s := New(Config{PEs: 1, DisableShedding: true}, reg)
-	defer s.Close()
-	conn := pipeConn(t, s)
-
-	// With shedding disabled an expired deadline is ignored — the
-	// pre-overload-control behaviour the A/B experiment compares.
-	past := time.Now().Add(-time.Second).UnixNano()
-	typ, _ := call(t, conn, protocol.MsgCall,
-		encodeCallDeadline(t, reg, past, "double_it", int64(1), []float64{1}, nil))
-	if typ != protocol.MsgCallOK {
-		t.Errorf("reply = %v, want MsgCallOK", typ)
-	}
-	if got := s.Overload().RejectedDeadline; got != 0 {
-		t.Errorf("RejectedDeadline = %d, want 0", got)
-	}
-}

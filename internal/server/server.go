@@ -98,10 +98,6 @@ type Config struct {
 	// max(1, MaxQueue/2) when MaxQueue is set, unlimited otherwise;
 	// negative means explicitly unlimited.
 	MaxPerClient int
-	// DisableShedding turns off deadline-based admission control and
-	// dispatch-time shedding of expired jobs — the A/B switch the
-	// overload experiment measures against.
-	DisableShedding bool
 	// CacheBudget bounds the content-addressed argument/result cache
 	// (feature level 4) in bytes. 0 or negative disables caching: the
 	// server then negotiates level 4 without the cache flag and the
@@ -981,7 +977,7 @@ func (s *Server) admit(payload []byte, bulk *protocol.BulkInfo, twoPhase bool, c
 	if s.draining {
 		return reject(&s.rejectedDraining, errors.New("server draining"))
 	}
-	if !s.cfg.DisableShedding && deadline != 0 {
+	if deadline != 0 {
 		if deadline <= now.UnixNano() {
 			return reject(&s.rejectedDeadline, errors.New("deadline already expired on arrival"))
 		}
@@ -1144,9 +1140,6 @@ func (s *Server) schedule() {
 // up — so they fail immediately with an overload error instead of
 // occupying a PE. Callers hold mu.
 func (s *Server) shedExpiredLocked() {
-	if s.cfg.DisableShedding {
-		return
-	}
 	var nowNS int64 // read once a queued job has a deadline to hold it to
 	kept := s.queue[:0]
 	shed := false

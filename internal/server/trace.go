@@ -3,28 +3,12 @@ package server
 import (
 	"sync"
 	"time"
+
+	"ninf/internal/protocol"
 )
 
-// A RoutineTrace is the per-routine execution history the server
-// accumulates: §5.1 proposes exactly this ("IDL and server execution
-// trace will give us effective information for predicting the
-// communication transfer time versus computing time"). The metaserver
-// and the SJF policy consume it; clients can fetch it with the Trace
-// RPC.
-type RoutineTrace struct {
-	Name string
-	// Count is the number of completed executions.
-	Count int64
-	// Failures counts executions that returned an error.
-	Failures int64
-	// MeanCompute is the mean wall-clock of the executable itself
-	// (dequeue→complete).
-	MeanCompute time.Duration
-	// MeanWait is the mean queueing delay (enqueue→dequeue).
-	MeanWait time.Duration
-	// MeanBytes is the mean request payload size.
-	MeanBytes int64
-}
+// Trace returns the server's execution history per routine.
+func (s *Server) Trace() []protocol.RoutineTrace { return s.trace.snapshot() }
 
 // tracer accumulates execution history per routine.
 type tracer struct {
@@ -73,12 +57,12 @@ func (tr *tracer) predictCompute(name string) time.Duration {
 }
 
 // snapshot returns the history for every routine, sorted by name.
-func (tr *tracer) snapshot() []RoutineTrace {
+func (tr *tracer) snapshot() []protocol.RoutineTrace {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	out := make([]RoutineTrace, 0, len(tr.m))
+	out := make([]protocol.RoutineTrace, 0, len(tr.m))
 	for name, acc := range tr.m {
-		rt := RoutineTrace{
+		rt := protocol.RoutineTrace{
 			Name:      name,
 			Count:     acc.count,
 			Failures:  acc.failures,
@@ -92,7 +76,7 @@ func (tr *tracer) snapshot() []RoutineTrace {
 	return out
 }
 
-func sortTraces(ts []RoutineTrace) {
+func sortTraces(ts []protocol.RoutineTrace) {
 	// Insertion sort: the routine count is small and this avoids an
 	// import for one call site.
 	for i := 1; i < len(ts); i++ {

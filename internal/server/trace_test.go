@@ -35,23 +35,6 @@ func TestTracerAccumulation(t *testing.T) {
 	}
 }
 
-func TestTraceWireRoundTrip(t *testing.T) {
-	ts := []RoutineTrace{
-		{Name: "dgefa", Count: 10, Failures: 1, MeanCompute: time.Second, MeanWait: time.Millisecond, MeanBytes: 2880000},
-		{Name: "ep", Count: 3, MeanCompute: 200 * time.Second},
-	}
-	back, err := DecodeTraces(encodeTraces(ts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0] != ts[0] || back[1] != ts[1] {
-		t.Errorf("round trip = %v", back)
-	}
-	if _, err := DecodeTraces([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
-		t.Error("implausible count accepted")
-	}
-}
-
 // TestSJFLearnsFromTrace exercises the §5.1 predictor path: routines
 // WITHOUT Complexity clauses get ordered by SJF using the execution
 // trace after a warm-up run.

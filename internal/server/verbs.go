@@ -82,7 +82,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 
 	case protocol.MsgTrace:
 		fb.Release()
-		return reply{t: protocol.MsgTraceOK, fb: protocol.BufferFor(encodeTraces(s.Trace()))}
+		return reply{t: protocol.MsgTraceOK, fb: protocol.BufferFor(protocol.EncodeTraces(s.Trace()))}
 
 	case protocol.MsgInterface:
 		req, err := protocol.DecodeInterfaceRequest(payload)

@@ -3,6 +3,7 @@ package ninf_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -120,6 +121,14 @@ func call(c *ninf.Client, name string) func() error {
 		return err
 	}
 }
+
+// placeFunc is a Scheduler that places with the function and ignores
+// outcomes.
+type placeFunc func(ninf.SchedRequest) (ninf.Placement, error)
+
+func (f placeFunc) Place(req ninf.SchedRequest) (ninf.Placement, error) { return f(req) }
+
+func (placeFunc) Observe(string, int64, time.Duration, error) {}
 
 // writeWatch is a connection that reports on writing each time a write
 // begins.
@@ -248,6 +257,47 @@ func TestStalledPeerIsolation(t *testing.T) {
 			t.Error(err)
 		}
 		wait()
+	})
+
+	// One of a transaction's calls is placed on a server whose dial
+	// hangs; the other, placed on a healthy server only once that dial
+	// has begun, completes, and the call timeout ends the stalled one.
+	t.Run("transaction", func(t *testing.T) {
+		_, addr, _, _ := gateServer(t, server.Config{PEs: 2})
+		d := newStallDialer(addr)
+		d.stalled.Store(true)
+		healthy := ninf.Placement{Name: "healthy", Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }}
+		var placed atomic.Int32
+		tx := ninf.BeginTransaction(placeFunc(func(ninf.SchedRequest) (ninf.Placement, error) {
+			switch placed.Add(1) {
+			case 1: // the interface fetch
+				return healthy, nil
+			case 2:
+				return ninf.Placement{Name: "stalled", Dial: d.dial}, nil
+			}
+			select {
+			case <-d.dialing:
+				return healthy, nil
+			case <-time.After(stallBound):
+				return ninf.Placement{}, errors.New("the stalled dial never began")
+			}
+		}))
+		tx.SetCallTimeout(200 * time.Millisecond)
+		tx.SetMaxAttempts(1)
+		tx.Call("noop", int64(0))
+		tx.Call("noop", int64(1))
+		ended := started(tx.End)
+		wait := await(t, "the transaction beside a stalled dial", func() error {
+			if err := ended(); !errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("End = %v, want the stalled call's deadline", err)
+			}
+			return nil
+		})
+		close(d.release)
+		wait()
+		if errs := tx.Errs(); (errs[0] == nil) == (errs[1] == nil) {
+			t.Errorf("call errors %v, want exactly one failed call", errs)
+		}
 	})
 
 	// A registered server takes the metaserver's poll and never

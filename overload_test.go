@@ -150,6 +150,58 @@ func TestDrainMuxSessionFlushesPipeline(t *testing.T) {
 	}
 }
 
+// TestFetchOfShedJobReturnsItsOutcome: a two-phase job shed in the
+// queue has CodeOverloaded as its outcome. A waiting fetch returns that
+// error from the poll that finds it — no retry, no sleep on the
+// server's retry-after hint — and not a RetryError: asking again gets
+// the same answer, so the caller submits the call again instead.
+func TestFetchOfShedJobReturnsItsOutcome(t *testing.T) {
+	reg, gate := overloadRegistry(t)
+	s := server.New(server.Config{Hostname: "shed", PEs: 1}, reg)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	t.Cleanup(func() { s.Close() })
+	dial := func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
+
+	// Hold the one PE, then queue a job whose deadline lapses behind it.
+	held := make(chan error, 1)
+	go func() {
+		_, err := newClient(t, dial).Call("hold", 1, []float64{1}, make([]float64, 1))
+		held <- err
+	}()
+	waitUntil(t, 10*time.Second, func() bool { return s.Stats().Running == 1 })
+	c := newClient(t, dial)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	job, err := c.SubmitContext(ctx, "noop", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ctx.Done()
+	cancel()
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, func() bool { return s.Overload().ShedExpired == 1 })
+
+	before := c.Attempts()
+	_, err = job.FetchContext(context.Background(), true)
+	var re *protocol.RemoteError
+	if !errors.As(err, &re) || re.Code != protocol.CodeOverloaded {
+		t.Fatalf("fetch of a shed job = %v, want its CodeOverloaded", err)
+	}
+	var rerr *ninf.RetryError
+	if errors.As(err, &rerr) {
+		t.Errorf("fetch of a shed job retried it: %v", err)
+	}
+	if n := c.Attempts() - before; n != 1 {
+		t.Errorf("fetch of a shed job made %d exchanges, want 1", n)
+	}
+}
+
 // waitUntil polls cond until true or the deadline fails the test.
 func waitUntil(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()
@@ -325,14 +377,14 @@ func TestChaosOverloadStorm(t *testing.T) {
 }
 
 // TestChaosOverloadStormNoBudgetControl is the control run: identical
-// storm, budget removed. Attempt amplification must blow past the
+// storm, with a budget too large to drain. Attempt amplification must blow past the
 // ceiling the budgeted run respects — proving the budget (not a gentle
 // workload) bounded the attempts above.
 func TestChaosOverloadStormNoBudgetControl(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload storm is seconds-long; skipped in -short")
 	}
-	res := runOverloadStorm(t, ninf.NoRetryBudget)
+	res := runOverloadStorm(t, ninf.RetryBudget{Burst: 1 << 30})
 	t.Logf("control: %d ok, %d failed, %d attempts (cap %d)",
 		res.successes, res.failures, res.attempts, stormCap)
 	if res.successes+res.failures != stormTotal {

@@ -189,7 +189,6 @@ func overloadHint(err error) (time.Duration, bool) {
 // tokens/second up to Burst.
 type RetryBudget struct {
 	// Burst is the maximum banked tokens (and the initial balance).
-	// Negative means no budget: every retry the policy allows runs.
 	Burst int
 	// Rate is the refill rate in tokens per second. Zero with a
 	// positive Burst means a fixed, non-replenishing allowance.
@@ -203,13 +202,9 @@ type RetryBudget struct {
 // explicitly via SetRetryBudget.
 var DefaultRetryBudget = RetryBudget{Burst: 4096, Rate: 256}
 
-// NoRetryBudget removes the budget entirely.
-var NoRetryBudget = RetryBudget{Burst: -1}
-
 // retryBudget is the mutable token-bucket state behind a RetryBudget.
 type retryBudget struct {
 	mu     sync.Mutex
-	off    bool
 	tokens float64
 	burst  float64
 	rate   float64
@@ -219,11 +214,6 @@ type retryBudget struct {
 func (b *retryBudget) configure(cfg RetryBudget, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if cfg.Burst < 0 {
-		b.off = true
-		return
-	}
-	b.off = false
 	b.burst = float64(cfg.Burst)
 	b.rate = cfg.Rate
 	b.tokens = b.burst
@@ -235,9 +225,6 @@ func (b *retryBudget) configure(cfg RetryBudget, now time.Time) {
 func (b *retryBudget) take(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.off {
-		return true
-	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 && b.rate > 0 {
 		b.tokens += dt * b.rate
 		if b.tokens > b.burst {

@@ -105,14 +105,6 @@ func TestRetryBudgetTake(t *testing.T) {
 	if !b.take(now.Add(150 * time.Millisecond)) {
 		t.Error("budget did not refill at its rate")
 	}
-
-	// Negative burst disables the budget entirely.
-	b.configure(NoRetryBudget, now)
-	for i := 0; i < 100; i++ {
-		if !b.take(now) {
-			t.Fatal("disabled budget refused a retry")
-		}
-	}
 }
 
 // timeoutError is a minimal net.Error with Timeout()==true, the shape

@@ -1,14 +1,11 @@
 package ninf
 
-import (
-	"ninf/internal/protocol"
-	"ninf/internal/server"
-)
+import "ninf/internal/protocol"
 
 // RoutineTrace is the per-routine execution history a server
 // accumulates (§5.1's "server execution trace"): call counts, failure
 // counts, and mean wait/compute/payload figures.
-type RoutineTrace = server.RoutineTrace
+type RoutineTrace = protocol.RoutineTrace
 
 // Trace fetches the server's execution history. Metaservers and
 // schedulers use it to predict computation time for routines whose IDL
@@ -19,5 +16,5 @@ func (c *Client) Trace() ([]RoutineTrace, error) {
 		return nil, err
 	}
 	defer fb.Release()
-	return server.DecodeTraces(fb.Payload())
+	return protocol.DecodeTraces(fb.Payload())
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ninf"
 	"ninf/internal/server"
 )
 
@@ -35,7 +36,7 @@ func TestTraceAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]server.RoutineTrace{}
+	byName := map[string]ninf.RoutineTrace{}
 	for _, rt := range ts {
 		byName[rt.Name] = rt
 	}

@@ -44,12 +44,15 @@ type Placement struct {
 
 // A Scheduler places Ninf_calls on computational servers and receives
 // feedback about completed calls. The metaserver implements this; so
-// does a trivial single-server scheduler. Observe lets the scheduler
-// track per-server achievable bandwidth — the quantity the paper shows
-// must drive placement in WAN settings (§4.2.3) — and server health.
+// does a trivial single-server scheduler. Observe hears every placed
+// attempt's outcome — its bytes and time on success, its error (nil on
+// success) — so the scheduler can track per-server achievable
+// bandwidth, the quantity the paper shows must drive placement in WAN
+// settings (§4.2.3), and server health, telling an overload rejection
+// from a failure by the error itself.
 type Scheduler interface {
 	Place(req SchedRequest) (Placement, error)
-	Observe(serverName string, bytes int64, elapsed time.Duration, failed bool)
+	Observe(serverName string, bytes int64, elapsed time.Duration, callErr error)
 }
 
 // SingleServer returns a Scheduler that places every call on one
@@ -73,26 +76,7 @@ func (s *singleServer) Place(req SchedRequest) (Placement, error) {
 	return Placement{Name: s.name, Dial: s.dial}, nil
 }
 
-func (s *singleServer) Observe(string, int64, time.Duration, bool) {}
-
-// errObserver is the optional richer feedback channel a Scheduler may
-// implement: given the call error itself, the scheduler can tell an
-// overload rejection (bias placement away, don't trip the breaker)
-// from a genuine failure. The metaserver implements it.
-type errObserver interface {
-	ObserveErr(serverName string, bytes int64, elapsed time.Duration, callErr error)
-}
-
-// observeErr reports a failed attempt with its error when the
-// scheduler can use it, falling back to the plain failed-call
-// observation otherwise.
-func observeErr(sched Scheduler, serverName string, callErr error) {
-	if eo, ok := sched.(errObserver); ok {
-		eo.ObserveErr(serverName, 0, 0, callErr)
-		return
-	}
-	sched.Observe(serverName, 0, 0, true)
-}
+func (s *singleServer) Observe(string, int64, time.Duration, error) {}
 
 // A Transaction is a Ninf_transaction_begin/end block (§2.4): the
 // calls recorded inside it are not executed immediately; a data-
@@ -334,19 +318,19 @@ func (tx *Transaction) fetchInterface(ctx context.Context, name string, args []a
 			tx.degraded++
 			tx.mu.Unlock()
 		}
-		c, err := tx.client(pl)
+		callCtx, cancel := tx.callContext(ctx)
+		c, err := tx.client(callCtx, pl)
+		var info *idl.Info
 		if err == nil {
-			callCtx, cancel := tx.callContext(ctx)
-			info, ierr := c.InterfaceContext(callCtx, name)
-			cancel()
-			if ierr == nil {
-				return info, nil
-			}
-			err = ierr
+			info, err = c.InterfaceContext(callCtx, name)
+		}
+		cancel()
+		if err == nil {
+			return info, nil
 		}
 		lastErr = err
 		exclude = append(exclude, pl.Name)
-		observeErr(tx.sched, pl.Name, err)
+		tx.sched.Observe(pl.Name, 0, 0, err)
 	}
 	return nil, lastErr
 }
@@ -393,19 +377,16 @@ func (tx *Transaction) execute(ctx context.Context, info *idl.Info, c *txCall) (
 			tx.degraded++
 		}
 		tx.mu.Unlock()
-		client, err := tx.client(pl)
-		if err != nil {
-			observeErr(tx.sched, pl.Name, err)
-			lastErr = err
-			continue
-		}
-		// Each call runs on its own connection so independent calls
-		// placed on the same server still proceed in parallel.
+		// The call timeout bounds the dial as well as the call.
 		callCtx, cancel := tx.callContext(ctx)
-		rep, err := client.CallAsyncContext(callCtx, c.name, c.args...).Wait()
+		client, err := tx.client(callCtx, pl)
+		var rep *Report
+		if err == nil {
+			rep, err = client.CallContext(callCtx, c.name, c.args...)
+		}
 		cancel()
 		if err != nil {
-			observeErr(tx.sched, pl.Name, err)
+			tx.sched.Observe(pl.Name, 0, 0, err)
 			lastErr = err
 			if staleData(err) {
 				// The server answered but its resident data is gone — a
@@ -419,7 +400,7 @@ func (tx *Transaction) execute(ctx context.Context, info *idl.Info, c *txCall) (
 			}
 			continue
 		}
-		tx.sched.Observe(pl.Name, rep.BytesOut+rep.BytesIn, rep.Total(), false)
+		tx.sched.Observe(pl.Name, rep.BytesOut+rep.BytesIn, rep.Total(), nil)
 		c.execOn = pl.Name
 		return rep, nil
 	}
@@ -485,16 +466,50 @@ func (tx *Transaction) callContext(ctx context.Context) (context.Context, contex
 	return context.WithCancel(ctx)
 }
 
-func (tx *Transaction) client(pl Placement) (*Client, error) {
+// client returns the transaction's client for pl's server, dialing it
+// on first use. The dial runs outside tx.mu, so a stalled dial holds
+// up only the call waiting on it, and ctx bounds it: a placement's
+// dialer takes no context, so a dial that outlives ctx is left to
+// finish on its own and its client closed.
+func (tx *Transaction) client(ctx context.Context, pl Placement) (*Client, error) {
+	tx.mu.Lock()
+	c, ok := tx.clients[pl.Name]
+	tx.mu.Unlock()
+	if ok {
+		return c, nil
+	}
+	type dialed struct {
+		c   *Client
+		err error
+	}
+	ch := make(chan dialed)
+	go func() {
+		c, err := NewClient(pl.Dial)
+		select {
+		case ch <- dialed{c, err}:
+		case <-ctx.Done():
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	var d dialed
+	select {
+	case d = <-ch:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if c, ok := tx.clients[pl.Name]; ok {
+		// Another call dialed the same server meanwhile.
+		d.c.Close()
 		return c, nil
 	}
-	c, err := NewClient(pl.Dial)
-	if err != nil {
-		return nil, err
-	}
+	c = d.c
 	// Transactions always ask for result retention: a cache-enabled
 	// server keeps each call's large results resident, so a dependent
 	// call placed there (via SchedRequest.Affinity) passes them back by

@@ -149,7 +149,7 @@ func (s *noServerScheduler) Place(ninf.SchedRequest) (ninf.Placement, error) {
 	return ninf.Placement{}, metaserver.ErrNoServer
 }
 
-func (s *noServerScheduler) Observe(string, int64, time.Duration, bool) {}
+func (s *noServerScheduler) Observe(string, int64, time.Duration, error) {}
 
 // Regression: chaining placement failures across retry attempts must
 // keep the sentinel reachable by errors.Is — an earlier version built
