@@ -148,7 +148,7 @@ func itoa(n int) string {
 // bottleneck and the cell would measure scheduler noise instead) and
 // "wan" at 4 MB/s, where a chunk sized in bytes rather than in time is
 // a long wait. "chunked" streams the large call as bounded interleaved
-// bulk frames (protocol feature level 3); "monolithic" disables
+// bulk frames; "monolithic" disables
 // chunking, so the 8 MiB call holds the link as one frame and every
 // small call queues behind it. p99-ms is the small calls' tail latency;
 // bulkMB/s is the concurrent large-transfer throughput on the shared

@@ -1,7 +1,7 @@
 package ninf_test
 
-// End-to-end coverage for chunked bulk streaming (protocol feature
-// level 3): a client Call whose arguments or results exceed the bulk
+// End-to-end coverage for chunked bulk streaming on a mux session: a
+// client Call whose arguments or results exceed the bulk
 // threshold travels as a begin frame plus CRC-tagged chunks, encoded
 // zero-copy from the caller's slices, interleaved on the wire with
 // complete small frames, and reassembled into one pooled buffer on

@@ -1,12 +1,11 @@
 package ninf_test
 
 // End-to-end coverage for the content-addressed argument cache and
-// persistent data handles (protocol feature level 4): warm calls ship
+// persistent data handles: warm calls ship
 // 20-byte digest markers instead of megabyte operands, a mid-upload
 // connection cut can never poison the cache, eviction behind the
-// client's back degrades to one transparent re-upload, and level-3 or
-// cache-disabled peers interoperate bit-identically with no digest
-// framing on the wire.
+// client's back degrades to one transparent re-upload, and a session
+// with a cache-disabled server carries no digest framing on the wire.
 
 import (
 	"bytes"
@@ -291,66 +290,36 @@ func TestCacheDataHandles(t *testing.T) {
 	}
 }
 
-// TestCacheLevel3PeerInterop: against a server with no cache the
-// session negotiates level 4 without the cache flag, so the client
-// must emit no digest framing — the wire is the plain level-3 byte
-// stream. The same holds with the cache disabled client-side, and the
-// bytes shipped must be identical in both worlds.
-func TestCacheLevel3PeerInterop(t *testing.T) {
+// TestCacheWithoutGrantSendsNoDigests: a session with a server that runs
+// no cache is not granted one, so the client emits no digest framing —
+// the same array goes out in full bytes on every call, never as a
+// marker, however often it repeats.
+func TestCacheWithoutGrantSendsNoDigests(t *testing.T) {
 	v := bulkVec(cacheTestN)
-
-	// Cacheless server, cache-willing client.
 	sPlain, dialPlain, _ := startCountingServer(t, server.Config{BulkThreshold: 4096})
-	c1 := newClient(t, dialPlain)
-	c1.SetBulkThreshold(4096)
+	c := newClient(t, dialPlain)
+	c.SetBulkThreshold(4096)
 	w := make([]float64, cacheTestN)
-	repPlain, err := c1.Call("cdouble", cacheTestN, v, w)
-	if err != nil {
-		t.Fatal(err)
+	var sent []int64
+	for range 3 {
+		clear(w)
+		rep, err := c.Call("cdouble", cacheTestN, v, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDoubled(t, v, w)
+		sent = append(sent, rep.BytesOut)
 	}
-	checkDoubled(t, v, w)
-	if !c1.Multiplexed() {
+	if !c.Multiplexed() {
 		t.Fatal("client did not negotiate a session")
+	}
+	for _, n := range sent {
+		if n != sent[0] || n < 8*cacheTestN {
+			t.Fatalf("request sizes %v: want every call to carry the %d-byte array in full", sent, 8*cacheTestN)
+		}
 	}
 	if h, m, e, p, u := sPlain.CacheCounters(); h|m|e|p|u != 0 {
 		t.Fatalf("cacheless server has cache counters %d/%d/%d/%d/%d", h, m, e, p, u)
-	}
-
-	// Cache-enabled server, client opted out: no digest query, no
-	// digest markers, and byte-for-byte the same request size.
-	sCache, dialCache, _ := startCountingServer(t, server.Config{
-		BulkThreshold: 4096, CacheBudget: 1 << 20,
-	})
-	c2 := newClient(t, dialCache)
-	c2.SetBulkThreshold(4096)
-	c2.SetArgCache(false)
-	clear(w)
-	repOff, err := c2.Call("cdouble", cacheTestN, v, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDoubled(t, v, w)
-	if hits, misses, _, _, _ := sCache.CacheCounters(); hits != 0 || misses != 0 {
-		t.Fatalf("opted-out client produced digest traffic: hits=%d misses=%d", hits, misses)
-	}
-	if repOff.BytesOut != repPlain.BytesOut {
-		t.Fatalf("level-3 fallback not bit-identical: %d bytes vs %d", repOff.BytesOut, repPlain.BytesOut)
-	}
-
-	// Re-enabled, the same client+server pair goes warm — proving the
-	// opt-out was the only thing holding level 4 back.
-	c2.SetArgCache(true)
-	if _, err := c2.Call("cdouble", cacheTestN, v, w); err != nil {
-		t.Fatal(err)
-	}
-	clear(w)
-	repWarm, err := c2.Call("cdouble", cacheTestN, v, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDoubled(t, v, w)
-	if repWarm.BytesOut*20 > repPlain.BytesOut {
-		t.Fatalf("re-enabled cache never went warm: %d bytes", repWarm.BytesOut)
 	}
 }
 
@@ -635,8 +604,8 @@ func (c *lyingHello) Read(p []byte) (int, error) {
 
 // TestCacheQueryRefusedFinishesPlain: the server answers the warmth
 // query with an error. The upload riding beside it names no digest the
-// server would have to resolve, so it completes as the plain level-3
-// call it is byte for byte, and teaches the client nothing: the next
+// server would have to resolve, so it completes as the plain call it
+// is byte for byte, and teaches the client nothing: the next
 // call asks again rather than send a marker nobody can read.
 func TestCacheQueryRefusedFinishesPlain(t *testing.T) {
 	_, dial, count := startCountingServer(t, server.Config{})

@@ -77,15 +77,13 @@ type Client struct {
 	budget   retryBudget
 	attempts atomic.Int64
 
-	// Argument-cache state (feature level 4; see session.go). warm
-	// holds the digests this client believes are resident in the
-	// server's cache — optimistic knowledge that lets repeated calls
-	// go by digest without asking; a CodeCacheMiss reply takes out the
-	// digests it was about.
-	noArgCache atomic.Bool // SetArgCache(false)
-	retainRes  atomic.Bool // SetRetainResults(true)
-	warmMu     sync.Mutex
-	warm       map[protocol.Digest]struct{}
+	// Argument-cache state (see session.go). warm holds the digests this
+	// client believes are resident in the server's cache — optimistic
+	// knowledge that lets repeated calls go by digest without asking; a
+	// CodeCacheMiss reply takes out the digests it was about.
+	retainRes atomic.Bool // SetRetainResults(true)
+	warmMu    sync.Mutex
+	warm      map[protocol.Digest]struct{}
 
 	// srvEpoch is the server incarnation epoch last observed in a hello
 	// negotiation or Stats poll (0 until a journal-enabled server has
@@ -99,23 +97,11 @@ type Client struct {
 // resets rather than growing without bound (the next calls re-query).
 const maxWarmDigests = 4096
 
-// SetArgCache toggles content-addressed argument references (feature
-// level 4). On by default, it takes effect only against a server
-// advertising an enabled argument cache; turning it off pins the
-// client to plain level-3 framing regardless of what the server
-// offers.
-func (c *Client) SetArgCache(on bool) {
-	c.noArgCache.Store(!on)
-	if !on {
-		c.forgetWarm(nil)
-	}
-}
-
 // SetRetainResults asks cache-enabled servers to keep this client's
 // large call results resident after the reply, so a later call on the
 // same server can pass them back by digest without re-uploading —
-// the data-handle chaining transactions use. A no-op below feature
-// level 4.
+// the data-handle chaining transactions use. A no-op on a session
+// without the cache grant.
 func (c *Client) SetRetainResults(on bool) { c.retainRes.Store(on) }
 
 // warmth reports which of digs the client knows the server to hold, and
@@ -212,7 +198,7 @@ func (c *Client) noteEpoch(e uint64) {
 func (c *Client) ServerEpoch() uint64 { return c.srvEpoch.Load() }
 
 // A DataHandle names a server-resident cached value by content digest
-// — the persistent remote data handle of feature level 4. Handles are
+// — the persistent remote data handle of the argument cache. Handles are
 // content-addressed: any call whose retained result (or uploaded
 // argument) had these bytes yields the same handle.
 type DataHandle struct {
@@ -255,15 +241,15 @@ func (c *Client) HandleFor(v any) (DataHandle, bool) {
 var ErrStaleHandle = errors.New("ninf: data handle from a previous server incarnation")
 
 // FetchData retrieves a server-resident cached value by handle into
-// dst (*[]float64, *[]float32 or *[]int64). It requires a feature
-// level 4 session against a cache-enabled server; an evicted (or never
-// cached) handle fails with a CodeCacheMiss remote error.
+// dst (*[]float64, *[]float32 or *[]int64). It requires a session whose
+// server granted its argument cache; an evicted (or never cached) handle
+// fails with a CodeCacheMiss remote error.
 func (c *Client) FetchData(ctx context.Context, h DataHandle, dst any) error {
 	sess, err := c.session(ctx, true)
 	if err != nil {
 		return err
 	}
-	if !c.cacheOn(sess) {
+	if sess == nil || !sess.Cache() {
 		return errors.New("ninf: server offers no argument cache")
 	}
 	// session() above refreshed the observed epoch if it (re)negotiated,

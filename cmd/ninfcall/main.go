@@ -30,7 +30,6 @@ import (
 
 func main() {
 	serverAddr := flag.String("server", "localhost:3000", "computational server address")
-	noArgCache := flag.Bool("no-arg-cache", false, "never send digest references for large arguments, even to a cache-enabled level-4 server (full operand bytes on every call)")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "ninfcall: need a subcommand: list, interface, stats, trace, linsolve, ep, dos")
@@ -42,9 +41,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer c.Close()
-	if *noArgCache {
-		c.SetArgCache(false)
-	}
 
 	sub := flag.Arg(0)
 	args := flag.Args()[1:]

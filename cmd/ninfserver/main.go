@@ -52,7 +52,7 @@ func main() {
 	maxPerClient := flag.Int("maxperclient", 0, "cap one client's share of the queue to this many jobs (0 = fair share of maxqueue)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight work before forcing shutdown")
 	bulkThreshold := flag.Int("bulk-threshold", 0, "stream replies at or above this many payload bytes as chunked bulk frames (0 = default 256 KiB, negative = never)")
-	cacheBudget := flag.Int64("cache-budget", 0, "argument-cache byte budget for content-addressed operands and retained results (0 = cache off, protocol stays level 3 on the wire)")
+	cacheBudget := flag.Int64("cache-budget", 0, "argument-cache byte budget for content-addressed operands and retained results (0 = cache off: sessions are not granted the cache, and no digest crosses the wire)")
 	journalDir := flag.String("journal-dir", "", "directory for the crash-recovery submit journal and incarnation epoch (empty = volatile server, no journal)")
 	fsyncPolicy := flag.String("fsync", "interval", "journal durability: interval (background fsync every 100ms), always (fsync per written batch, before acknowledging), never (page cache only)")
 	flag.Parse()

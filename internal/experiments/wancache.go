@@ -1,7 +1,7 @@
-// The wan-cache experiment measures what the content-addressed
-// argument cache and persistent data handles (protocol level 4) buy on
-// the paper's WAN: a 0.17 MB/s trans-Pacific link (Table 6) shared by
-// four clients iterating on a fixed matrix. Four rows:
+// The wan-cache experiment measures what the content-addressed argument
+// cache and persistent data handles buy on the paper's WAN: a 0.17 MB/s
+// trans-Pacific link (Table 6) shared by four clients iterating on a
+// fixed matrix. Four rows:
 //
 //	cold            first linsolve per client: full operand upload
 //	warm            re-solve with a new right-hand side: digest marker
@@ -10,7 +10,7 @@
 //	                resident and chained calls pass them by digest
 //
 // plus a LAN small-call p50 pair (cache-enabled vs cache-less server)
-// guarding the fast path against level-4 overhead.
+// guarding the fast path against the cache's overhead.
 package experiments
 
 import (
@@ -318,10 +318,10 @@ func runWANChainHandle(dial func() (net.Conn, error), n, steps int) (wanCacheRow
 }
 
 // runWANCacheLANPair measures the small-call fast path with no link
-// shaping: p50 echo latency against a cache-less (level 3) server vs a
-// cache-enabled (level 4) one, interleaved so ambient noise hits both.
-// Small operands never reach the digest threshold, so any gap is pure
-// protocol overhead from negotiating and carrying level 4.
+// shaping: p50 echo latency against a cache-less server vs a
+// cache-enabled one, interleaved so ambient noise hits both. Small
+// operands never reach the digest threshold, so any gap is pure
+// protocol overhead from granting and carrying the cache.
 func runWANCacheLANPair(calls int) (plainP50, cacheP50 float64, err error) {
 	plainS, plainDial, err := startRealServer(server.Config{Hostname: "lan-plain", PEs: 4})
 	if err != nil {

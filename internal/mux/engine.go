@@ -117,9 +117,9 @@ type stream struct {
 
 // A Writer is the single serialized writer of a version-2 connection.
 type Writer struct {
-	conn    io.WriteCloser
-	version int // the connection's negotiated feature level
-	queue   chan Item
+	conn  io.WriteCloser
+	cache bool // the server granted its argument cache on this connection
+	queue chan Item
 
 	// expected counts frames likely to be queued within a scheduler pass
 	// or two; it gates the pre-flush yield (see Expect).
@@ -141,21 +141,21 @@ type Writer struct {
 	stopped   chan struct{} // closed when the goroutine has exited
 }
 
-// NewWriter starts the writer of conn, a connection that negotiated
-// feature level version. A write error closes conn (which wakes the
-// connection's reader, so the whole connection tears down), is reported
-// once to failed, and settles every item queued then or later as not
-// written; the writer keeps draining until Close. settled, if non-nil,
-// runs after each item is settled, written or not.
-func NewWriter(conn io.WriteCloser, version int, failed func(error), settled func()) *Writer {
-	return newWriter(conn, version, failed, settled, time.Now)
+// NewWriter starts the writer of conn, a mux connection whose server
+// granted its argument cache if cache is set. A write error closes conn
+// (which wakes the connection's reader, so the whole connection tears
+// down), is reported once to failed, and settles every item queued then
+// or later as not written; the writer keeps draining until Close.
+// settled, if non-nil, runs after each item is settled, written or not.
+func NewWriter(conn io.WriteCloser, cache bool, failed func(error), settled func()) *Writer {
+	return newWriter(conn, cache, failed, settled, time.Now)
 }
 
 // newWriter is NewWriter on a given clock; only tests pass another.
-func newWriter(conn io.WriteCloser, version int, failed func(error), settled func(), now func() time.Time) *Writer {
+func newWriter(conn io.WriteCloser, cache bool, failed func(error), settled func(), now func() time.Time) *Writer {
 	w := &Writer{
 		conn:    conn,
-		version: version,
+		cache:   cache,
 		queue:   make(chan Item, queueDepth),
 		failed:  failed,
 		settled: settled,
@@ -168,22 +168,17 @@ func newWriter(conn io.WriteCloser, version int, failed func(error), settled fun
 	return w
 }
 
-// Send queues it, blocking while the queue is full. An item the
-// connection's feature level does not admit — a type of a higher level
-// (protocol.MsgType.Level), or a Bulk stream below MuxVersionBulk — is
+// Send queues it, blocking while the queue is full. A cache frame
+// (protocol.MsgType.Cache) on a connection without the cache grant is
 // refused: nothing of it reaches the wire. Send reports an error, with
 // the item settled as not written, for such an item and when cancel
 // (which may be nil) fires or the writer is found exited first. A queued
 // item is settled by the writer, or on its behalf if it exits without
 // taking it.
 func (w *Writer) Send(it Item, cancel <-chan struct{}) error {
-	need := it.Type.Level()
-	if it.Bulk != nil {
-		need = max(need, protocol.MsgBulkBegin.Level())
-	}
-	if need > w.version {
+	if it.Type.Cache() && !w.cache {
 		w.settle(&it, false)
-		return fmt.Errorf("mux: a %v item (bulk %t) needs feature level %d, the connection negotiated %d", it.Type, it.Bulk != nil, need, w.version)
+		return fmt.Errorf("mux: a %v item (bulk %t) needs the cache grant, which the connection lacks", it.Type, it.Bulk != nil)
 	}
 	select {
 	case w.queue <- it:

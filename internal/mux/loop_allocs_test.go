@@ -27,7 +27,7 @@ func TestLoopAllocsFlat(t *testing.T) {
 	}{
 		{"Writer.run", func(n int) func() {
 			settled := make(chan struct{}, 1)
-			w := NewWriter(discardConn{}, protocol.MuxVersion, func(error) {}, func() { settled <- struct{}{} })
+			w := NewWriter(discardConn{}, false, func(error) {}, func() { settled <- struct{}{} })
 			t.Cleanup(w.Close)
 			return func() {
 				for i := range n {

@@ -14,13 +14,16 @@
 // sequence number to the waiting callers, so a long-running call no
 // longer head-of-line-blocks pings and small calls pipelined behind it.
 //
-// At feature level 3 (protocol.MuxVersionBulk) large payloads go out
-// chunked: the writer interleaves one bounded chunk of one active bulk
-// stream between flushes of the frame queue, round-robin across
-// streams, so an 8 MiB argument transfer no longer monopolizes the wire
-// while pipelined 8-byte calls wait. Chunk data is written straight
+// Large payloads go out chunked on every mux connection: the writer
+// interleaves one bounded chunk of one active bulk stream between
+// flushes of the frame queue, round-robin across streams, so an 8 MiB
+// argument transfer no longer monopolizes the wire while pipelined
+// 8-byte calls wait. Chunk data is written straight
 // from the caller's argument slices (zero-copy, vectored); the reader
-// reassembles inbound chunks into one pooled buffer per sequence.
+// reassembles inbound chunks into one pooled buffer per sequence. The
+// one thing a Hello negotiates beyond the upgrade itself is whether the
+// server grants its argument cache (protocol.HelloFlagArgCache); the
+// writer refuses cache frames on a connection without the grant.
 //
 // Failure semantics compose with the client's resilience layer: when
 // the connection dies (read/write error, reset, Close), every in-
@@ -60,14 +63,16 @@ var errSessionClosed = fmt.Errorf("mux: session closed: %w", net.ErrClosed)
 var errNotQueued = errors.New("mux: writer stopped before the frame was queued")
 
 // NegotiateHello upgrades conn to the multiplexed protocol: it sends
-// MsgHello and reads the reply, both in version-1 framing. On success
-// it returns the server's full reply — the negotiated version
-// (protocol.MuxVersion for a plain mux peer, up to MuxVersionCache),
-// the capability flags (HelloFlagArgCache: the peer runs an enabled
-// argument cache, the precondition for emitting digest references),
-// and the incarnation epoch, which lets the caller detect a server
-// restart across reconnects (0 from journal-less servers) — and every subsequent
-// frame on conn must use version-2 framing. ErrLegacy means the peer is
+// MsgHello offering protocol.MuxVersionCache and reads the reply, both
+// in version-1 framing. On success it returns the server's full reply —
+// the version (MuxVersionCache), the cache grant (HelloFlagArgCache: the
+// peer runs an enabled argument cache, the precondition for emitting
+// digest references), and the incarnation epoch, which lets the caller
+// detect a server restart across reconnects (0 from journal-less
+// servers) — and every subsequent frame on conn must use version-2
+// framing. A reply of MuxVersionBulk is taken as mux without the cache:
+// no server of this module sends it, but the benchmark harness's fake
+// responder (benchmark/layers.go) does. ErrLegacy means the peer is
 // a version-1 server (it answered with MsgError); the connection has
 // carried a complete lockstep exchange and is technically still in
 // sync, but callers are expected to close it and fall back. Any other
@@ -93,7 +98,7 @@ func NegotiateHello(conn net.Conn, maxPayload int) (protocol.HelloReply, error) 
 	if err != nil {
 		return protocol.HelloReply{}, err
 	}
-	if rep.Version < protocol.MuxVersion || rep.Version > protocol.MuxVersionCache {
+	if rep.Version != protocol.MuxVersionCache && rep.Version != protocol.MuxVersionBulk {
 		return protocol.HelloReply{}, fmt.Errorf("mux: peer chose unsupported version %d", rep.Version)
 	}
 	return rep, nil
@@ -108,9 +113,8 @@ const bulkAbandonStall = 2 * time.Second
 // negotiated connection: the client's half of the engine's division of
 // labour. It keeps the sequence registry and the callers' side of
 // abandonment; the connection's two sides belong to its Writer and to
-// ReadFrames. Create one with New after NegotiateHello; issue exchanges
-// with Roundtrip (and RoundtripBulk at feature level 3) from any number
-// of goroutines.
+// ReadFrames. Create one with Open after NegotiateHello; issue exchanges
+// with Roundtrip and RoundtripBulk from any number of goroutines.
 type Session struct {
 	conn       net.Conn
 	maxPayload int
@@ -126,10 +130,10 @@ type Session struct {
 	readDone chan struct{} // closed when the read loop has exited
 }
 
-// New wraps a connection that completed NegotiateHello in a running
-// session at the negotiated version. The session owns conn and closes
-// it on failure or Close.
-func New(conn net.Conn, maxPayload, version int) *Session {
+// Open wraps a connection that completed NegotiateHello in a running
+// session; cache is the server's grant, HelloFlagArgCache in its reply.
+// The session owns conn and closes it on failure or Close.
+func Open(conn net.Conn, maxPayload int, cache bool) *Session {
 	s := &Session{
 		conn:       conn,
 		maxPayload: maxPayload,
@@ -137,18 +141,21 @@ func New(conn net.Conn, maxPayload, version int) *Session {
 		done:       make(chan struct{}),
 		readDone:   make(chan struct{}),
 	}
-	s.w = NewWriter(conn, version, func(err error) {
+	s.w = NewWriter(conn, cache, func(err error) {
 		s.fail(fmt.Errorf("mux: session write failed: %w", err))
 	}, nil)
 	go s.readLoop()
 	return s
 }
 
-// Version reports the negotiated feature level: protocol.MuxVersion,
-// MuxVersionBulk (chunked bulk streaming) or MuxVersionCache (argument
-// caching, live only where the server also advertised
-// HelloFlagArgCache). The session's writer refuses any frame above it.
-func (s *Session) Version() int { return s.w.version }
+// New is Open for a caller that kept only the Hello's version: the
+// benchmark harness (benchmark/layers.go), whose responder grants no
+// cache. The version says nothing about the grant, so New never claims it.
+func New(conn net.Conn, maxPayload, version int) *Session { return Open(conn, maxPayload, false) }
+
+// Cache reports whether the server granted its argument cache. The
+// session's writer refuses a cache frame without it.
+func (s *Session) Cache() bool { return s.w.cache }
 
 // Broken reports whether the session has failed and must be replaced.
 func (s *Session) Broken() bool {
@@ -321,8 +328,7 @@ func (r Retracted) Error() string {
 // return until the writer provably holds no reference to them — on
 // success, abandonment (MsgBulkAbort covers a partially-sent stream),
 // or session failure — so the caller may reuse the slices immediately
-// after return. Below feature level 3 the writer refuses the stream, and
-// the error says so.
+// after return.
 func (s *Session) RoundtripBulk(ctx context.Context, m *protocol.BulkMsg) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
 	return s.RoundtripRetract(ctx, m, nil)
 }

@@ -33,7 +33,7 @@ func fakeMuxServer(t *testing.T, conn net.Conn, handle func(typ protocol.MsgType
 		t.Errorf("fake server: hello decode: %v", err)
 		return
 	}
-	rep := protocol.HelloReply{Version: protocol.MuxVersion}
+	rep := protocol.HelloReply{Version: protocol.MuxVersionCache}
 	if err := protocol.WriteFrame(conn, protocol.MsgHelloOK, rep.Encode()); err != nil {
 		t.Errorf("fake server: hello reply: %v", err)
 		return
@@ -70,7 +70,7 @@ func dialSession(t *testing.T, handle func(typ protocol.MsgType, seq uint32, pay
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
-	s := New(cc, 0, int(hello.Version))
+	s := Open(cc, 0, hello.Flags&protocol.HelloFlagArgCache != 0)
 	t.Cleanup(func() {
 		s.Close()
 		sc.Close()
@@ -86,6 +86,38 @@ func reqBuf(payload string) *protocol.Buffer {
 	fb := protocol.AcquireBuffer(len(payload))
 	fb.Write([]byte(payload))
 	return fb
+}
+
+// TestNegotiateHelloVersions: the client offers MuxVersionCache and
+// takes two answers, MuxVersionCache (every server of this module) and
+// MuxVersionBulk (the benchmark harness's responder); any other version
+// is refused.
+func TestNegotiateHelloVersions(t *testing.T) {
+	for _, v := range []uint32{protocol.MuxVersion, protocol.MuxVersionBulk, protocol.MuxVersionCache, protocol.MuxVersionCache + 1} {
+		cc, sc := net.Pipe()
+		offered := make(chan uint32, 1)
+		go func() {
+			defer sc.Close()
+			_, p, err := protocol.ReadFrame(sc, 0)
+			req, derr := protocol.DecodeHelloRequest(p)
+			if err != nil || derr != nil {
+				offered <- 0
+				return
+			}
+			offered <- req.MaxVersion
+			rep := protocol.HelloReply{Version: v, Flags: protocol.HelloFlagArgCache}
+			protocol.WriteFrame(sc, protocol.MsgHelloOK, rep.Encode())
+		}()
+		rep, err := NegotiateHello(cc, 0)
+		cc.Close()
+		if got := <-offered; got != protocol.MuxVersionCache {
+			t.Errorf("the Hello offered MaxVersion %d, want %d", got, protocol.MuxVersionCache)
+		}
+		accept := v == protocol.MuxVersionBulk || v == protocol.MuxVersionCache
+		if (err == nil) != accept || accept && rep.Version != v {
+			t.Errorf("reply version %d: got %+v, %v; want accepted %t", v, rep, err, accept)
+		}
+	}
 }
 
 func TestSessionPipelinedEcho(t *testing.T) {

@@ -65,9 +65,9 @@ func (c *scriptConn) feed(t protocol.MsgType, seq uint32, payload string) {
 	c.in <- b.Bytes()
 }
 
-// scriptSession is New on a scripted connection and its clock, at
-// negotiated feature level version.
-func scriptSession(t *testing.T, version int) (*Session, *scriptConn) {
+// scriptSession is Open on a scripted connection and its clock, granted
+// the cache or not.
+func scriptSession(t *testing.T, cache bool) (*Session, *scriptConn) {
 	c := &scriptConn{rec: &recConn{failAt: -1, rate: floorRate}, in: make(chan []byte, 4), closed: make(chan struct{})}
 	s := &Session{
 		conn:       c,
@@ -76,7 +76,7 @@ func scriptSession(t *testing.T, version int) (*Session, *scriptConn) {
 		done:       make(chan struct{}),
 		readDone:   make(chan struct{}),
 	}
-	s.w = newWriter(c, version, func(err error) { s.fail(fmt.Errorf("mux: session write failed: %w", err)) }, nil, c.rec.now)
+	s.w = newWriter(c, cache, func(err error) { s.fail(fmt.Errorf("mux: session write failed: %w", err)) }, nil, c.rec.now)
 	go s.readLoop()
 	t.Cleanup(func() { s.Close() })
 	return s, c
@@ -125,7 +125,7 @@ func smallCall(t *testing.T, s *Session, c *scriptConn, seq uint32) {
 // that were wasted, the spans are released, and the session carries on:
 // the query's answer is still deliverable and a new call completes.
 func TestRetractBeforeLastChunk(t *testing.T) {
-	s, c := scriptSession(t, protocol.MuxVersionCache)
+	s, c := scriptSession(t, true)
 	h, retract := newHold(), make(chan struct{})
 	c.rec.onFrame = func(name string) {
 		if name == "2c1" {
@@ -166,7 +166,7 @@ func TestRetractBeforeLastChunk(t *testing.T) {
 // TestRetractBeforeBegin: a stream retracted before its begin header
 // puts nothing on the wire, abort included, and wasted nothing.
 func TestRetractBeforeBegin(t *testing.T) {
-	s, c := scriptSession(t, protocol.MuxVersionCache)
+	s, c := scriptSession(t, true)
 	h, retract := newHold(), make(chan struct{})
 	close(retract)
 	c.rec.onFrame = func(name string) {
@@ -202,7 +202,7 @@ func TestRetractBeforeBegin(t *testing.T) {
 // had never been asked for. The reply is fed only after the caller has
 // provably acted on the retraction.
 func TestRetractAfterLastChunk(t *testing.T) {
-	s, c := scriptSession(t, protocol.MuxVersionCache)
+	s, c := scriptSession(t, true)
 	h, retract := newHold(), make(chan struct{})
 	c.rec.onFrame = func(name string) {
 		if name == "1c1" {
@@ -240,7 +240,7 @@ func TestRetractRaces(t *testing.T) {
 	for _, mode := range []string{"cancel", "fail"} {
 		t.Run(mode, func(t *testing.T) {
 			for round := 0; round < 40; round++ {
-				s, c := scriptSession(t, protocol.MuxVersionCache)
+				s, c := scriptSession(t, true)
 				h, retract := newHold(), make(chan struct{})
 				ctx, cancel := context.WithCancel(context.Background())
 				at := fmt.Sprintf("1c%d", round%8) // the stream has nine chunks

@@ -11,12 +11,12 @@ import (
 	"sync/atomic"
 )
 
-// Chunked bulk streaming (mux feature level 3). A monolithic v2 frame
+// Chunked bulk streaming on a mux connection. A monolithic v2 frame
 // carrying an 8 MiB argument occupies the session's single writer end
 // to end, head-of-line blocking every pipelined small call behind it —
 // the paper's mixed LAN/WAN workload (EP-style calls sharing links with
-// LINPACK matrices) made exactly this cost visible. Feature level 3
-// keeps v2 framing but splits any payload over a negotiated threshold
+// LINPACK matrices) made exactly this cost visible. A mux connection
+// keeps v2 framing but splits any payload over the sender's threshold
 // into three frame kinds, all tagged with the owning Seq:
 //
 //	MsgBulkBegin  inner type, flags, head length, total length
@@ -30,19 +30,21 @@ import (
 // and validates each chunk's CRC, so a desynchronized or corrupted
 // stream fails the connection instead of delivering garbage.
 //
-// Feature negotiation rides the existing Hello exchange: a level-3
-// client sends MaxVersion 3 and a level-3 server answers with 3, while
-// older peers answer 2 (or MsgError), pinning the connection to
-// monolithic frames. The wire framing version stays 2 in every header.
+// Bulk frames are legal on every mux connection; the Hello negotiates
+// only whether the server's argument cache is granted. A client offers
+// MaxVersion MuxVersionCache and the server answers MuxVersionCache,
+// with HelloFlagArgCache set when its cache is on. The wire framing
+// version stays 2 in every header.
 const (
-	// MuxVersionBulk is the negotiated feature level at which bulk
-	// frames may appear on a mux connection.
+	// MuxVersionBulk is a Hello answer that means mux without the cache.
+	// No server of this module sends it; the client still accepts it
+	// because the benchmark harness's fake responder (benchmark/layers.go)
+	// answers with it.
 	MuxVersionBulk = 3
 
-	// MuxVersionCache is the negotiated feature level at which
-	// content-addressed digest references and data handles may appear
-	// (see digest.go). Below this level the wire is bit-identical to a
-	// level-3 connection.
+	// MuxVersionCache is the Hello version both ends of a mux connection
+	// offer and answer. Whether digest references and data handles (see
+	// digest.go) may appear on it is HelloFlagArgCache's to say.
 	MuxVersionCache = 4
 
 	// DefaultBulkThreshold is the payload size at or above which
@@ -80,8 +82,8 @@ const (
 	// bulkDigestFlag, set together with bulkArgFlag on a count word,
 	// says the array's bytes are NOT in this message: two u64 words
 	// follow holding the content digest of the (absent) segment, and
-	// the receiver resolves them from its argument cache. Level ≥ 4
-	// only; a lower-level decode rejects the marker.
+	// the receiver resolves them from its argument cache. Only on a
+	// connection granted the cache; any other decode rejects the marker.
 	bulkDigestFlag = 1 << 30
 )
 
@@ -262,9 +264,9 @@ type BulkInfo struct {
 	LE      bool
 
 	// Resolver, when non-nil, supplies the bytes behind digest markers
-	// (level-4 frames only): it returns the cached little-endian
-	// element bytes for a digest, or ErrDigestMiss when the entry is
-	// gone. A nil Resolver rejects digest markers, so pre-cache decode
+	// (cache-granted connections only): it returns the cached
+	// little-endian element bytes for a digest, or ErrDigestMiss when the
+	// entry is gone. A nil Resolver rejects digest markers, so pre-cache decode
 	// paths are untouched.
 	Resolver DigestResolver
 }

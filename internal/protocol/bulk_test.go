@@ -138,7 +138,7 @@ func TestBulkSubmitRequestChunkedRoundTrip(t *testing.T) {
 		b[i] = 1
 	}
 	req := &CallRequest{Name: "dmmul", Args: []idl.Value{int64(n), a, b, nil}}
-	m, _, err := EncodeRequest(info, MsgSubmit, req, 0xdeadbeefcafe, BulkShape(1024))
+	m, _, err := EncodeRequest(info, MsgSubmit, req, 0xdeadbeefcafe, NewShape(false, 1024, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,24 +9,23 @@ import (
 	"ninf/internal/xdr"
 )
 
-// Content-addressed argument references (feature level 4). A repeated
+// Content-addressed argument references (the argument cache). A repeated
 // WAN workload re-ships the same matrices on every Ninf_call, so on the
 // paper's 0.17 MB/s Ocha-U↔ETL link throughput is the link, not the
-// server. Level 4 lets a call name a large argument by the digest of
+// server. The cache lets a call name a large argument by the digest of
 // its element bytes instead of carrying the bytes: the server resolves
 // the digest from its byte-budgeted argument cache, and only cache
-// misses stream over the level-3 chunked bulk machinery. The digest is
-// defined over the array's little-endian element bytes (the dominant
-// host order, hashed zero-copy via the rawvec views) with the length
-// folded in, so the same values always produce the same digest on both
-// ends regardless of which host hashed them.
+// misses stream over the chunked bulk machinery. The digest is defined
+// over the array's little-endian element bytes (the dominant host order,
+// hashed zero-copy via the rawvec views) with the length folded in, so
+// the same values always produce the same digest on both ends regardless
+// of which host hashed them.
 //
-// None of these frames or markers appear on the wire unless
-// both peers negotiated feature level ≥ 4 AND the server advertised an
-// enabled cache in its HelloReply flags; below that the byte stream is
-// bit-identical to a level-3 (or level-2, or v1) conversation.
+// None of these frames or markers appear on the wire unless the server
+// granted its cache in its HelloReply flags (HelloFlagArgCache); without
+// the grant a mux conversation carries none of them.
 
-// Cache frame types (v2 framing, level ≥ 4 only).
+// Cache frame types (v2 framing, cache-granted connections only).
 const (
 	// MsgCallDigest asks which of a list of digests are warm in the
 	// server's argument cache; reply is MsgDigestStatus.

@@ -59,7 +59,7 @@ const goldenThreshold = 4096
 type goldenShape struct {
 	name      string
 	threshold int
-	digest    bool             // level 4: digests computed, warm consulted
+	digest    bool             // cache granted: digests computed, warm consulted
 	warm      func(i int) bool // by position in the digest list
 }
 
@@ -124,14 +124,14 @@ func goldenArgs(t *testing.T, info *idl.Info) []idl.Value {
 // shape builds the Shape a peer that negotiated sh encodes req under.
 func (sh goldenShape) shape(info *idl.Info, req *CallRequest) (Shape, error) {
 	if !sh.digest {
-		return BulkShape(sh.threshold), nil
+		return NewShape(false, sh.threshold, nil, nil), nil
 	}
 	digs, err := CallRequestDigests(info, req, sh.threshold)
 	warm := make([]bool, len(digs))
 	for i := range warm {
 		warm[i] = sh.warm(i)
 	}
-	return DigestShape(sh.threshold, digs, warm), err
+	return NewShape(true, sh.threshold, digs, warm), err
 }
 
 // placements reads a head back with nothing but the IDL and reports
@@ -242,7 +242,7 @@ func TestEncodeGolden(t *testing.T) {
 			}
 		}
 		for _, sh := range goldenShapes[:2] {
-			bm, fb, err := EncodeReply(info, tm, args, BulkShape(sh.threshold))
+			bm, fb, err := EncodeReply(info, tm, args, NewShape(false, sh.threshold, nil, nil))
 			got.WriteString(goldenLine(t, info.Name+"/reply/"+sh.name, info, 24, true, bm, fb, err))
 		}
 	}

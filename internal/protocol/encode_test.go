@@ -10,8 +10,8 @@ import (
 // TestTrailersRideEveryShape: the deadline and retain words are part
 // of the envelope, not of a placement — whichever way the arrays go, a
 // call and a submit carry both. (The plain chunked request used to drop
-// retain, on exactly the path where a level-4 server refuses the warmth
-// query and the client falls back to level-3 framing.)
+// retain, on exactly the path where a cache-granting server refuses the
+// warmth query and the client falls back to plain framing.)
 func TestTrailersRideEveryShape(t *testing.T) {
 	info := echoInfos(t)[0]
 	data := make([]float64, 600)
@@ -27,8 +27,8 @@ func TestTrailersRideEveryShape(t *testing.T) {
 		cache *mapResolver
 	}{
 		{"inline", Shape{}, nil},
-		{"segment", BulkShape(4096), nil},
-		{"digest", DigestShape(4096, []Digest{dig}, []bool{true}), cache},
+		{"segment", NewShape(false, 4096, nil, nil), nil},
+		{"digest", NewShape(true, 4096, []Digest{dig}, []bool{true}), cache},
 	}
 	for _, sh := range shapes {
 		for _, mt := range []MsgType{MsgCall, MsgSubmit} {
@@ -100,7 +100,7 @@ func TestSubThresholdEncodeAllocsSameUnderAnyShape(t *testing.T) {
 		return request, rep
 	}
 	zeroReq, zeroRep := measure(Shape{})
-	bulkReq, bulkRep := measure(BulkShape(DefaultBulkThreshold))
+	bulkReq, bulkRep := measure(NewShape(false, DefaultBulkThreshold, nil, nil))
 	if bulkReq > zeroReq || bulkRep > zeroRep {
 		t.Errorf("allocs per message under a bulk shape: request %.0f, reply %.0f; inline-only: %.0f, %.0f", bulkReq, bulkRep, zeroReq, zeroRep)
 	}

@@ -67,18 +67,16 @@ const (
 	MsgTraceOK
 )
 
-// Level is the feature level a mux connection must have negotiated to
-// carry a frame of type t: MuxVersionBulk for the bulk stream frames,
-// MuxVersionCache for the argument-cache frames, and 0 — nothing beyond
-// the connection itself — for every other type.
-func (t MsgType) Level() int {
+// Cache reports whether t is an argument-cache frame, legal only on a
+// mux connection whose server granted its cache (HelloFlagArgCache).
+// Every other type, the bulk stream frames included, is legal on any
+// mux connection.
+func (t MsgType) Cache() bool {
 	switch t {
-	case MsgBulkBegin, MsgBulkChunk, MsgBulkAbort:
-		return MuxVersionBulk
 	case MsgCallDigest, MsgDigestStatus, MsgDataHandle, MsgDataHandleOK:
-		return MuxVersionCache
+		return true
 	}
-	return 0
+	return false
 }
 
 // String returns a symbolic name for the message type.

@@ -185,11 +185,11 @@ func argSize(p *idl.Param, count int, v idl.Value) int {
 }
 
 // A Shape says where an encoded message may put its array arguments —
-// the one thing the peer's negotiated level changes about encoding. The
-// zero Shape puts every array inline behind its count word: levels 1–2,
-// lockstep connections, journal records. NewShape builds the shape a
-// connection's level allows; each side builds one per message from what
-// its session negotiated. locateArray is the decode-side mirror.
+// the one thing a connection changes about encoding. The zero Shape puts
+// every array inline behind its count word: lockstep connections,
+// journal records. NewShape builds the shape a mux connection allows;
+// each side builds one per message from what its session negotiated.
+// locateArray is the decode-side mirror.
 type Shape struct {
 	threshold int      // > 0: arrays of at least this many bytes leave the head
 	digest    bool     // digs and warm list those arrays, in parameter order
@@ -197,22 +197,18 @@ type Shape struct {
 	warm      []bool   // true: the peer holds it, the 20-byte marker suffices
 }
 
-// NewShape is the shape a connection at negotiated feature level level
-// allows. Below MuxVersionBulk it is the zero Shape. From there an array
-// whose elements reach threshold bytes rides as a zero-copy segment
-// behind the head, which keeps a marker word and the segment's offset (a
-// threshold ≤ 0 keeps every array inline). At MuxVersionCache, with cache
-// set because the server advertised a live argument cache
-// (HelloFlagArgCache), an eligible array the cache already holds becomes
-// a digest marker carrying no bytes: digs must then come from
-// CallRequestDigests for the same request and threshold, and warm[i]
-// says whether the peer holds digs[i]. Without both, digs and warm are
-// ignored.
-func NewShape(level int, cache bool, threshold int, digs []Digest, warm []bool) Shape {
-	switch {
-	case level < MuxVersionBulk:
-		return Shape{}
-	case level < MuxVersionCache || !cache || len(digs) == 0:
+// NewShape is the shape a connection allows. An array whose elements
+// reach threshold bytes rides as a zero-copy segment behind the head,
+// which keeps a marker word and the segment's offset; a threshold ≤ 0
+// keeps every array inline and ignores the rest, the zero Shape a
+// lockstep connection uses. With cache set because the server granted
+// its argument cache (HelloFlagArgCache), an eligible array the cache
+// already holds becomes a digest marker carrying no bytes: digs must
+// then come from CallRequestDigests for the same request and threshold,
+// and warm[i] says whether the peer holds digs[i]. Without both, digs
+// and warm are ignored.
+func NewShape(cache bool, threshold int, digs []Digest, warm []bool) Shape {
+	if !cache || threshold <= 0 || len(digs) == 0 {
 		return Shape{threshold: threshold}
 	}
 	return Shape{threshold: threshold, digest: true, digs: digs, warm: warm}
@@ -836,7 +832,7 @@ func locateArray(d *xdr.Decoder, p *idl.Param, count int, bulk *BulkInfo) (src [
 	case marked && n&bulkDigestFlag != 0:
 		// Digest marker: the bytes are not in this message. Two u64
 		// words carry the content digest, resolved from the receiver's
-		// argument cache (level ≥ 4 with a non-nil Resolver only).
+		// argument cache (cache granted, a non-nil Resolver, only).
 		dig := Digest{Hi: d.Uint64(), Lo: d.Uint64()}
 		if err := d.Err(); err != nil {
 			return nil, false, err

@@ -30,8 +30,9 @@ import (
 // upgrade, and peers that predate MsgHello answer it with MsgError,
 // which the session layer takes as "legacy, stay lockstep".
 const (
-	// MuxVersion is the multiplexed protocol version negotiated by
-	// MsgHello.
+	// MuxVersion is the framing version in every mux frame header. The
+	// Hello that switches a connection to it offers and answers
+	// MuxVersionCache; a Hello offering less gets the legacy MsgError.
 	MuxVersion = 2
 
 	// maxMuxType bounds message types representable in a mux header's
@@ -41,8 +42,8 @@ const (
 
 // Hello frames, spoken in version-1 framing before any upgrade.
 const (
-	// MsgHello asks the peer to switch the connection to the highest
-	// protocol version both sides speak.
+	// MsgHello asks the peer to switch the connection to mux framing;
+	// its payload offers the version, MuxVersionCache.
 	MsgHello MsgType = iota + 120
 	// MsgHelloOK accepts: its payload names the chosen version, and
 	// every subsequent frame on the connection uses that framing.
@@ -69,10 +70,10 @@ func DecodeHelloRequest(p []byte) (HelloRequest, error) {
 	})
 }
 
-// HelloFlagArgCache in HelloReply flags advertises that the server
-// runs an enabled argument cache, so a level-4 client may send digest
-// references and retain requests. Absent (or a cache-less server), a
-// level-4 connection behaves bit-identically to level 3.
+// HelloFlagArgCache in HelloReply flags is the server's cache grant: it
+// runs an enabled argument cache, so the client may send digest
+// references, data-handle requests and retain flags. Without it the
+// connection carries no cache frame in either direction.
 const HelloFlagArgCache uint32 = 1 << 0
 
 // HelloReply is the payload of MsgHelloOK.

@@ -110,7 +110,7 @@ func randomShape(t *testing.T, r *rand.Rand, info *idl.Info, req *CallRequest, r
 	t.Helper()
 	thr := []int{0, 64, 4096}[r.Intn(3)]
 	if thr == 0 || r.Intn(2) == 0 {
-		return BulkShape(thr), nil
+		return NewShape(false, thr, nil, nil), nil
 	}
 	digs, err := CallRequestDigests(info, req, thr)
 	if err != nil {
@@ -126,7 +126,7 @@ func randomShape(t *testing.T, r *rand.Rand, info *idl.Info, req *CallRequest, r
 	for i, d := range digs {
 		_, warm[i] = cache.held[d]
 	}
-	return DigestShape(thr, digs, warm), cache
+	return NewShape(true, thr, digs, warm), cache
 }
 
 // deliver carries one encoded message to its receiver — through the
@@ -227,7 +227,7 @@ func TestRandomInterfaceRoundTrips(t *testing.T) {
 				decoded[i] = float32(i)
 			}
 		}
-		bm, fb, err = EncodeReply(info, Timings{Enqueue: 1, Dequeue: 2, Complete: 3}, decoded, BulkShape([]int{0, 64, 4096}[r.Intn(3)]))
+		bm, fb, err = EncodeReply(info, Timings{Enqueue: 1, Dequeue: 2, Complete: 3}, decoded, NewShape(false, []int{0, 64, 4096}[r.Intn(3)], nil, nil))
 		if err != nil {
 			t.Fatalf("trial %d: encode reply: %v", trial, err)
 		}

@@ -8,22 +8,14 @@ import (
 	"ninf/internal/xdr"
 )
 
-// BulkShape and DigestShape name a non-zero placement directly, whatever
-// a peer negotiated: the encoder's own tests and goldens fix the shape
-// they encode under.
-func BulkShape(threshold int) Shape { return Shape{threshold: threshold} }
-
-func DigestShape(threshold int, digs []Digest, warm []bool) Shape {
-	return Shape{threshold: threshold, digest: true, digs: digs, warm: warm}
-}
-
-// TestNewShapeLevels holds the shape constructor to the level it is
-// given, on the golden interfaces with every eligible array's digest
-// offered and warm. Below level 3 every array is inline; at level 3 none
-// is a digest marker; at level 4 the bytes are level 3's unless the
-// cache is granted, the one case that places markers. A reply, built
-// without digests, is level 3's whatever the grant.
-func TestNewShapeLevels(t *testing.T) {
+// TestNewShape holds the shape constructor to the two things a
+// connection decides, on the golden interfaces with every eligible
+// array's digest offered and warm. A threshold of 0 — a lockstep
+// connection — keeps every array inline whatever the grant; from a
+// threshold up arrays ride as segments, and only the cache grant turns
+// them into digest markers. A reply, built without digests, is a plain
+// segment reply whatever the grant.
+func TestNewShape(t *testing.T) {
 	infos, err := idl.Parse(goldenIDL)
 	if err != nil {
 		t.Fatal(err)
@@ -48,35 +40,31 @@ func TestNewShapeLevels(t *testing.T) {
 			bm, fb, err := EncodeReply(info, tm, args, sh)
 			return goldenLine(t, info.Name, info, 24, true, bm, fb, err)
 		}
-		inline, segments := call(Shape{}), call(BulkShape(goldenThreshold))
+		inline, segments := call(Shape{}), call(Shape{threshold: goldenThreshold})
 		if strings.Contains(inline, "seg@") || strings.Contains(inline, ":dig") || !strings.Contains(segments, "seg@") {
 			t.Fatalf("%s: the reference placements are wrong\n%s%s", info.Name, inline, segments)
 		}
 		for _, c := range []struct {
-			level int
-			cache bool
-			want  string
+			cache     bool
+			threshold int
+			want      string
 		}{
-			{1, true, inline},
-			{MuxVersion, false, inline},
-			{MuxVersion, true, inline},
-			{MuxVersionBulk, false, segments},
-			{MuxVersionBulk, true, segments},
-			{MuxVersionCache, false, segments},
+			{false, 0, inline},
+			{true, 0, inline},
+			{false, goldenThreshold, segments},
 		} {
-			if got := call(NewShape(c.level, c.cache, goldenThreshold, digs, warm)); got != c.want {
-				t.Errorf("%s: level %d, cache %t:\n got %s\nwant %s", info.Name, c.level, c.cache, got, c.want)
+			if got := call(NewShape(c.cache, c.threshold, digs, warm)); got != c.want {
+				t.Errorf("%s: cache %t, threshold %d:\n got %s\nwant %s", info.Name, c.cache, c.threshold, got, c.want)
 			}
 		}
-		granted := call(NewShape(MuxVersionCache, true, goldenThreshold, digs, warm))
+		granted := call(NewShape(true, goldenThreshold, digs, warm))
 		if strings.Contains(granted, "seg@") || !strings.Contains(granted, ":dig") {
-			t.Errorf("%s: level 4 with the cache granted and every digest warm: %s", info.Name, granted)
+			t.Errorf("%s: the cache granted and every digest warm: %s", info.Name, granted)
 		}
-		if got, want := reply(NewShape(MuxVersion, true, goldenThreshold, nil, nil)), reply(Shape{}); got != want {
-			t.Errorf("%s: level-2 reply:\n got %s\nwant %s", info.Name, got, want)
-		}
-		if got, want := reply(NewShape(MuxVersionCache, true, goldenThreshold, nil, nil)), reply(BulkShape(goldenThreshold)); got != want {
-			t.Errorf("%s: level-4 reply:\n got %s\nwant %s", info.Name, got, want)
+		for _, thr := range []int{0, goldenThreshold} {
+			if got, want := reply(NewShape(true, thr, nil, nil)), reply(Shape{threshold: thr}); got != want {
+				t.Errorf("%s: reply at threshold %d with the cache granted:\n got %s\nwant %s", info.Name, thr, got, want)
+			}
 		}
 	}
 }

@@ -12,17 +12,6 @@ import (
 	"ninf/internal/protocol"
 )
 
-// bulkSession negotiates a feature-level-3 session against a served
-// conn for a server with the given config.
-func bulkSession(t *testing.T, s *Server) *mux.Session {
-	t.Helper()
-	sess := muxSession(t, s)
-	if sess.Version() < protocol.MuxVersionBulk {
-		t.Fatal("server did not negotiate bulk feature level")
-	}
-	return sess
-}
-
 func bigVec(n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -39,7 +28,7 @@ func TestMuxBulkCallRoundTrip(t *testing.T) {
 	reg, _ := testRegistry(t)
 	s := New(Config{PEs: 2, BulkThreshold: 1024}, reg)
 	defer s.Close()
-	sess := bulkSession(t, s)
+	sess := muxSession(t, s)
 	info := reg.Lookup("double_it").Info
 
 	n := 64 << 10 // 512 KiB vector: chunked both directions
@@ -86,7 +75,7 @@ func TestMuxBulkReplyDisabled(t *testing.T) {
 	reg, _ := testRegistry(t)
 	s := New(Config{PEs: 2, BulkThreshold: -1}, reg)
 	defer s.Close()
-	sess := bulkSession(t, s)
+	sess := muxSession(t, s)
 	info := reg.Lookup("double_it").Info
 
 	n := 32 << 10
@@ -123,14 +112,14 @@ func TestMuxBulkSubmitFetch(t *testing.T) {
 	reg, _ := testRegistry(t)
 	s := New(Config{PEs: 2, BulkThreshold: 1024}, reg)
 	defer s.Close()
-	sess := bulkSession(t, s)
+	sess := muxSession(t, s)
 	info := reg.Lookup("double_it").Info
 
 	n := 48 << 10
 	v := bigVec(n)
 	vals := []idl.Value{int64(n), v, nil}
 	m, _, err := protocol.EncodeRequest(info, protocol.MsgSubmit,
-		&protocol.CallRequest{Name: "double_it", Args: vals}, 42, protocol.NewShape(protocol.MuxVersionBulk, false, 1024, nil, nil))
+		&protocol.CallRequest{Name: "double_it", Args: vals}, 42, protocol.NewShape(false, 1024, nil, nil))
 	if err != nil || m == nil {
 		t.Fatalf("encode: %v %v", m, err)
 	}
@@ -193,7 +182,7 @@ func TestMuxBulkMixedPipeline(t *testing.T) {
 	reg, _ := testRegistry(t)
 	s := New(Config{PEs: 4, BulkThreshold: 1024}, reg)
 	defer s.Close()
-	sess := bulkSession(t, s)
+	sess := muxSession(t, s)
 	info := reg.Lookup("double_it").Info
 
 	var wg sync.WaitGroup
@@ -282,7 +271,7 @@ func TestMuxBulkConnCutMidReassembly(t *testing.T) {
 		s.ServeConn(sc)
 	}()
 	hello, err := mux.NegotiateHello(cc, 0)
-	if err != nil || hello.Version < protocol.MuxVersionBulk {
+	if err != nil || hello.Version != protocol.MuxVersionCache {
 		t.Fatalf("negotiate: %d %v", hello.Version, err)
 	}
 	// Hand-write a begin for a 1 MiB message, one chunk, then cut.

@@ -8,9 +8,9 @@ import (
 	"ninf/internal/protocol"
 )
 
-// The argument cache (feature level 4) keeps large array operands and
-// results resident between calls, keyed by content digest, so repeated
-// WAN workloads stop re-shipping the same matrices on every Ninf_call.
+// The argument cache keeps large array operands and results resident
+// between calls, keyed by content digest, so repeated WAN workloads stop
+// re-shipping the same matrices on every Ninf_call.
 // It is byte-budgeted (Config.CacheBudget, default off), evicts LRU,
 // and ref-counts entries pinned by in-flight calls so eviction can
 // never yank an operand mid-dispatch. Entries live keyed by the short

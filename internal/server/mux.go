@@ -20,8 +20,8 @@ import (
 // engine the client's session does (internal/mux): mux.ReadFrames owns
 // the read side, reassembling chunked bulk requests, and a mux.Writer
 // owns the write side, coalescing small replies and streaming large
-// ones (feature level 3) a bounded chunk per turn, so a LINPACK-sized
-// result no longer head-of-line-blocks pipelined pings behind it. What
+// ones a bounded chunk per turn, so a LINPACK-sized result no longer
+// head-of-line-blocks pipelined pings behind it. What
 // is the server's own is the part in between: each complete request
 // goes to the verb handler the lockstep framer also uses (handle,
 // verbs.go), concurrently and bounded by a semaphore.
@@ -40,29 +40,26 @@ import (
 const DefaultMuxConcurrency = 64
 
 // hello answers a MsgHello, the negotiation a connection opens with in
-// lockstep framing. With multiplexing enabled it accepts the highest
-// common version, and a nonzero second return tells the lockstep framer
-// to hand the connection to serveMux at that feature level once the
-// reply is written; a server configured lockstep-only answers like a
-// pre-mux server (MsgError), which the client takes as "legacy peer,
-// stay lockstep".
-func (s *Server) hello(payload []byte) (reply, int) {
+// lockstep framing. With multiplexing enabled it answers
+// MuxVersionCache, granting the argument cache (HelloFlagArgCache)
+// exactly when it runs one, and a true second return tells the lockstep
+// framer to hand the connection to serveMux once the reply is written.
+// A server configured lockstep-only, and any peer offering less than
+// MuxVersionCache, get the answer a pre-mux server gives (MsgError),
+// which the client takes as "legacy peer, stay lockstep".
+func (s *Server) hello(payload []byte) (reply, bool) {
 	req, err := protocol.DecodeHelloRequest(payload)
 	if err != nil {
-		return errReply(protocol.CodeBadArguments, err.Error(), 0), 0
+		return errReply(protocol.CodeBadArguments, err.Error(), 0), false
 	}
-	if s.cfg.DisableMux || req.MaxVersion < protocol.MuxVersion {
-		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", protocol.MsgHello), 0), 0
+	if s.cfg.DisableMux || req.MaxVersion < protocol.MuxVersionCache {
+		return errReply(protocol.CodeInternal, fmt.Sprintf("unexpected frame %v", protocol.MsgHello), 0), false
 	}
-	version := min(req.MaxVersion, protocol.MuxVersionCache)
-	rep := protocol.HelloReply{Version: version, Epoch: s.epoch.Load()}
-	if version >= protocol.MuxVersionCache && s.cache != nil {
-		// Digest references are only legal once the server says its
-		// cache is live; without the flag a level-4 connection is
-		// bit-identical to level 3.
+	rep := protocol.HelloReply{Version: protocol.MuxVersionCache, Epoch: s.epoch.Load()}
+	if s.cache != nil {
 		rep.Flags |= protocol.HelloFlagArgCache
 	}
-	return reply{t: protocol.MsgHelloOK, fb: protocol.BufferFor(rep.Encode())}, int(version)
+	return reply{t: protocol.MsgHelloOK, fb: protocol.BufferFor(rep.Encode())}, true
 }
 
 // bulkThreshold resolves the reply-chunking threshold; 0 disables.
@@ -81,19 +78,16 @@ func (s *Server) bulkThreshold() int {
 // waits for the requests still executing and flushes their replies
 // (Writer.Close finishes half-streamed results rather than truncating
 // them — a graceful drain depends on it).
-func (s *Server) serveMux(conn net.Conn, client string, version int) {
+func (s *Server) serveMux(conn net.Conn, client string) {
 	d := &muxDispatch{
 		s:      s,
 		client: client,
-		cp: caps{
-			level:   version,
-			cacheOK: version >= protocol.MuxVersionCache && s.cache != nil,
-		},
+		cp:     caps{bulk: s.bulkThreshold(), cacheOK: s.cache != nil},
 		// Every accepted frame was counted by replyPending; the writer
 		// counts it off (replyDone) when its reply is settled — written,
 		// or lost with the connection, where the client's retry path owns
 		// recovery and Drain must not wait for it.
-		w: mux.NewWriter(conn, version, func(err error) {
+		w: mux.NewWriter(conn, s.cache != nil, func(err error) {
 			s.logf("ninf server: mux write: %v", err)
 		}, s.replyDone),
 		sem: make(chan struct{}, DefaultMuxConcurrency),
@@ -138,8 +132,8 @@ func (d *muxDispatch) dispatch(seq uint32, m mux.Message) {
 		r := d.s.handle(d.client, d.cp, m.Type, m.FB, m.Bulk)
 		if err := d.w.Send(mux.Item{Type: r.t, Seq: seq, Frame: r.fb, Bulk: r.bulk, Sent: r.sent}, nil); err != nil {
 			// The writer outlives every dispatch, so the one refusal is a
-			// reply above the connection's level: a bug in handle, and the
-			// connection fails rather than carry it.
+			// cache frame on a connection without the grant: a bug in
+			// handle, and the connection fails rather than carry it.
 			d.w.Fail(err)
 		}
 	}()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -29,7 +30,7 @@ func muxSessionOn(t *testing.T, cc net.Conn) *mux.Session {
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
-	sess := mux.New(cc, 0, int(hello.Version))
+	sess := mux.Open(cc, 0, hello.Flags&protocol.HelloFlagArgCache != 0)
 	t.Cleanup(func() { sess.Close() })
 	return sess
 }
@@ -180,6 +181,48 @@ func TestMuxDisabledAnswersLikeLegacy(t *testing.T) {
 	typ, _, err := protocol.ReadFrame(cc, 0)
 	if err != nil || typ != protocol.MsgPong {
 		t.Fatalf("lockstep ping after refused hello: %v %v", typ, err)
+	}
+}
+
+// TestHelloAnswers holds the server's side of the one negotiation. A
+// Hello offering less than MuxVersionCache gets exactly the MsgError a
+// DisableMux server gives, and the connection stays a lockstep one. Any
+// offer from MuxVersionCache up gets MuxVersionCache, with the cache
+// grant (HelloFlagArgCache) set exactly when the server runs a cache.
+func TestHelloAnswers(t *testing.T) {
+	reg, _ := testRegistry(t)
+	hello := func(cfg Config, offer uint32) (protocol.MsgType, []byte, net.Conn) {
+		cfg.PEs = 1
+		s := New(cfg, reg)
+		t.Cleanup(func() { s.Close() })
+		conn := pipeConn(t, s)
+		req := protocol.HelloRequest{MaxVersion: offer}
+		typ, rp := call(t, conn, protocol.MsgHello, req.Encode())
+		return typ, rp, conn
+	}
+	refusal, refused, _ := hello(Config{DisableMux: true}, protocol.MuxVersionCache)
+	if refusal != protocol.MsgError {
+		t.Fatalf("DisableMux answered Hello with %v", refusal)
+	}
+	for _, offer := range []uint32{protocol.MuxVersion, protocol.MuxVersionBulk} {
+		typ, rp, conn := hello(Config{CacheBudget: 1 << 20}, offer)
+		if typ != refusal || !bytes.Equal(rp, refused) {
+			t.Errorf("offer %d: %v %x, want DisableMux's %v %x", offer, typ, rp, refusal, refused)
+			continue // an accepted Hello left the connection in mux framing
+		}
+		if typ, _ := call(t, conn, protocol.MsgPing, nil); typ != protocol.MsgPong {
+			t.Errorf("offer %d: lockstep ping after the refusal got %v", offer, typ)
+		}
+	}
+	for _, offer := range []uint32{protocol.MuxVersionCache, 0xffffffff} {
+		for _, budget := range []int64{0, 1 << 20} {
+			typ, rp, _ := hello(Config{CacheBudget: budget}, offer)
+			rep, err := protocol.DecodeHelloReply(rp)
+			granted := rep.Flags&protocol.HelloFlagArgCache != 0
+			if typ != protocol.MsgHelloOK || err != nil || rep.Version != protocol.MuxVersionCache || granted != (budget > 0) {
+				t.Errorf("offer %d, cache budget %d: %v %+v %v; want version %d, grant %t", offer, budget, typ, rep, err, protocol.MuxVersionCache, budget > 0)
+			}
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"testing"
 
+	"ninf/internal/mux"
 	"ninf/internal/protocol"
 )
 
@@ -122,8 +124,18 @@ func TestVerbParity(t *testing.T) {
 			return call(t, conn, typ, payload)
 		}
 	}
+	// The mux session claims the cache grant the server withheld, so the
+	// two cache verbs reach the handler as a peer ignoring the grant
+	// would send them, and must get lockstep's answer.
 	muxed := func(t *testing.T, s *Server) exchange {
-		sess := muxSession(t, s)
+		cc, sc := net.Pipe()
+		go s.ServeConn(sc)
+		t.Cleanup(func() { sc.Close() })
+		if _, err := mux.NegotiateHello(cc, 0); err != nil {
+			t.Fatalf("negotiate: %v", err)
+		}
+		sess := mux.Open(cc, 0, true)
+		t.Cleanup(func() { sess.Close() })
 		return func(typ protocol.MsgType, payload []byte) (protocol.MsgType, []byte) {
 			rt, fb, _, err := sess.Roundtrip(context.Background(), typ, protocol.BufferFor(payload))
 			if err != nil {

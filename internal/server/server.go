@@ -98,10 +98,10 @@ type Config struct {
 	// max(1, MaxQueue/2) when MaxQueue is set, unlimited otherwise;
 	// negative means explicitly unlimited.
 	MaxPerClient int
-	// CacheBudget bounds the content-addressed argument/result cache
-	// (feature level 4) in bytes. 0 or negative disables caching: the
-	// server then negotiates level 4 without the cache flag and the
-	// byte stream stays bit-identical to level 3.
+	// CacheBudget bounds the content-addressed argument/result cache in
+	// bytes. A positive budget is the cache grant (HelloFlagArgCache)
+	// every mux session gets; 0 or negative disables caching, and no
+	// cache frame or digest marker then crosses any connection.
 	CacheBudget int64
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
@@ -214,7 +214,7 @@ type task struct {
 	submitTicket     uint64
 	fetchedJournaled atomic.Bool
 
-	// Argument-cache bookkeeping (level 4). pins holds the cache
+	// Argument-cache bookkeeping. pins holds the cache
 	// entries this call resolved by digest, released on every terminal
 	// path so eviction is never blocked by a finished call. retain asks
 	// the server to cache large results for later digest reference.
@@ -809,9 +809,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		s.replyPending()
 		var r reply
-		version := 0
+		upgrade := false
 		if typ == protocol.MsgHello {
-			r, version = s.hello(fb.Payload())
+			r, upgrade = s.hello(fb.Payload())
 			fb.Release()
 		} else {
 			r = s.handle(client, cp, typ, fb, nil)
@@ -826,8 +826,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 			s.logf("ninf server: %v", err)
 			return
 		}
-		if version != 0 {
-			s.serveMux(conn, client, version)
+		if upgrade {
+			s.serveMux(conn, client)
 			return
 		}
 	}

@@ -18,7 +18,7 @@ import (
 
 // reply is one verb's answer awaiting a framer. Exactly one of fb (a
 // complete frame payload) or bulk (a reply the mux writer streams in
-// chunks; only produced for peers that negotiated bulk) is set. sent,
+// chunks; only produced on a mux connection) is set. sent,
 // when non-nil, runs after the reply is confirmed written — the hook
 // fetch uses to keep its job until the reply is really on the wire (a
 // reply lost with the connection must leave the job fetchable).
@@ -31,8 +31,8 @@ type reply struct {
 
 // caps is what the connection's framing lets a verb do.
 type caps struct {
-	level   int  // negotiated feature level; 0 on a lockstep connection
-	cacheOK bool // digest references and data handles are live (level 4, cache on)
+	bulk    int  // reply-chunking threshold; 0 on a lockstep connection
+	cacheOK bool // digest references and data handles are live (mux, cache on)
 	// callback reaches the calling client while a blocking call runs.
 	// Only a lockstep connection has one: its stream is quiet while the
 	// serving goroutine runs the task, which the §2.3 callback
@@ -120,7 +120,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		if t.err != nil {
 			return errReply(t.failCode(), t.err.Error(), t.retryAfter)
 		}
-		bm, rb, err := protocol.EncodeReply(t.ex.Info, t.timings, t.args, protocol.NewShape(cp.level, cp.cacheOK, s.bulkThreshold(), nil, nil))
+		bm, rb, err := protocol.EncodeReply(t.ex.Info, t.timings, t.args, protocol.NewShape(cp.cacheOK, cp.bulk, nil, nil))
 		if err != nil {
 			return errReply(protocol.CodeInternal, err.Error(), 0)
 		}
@@ -160,7 +160,7 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 		if err != nil {
 			return errReply(protocol.CodeBadArguments, err.Error(), 0)
 		}
-		return s.fetch(req, cp.level >= protocol.MuxVersionBulk)
+		return s.fetch(req, cp.bulk)
 
 	case protocol.MsgCallDigest:
 		digs, err := protocol.DecodeDigestQuery(payload)
@@ -198,13 +198,13 @@ func (s *Server) handle(client string, cp caps, typ protocol.MsgType, fb *protoc
 	}
 }
 
-// attachCache gives a level-4 call's decode a per-call cache view: the
-// resolver that answers digest markers (pinning what it resolves) and
-// retains uploaded segments. A monolithic frame gets a synthesized
+// attachCache gives a cache-granted call's decode a per-call cache view:
+// the resolver that answers digest markers (pinning what it resolves)
+// and retains uploaded segments. A monolithic frame gets a synthesized
 // BulkInfo — digest markers carry no offsets, so a head-only Base is
 // sound, and inline arrays take the non-marker decode path untouched.
-// Below level 4 (or with the cache off) bulk passes through unchanged
-// and decode rejects any digest marker.
+// With the cache off bulk passes through unchanged and decode rejects
+// any digest marker.
 func (s *Server) attachCache(bulk *protocol.BulkInfo, head []byte, cacheOK bool) *protocol.BulkInfo {
 	if !cacheOK {
 		return bulk
@@ -226,10 +226,11 @@ func (s *Server) attachCache(bulk *protocol.BulkInfo, head []byte, cacheOK bool)
 // re-fetchable for deliveredTTL (see markDelivered), so
 // the retry re-reads the retained result instead of getting
 // CodeUnknownJob and re-executing the work through an idempotent
-// re-Submit. Large stored results stream back chunked where the peer
-// allows it (the BulkMsg aliases the job's pre-encoded reply, which the
-// linger keeps live until well past the write).
-func (s *Server) fetch(req protocol.FetchRequest, bulkOK bool) reply {
+// re-Submit. On a mux connection (bulk, its chunking threshold, > 0) a
+// stored result that large streams back chunked (the BulkMsg aliases the
+// job's pre-encoded reply, which the linger keeps live until well past
+// the write).
+func (s *Server) fetch(req protocol.FetchRequest, bulk int) reply {
 	s.mu.Lock()
 	t, ok := s.jobs[req.JobID]
 	s.mu.Unlock()
@@ -247,7 +248,7 @@ func (s *Server) fetch(req protocol.FetchRequest, bulkOK bool) reply {
 	var r reply
 	if t.err != nil {
 		r = errReply(t.failCode(), t.err.Error(), t.retryAfter)
-	} else if thr := s.bulkThreshold(); bulkOK && thr > 0 && len(t.reply) >= thr {
+	} else if bulk > 0 && len(t.reply) >= bulk {
 		r = reply{t: protocol.MsgFetchOK, bulk: protocol.RawBulkMsg(protocol.MsgFetchOK, t.reply)}
 	} else {
 		r = reply{t: protocol.MsgFetchOK, fb: protocol.BufferFor(t.reply)}

@@ -45,13 +45,12 @@ import (
 // session is negotiated on it. What the client knows of the server — the
 // warm-digest set, the epoch, the retry budget — is per client, since
 // the server's cache and job table are per server; what a handshake
-// answered — version and capability flags — is per session.
+// answered — the cache grant — is per session (mux.Session.Cache).
 
 // A live is one negotiated session and what is per session about it.
 type live struct {
-	sess  *mux.Session
-	conn  net.Conn // its transport, checked out of the pool so closeAll severs it
-	flags uint32   // its HelloReply capability flags
+	sess *mux.Session
+	conn net.Conn // its transport, checked out of the pool so closeAll severs it
 }
 
 // sessionState holds the client's multiplexing state; embedded in
@@ -268,35 +267,16 @@ func (c *Client) handshake(ctx context.Context) (live, error) {
 		// before any digest reference or data handle can hit the reborn
 		// (empty) cache.
 		c.noteEpoch(hello.Epoch)
-		return live{mux.New(conn, c.maxPayload, int(hello.Version)), conn, hello.Flags}, nil
+		return live{mux.Open(conn, c.maxPayload, hello.Flags&protocol.HelloFlagArgCache != 0), conn}, nil
 	}
 	c.pool.discard(conn)
 	return live{}, err
 }
 
-// cacheOn reports whether sess negotiated feature level 4 against a
-// server advertising a live argument cache, with digest references
-// enabled on this client. Only then may digest or retain framing
-// appear on the wire; anywhere below, the byte stream is bit-identical
-// to level 3.
-func (c *Client) cacheOn(sess *mux.Session) bool {
-	if sess == nil || c.noArgCache.Load() || sess.Version() < protocol.MuxVersionCache {
-		return false
-	}
-	c.sess.mu.Lock()
-	defer c.sess.mu.Unlock()
-	for _, l := range c.sess.live {
-		if l.sess == sess {
-			return l.flags&protocol.HelloFlagArgCache != 0
-		}
-	}
-	return false
-}
-
 // request is one encoded request awaiting a transport — the client-side
 // mirror of the server's reply. Exactly one of fb (a complete frame
 // payload) or bulk (a message the session streams in chunks; built only
-// for sessions that negotiated bulk) is set; closing retract, if set,
+// for sessions) is set; closing retract, if set,
 // asks for a bulk stream back (mux.Session.RoundtripRetract).
 type request struct {
 	t       protocol.MsgType
@@ -386,10 +366,9 @@ func (c *Client) query(ctx context.Context, negotiate bool, t protocol.MsgType, 
 // the exchange. Encoding happens here — once the transport's
 // capabilities are known — so nothing is marshalled twice: the shape
 // says where the session lets arrays go, and one encode follows it. On a
-// session that negotiated bulk streaming an array crossing the client's
-// threshold is written zero-copy from the caller's slice; against a live
-// argument cache one the client knows the server to hold shrinks to its
-// digest; on a pooled lockstep connection everything is inline in one
+// session an array crossing the client's threshold is written zero-copy
+// from the caller's slice; with the server's cache grant one the client
+// knows the server to hold shrinks to its digest; on a pooled lockstep connection everything is inline in one
 // frame.
 //
 // An array whose digest the client has no knowledge of is uploaded and
@@ -403,15 +382,13 @@ func (c *Client) query(ctx context.Context, negotiate bool, t protocol.MsgType, 
 // with the 20-byte marker; one it has finished is the call, and its
 // reply is awaited. Either way the routine runs once.
 func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType, info *idl.Info, creq *protocol.CallRequest, key uint64, rep *Report) (protocol.MsgType, *protocol.Buffer, *protocol.BulkInfo, error) {
-	level := 0 // a pooled lockstep connection
+	thr, cacheOK := 0, false // a pooled lockstep connection: every array inline
 	if sess != nil {
-		level = sess.Version()
+		thr, cacheOK = c.bulkThreshold(), sess.Cache()
 	}
-	thr := c.bulkThreshold()
 	var digs []protocol.Digest
 	var warm []bool
 	unknown := false
-	cacheOK := c.cacheOn(sess)
 	if cacheOK {
 		// Retain rides every shape, not just the digest one: the server
 		// may refuse the warmth query and still hold a cache.
@@ -420,7 +397,7 @@ func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType
 			warm, unknown = c.warmth(digs)
 		}
 	}
-	shape := protocol.NewShape(level, cacheOK, thr, digs, warm)
+	shape := protocol.NewShape(cacheOK, thr, digs, warm)
 	for {
 		rq := request{t: t}
 		var err error
@@ -444,13 +421,13 @@ func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType
 				// Never a request, so this is no second attempt: the same
 				// call, in the shape the answer gives it.
 				rep.Retracted = int64(r.Sent)
-				shape, unknown = protocol.NewShape(level, cacheOK, thr, digs, sp.warm), false
+				shape, unknown = protocol.NewShape(cacheOK, thr, digs, sp.warm), false
 				continue
 			}
 			if sp.refused {
 				// The server answered but will not play (e.g. its cache was
 				// disabled across a restart): what went out was a plain
-				// level-3 call, and it taught nothing about any cache.
+				// call, and it taught nothing about any cache.
 				return rt, fb, bulk, err
 			}
 		}

@@ -514,7 +514,7 @@ func (tx *Transaction) client(ctx context.Context, pl Placement) (*Client, error
 	// server keeps each call's large results resident, so a dependent
 	// call placed there (via SchedRequest.Affinity) passes them back by
 	// digest instead of round-tripping the bytes through the client.
-	// A no-op against cache-less or pre-level-4 servers.
+	// A no-op against servers that grant no cache.
 	c.SetRetainResults(true)
 	if tx.haveRetry {
 		c.SetRetryPolicy(tx.retry)

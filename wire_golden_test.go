@@ -1,11 +1,10 @@
 package ninf_test
 
 // Golden wire captures. One sequential scenario touching every client
-// verb runs against six peers (lockstep client, legacy server, mux held
-// to feature level 2 and to level 3 by the Hello the client offers, both
-// against a server whose argument cache is on, default mux, mux with the
-// argument cache on) through a recording net.Conn, and the frames both
-// ways are compared with testdata/wire/*.golden.
+// verb runs against four peers (lockstep client, legacy server, default
+// mux, mux with the argument cache granted) through a recording
+// net.Conn, and the frames both ways are compared with
+// testdata/wire/*.golden.
 // The captures were taken before the client's exchange paths and the
 // server's verb switches were merged; they are what "no wire byte
 // changed" means for any later transport refactor. Regenerate with
@@ -61,39 +60,17 @@ type wireLog struct {
 
 // recConn records the frames crossing a client connection. Each
 // direction is re-framed from the byte stream, whatever the size of the
-// individual reads and writes. A nonzero maxVersion rewrites the
-// client's HelloRequest.MaxVersion on its way out, so the server settles
-// on that feature level.
+// individual reads and writes.
 type recConn struct {
 	net.Conn
-	log        *wireLog
-	out, in    []byte
-	outHello   bool // a Hello is awaiting its reply on this connection
-	maxVersion uint32
+	log      *wireLog
+	out, in  []byte
+	outHello bool // a Hello is awaiting its reply on this connection
 }
 
 func (c *recConn) Write(p []byte) (int, error) {
-	if c.maxVersion != 0 {
-		p = c.capHello(p)
-	}
 	c.out = c.parse(append(c.out, p...), true)
 	return c.Conn.Write(p)
-}
-
-// capHello returns p with the MaxVersion word of a lockstep MsgHello in
-// it set to c.maxVersion. The frame's header may have gone out in an
-// earlier Write (c.out holds it until the frame is whole).
-func (c *recConn) capHello(p []byte) []byte {
-	hdr := append(append([]byte(nil), c.out...), p...)
-	off := 16 - len(c.out) // where the payload starts in p
-	if len(hdr) < 20 || off < 0 || off+4 > len(p) ||
-		binary.BigEndian.Uint32(hdr[4:]) != protocol.Version ||
-		protocol.MsgType(binary.BigEndian.Uint32(hdr[8:])) != protocol.MsgHello {
-		return p
-	}
-	q := append([]byte(nil), p...)
-	binary.BigEndian.PutUint32(q[off:], c.maxVersion)
-	return q
 }
 
 func (c *recConn) Read(p []byte) (int, error) {
@@ -215,16 +192,13 @@ func notReady(f wireFrame) bool {
 
 func TestWireGolden(t *testing.T) {
 	peers := []struct {
-		name       string
-		cfg        server.Config
-		noMux      bool
-		expect     bool   // client ends up multiplexed
-		maxVersion uint32 // nonzero: the level the client's Hello offers
+		name   string
+		cfg    server.Config
+		noMux  bool
+		expect bool // client ends up multiplexed
 	}{
 		{name: "lockstep", noMux: true},
 		{name: "legacy-server", cfg: server.Config{DisableMux: true}},
-		{name: "mux-v2", cfg: server.Config{CacheBudget: 1 << 20}, expect: true, maxVersion: protocol.MuxVersion},
-		{name: "mux-v3", cfg: server.Config{CacheBudget: 1 << 20}, expect: true, maxVersion: protocol.MuxVersionBulk},
 		{name: "mux", expect: true},
 		{name: "mux-cache", cfg: server.Config{CacheBudget: 1 << 20}, expect: true},
 	}
@@ -240,7 +214,7 @@ func TestWireGolden(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return &recConn{Conn: conn, log: log, maxVersion: p.maxVersion}, nil
+				return &recConn{Conn: conn, log: log}, nil
 			})
 			if p.noMux {
 				c.SetMultiplexing(false)
