@@ -33,6 +33,17 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string, func(
 	return s, addr, func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 
+// withPolicy returns cfg with the named placement policy.
+func withPolicy(t testing.TB, cfg Config, name string) Config {
+	t.Helper()
+	p, err := PolicyByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Policy = p
+	return cfg
+}
+
 func TestAddRemoveServers(t *testing.T) {
 	m := New(Config{})
 	_, addr, dial := startServer(t, server.Config{})
