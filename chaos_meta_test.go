@@ -23,6 +23,7 @@ import (
 	"ninf/internal/faultnet"
 	"ninf/internal/library"
 	"ninf/internal/metaserver"
+	"ninf/internal/placement"
 	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
@@ -119,7 +120,7 @@ func buildHAWorld(t *testing.T, nMeta int, seed int64) *haWorld {
 	for i := 0; i < nMeta; i++ {
 		m := metaserver.New(metaserver.Config{
 			Origin:          fmt.Sprintf("meta-%d", i),
-			Policy:          metaserver.RoundRobin{},
+			Policy:          placement.RoundRobin,
 			FailThreshold:   8, // correlated burst tolerance, as in buildChaosWorld
 			BreakerCooldown: 300 * time.Millisecond,
 		})

@@ -22,6 +22,7 @@ import (
 	"ninf/internal/faultnet"
 	"ninf/internal/library"
 	"ninf/internal/metaserver"
+	"ninf/internal/placement"
 	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
@@ -65,7 +66,7 @@ func buildChaosWorld(t *testing.T, seed int64) *chaosWorld {
 	t.Helper()
 	w := &chaosWorld{
 		meta: metaserver.New(metaserver.Config{
-			Policy: metaserver.RoundRobin{},
+			Policy: placement.RoundRobin,
 			// Clients multiplex every concurrent call onto one session
 			// per server, so a single injected reset fails every
 			// in-flight call at once — consecutive breaker failures
@@ -452,7 +453,7 @@ func TestChaosMuxResetNoCorruption(t *testing.T) {
 // injector's counters proving the partition actually struck.
 func TestChaosMuxPartitionFailover(t *testing.T) {
 	meta := metaserver.New(metaserver.Config{
-		Policy:          metaserver.RoundRobin{},
+		Policy:          placement.RoundRobin,
 		FailThreshold:   8, // correlated session-death bursts, as in buildChaosWorld
 		BreakerCooldown: 300 * time.Millisecond,
 	})

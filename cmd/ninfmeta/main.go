@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"ninf/internal/metaserver"
+	"ninf/internal/placement"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ninfmeta: at least one computational server address is required")
 		os.Exit(2)
 	}
-	pol, err := metaserver.PolicyByName(*policy)
+	pol, err := placement.ByName(*policy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ninfmeta:", err)
 		os.Exit(2)
@@ -107,7 +108,7 @@ func main() {
 		log.Printf("ninfmeta: replica %q gossiping with %d peers every %v", origin, nPeers, *gossip)
 	}
 	log.Printf("ninfmeta: listening on %s, %s policy, monitoring %d servers every %v",
-		l.Addr(), pol.Name(), flag.NArg(), *poll)
+		l.Addr(), *policy, flag.NArg(), *poll)
 	if err := m.Serve(l); err != nil {
 		log.Fatal(err)
 	}

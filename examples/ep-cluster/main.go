@@ -21,6 +21,7 @@ import (
 	"ninf/internal/ep"
 	"ninf/internal/library"
 	"ninf/internal/metaserver"
+	"ninf/internal/placement"
 	"ninf/internal/server"
 )
 
@@ -30,7 +31,7 @@ func main() {
 	flag.Parse()
 
 	// Boot the cluster and register it with a metaserver.
-	meta := metaserver.New(metaserver.Config{Policy: metaserver.RoundRobin{}})
+	meta := metaserver.New(metaserver.Config{Policy: placement.RoundRobin})
 	for i := 0; i < *nServers; i++ {
 		reg, err := library.NewRegistry()
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"ninf/internal/library"
 	"ninf/internal/metaserver"
 	"ninf/internal/metrics"
+	"ninf/internal/placement"
 	"ninf/internal/server"
 	"ninf/internal/server/sched"
 )
@@ -168,7 +169,7 @@ func runPlacementAblation(w io.Writer, opts Options) error {
 	}
 
 	for _, polName := range []string{"load-only", "bandwidth-aware"} {
-		pol, err := metaserver.PolicyByName(polName)
+		pol, err := placement.ByName(polName)
 		if err != nil {
 			return err
 		}

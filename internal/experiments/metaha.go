@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"ninf"
 	"ninf/internal/library"
 	"ninf/internal/metaserver"
+	"ninf/internal/placement"
 	"ninf/internal/server"
 )
 
@@ -133,13 +135,26 @@ func (d *metaHADaemon) kill() {
 // metaHAWorld is one mode's full deployment: real servers, replica
 // daemons, and per-client schedulers.
 type metaHAWorld struct {
-	servers []*server.Server
-	daemons []*metaHADaemon
-	scheds  []*metaserver.RemoteScheduler
+	servers   []*server.Server
+	daemons   []*metaHADaemon
+	scheds    []*metaserver.RemoteScheduler
+	cacheless bool
+}
+
+// cachelessScheduler is the pre-HA client: no degraded fallback, so a
+// placement the cache would serve is refused instead.
+type cachelessScheduler struct{ *metaserver.RemoteScheduler }
+
+func (s cachelessScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
+	pl, err := s.RemoteScheduler.Place(req)
+	if err == nil && pl.Degraded {
+		return ninf.Placement{}, errors.New("metaha: no metaserver reachable")
+	}
+	return pl, err
 }
 
 func buildMetaHAWorld(nMeta int, cacheless bool) (*metaHAWorld, error) {
-	w := &metaHAWorld{}
+	w := &metaHAWorld{cacheless: cacheless}
 	type srv struct{ name, addr string }
 	var srvs []srv
 	for i := 0; i < metaHAServers; i++ {
@@ -161,7 +176,7 @@ func buildMetaHAWorld(nMeta int, cacheless bool) (*metaHAWorld, error) {
 	for i := 0; i < nMeta; i++ {
 		m := metaserver.New(metaserver.Config{
 			Origin:          fmt.Sprintf("meta-%d", i),
-			Policy:          metaserver.RoundRobin{},
+			Policy:          placement.RoundRobin,
 			FailThreshold:   8,
 			BreakerCooldown: 300 * time.Millisecond,
 		})
@@ -201,12 +216,7 @@ func buildMetaHAWorld(nMeta int, cacheless bool) (*metaHAWorld, error) {
 		for _, d := range w.daemons {
 			addrs = append(addrs, d.addr)
 		}
-		rs := metaserver.NewRemoteScheduler(addrs...)
-		if cacheless {
-			// The pre-HA client: no degraded fallback worth the name.
-			rs.CacheTTL = time.Nanosecond
-		}
-		w.scheds = append(w.scheds, rs)
+		w.scheds = append(w.scheds, metaserver.NewRemoteScheduler(addrs...))
 	}
 	return w, nil
 }
@@ -244,7 +254,11 @@ func (w *metaHAWorld) metaHAPhase(mode, phase string, dur time.Duration) metaHAC
 				}
 				want := make([]float64, n*n)
 				metaHAMmul(n, a, b, want)
-				tx := ninf.BeginTransaction(rs)
+				var sched ninf.Scheduler = rs
+				if w.cacheless {
+					sched = cachelessScheduler{rs}
+				}
+				tx := ninf.BeginTransaction(sched)
 				tx.SetMaxAttempts(2 * metaHAServers)
 				tx.SetRetryPolicy(ninf.RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond})
 				tx.SetCallTimeout(2 * time.Second)

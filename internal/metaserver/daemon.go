@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ninf"
+	"ninf/internal/placement"
 	"ninf/internal/protocol"
 )
 
@@ -176,7 +178,7 @@ type metaReplica struct {
 }
 
 // cacheEntry is one server remembered from a successful placement,
-// usable while fresh if every metaserver becomes unreachable.
+// usable for degradedCacheTTL if every metaserver becomes unreachable.
 type cacheEntry struct {
 	addr string
 	at   time.Time
@@ -197,13 +199,10 @@ type cacheEntry struct {
 //
 // When every metaserver is unreachable the scheduler degrades rather
 // than fails: placements fall back to a TTL'd cache of servers
-// recently handed out, rotated round-robin and honoring the request's
-// exclusions, with Placement.Degraded set so callers can see they ran
-// on possibly-stale routing.
+// recently handed out, picked by placement.RoundRobin and honoring the
+// request's exclusions and affinity, with Placement.Degraded set so
+// callers can see they ran on possibly-stale routing.
 type RemoteScheduler struct {
-	// CacheTTL bounds how long a cached placement may serve degraded
-	// mode (default 30s).
-	CacheTTL time.Duration
 	// Origin stamps outcome reports for idempotent replay; defaulted
 	// to a process-unique ID.
 	Origin string
@@ -243,6 +242,10 @@ func (r *RemoteScheduler) AddMeta(addr string, dial func() (net.Conn, error)) {
 
 var clientOriginCounter uint64
 
+// degradedCacheTTL bounds how long a cached placement may serve
+// degraded mode. A var so tests can shrink it.
+var degradedCacheTTL = 30 * time.Second
+
 // ensureLocked finishes construction lazily so zero-value and
 // struct-literal schedulers keep working. Callers hold r.mu.
 func (r *RemoteScheduler) ensureLocked() {
@@ -250,9 +253,6 @@ func (r *RemoteScheduler) ensureLocked() {
 		return
 	}
 	r.init = true
-	if r.CacheTTL <= 0 {
-		r.CacheTTL = 30 * time.Second
-	}
 	if r.Origin == "" {
 		r.Origin = fmt.Sprintf("client-%x-%d", time.Now().UnixNano(), atomic.AddUint64(&clientOriginCounter, 1))
 	}
@@ -456,36 +456,31 @@ func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 
 // placeDegraded serves a placement from the cache of servers the
 // metaservers recently handed out: fresh entries minus the request's
-// exclusions, rotated round-robin. The per-call exclusion loop in the
-// transaction layer supplies the failure handling a live metaserver
-// would — a cached server that fails is excluded on the retry and the
-// rotation moves on.
+// exclusions, in name order, picked by placement.RoundRobin — which
+// knows no load here, so the turn walks them — unless the affinity
+// server is among them. The per-call exclusion loop in the transaction
+// layer supplies the failure handling a live metaserver would — a
+// cached server that fails is excluded on the retry and the rotation
+// moves on.
 func (r *RemoteScheduler) placeDegraded(req ninf.SchedRequest, cause error) (ninf.Placement, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ensureLocked()
-	excluded := make(map[string]bool, len(req.Exclude))
-	for _, x := range req.Exclude {
-		excluded[x] = true
-	}
 	now := time.Now()
-	names := make([]string, 0, len(r.cache))
+	var cands []placement.Server
 	for name, ce := range r.cache {
-		if now.Sub(ce.at) > r.CacheTTL {
+		if now.Sub(ce.at) > degradedCacheTTL {
 			delete(r.cache, name)
-			continue
+		} else if !slices.Contains(req.Exclude, name) {
+			cands = append(cands, placement.Server{Name: name})
 		}
-		if excluded[name] {
-			continue
-		}
-		names = append(names, name)
 	}
-	if len(names) == 0 {
+	if len(cands) == 0 {
 		return ninf.Placement{}, fmt.Errorf("metaserver: degraded and no usable cached server: %w", cause)
 	}
-	sort.Strings(names)
+	slices.SortFunc(cands, func(a, b placement.Server) int { return strings.Compare(a.Name, b.Name) })
 	r.rrDeg++
-	name := names[r.rrDeg%len(names)]
+	name := cands[placement.Pick(cands, req, placement.RoundRobin, r.rrDeg)].Name
 	r.degraded++
 	return ninf.Placement{Name: name, Dial: tcpDialer(r.cache[name].addr), Degraded: true}, nil
 }

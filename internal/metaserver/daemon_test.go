@@ -371,8 +371,9 @@ func TestRemoteSchedulerCacheTTLExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := startMetaDaemon(t, m)
+	defer func(ttl time.Duration) { degradedCacheTTL = ttl }(degradedCacheTTL)
+	degradedCacheTTL = 50 * time.Millisecond
 	rs := NewRemoteScheduler(d.addr)
-	rs.CacheTTL = 50 * time.Millisecond
 	t.Cleanup(func() { rs.Close() })
 	if _, err := rs.Place(ninf.SchedRequest{Routine: "x"}); err != nil {
 		t.Fatal(err)

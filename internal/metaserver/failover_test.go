@@ -8,6 +8,7 @@ import (
 
 	"ninf"
 	"ninf/internal/faultnet"
+	"ninf/internal/placement"
 	"ninf/internal/server"
 )
 
@@ -242,7 +243,7 @@ func TestPlaceFailsOverToLiveServer(t *testing.T) {
 // surviving server, with the failover observable via Failovers and the
 // breaker events.
 func TestTransactionFailsOverMidEnd(t *testing.T) {
-	m := New(Config{FailThreshold: 2, BreakerCooldown: time.Hour, Policy: RoundRobin{}})
+	m := New(Config{FailThreshold: 2, BreakerCooldown: time.Hour, Policy: placement.RoundRobin})
 	inA := faultnet.New(faultnet.Plan{Seed: 7})
 	_, addrA, rawDialA := startServer(t, server.Config{Hostname: "doomed"})
 	_, addrB, dialB := startServer(t, server.Config{Hostname: "survivor"})

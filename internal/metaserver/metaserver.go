@@ -9,26 +9,30 @@
 // bandwidth observed from completed calls. The paper's central WAN
 // finding (§4.2.3, §6) is that load-only placement — what NetSolve's
 // agents did — fails for communication-intensive work in WAN settings
-// because point-to-point bandwidth, not server load, dominates; the
-// BandwidthAware policy encodes the proposed fix, and LoadOnly is kept
-// as the baseline for the ablation benchmark.
+// because point-to-point bandwidth, not server load, dominates;
+// placement.BandwidthAware encodes the proposed fix, and
+// placement.LoadOnly is kept as the baseline for the ablation
+// benchmark. The rule itself lives in internal/placement; this package
+// keeps the state it reads and decides who is eligible.
 package metaserver
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"ninf"
+	"ninf/internal/placement"
 	"ninf/internal/protocol"
 )
 
-// A Snapshot is the scheduler-visible view of one server.
+// A Snapshot is the operator's view of one server. Alive, Breaker,
+// Fails and Overloaded are derived when the snapshot is taken.
 type Snapshot struct {
 	Name string
 	Addr string
@@ -56,8 +60,7 @@ type Snapshot struct {
 	Overloaded bool
 	// TraceCompute maps routine name → mean observed compute time on
 	// this server, from the §5.1 execution trace fetched during
-	// polling. Cost-based policies use it to predict computation for
-	// routines whose IDL declares no Complexity clause.
+	// polling; see placement.Server.
 	TraceCompute map[string]time.Duration
 	// LastSeen is when the server last answered a poll.
 	LastSeen time.Time
@@ -69,18 +72,11 @@ type Snapshot struct {
 	ObsCount int
 }
 
-// A Policy picks a server for one request. Only alive servers are
-// offered. It returns an index into snaps, or -1 if none is
-// acceptable.
-type Policy interface {
-	Pick(snaps []*Snapshot, req ninf.SchedRequest) int
-	Name() string
-}
-
 // Config parameterizes a Metaserver.
 type Config struct {
-	// Policy picks servers; nil means BandwidthAware.
-	Policy Policy
+	// Policy costs servers for placement; nil means
+	// placement.BandwidthAware.
+	Policy placement.Policy
 	// FailThreshold opens a server's circuit breaker after this many
 	// consecutive failed calls or polls (default 3).
 	FailThreshold int
@@ -96,13 +92,13 @@ type Config struct {
 // Metaserver monitors servers and places calls. It implements
 // ninf.Scheduler, so transactions can run over it directly.
 type Metaserver struct {
-	cfg    Config
-	policy Policy
+	cfg Config
 
 	mu      sync.Mutex
 	servers map[string]*entry
 	order   []string
-	rr      int // round-robin cursor for tie-breaking
+	rr      int                // Pick's turn: rotates equal-cost servers
+	cands   []placement.Server // Place's scratch, reused under mu
 	events  []BreakerEvent
 
 	// Replication state; see replica.go.
@@ -113,13 +109,16 @@ type Metaserver struct {
 	tombs  map[string]int64 // server name → deregistration unix nanos
 }
 
+// entry is one server's state. Its Snapshot holds the stored fields;
+// the derived ones (Alive, Breaker, Fails, Overloaded) stay zero here
+// and are computed from brk and overloadUntil when read.
 type entry struct {
 	Snapshot
 	dial     func() (net.Conn, error)
 	brk      breaker
 	observed bool
 	// overloadUntil ends the placement-penalty window opened by an
-	// overloaded reply; Snapshot.Overloaded is derived from it.
+	// overloaded reply.
 	overloadUntil time.Time
 	// registeredAt is the winning registration record's timestamp,
 	// compared against deregistration tombstones so membership
@@ -127,9 +126,28 @@ type entry struct {
 	registeredAt int64
 }
 
-// refresh re-derives the snapshot's time-dependent fields.
-func (e *entry) refresh(now time.Time) {
-	e.Overloaded = now.Before(e.overloadUntil)
+// snapshot is the entry's view at now.
+func (e *entry) snapshot(now time.Time) *Snapshot {
+	s := e.Snapshot
+	s.Alive = e.brk.state != BreakerOpen
+	s.Breaker = e.brk.state
+	s.Fails = e.brk.fails
+	s.Overloaded = now.Before(e.overloadUntil)
+	return &s
+}
+
+// server is the entry as the placement policy sees it at now.
+func (e *entry) server(now time.Time) placement.Server {
+	return placement.Server{
+		Name:         e.Name,
+		PowerMflops:  e.PowerMflops,
+		Bandwidth:    e.Bandwidth,
+		LoadAverage:  e.Stats.LoadAverage,
+		Queued:       e.Stats.Queued,
+		Running:      e.Stats.Running,
+		Overloaded:   now.Before(e.overloadUntil),
+		TraceCompute: e.TraceCompute,
+	}
 }
 
 // New creates a metaserver.
@@ -143,13 +161,11 @@ func New(cfg Config) *Metaserver {
 	if cfg.Origin == "" {
 		cfg.Origin = "meta"
 	}
-	p := cfg.Policy
-	if p == nil {
-		p = BandwidthAware{}
+	if cfg.Policy == nil {
+		cfg.Policy = placement.BandwidthAware
 	}
 	return &Metaserver{
 		cfg:     cfg,
-		policy:  p,
 		servers: make(map[string]*entry),
 		origin:  cfg.Origin,
 		log:     make(map[string]*originLog),
@@ -180,7 +196,6 @@ func (m *Metaserver) AddServer(name, addr string, powerMflops float64, dial func
 	e := &entry{dial: dial, registeredAt: at}
 	e.Name = name
 	e.Addr = addr
-	e.Alive = true
 	e.PowerMflops = powerMflops
 	e.Bandwidth = initialBandwidth
 	m.servers[name] = e
@@ -238,10 +253,7 @@ func (m *Metaserver) Servers() []*Snapshot {
 	now := time.Now()
 	out := make([]*Snapshot, 0, len(m.order))
 	for _, n := range m.order {
-		e := m.servers[n]
-		e.refresh(now)
-		s := e.Snapshot
-		out = append(out, &s)
+		out = append(out, m.servers[n].snapshot(now))
 	}
 	return out
 }
@@ -296,8 +308,6 @@ func (m *Metaserver) PollOnce() int {
 			// polling and call feedback revive a server
 			// symmetrically.
 			e.brk.onSuccess(m.transition(e))
-			m.syncEntry(e)
-			e.refresh(now)
 			if len(m.peers) > 0 {
 				// Share the first-hand poll with peers; they apply it
 				// freshest-wins, so a replica partitioned from a server
@@ -312,8 +322,6 @@ func (m *Metaserver) PollOnce() int {
 			ok++
 		} else {
 			e.brk.onFailure(now, m.cfg.FailThreshold, m.transition(e))
-			m.syncEntry(e)
-			e.refresh(now)
 		}
 	}
 	return ok
@@ -351,14 +359,6 @@ func (m *Metaserver) noteStatsEpochLocked(e *entry, prevEpoch uint64) {
 	e.observed = false
 	e.brk.fails = 0
 	e.brk.probing = false
-}
-
-// syncEntry refreshes the snapshot's breaker-derived fields. Callers
-// hold m.mu.
-func (m *Metaserver) syncEntry(e *entry) {
-	e.Breaker = e.brk.state
-	e.Fails = e.brk.fails
-	e.Alive = e.brk.state != BreakerOpen
 }
 
 // BreakerEvents returns the recorded circuit-breaker transitions in
@@ -457,76 +457,38 @@ func startJitteredLoop(interval time.Duration, fn func()) (stop func()) {
 // non-excluded server exists.
 var ErrNoServer = errors.New("metaserver: no eligible server")
 
-// Place implements ninf.Scheduler. Servers whose circuit breaker is
-// open are not offered to the policy, so placements fail over to live
+// Place implements ninf.Scheduler: it offers placement.Pick the
+// servers a call may use — not excluded, breaker not open, not
+// draining — and reserves the chosen one. Servers whose circuit
+// breaker is open are not offered, so placements fail over to live
 // servers; an open breaker past its cooldown admits exactly one
 // half-open probe placement.
 func (m *Metaserver) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	excluded := make(map[string]bool, len(req.Exclude))
-	for _, x := range req.Exclude {
-		excluded[x] = true
-	}
 	now := time.Now()
-	var snaps []*Snapshot
-	var entries []*entry
+	m.cands = m.cands[:0]
 	for _, n := range m.order {
 		e := m.servers[n]
-		if excluded[n] {
+		// Draining is a graceful shutdown in progress: the server
+		// answers polls but refuses new work, so its breaker is left
+		// alone and the call placed elsewhere until it is gone.
+		if slices.Contains(req.Exclude, n) || !e.brk.eligible(now, m.cfg.BreakerCooldown, m.transition(e)) || e.Stats.Draining {
 			continue
 		}
-		ok := e.brk.eligible(now, m.cfg.BreakerCooldown, m.transition(e))
-		m.syncEntry(e)
-		e.refresh(now)
-		if !ok {
-			continue
-		}
-		if e.Stats.Draining {
-			// Graceful shutdown in progress: the server answers polls
-			// but refuses new work. Leave the breaker alone (it is
-			// alive) and place elsewhere until it is gone.
-			continue
-		}
-		s := e.Snapshot
-		snaps = append(snaps, &s)
-		entries = append(entries, e)
+		m.cands = append(m.cands, e.server(now))
 	}
-	if len(snaps) == 0 {
+	if len(m.cands) == 0 {
 		return ninf.Placement{}, ErrNoServer
 	}
-	// A cache-affinity hint short-circuits the policy when the hinted
-	// server is eligible: the caller knows its argument bytes (or a
-	// chained upstream result) are resident there, and re-shipping them
-	// over the WAN dwarfs any load imbalance a single placement causes.
-	// An ineligible or unknown hint falls through to normal placement.
-	if req.Affinity != "" {
-		for i, s := range snaps {
-			if s.Name == req.Affinity {
-				chosen := entries[i]
-				chosen.brk.markProbe()
-				chosen.Stats.Queued++
-				return ninf.Placement{Name: chosen.Name, Dial: chosen.dial}, nil
-			}
-		}
+	chosen := m.servers[m.cands[placement.Pick(m.cands, req, m.cfg.Policy, m.rr+1)].Name]
+	if chosen.Name != req.Affinity {
+		m.rr++ // the turn moves when the policy chose, not the affinity hint
 	}
-	// Rotate candidates so equal-cost servers spread round-robin.
-	m.rr++
-	off := m.rr % len(snaps)
-	rot := make([]*Snapshot, len(snaps))
-	rotE := make([]*entry, len(entries))
-	for i := range snaps {
-		rot[i] = snaps[(i+off)%len(snaps)]
-		rotE[i] = entries[(i+off)%len(entries)]
-	}
-	idx := m.policy.Pick(rot, req)
-	if idx < 0 || idx >= len(rot) {
-		return ninf.Placement{}, ErrNoServer
-	}
-	chosen := rotE[idx]
 	chosen.brk.markProbe()
 	// Placements optimistically count toward load so a burst of
-	// placements spreads even before stats refresh.
+	// placements spreads even before stats refresh; the call's Observe
+	// takes it back.
 	chosen.Stats.Queued++
 	return ninf.Placement{Name: chosen.Name, Dial: chosen.dial}, nil
 }
@@ -609,11 +571,9 @@ func (m *Metaserver) applyObserveLocked(e *entry, bytes int64, elapsed time.Dura
 	}
 	if failed {
 		e.brk.onFailure(time.Now(), m.cfg.FailThreshold, m.transition(e))
-		m.syncEntry(e)
 		return
 	}
 	e.brk.onSuccess(m.transition(e))
-	m.syncEntry(e)
 	if bytes > 0 && elapsed > 0 {
 		obs := float64(bytes) / elapsed.Seconds()
 		if !e.observed {
@@ -645,146 +605,12 @@ func (m *Metaserver) applyOverloadLocked(e *entry, retryAfterMillis uint32) {
 	if retryAfterMillis > 0 {
 		cool = min(time.Duration(retryAfterMillis)*time.Millisecond, maxOverloadPenalty)
 	}
-	now := time.Now()
-	e.overloadUntil = now.Add(cool)
+	e.overloadUntil = time.Now().Add(cool)
 	// Liveness, not failure: reset the consecutive-failure streak.
 	e.brk.onSuccess(m.transition(e))
-	m.syncEntry(e)
-	e.refresh(now)
 }
 
 var _ ninf.Scheduler = (*Metaserver)(nil)
-
-// LoadOnly is the NetSolve-style baseline policy: pick the alive
-// server with the smallest load average, ignoring communication
-// entirely (§6).
-type LoadOnly struct{}
-
-// Pick implements Policy.
-func (LoadOnly) Pick(snaps []*Snapshot, _ ninf.SchedRequest) int {
-	best := -1
-	for i, s := range snaps {
-		if best == -1 || load(s) < load(snaps[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-func load(s *Snapshot) float64 {
-	// Running jobs occupy the machine and queued placements not yet
-	// reflected in the polled load average count too, so bursts
-	// spread and fresh load is visible before the EWMA catches up.
-	return s.Stats.LoadAverage + float64(s.Stats.Queued) + float64(s.Stats.Running) + overloadBias(s)
-}
-
-// overloadLoadBias is the synthetic load an overload-penalized server
-// carries during its penalty window: heavy enough that any idle peer
-// wins placement, light enough that a fleet that is overloaded
-// everywhere still schedules somewhere.
-const overloadLoadBias = 8.0
-
-func overloadBias(s *Snapshot) float64 {
-	if s.Overloaded {
-		return overloadLoadBias
-	}
-	return 0
-}
-
-// Name implements Policy.
-func (LoadOnly) Name() string { return "load-only" }
-
-// BandwidthAware estimates the wall-clock of the call on each server —
-// communication at the observed bandwidth plus computation at the
-// configured power degraded by current load — and picks the minimum.
-// This is the placement rule §5.1/§6 call for: communication-intensive
-// tasks go where bandwidth is, compute-intensive tasks where cycles
-// are.
-type BandwidthAware struct{}
-
-// Pick implements Policy.
-func (BandwidthAware) Pick(snaps []*Snapshot, req ninf.SchedRequest) int {
-	best := -1
-	bestCost := math.Inf(1)
-	for i, s := range snaps {
-		c := costOn(s, req)
-		if c < bestCost {
-			bestCost = c
-			best = i
-		}
-	}
-	return best
-}
-
-func costOn(s *Snapshot, req ninf.SchedRequest) float64 {
-	cost := 0.0
-	if s.Overloaded {
-		// The penalty must bias even pure-communication costs, which
-		// load(s) does not touch: one synthetic second dwarfs any LAN
-		// transfer this reproduction measures.
-		cost += 1.0
-	}
-	if bw := s.Bandwidth; bw > 0 {
-		cost += float64(req.InBytes+req.OutBytes) / bw
-	}
-	switch {
-	case req.Ops > 0 && s.PowerMflops > 0:
-		// Load inflates compute time: a loaded server shares its
-		// processors among load+1 ways.
-		cost += float64(req.Ops) / (s.PowerMflops * 1e6) * (1 + load(s))
-	case req.Ops == 0 && s.TraceCompute != nil:
-		// No IDL complexity: predict from this server's execution
-		// trace (§5.1).
-		if d, ok := s.TraceCompute[req.Routine]; ok {
-			cost += d.Seconds() * (1 + load(s))
-		}
-	}
-	return cost
-}
-
-// Name implements Policy.
-func (BandwidthAware) Name() string { return "bandwidth-aware" }
-
-// RoundRobin spreads calls evenly across alive servers, the right
-// policy for homogeneous task-parallel fan-out (the Figure 11 EP
-// cluster experiment).
-type RoundRobin struct{}
-
-// Pick implements Policy.
-func (RoundRobin) Pick(snaps []*Snapshot, _ ninf.SchedRequest) int {
-	if len(snaps) == 0 {
-		return -1
-	}
-	// The metaserver rotates candidates per placement, so index 0
-	// walks the ring. Prefer the least-burdened among the first few
-	// to avoid pile-ups when calls outnumber servers.
-	best := 0
-	for i, s := range snaps {
-		if float64(s.Stats.Queued)+float64(s.Stats.Running)+overloadBias(s) <
-			float64(snaps[best].Stats.Queued)+float64(snaps[best].Stats.Running)+overloadBias(snaps[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-// Name implements Policy.
-func (RoundRobin) Name() string { return "round-robin" }
-
-// PolicyByName returns the named policy: "load-only",
-// "bandwidth-aware" or "round-robin".
-func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "load-only":
-		return LoadOnly{}, nil
-	case "bandwidth-aware":
-		return BandwidthAware{}, nil
-	case "round-robin":
-		return RoundRobin{}, nil
-	default:
-		return nil, fmt.Errorf("metaserver: unknown policy %q", name)
-	}
-}
 
 // SortSnapshotsByName orders snapshots for stable test output.
 func SortSnapshotsByName(s []*Snapshot) {

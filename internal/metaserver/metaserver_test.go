@@ -10,6 +10,7 @@ import (
 
 	"ninf"
 	"ninf/internal/library"
+	"ninf/internal/placement"
 	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
@@ -36,7 +37,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string, func(
 // withPolicy returns cfg with the named placement policy.
 func withPolicy(t testing.TB, cfg Config, name string) Config {
 	t.Helper()
-	p, err := PolicyByName(name)
+	p, err := placement.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,34 +269,8 @@ func TestBandwidthEWMA(t *testing.T) {
 	m.Observe("zzz", 1, time.Second, nil)
 }
 
-func TestLoadOnlyVsBandwidthAware(t *testing.T) {
-	// Two servers: "near" has 10 MB/s but is loaded; "far" has
-	// 0.1 MB/s and is idle. For a communication-heavy request the
-	// bandwidth-aware policy must pick near; load-only picks far.
-	near := &Snapshot{Name: "near", Alive: true, PowerMflops: 100, Bandwidth: 10e6}
-	near.Stats.LoadAverage = 3
-	far := &Snapshot{Name: "far", Alive: true, PowerMflops: 100, Bandwidth: 0.1e6}
-	far.Stats.LoadAverage = 0.1
-	snaps := []*Snapshot{near, far}
-
-	req := ninf.SchedRequest{Routine: "linsolve", InBytes: 8_000_000, OutBytes: 8_000, Ops: 1_000_000}
-	if got := (BandwidthAware{}).Pick(snaps, req); snaps[got].Name != "near" {
-		t.Errorf("bandwidth-aware picked %s", snaps[got].Name)
-	}
-	if got := (LoadOnly{}).Pick(snaps, req); snaps[got].Name != "far" {
-		t.Errorf("load-only picked %s", snaps[got].Name)
-	}
-
-	// For a compute-heavy request with tiny payload, both policies
-	// should avoid the loaded server.
-	req = ninf.SchedRequest{Routine: "ep", InBytes: 100, OutBytes: 100, Ops: 50_000_000_000}
-	if got := (BandwidthAware{}).Pick(snaps, req); snaps[got].Name != "far" {
-		t.Errorf("bandwidth-aware picked %s for compute-bound work", snaps[got].Name)
-	}
-}
-
 func TestRoundRobinSpreads(t *testing.T) {
-	m := New(Config{Policy: RoundRobin{}})
+	m := New(Config{Policy: placement.RoundRobin})
 	_, addrA, dialA := startServer(t, server.Config{})
 	_, addrB, dialB := startServer(t, server.Config{})
 	_, addrC, dialC := startServer(t, server.Config{})
@@ -323,23 +298,11 @@ func TestRoundRobinSpreads(t *testing.T) {
 	}
 }
 
-func TestPolicyByName(t *testing.T) {
-	for _, n := range []string{"load-only", "bandwidth-aware", "round-robin"} {
-		p, err := PolicyByName(n)
-		if err != nil || p.Name() != n {
-			t.Errorf("%s: %v %v", n, p, err)
-		}
-	}
-	if _, err := PolicyByName("magic"); err == nil {
-		t.Error("unknown policy accepted")
-	}
-}
-
 func TestTransactionFanOutOverMetaserver(t *testing.T) {
 	// Four servers; a transaction of four independent EP ranges must
 	// spread and merge exactly — the §4.3 metaserver experiment in
 	// miniature.
-	m := New(Config{Policy: RoundRobin{}})
+	m := New(Config{Policy: placement.RoundRobin})
 	for _, name := range []string{"n1", "n2", "n3", "n4"} {
 		_, addr, dial := startServer(t, server.Config{})
 		if err := m.AddServer(name, addr, 100, dial); err != nil {
@@ -387,7 +350,7 @@ func TestTransactionFanOutOverMetaserver(t *testing.T) {
 }
 
 func TestTransactionRetriesOnFault(t *testing.T) {
-	m := New(Config{Policy: RoundRobin{}, FailThreshold: 1})
+	m := New(Config{Policy: placement.RoundRobin, FailThreshold: 1})
 	sA, addrA, dialA := startServer(t, server.Config{})
 	_, addrB, dialB := startServer(t, server.Config{})
 	if err := m.AddServer("a", addrA, 100, dialA); err != nil {
@@ -427,7 +390,7 @@ func TestTransactionAllServersDead(t *testing.T) {
 }
 
 func TestDaemonScheduleObserve(t *testing.T) {
-	m := New(Config{Policy: RoundRobin{}})
+	m := New(Config{Policy: placement.RoundRobin})
 	_, addrA, dialA := startServer(t, server.Config{})
 	if err := m.AddServer("a", addrA, 100, dialA); err != nil {
 		t.Fatal(err)

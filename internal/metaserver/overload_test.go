@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ninf"
+	"ninf/internal/placement"
 	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
@@ -69,7 +70,7 @@ func TestOverloadDoesNotTripBreaker(t *testing.T) {
 // overloaded server loses placements to an idle peer; once the window
 // (sized by the server's own hint) passes, it is schedulable again.
 func TestOverloadPenaltyBiasesPlacement(t *testing.T) {
-	m := New(Config{Policy: LoadOnly{}})
+	m := New(Config{Policy: placement.LoadOnly})
 	_, addrA, dialA := startServer(t, server.Config{Hostname: "a"})
 	_, addrB, dialB := startServer(t, server.Config{Hostname: "b"})
 	if err := m.AddServer("a", addrA, 100, dialA); err != nil {
@@ -118,7 +119,7 @@ func TestOverloadPenaltyHintCap(t *testing.T) {
 // answers polls (alive, breaker closed) but must receive no
 // placements; with every server draining there is nowhere to place.
 func TestPlaceSkipsDrainingServer(t *testing.T) {
-	m := New(Config{Policy: RoundRobin{}})
+	m := New(Config{Policy: placement.RoundRobin})
 	_, addrA, dialA := startServer(t, server.Config{Hostname: "a"})
 	_, addrB, dialB := startServer(t, server.Config{Hostname: "b"})
 	if err := m.AddServer("a", addrA, 100, dialA); err != nil {

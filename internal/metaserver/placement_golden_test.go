@@ -7,7 +7,8 @@ package metaserver
 // and asks for successive placements, so rotation and the optimistic
 // queue count show; it runs under each of the three policies. A last
 // scenario places through a RemoteScheduler whose replica has gone, so
-// the degraded cache answers. The decisions and each server's final
+// the degraded cache answers; its affinity rows were added when the
+// cache began placing through placement.Pick. The decisions and each server's final
 // snapshot are compared with testdata/placement.golden. Regenerate with
 //
 //	go test -run PlacementGolden ./internal/metaserver -update
@@ -341,6 +342,17 @@ func degradedGolden(t *testing.T) []string {
 		{Routine: "busy", Exclude: []string{"a"}},
 		{Routine: "busy", Exclude: []string{"a", "b", "c"}},
 		commReq,
+	} {
+		place(r)
+	}
+	out = append(out, fmt.Sprintf("degraded placements: %d", rs.Status().DegradedPlacements))
+	// The cache honours a call's data affinity, as the metaserver does,
+	// unless the affinity server is excluded.
+	for _, r := range []ninf.SchedRequest{
+		{Routine: "busy", Affinity: "c"},
+		{Routine: "busy", Affinity: "c"},
+		{Routine: "busy", Affinity: "c", Exclude: []string{"c"}},
+		{Routine: "busy", Affinity: "nosuch"},
 	} {
 		place(r)
 	}

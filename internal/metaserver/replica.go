@@ -318,15 +318,12 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 		e := &entry{dial: tcpDialer(rec.Addr), registeredAt: rec.AtUnixNanos}
 		e.Name = rec.Name
 		e.Addr = rec.Addr
-		e.Alive = true
 		e.PowerMflops = rec.Power
 		e.Bandwidth = initialBandwidth
 		m.servers[rec.Name] = e
 		m.order = append(m.order, rec.Name)
 	case protocol.GossipDeregister:
-		// Unstamped records come from a pre-tombstone replica and leave
-		// no tombstone — legacy remove-only semantics.
-		if rec.AtUnixNanos > 0 && rec.AtUnixNanos > m.tombs[rec.Name] {
+		if rec.AtUnixNanos > m.tombs[rec.Name] {
 			m.tombs[rec.Name] = rec.AtUnixNanos
 		}
 		if e, ok := m.servers[rec.Name]; ok && rec.AtUnixNanos < e.registeredAt {
@@ -363,8 +360,6 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 		// A peer's successful poll is liveness evidence as good as our
 		// own: it revives a server our polls could not reach.
 		e.brk.onSuccess(m.transition(e))
-		m.syncEntry(e)
-		e.refresh(time.Now())
 	}
 }
 

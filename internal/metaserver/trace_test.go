@@ -35,24 +35,3 @@ func TestPollFetchesTraces(t *testing.T) {
 		t.Errorf("busy mean compute %v, want ≥ ~20ms", d)
 	}
 }
-
-func TestCostUsesTraceWhenOpsUnknown(t *testing.T) {
-	// Two servers with equal bandwidth/load; one is known (from its
-	// trace) to run the routine much faster. With Ops unknown, the
-	// bandwidth-aware policy must prefer it.
-	fast := &Snapshot{Name: "fast", Alive: true, PowerMflops: 100, Bandwidth: 1e6,
-		TraceCompute: map[string]time.Duration{"render": 100 * time.Millisecond}}
-	slow := &Snapshot{Name: "slow", Alive: true, PowerMflops: 100, Bandwidth: 1e6,
-		TraceCompute: map[string]time.Duration{"render": 10 * time.Second}}
-	snaps := []*Snapshot{slow, fast}
-	req := ninf.SchedRequest{Routine: "render", InBytes: 1000, OutBytes: 1000}
-	if got := (BandwidthAware{}).Pick(snaps, req); snaps[got].Name != "fast" {
-		t.Errorf("picked %s, want the trace-fast server", snaps[got].Name)
-	}
-	// With Ops declared, the IDL prediction wins and traces are
-	// ignored — both servers then cost the same, any pick is valid.
-	req.Ops = 1 << 20
-	if got := (BandwidthAware{}).Pick(snaps, req); got < 0 {
-		t.Error("no pick with declared ops")
-	}
-}

@@ -11,26 +11,13 @@ import (
 	"time"
 
 	"ninf/internal/idl"
+	"ninf/internal/placement"
 	"ninf/internal/protocol"
 )
 
 // SchedRequest describes one pending Ninf_call for placement by a
-// Scheduler. Byte counts are estimates from argument sizes; Ops is the
-// IDL complexity when known (0 otherwise). Exclude lists servers to
-// avoid, used on fault-tolerant retry.
-type SchedRequest struct {
-	Routine  string
-	InBytes  int64
-	OutBytes int64
-	Ops      int64
-	Exclude  []string
-	// Affinity names the server whose argument cache already holds this
-	// call's input data (the server that executed a dependency whose
-	// output this call reads), so placement can bind the call to the
-	// data instead of re-shipping it. Advisory: schedulers ignore an
-	// ineligible or excluded affinity server.
-	Affinity string
-}
+// Scheduler; see placement.Request.
+type SchedRequest = placement.Request
 
 // Placement names a chosen server and how to reach it.
 type Placement struct {
@@ -44,12 +31,14 @@ type Placement struct {
 
 // A Scheduler places Ninf_calls on computational servers and receives
 // feedback about completed calls. The metaserver implements this; so
-// does a trivial single-server scheduler. Observe hears every placed
-// attempt's outcome — its bytes and time on success, its error (nil on
-// success) — so the scheduler can track per-server achievable
-// bandwidth, the quantity the paper shows must drive placement in WAN
-// settings (§4.2.3), and server health, telling an overload rejection
-// from a failure by the error itself.
+// does a trivial single-server scheduler. A transaction follows every
+// placement it takes — interface fetches included — with exactly one
+// Observe of that attempt's outcome: its bytes and time on success,
+// its error (nil on success). So the scheduler can track per-server
+// achievable bandwidth, the quantity the paper shows must drive
+// placement in WAN settings (§4.2.3), and server health, telling an
+// overload rejection from a failure by the error itself, and settle
+// what it reserved at placement (a queue slot, a half-open probe).
 type Scheduler interface {
 	Place(req SchedRequest) (Placement, error)
 	Observe(serverName string, bytes int64, elapsed time.Duration, callErr error)
@@ -156,9 +145,9 @@ func (tx *Transaction) SetRetryPolicy(p RetryPolicy) {
 	}
 }
 
-// Failovers reports how many times a call was re-placed on another
-// server after failing — the transaction's observable fault-tolerance
-// work.
+// Failovers reports how many times an interface fetch or a call was
+// re-placed after failing on a server — the transaction's observable
+// fault-tolerance work.
 func (tx *Transaction) Failovers() int {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -251,7 +240,13 @@ func (tx *Transaction) EndContext(ctx context.Context) error {
 		if _, ok := infos[c.name]; ok {
 			continue
 		}
-		info, err := tx.fetchInterface(ctx, c.name, c.args)
+		var info *idl.Info
+		var tried []string
+		_, err := tx.attempt(ctx, SchedRequest{Routine: c.name}, &tried, func(ctx context.Context, cl *Client) (int64, time.Duration, error) {
+			var err error
+			info, err = cl.InterfaceContext(ctx, c.name)
+			return 0, 0, err
+		})
 		if err != nil {
 			return fmt.Errorf("ninf: transaction: %w", err)
 		}
@@ -300,111 +295,102 @@ func (tx *Transaction) EndContext(ctx context.Context) error {
 	return nil
 }
 
-// fetchInterface places a lightweight request and performs the
-// stage-one RPC against the chosen server, with retry.
-func (tx *Transaction) fetchInterface(ctx context.Context, name string, args []any) (*idl.Info, error) {
-	var exclude []string
-	var lastErr error
-	for attempt := 0; attempt < tx.maxAttempts; attempt++ {
-		pl, err := tx.sched.Place(SchedRequest{Routine: name, Exclude: exclude})
-		if err != nil {
-			if err := tx.placementFailed(ctx, attempt, err, &lastErr, &exclude); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if pl.Degraded {
-			tx.mu.Lock()
-			tx.degraded++
-			tx.mu.Unlock()
-		}
-		callCtx, cancel := tx.callContext(ctx)
-		c, err := tx.client(callCtx, pl)
-		var info *idl.Info
-		if err == nil {
-			info, err = c.InterfaceContext(callCtx, name)
-		}
-		cancel()
-		if err == nil {
-			return info, nil
-		}
-		lastErr = err
-		exclude = append(exclude, pl.Name)
-		tx.sched.Observe(pl.Name, 0, 0, err)
-	}
-	return nil, lastErr
-}
-
-// execute runs one call with placement, per-attempt deadline, and
-// failover: a call that fails on one server (after the client's inner
-// transport retries) is observed as failed — feeding the metaserver's
-// circuit breaker — excluded from re-placement, and rerouted to the
-// next-best live server, re-executing the Ninf_call as §5 prescribes.
+// execute runs one call through attempt, placed with its sizes, cost
+// and data affinity.
 func (tx *Transaction) execute(ctx context.Context, info *idl.Info, c *txCall) (*Report, error) {
 	// The interface sizes and costs the call for the scheduler; a call
 	// it cannot size is placed as if empty; the call reports the error.
-	var inB, outB, ops int64
+	req := SchedRequest{Routine: c.name, Affinity: c.affinity}
 	if vals, err := toValues(info, c.args); err == nil {
-		inB, outB, _ = info.TransferBytes(vals)
-		ops, _ = info.PredictedOps(vals)
+		req.InBytes, req.OutBytes, _ = info.TransferBytes(vals)
+		req.Ops, _ = info.PredictedOps(vals)
 	}
+	var rep *Report
+	on, err := tx.attempt(ctx, req, &c.servers, func(ctx context.Context, cl *Client) (int64, time.Duration, error) {
+		var err error
+		if rep, err = cl.CallContext(ctx, c.name, c.args...); err != nil {
+			return 0, 0, err
+		}
+		return rep.BytesOut + rep.BytesIn, rep.Total(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.execOn = on
+	return rep, nil
+}
+
+// attempt is the transaction's one placement loop, behind both the
+// interface fetches and the calls: place req, dial, run op on the
+// chosen server, and report the outcome — op's traffic on success, its
+// error otherwise — with exactly one Observe per placement taken. A
+// server op fails on (after the client's inner transport retries) is
+// excluded from re-placement and the call reroutes to the next-best
+// live server, re-executing the Ninf_call as §5 prescribes; each
+// placement is appended to *tried under tx.mu. "No eligible server"
+// from the scheduler — likely every breaker open or every candidate
+// excluded — clears the exclusions (a failed server may have
+// recovered) and waits out a slice of breaker cooldown before asking
+// again. It returns the server op succeeded on.
+func (tx *Transaction) attempt(ctx context.Context, req SchedRequest, tried *[]string, op func(context.Context, *Client) (int64, time.Duration, error)) (string, error) {
 	var lastErr error
-	var excluded []string
 	for attempt := 0; attempt < tx.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return nil, fmt.Errorf("%w (after: %v)", err, lastErr)
-			}
-			return nil, err
+			return "", chainErr(err, lastErr)
 		}
-		pl, err := tx.sched.Place(SchedRequest{
-			Routine: c.name, InBytes: inB, OutBytes: outB, Ops: ops,
-			Exclude: excluded, Affinity: c.affinity,
-		})
+		pl, err := tx.sched.Place(req)
 		if err != nil {
-			if err := tx.placementFailed(ctx, attempt, err, &lastErr, &excluded); err != nil {
-				return nil, err
+			lastErr = chainErr(err, lastErr)
+			if attempt == tx.maxAttempts-1 {
+				return "", lastErr
+			}
+			req.Exclude = nil
+			if serr := sleepCtx(ctx, placementBackoff(attempt)); serr != nil {
+				return "", chainErr(serr, lastErr)
 			}
 			continue
 		}
-		excluded = append(excluded, pl.Name)
 		tx.mu.Lock()
-		c.servers = append(c.servers, pl.Name)
-		if attempt > 0 {
+		if len(*tried) > 0 {
 			tx.failovers++
 		}
+		*tried = append(*tried, pl.Name)
 		if pl.Degraded {
 			tx.degraded++
 		}
 		tx.mu.Unlock()
 		// The call timeout bounds the dial as well as the call.
 		callCtx, cancel := tx.callContext(ctx)
+		var bytes int64
+		var took time.Duration
 		client, err := tx.client(callCtx, pl)
-		var rep *Report
 		if err == nil {
-			rep, err = client.CallContext(callCtx, c.name, c.args...)
+			bytes, took, err = op(callCtx, client)
 		}
 		cancel()
-		if err != nil {
-			tx.sched.Observe(pl.Name, 0, 0, err)
-			lastErr = err
-			if staleData(err) {
-				// The server answered but its resident data is gone — a
-				// cache miss or stale handle after the server restarted
-				// with a fresh incarnation. The server itself is healthy;
-				// only the cached operands evaporated. Un-exclude it so
-				// re-placement (affinity included) may land back there,
-				// where the retry re-uploads the operands, instead of
-				// abandoning the best-placed server over lost cache state.
-				excluded = excluded[:len(excluded)-1]
-			}
-			continue
+		tx.sched.Observe(pl.Name, bytes, took, err)
+		if err == nil {
+			return pl.Name, nil
 		}
-		tx.sched.Observe(pl.Name, rep.BytesOut+rep.BytesIn, rep.Total(), nil)
-		c.execOn = pl.Name
-		return rep, nil
+		lastErr = err
+		if !staleData(err) {
+			// A stale-data failure — the server answered but its
+			// resident data is gone, a cache miss or stale handle after
+			// a restart — indicts the cached operands, not the server:
+			// it stays a candidate, so re-placement (affinity included)
+			// may land back there and re-upload them.
+			req.Exclude = append(req.Exclude, pl.Name)
+		}
 	}
-	return nil, fmt.Errorf("ninf: %s failed on %d servers: %w", c.name, tx.maxAttempts, lastErr)
+	return "", fmt.Errorf("ninf: %s failed on %d servers: %w", req.Routine, tx.maxAttempts, lastErr)
+}
+
+// chainErr reports err with the error of the attempt before it, if any.
+func chainErr(err, earlier error) error {
+	if earlier == nil {
+		return err
+	}
+	return fmt.Errorf("%w (after: %v)", err, earlier)
 }
 
 // staleData reports whether a call failed only because server-resident
@@ -418,29 +404,6 @@ func staleData(err error) bool {
 	}
 	var re *protocol.RemoteError
 	return errors.As(err, &re) && re.Code == protocol.CodeCacheMiss
-}
-
-// placementFailed handles "no eligible server" from the scheduler on
-// attempt — likely every breaker is open or every candidate was
-// excluded. It chains err onto *lastErr, clears the exclusions (a
-// previously-failed server may have recovered) and waits out a slice of
-// breaker cooldown so the caller can re-place. A non-nil return ends
-// the call: the final attempt's placement failure, or ctx ending the
-// wait.
-func (tx *Transaction) placementFailed(ctx context.Context, attempt int, err error, lastErr *error, exclude *[]string) error {
-	if *lastErr == nil {
-		*lastErr = err
-	} else {
-		*lastErr = fmt.Errorf("%w (after: %v)", err, *lastErr)
-	}
-	if attempt == tx.maxAttempts-1 {
-		return *lastErr
-	}
-	*exclude = nil
-	if serr := sleepCtx(ctx, placementBackoff(attempt)); serr != nil {
-		return fmt.Errorf("%w (after: %v)", serr, *lastErr)
-	}
-	return nil
 }
 
 // placementBackoff is how long a call waits before re-asking the

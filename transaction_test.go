@@ -3,6 +3,8 @@ package ninf_test
 import (
 	"errors"
 	"math"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,5 +171,109 @@ func TestTransactionPlacementErrorKeepsClass(t *testing.T) {
 	}
 	if sched.places < 2 {
 		t.Fatalf("expected repeated placement attempts, got %d", sched.places)
+	}
+}
+
+// countingScheduler forwards to a Scheduler, refuses the first
+// placement it is asked for the way a metaserver with every breaker
+// open does, and counts the placements it grants and the outcomes it
+// hears.
+type countingScheduler struct {
+	inner ninf.Scheduler
+
+	mu               sync.Mutex
+	asked, placed    int
+	observed         int
+	unobservedServer map[string]int
+}
+
+func (s *countingScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
+	s.mu.Lock()
+	s.asked++
+	first := s.asked == 1
+	s.mu.Unlock()
+	if first {
+		return ninf.Placement{}, metaserver.ErrNoServer
+	}
+	pl, err := s.inner.Place(req)
+	if err == nil {
+		s.mu.Lock()
+		s.placed++
+		s.unobservedServer[pl.Name]++
+		s.mu.Unlock()
+	}
+	return pl, err
+}
+
+func (s *countingScheduler) Observe(name string, bytes int64, elapsed time.Duration, callErr error) {
+	s.mu.Lock()
+	s.observed++
+	s.unobservedServer[name]--
+	s.mu.Unlock()
+	s.inner.Observe(name, bytes, elapsed, callErr)
+}
+
+// TestTransactionObservesEveryPlacement: every placement a transaction
+// takes — the interface fetch's, a failed call's, the failover's —
+// is reported back to the scheduler exactly once, also after a
+// placement refusal. An unreported placement leaves the metaserver's
+// optimistic queue count raised and, on a half-open server, its one
+// probe slot taken.
+func TestTransactionObservesEveryPlacement(t *testing.T) {
+	sA, dialA := startServer(t, server.Config{})
+	_, dialB := startServer(t, server.Config{})
+	m := metaserver.New(metaserver.Config{})
+	for name, dial := range map[string]func() (net.Conn, error){"a": dialA, "b": dialB} {
+		if err := m.AddServer(name, name, 100, dial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The rotation sends the interface fetch to b and the call to a,
+	// where it fails once and fails over to b.
+	sA.FailNextCalls(1)
+	sched := &countingScheduler{inner: m, unobservedServer: map[string]int{}}
+	tx := ninf.BeginTransaction(sched)
+	var sx, sy float64
+	var pairs int64
+	tx.Call("ep", 8, 0, int64(1)<<8, &sx, &sy, &pairs, nil)
+	if err := tx.End(); err != nil {
+		t.Fatal(err)
+	}
+	if tx.Failovers() != 1 {
+		t.Errorf("Failovers = %d, want 1 (servers tried: %v)", tx.Failovers(), tx.Servers())
+	}
+	if sched.placed != 3 {
+		t.Errorf("placements granted = %d, want 3 (interface, failed call, failover)", sched.placed)
+	}
+	if sched.observed != sched.placed {
+		t.Errorf("%d placements granted, %d observed; unobserved per server: %v", sched.placed, sched.observed, sched.unobservedServer)
+	}
+	for _, s := range m.Servers() {
+		if s.Stats.Queued != 0 {
+			t.Errorf("%s: Queued = %d after the transaction, want 0", s.Name, s.Stats.Queued)
+		}
+	}
+}
+
+// TestTransactionInterfaceFetchSettlesProbe: a server whose breaker is
+// half-open admits one probe placement. When the transaction's
+// interface fetch takes that probe, its success must close the breaker,
+// or the call itself finds no eligible server.
+func TestTransactionInterfaceFetchSettlesProbe(t *testing.T) {
+	_, dial := startServer(t, server.Config{})
+	m := metaserver.New(metaserver.Config{FailThreshold: 1, BreakerCooldown: 20 * time.Millisecond})
+	if err := m.AddServer("s", "s", 100, dial); err != nil {
+		t.Fatal(err)
+	}
+	m.Observe("s", 0, 0, errors.New("injected failure"))
+	time.Sleep(30 * time.Millisecond) // past the cooldown: half-open next
+	tx := ninf.BeginTransaction(m)
+	tx.Call("busy", 1)
+	if err := tx.End(); err != nil {
+		t.Fatalf("one-call transaction against a healthy server failed: %v", err)
+	}
+	s := m.Servers()[0]
+	if s.Breaker != metaserver.BreakerClosed || s.Stats.Queued != 0 {
+		t.Errorf("after the transaction: breaker %v, Queued %d; want closed, 0", s.Breaker, s.Stats.Queued)
 	}
 }
