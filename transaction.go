@@ -241,7 +241,7 @@ func (tx *Transaction) EndContext(ctx context.Context) error {
 			continue
 		}
 		var info *idl.Info
-		var tried []string
+		var tried []string // Servers() lists calls only
 		_, err := tx.attempt(ctx, SchedRequest{Routine: c.name}, &tried, func(ctx context.Context, cl *Client) (int64, time.Duration, error) {
 			var err error
 			info, err = cl.InterfaceContext(ctx, c.name)

@@ -3,7 +3,6 @@ package ninf_test
 import (
 	"errors"
 	"math"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -223,10 +222,11 @@ func TestTransactionObservesEveryPlacement(t *testing.T) {
 	sA, dialA := startServer(t, server.Config{})
 	_, dialB := startServer(t, server.Config{})
 	m := metaserver.New(metaserver.Config{})
-	for name, dial := range map[string]func() (net.Conn, error){"a": dialA, "b": dialB} {
-		if err := m.AddServer(name, name, 100, dial); err != nil {
-			t.Fatal(err)
-		}
+	if err := m.AddServer("a", "a", 100, dialA); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddServer("b", "b", 100, dialB); err != nil {
+		t.Fatal(err)
 	}
 	// The rotation sends the interface fetch to b and the call to a,
 	// where it fails once and fails over to b.
