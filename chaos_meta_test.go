@@ -32,52 +32,18 @@ import (
 // crashed process disappears: listener closed, live connections
 // severed.
 type haDaemon struct {
-	m    *metaserver.Metaserver
-	addr string
-	l    net.Listener
-
-	mu    sync.Mutex
-	conns map[net.Conn]bool
+	*faultnet.Daemon
+	addr string // Daemon.Addr, under the name the tests here use
 }
 
 func startHADaemon(t *testing.T, m *metaserver.Metaserver) *haDaemon {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := faultnet.StartDaemon("127.0.0.1:0", m.ServeConn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &haDaemon{m: m, addr: l.Addr().String(), l: l, conns: make(map[net.Conn]bool)}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			d.mu.Lock()
-			d.conns[c] = true
-			d.mu.Unlock()
-			go func() {
-				defer func() {
-					c.Close()
-					d.mu.Lock()
-					delete(d.conns, c)
-					d.mu.Unlock()
-				}()
-				m.ServeConn(c)
-			}()
-		}
-	}()
-	t.Cleanup(d.kill)
-	return d
-}
-
-func (d *haDaemon) kill() {
-	d.l.Close()
-	d.mu.Lock()
-	for c := range d.conns {
-		c.Close()
-	}
-	d.mu.Unlock()
+	t.Cleanup(d.Kill)
+	return &haDaemon{d, d.Addr}
 }
 
 // haWorld is a replicated control plane: nMeta gossiping metaserver
@@ -162,7 +128,7 @@ func buildHAWorld(t *testing.T, nMeta int, seed int64) *haWorld {
 // background loops stop — the replica is gone, not napping.
 func (w *haWorld) killMeta(i int) {
 	w.injectors[i].Partition()
-	w.daemons[i].kill()
+	w.daemons[i].Kill()
 	w.stops[i]()
 	w.stops[i] = func() {}
 }

@@ -613,14 +613,14 @@ func (c *Client) withRetry(ctx context.Context, op string, attempt func() error)
 				Err: fmt.Errorf("retry budget exhausted: %w", err)}
 		}
 		lastErr = err
+		// A wait cut short by ctx needs no check here: the loop's top
+		// returns ctx's error with err.
 		if hint, ok := overloadHint(err); ok {
 			// The server told us when its queue should have drained;
 			// trust that over our blind exponential guess.
-			if serr := sleepCtx(ctx, hint); serr != nil {
-				return fmt.Errorf("%w (%v)", serr, err)
-			}
-		} else if berr := pol.backoff(ctx, try); berr != nil {
-			return fmt.Errorf("%w (%v)", berr, err)
+			_ = sleepCtx(ctx, hint)
+		} else {
+			_ = pol.backoff(ctx, try)
 		}
 	}
 }
@@ -697,7 +697,9 @@ func (c *Client) CallAsyncContext(ctx context.Context, name string, args ...any)
 }
 
 // releaseGuarded settles a pooled connection after a guarded exchange.
-// A disarmed guard pools or discards by connReusable. A guard that
+// A disarmed guard pools the connection if the exchange was answered —
+// a reply or a MsgError leaves the stream in frame sync — and discards
+// it otherwise (dial, I/O, framing or decode trouble). A guard that
 // already fired means ctx ended mid-exchange and its conn.Close races
 // (or raced) the exchange: the connection is never pooled — another
 // caller must not be handed a socket about to be closed under it — and
@@ -707,29 +709,14 @@ func (c *Client) CallAsyncContext(ctx context.Context, name string, args ...any)
 func (c *Client) releaseGuarded(ctx context.Context, conn net.Conn, stop func() bool, err error) error {
 	if !stop() {
 		c.pool.discard(conn)
-		if err != nil {
-			return ctxErr(ctx, err)
-		}
-		return nil
+		return ctxErr(ctx, err)
 	}
-	if connReusable(err) {
+	if protocol.Classify(err).Answered() {
 		c.pool.put(conn)
 	} else {
 		c.pool.discard(conn)
 	}
 	return err
-}
-
-// connReusable reports whether a pooled connection is still in frame
-// sync after an exchange that returned err: a nil error or a decoded
-// remote error leaves the stream clean; anything else (dial, I/O,
-// framing, decode trouble) means the connection must be discarded.
-func connReusable(err error) bool {
-	if err == nil {
-		return true
-	}
-	var re *protocol.RemoteError
-	return errors.As(err, &re)
 }
 
 // prepVals resolves the interface and validates/converts the
@@ -946,8 +933,7 @@ func (j *Job) fetchOnce(ctx context.Context) (*Report, error) {
 	err := j.client.withRetry(ctx, fmt.Sprintf("fetch job %d", j.id), func() error {
 		var aerr error
 		rep, aerr = j.attemptFetch(ctx)
-		var re *protocol.RemoteError
-		if errors.Is(aerr, ErrNotReady) || errors.As(aerr, &re) {
+		if protocol.Classify(aerr).Answered() {
 			answer = aerr
 			return nil
 		}
@@ -956,7 +942,7 @@ func (j *Job) fetchOnce(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rep, answer
+	return rep, classifyFetchErr(answer)
 }
 
 // attemptFetch is one non-blocking fetch exchange. Large stored results
@@ -965,7 +951,7 @@ func (j *Job) attemptFetch(ctx context.Context) (*Report, error) {
 	fr := protocol.FetchRequest{JobID: j.id, Wait: false}
 	fb, bulk, err := j.client.query(ctx, true, protocol.MsgFetch, fr.EncodeBuf(), protocol.MsgFetchOK)
 	if err != nil {
-		return nil, classifyFetchErr(err)
+		return nil, err
 	}
 	return finish(j.report, j.info, j.vals, j.args, fb, bulk)
 }

@@ -222,7 +222,7 @@ func TestSubmitFetchReusePool(t *testing.T) {
 }
 
 // TestPoolDiscardsConnOnWriteError pins which outcomes of a lockstep
-// exchange return its connection to the pool (connReusable): a failed
+// exchange return its connection to the pool (Class.Answered): a failed
 // write, a reply cut short and a reply with a bad magic word leave the
 // stream out of frame sync, so the connection is closed and the next
 // call dials; a decoded MsgError leaves it in sync, so it is kept.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ninf"
+	"ninf/internal/faultnet"
 	"ninf/internal/library"
 	"ninf/internal/metaserver"
 	"ninf/internal/placement"
@@ -70,62 +71,16 @@ const (
 	metaHAServers = 3
 )
 
-// metaHADaemon is a killable metaserver daemon: closing it severs the
-// listener and every live client connection, as a crashed process
-// would.
+// metaHADaemon is a killable metaserver daemon plus the replica's
+// gossip and monitor loops, which a kill stops with it.
 type metaHADaemon struct {
+	*faultnet.Daemon
 	m    *metaserver.Metaserver
-	addr string
-	l    net.Listener
 	stop []func()
-
-	mu    sync.Mutex
-	conns map[net.Conn]bool
-	dead  bool
-}
-
-func startMetaHADaemon(m *metaserver.Metaserver) (*metaHADaemon, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	d := &metaHADaemon{m: m, addr: l.Addr().String(), l: l, conns: make(map[net.Conn]bool)}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			d.mu.Lock()
-			if d.dead {
-				d.mu.Unlock()
-				c.Close()
-				continue
-			}
-			d.conns[c] = true
-			d.mu.Unlock()
-			go func() {
-				defer func() {
-					c.Close()
-					d.mu.Lock()
-					delete(d.conns, c)
-					d.mu.Unlock()
-				}()
-				m.ServeConn(c)
-			}()
-		}
-	}()
-	return d, nil
 }
 
 func (d *metaHADaemon) kill() {
-	d.l.Close()
-	d.mu.Lock()
-	d.dead = true
-	for c := range d.conns {
-		c.Close()
-	}
-	d.mu.Unlock()
+	d.Kill()
 	for _, stop := range d.stop {
 		stop()
 	}
@@ -189,19 +144,19 @@ func buildMetaHAWorld(nMeta int, cacheless bool) (*metaHAWorld, error) {
 				return nil, err
 			}
 		}
-		d, err := startMetaHADaemon(m)
+		d, err := faultnet.StartDaemon("127.0.0.1:0", m.ServeConn)
 		if err != nil {
 			w.close()
 			return nil, err
 		}
-		w.daemons = append(w.daemons, d)
+		w.daemons = append(w.daemons, &metaHADaemon{Daemon: d, m: m})
 	}
 	for i, d := range w.daemons {
 		for j, other := range w.daemons {
 			if i == j {
 				continue
 			}
-			if err := d.m.AddPeer(other.addr, nil); err != nil {
+			if err := d.m.AddPeer(other.Addr, nil); err != nil {
 				w.close()
 				return nil, err
 			}
@@ -214,7 +169,7 @@ func buildMetaHAWorld(nMeta int, cacheless bool) (*metaHAWorld, error) {
 	for c := 0; c < metaHAClients; c++ {
 		var addrs []string
 		for _, d := range w.daemons {
-			addrs = append(addrs, d.addr)
+			addrs = append(addrs, d.Addr)
 		}
 		w.scheds = append(w.scheds, metaserver.NewRemoteScheduler(addrs...))
 	}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"ninf"
+	"ninf/internal/faultnet"
 	"ninf/internal/library"
 	"ninf/internal/server"
 	"ninf/internal/server/journal"
@@ -83,63 +84,14 @@ func init() {
 	register(e)
 }
 
-// restartDaemon is a killable server daemon: kill severs the listener
-// and every live connection while abandoning the server's state, as a
-// crashed process would. (The server object is deliberately not
-// Closed: a drain would journal orderly completions, which a crash
-// never writes.)
+// restartDaemon is one server incarnation behind a killable daemon:
+// kill severs the listener and every live connection while abandoning
+// the server's state, as a crashed process would. (The server object
+// is deliberately not Closed: a drain would journal orderly
+// completions, which a crash never writes.)
 type restartDaemon struct {
-	s    *server.Server
-	addr string
-	l    net.Listener
-
-	mu    sync.Mutex
-	conns map[net.Conn]bool
-	dead  bool
-}
-
-func startRestartDaemon(s *server.Server, addr string) (*restartDaemon, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	d := &restartDaemon{s: s, addr: l.Addr().String(), l: l, conns: make(map[net.Conn]bool)}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			d.mu.Lock()
-			if d.dead {
-				d.mu.Unlock()
-				c.Close()
-				continue
-			}
-			d.conns[c] = true
-			d.mu.Unlock()
-			go func() {
-				defer func() {
-					c.Close()
-					d.mu.Lock()
-					delete(d.conns, c)
-					d.mu.Unlock()
-				}()
-				s.ServeConn(c)
-			}()
-		}
-	}()
-	return d, nil
-}
-
-func (d *restartDaemon) kill() {
-	d.l.Close()
-	d.mu.Lock()
-	d.dead = true
-	for c := range d.conns {
-		c.Close()
-	}
-	d.mu.Unlock()
+	*faultnet.Daemon
+	s *server.Server
 }
 
 // restartServer builds one server incarnation, attaching the journal
@@ -161,18 +113,11 @@ func restartServer(dir, addr string) (*restartDaemon, restartReplay, error) {
 		rep = restartReplay{ReplayMS: float64(time.Since(start).Microseconds()) / 1000,
 			Epoch: rec.Epoch, Requeued: rec.Requeued, Restored: rec.Restored, Dropped: rec.Dropped}
 	}
-	// The dead incarnation's port can take a moment to come free.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d, err := startRestartDaemon(s, addr)
-		if err == nil {
-			return d, rep, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, restartReplay{}, err
-		}
-		time.Sleep(5 * time.Millisecond)
+	d, err := faultnet.StartDaemon(addr, s.ServeConn)
+	if err != nil {
+		return nil, restartReplay{}, err
 	}
+	return &restartDaemon{Daemon: d, s: s}, rep, nil
 }
 
 // restartPhase drives every client in batched submit-then-fetch rounds
@@ -289,7 +234,7 @@ func runRestart(w io.Writer, opts Options) error {
 			first.Mode = mode.name + "-boot"
 			replays = append(replays, first)
 		}
-		addr := d.addr
+		addr := d.Addr
 		var clients []*ninf.Client
 		for i := 0; i < restartClients; i++ {
 			cl, err := ninf.NewClient(func() (net.Conn, error) { return net.Dial("tcp", addr) })
@@ -307,7 +252,7 @@ func runRestart(w io.Writer, opts Options) error {
 				kill = func() {
 					dmu.Lock()
 					defer dmu.Unlock()
-					d.kill()
+					d.Kill()
 					nd, rep, err := restartServer(dir, addr)
 					if err != nil {
 						fmt.Fprintf(w, "!! restart failed: %v\n", err)
@@ -333,7 +278,7 @@ func runRestart(w io.Writer, opts Options) error {
 			cl.Close()
 		}
 		dmu.Lock()
-		d.kill()
+		d.Kill()
 		d.s.Close()
 		dmu.Unlock()
 	}

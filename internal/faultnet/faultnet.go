@@ -27,7 +27,9 @@
 //     reset, until Heal
 //
 // Counters report exactly what was injected, so chaos tests can assert
-// the faults actually happened rather than passing vacuously.
+// the faults actually happened rather than passing vacuously. A Daemon
+// supplies the other end's crash: a listener whose serving dies with
+// every live connection at once, the way a killed process's does.
 package faultnet
 
 import (

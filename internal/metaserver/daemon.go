@@ -309,7 +309,7 @@ func (r *RemoteScheduler) roundTrip(typ protocol.MsgType, payload []byte) (proto
 	var lastErr error
 	for _, mr := range order {
 		rt, rp, err := r.exchangeLocked(mr, typ, payload)
-		if !answered(err) {
+		if !protocol.Classify(err).Answered() {
 			lastErr = err
 			mr.fails++
 			mr.avoidUntil = time.Now().Add(metaBackoff(mr.fails))
@@ -326,13 +326,6 @@ func (r *RemoteScheduler) roundTrip(typ protocol.MsgType, payload []byte) (proto
 		return rt, rp, err
 	}
 	return 0, nil, fmt.Errorf("metaserver: all %d metaservers unreachable: %w", n, lastErr)
-}
-
-// answered reports whether a round trip reached the daemon and back:
-// with a reply, or with the daemon's refusal as a *protocol.RemoteError.
-func answered(err error) bool {
-	var re *protocol.RemoteError
-	return err == nil || errors.As(err, &re)
 }
 
 // idempotentMsg reports whether a frame is safe to execute twice
@@ -361,7 +354,7 @@ func (r *RemoteScheduler) exchangeLocked(mr *metaReplica, typ protocol.MsgType, 
 	}
 	if mr.conn != nil {
 		rt, rp, err := r.onceLocked(mr, typ, payload, false)
-		if answered(err) || (!errors.Is(err, protocol.ErrWrite) && !idempotentMsg(typ)) {
+		if protocol.Classify(err).Answered() || (!errors.Is(err, protocol.ErrWrite) && !idempotentMsg(typ)) {
 			return rt, rp, err
 		}
 	}
@@ -387,7 +380,7 @@ func (r *RemoteScheduler) onceLocked(mr *metaReplica, typ protocol.MsgType, payl
 	if fresh && ping {
 		pt, fb, err := protocol.Roundtrip(mr.conn, protocol.MsgPing, protocol.AcquireBuffer(0), daemonMaxPayload)
 		fb.Release()
-		if answered(err) && pt != protocol.MsgPong {
+		if protocol.Classify(err).Answered() && pt != protocol.MsgPong {
 			// Refused or answered otherwise: the replica is still down.
 			err = fmt.Errorf("metaserver: unexpected reply %v to ping", pt)
 		}
@@ -397,7 +390,7 @@ func (r *RemoteScheduler) onceLocked(mr *metaReplica, typ protocol.MsgType, payl
 		}
 	}
 	rt, fb, err := protocol.Roundtrip(mr.conn, typ, protocol.BufferFor(payload), daemonMaxPayload)
-	if !answered(err) {
+	if !protocol.Classify(err).Answered() {
 		r.dropLocked(mr)
 	}
 	return rt, protocol.CopyOut(fb), err
@@ -434,8 +427,7 @@ func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	}
 	typ, p, err := r.roundTrip(protocol.MsgSchedule, wire.Encode())
 	if err != nil {
-		var re *protocol.RemoteError
-		if errors.As(err, &re) {
+		if protocol.Classify(err).Answered() {
 			return ninf.Placement{}, err
 		}
 		return r.placeDegraded(req, err)

@@ -17,56 +17,17 @@ import (
 	"ninf/internal/server"
 )
 
-// metaDaemon runs a metaserver's daemon loop on a real listener and
-// can be killed hard: listener closed and every live connection
+// startMetaDaemon runs a metaserver's daemon loop on a real listener
+// that can be killed hard: listener closed and every live connection
 // severed, the way a crashed process disappears.
-type metaDaemon struct {
-	m    *Metaserver
-	addr string
-	l    net.Listener
-
-	mu    sync.Mutex
-	conns map[net.Conn]bool
-}
-
-func startMetaDaemon(t *testing.T, m *Metaserver) *metaDaemon {
+func startMetaDaemon(t *testing.T, m *Metaserver) *faultnet.Daemon {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := faultnet.StartDaemon("127.0.0.1:0", m.ServeConn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &metaDaemon{m: m, addr: l.Addr().String(), l: l, conns: make(map[net.Conn]bool)}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			d.mu.Lock()
-			d.conns[c] = true
-			d.mu.Unlock()
-			go func() {
-				defer func() {
-					c.Close()
-					d.mu.Lock()
-					delete(d.conns, c)
-					d.mu.Unlock()
-				}()
-				m.ServeConn(c)
-			}()
-		}
-	}()
-	t.Cleanup(d.kill)
+	t.Cleanup(d.Kill)
 	return d
-}
-
-func (d *metaDaemon) kill() {
-	d.l.Close()
-	d.mu.Lock()
-	for c := range d.conns {
-		c.Close()
-	}
-	d.mu.Unlock()
 }
 
 func dialT(t *testing.T, addr string) net.Conn {
@@ -105,7 +66,7 @@ func expectErrorThenClose(t *testing.T, conn net.Conn, code uint32) {
 
 func TestDaemonRejectsUnknownType(t *testing.T) {
 	d := startMetaDaemon(t, New(Config{}))
-	conn := dialT(t, d.addr)
+	conn := dialT(t, d.Addr)
 	if err := protocol.WriteFrame(conn, protocol.MsgType(200), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +75,7 @@ func TestDaemonRejectsUnknownType(t *testing.T) {
 
 func TestDaemonClosesOnMalformedSchedule(t *testing.T) {
 	d := startMetaDaemon(t, New(Config{}))
-	conn := dialT(t, d.addr)
+	conn := dialT(t, d.Addr)
 	// A length-prefixed string claiming 4 GB: the decoder must error,
 	// the daemon must answer MsgError and hang up, and nothing may
 	// panic.
@@ -129,7 +90,7 @@ func TestDaemonClosesOnMalformedSchedule(t *testing.T) {
 // on, not read as a shorter list with the next name as its Affinity.
 func TestDaemonRefusesOversizedScheduleRequest(t *testing.T) {
 	d := startMetaDaemon(t, New(Config{}))
-	conn := dialT(t, d.addr)
+	conn := dialT(t, d.Addr)
 	req := protocol.ScheduleRequest{Routine: "ep"}
 	for i := 0; i <= 1024; i++ {
 		req.Exclude = append(req.Exclude, fmt.Sprintf("srv%d", i))
@@ -142,7 +103,7 @@ func TestDaemonRefusesOversizedScheduleRequest(t *testing.T) {
 
 func TestDaemonClosesOnMalformedObserve(t *testing.T) {
 	d := startMetaDaemon(t, New(Config{}))
-	conn := dialT(t, d.addr)
+	conn := dialT(t, d.Addr)
 	if err := protocol.WriteFrame(conn, protocol.MsgObserve, []byte{0xff, 0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +112,7 @@ func TestDaemonClosesOnMalformedObserve(t *testing.T) {
 
 func TestDaemonRejectsOversizedFrame(t *testing.T) {
 	d := startMetaDaemon(t, New(Config{}))
-	conn := dialT(t, d.addr)
+	conn := dialT(t, d.Addr)
 	// Hand-craft a header announcing a payload over the daemon's
 	// limit — a hostile registration-sized blob. The daemon must
 	// refuse from the header alone, without allocating or reading the
@@ -169,7 +130,7 @@ func TestDaemonRejectsOversizedFrame(t *testing.T) {
 
 func TestDaemonClosesOnTruncatedFrame(t *testing.T) {
 	d := startMetaDaemon(t, New(Config{}))
-	conn := dialT(t, d.addr)
+	conn := dialT(t, d.Addr)
 	// Header promises 64 payload bytes; the peer sends 8 and
 	// half-closes. The daemon's payload read must fail cleanly and
 	// close — no reply owed to a peer that quit mid-frame.
@@ -196,7 +157,7 @@ func TestDaemonKeepsConnOnPlacementRefusal(t *testing.T) {
 	// protocol violation: the daemon answers MsgError and the
 	// connection stays usable.
 	d := startMetaDaemon(t, New(Config{}))
-	conn := dialT(t, d.addr)
+	conn := dialT(t, d.Addr)
 	req := protocol.ScheduleRequest{Routine: "x"}
 	if err := protocol.WriteFrame(conn, protocol.MsgSchedule, req.Encode()); err != nil {
 		t.Fatal(err)
@@ -286,7 +247,7 @@ func TestRemoteSchedulerFailsOver(t *testing.T) {
 	da := startMetaDaemon(t, ma)
 	db := startMetaDaemon(t, mb)
 
-	rs := NewRemoteScheduler(da.addr, db.addr)
+	rs := NewRemoteScheduler(da.Addr, db.Addr)
 	t.Cleanup(func() { rs.Close() })
 	pl, err := rs.Place(ninf.SchedRequest{Routine: "x"})
 	if err != nil || pl.Name != "s0" {
@@ -298,7 +259,7 @@ func TestRemoteSchedulerFailsOver(t *testing.T) {
 
 	// Hard-kill the primary: placements must fail over to the second
 	// replica, transparently.
-	da.kill()
+	da.Kill()
 	pl, err = rs.Place(ninf.SchedRequest{Routine: "x"})
 	if err != nil || pl.Name != "s0" {
 		t.Fatalf("place after primary kill: %+v, %v", pl, err)
@@ -332,13 +293,13 @@ func TestRemoteSchedulerDegradedPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := startMetaDaemon(t, m)
-	rs := NewRemoteScheduler(d.addr)
+	rs := NewRemoteScheduler(d.Addr)
 	t.Cleanup(func() { rs.Close() })
 
 	if _, err := rs.Place(ninf.SchedRequest{Routine: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	d.kill()
+	d.Kill()
 
 	pl, err := rs.Place(ninf.SchedRequest{Routine: "x"})
 	if err != nil {
@@ -373,12 +334,12 @@ func TestRemoteSchedulerCacheTTLExpires(t *testing.T) {
 	d := startMetaDaemon(t, m)
 	defer func(ttl time.Duration) { degradedCacheTTL = ttl }(degradedCacheTTL)
 	degradedCacheTTL = 50 * time.Millisecond
-	rs := NewRemoteScheduler(d.addr)
+	rs := NewRemoteScheduler(d.Addr)
 	t.Cleanup(func() { rs.Close() })
 	if _, err := rs.Place(ninf.SchedRequest{Routine: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	d.kill()
+	d.Kill()
 	time.Sleep(80 * time.Millisecond)
 	if _, err := rs.Place(ninf.SchedRequest{Routine: "x"}); err == nil {
 		t.Error("stale cache entry served past its TTL")
@@ -428,7 +389,7 @@ func TestStalledReplicaFailsOverViaDeadline(t *testing.T) {
 	}
 	d := startMetaDaemon(t, m)
 
-	rs := NewRemoteScheduler(bh.Addr().String(), d.addr)
+	rs := NewRemoteScheduler(bh.Addr().String(), d.Addr)
 	t.Cleanup(func() { rs.Close() })
 	start := time.Now()
 	pl, err := rs.Place(ninf.SchedRequest{Routine: "x"})

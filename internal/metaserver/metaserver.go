@@ -501,19 +501,22 @@ func (m *Metaserver) Observe(serverName string, bytes int64, elapsed time.Durati
 }
 
 // observation turns one call's outcome into the report every scheduler
-// applies: nil is a success, any error a failure. An overload
-// rejection (CodeOverloaded RemoteError) is flagged with its
-// retry-after hint, because the server answered, deliberately: it must
-// not advance the circuit breaker toward BreakerOpen — a busy-but-
-// healthy server ejected as dead is the §4 multi-client saturation
-// regime misread as a crash — but open a placement-penalty window
-// (applyOverloadLocked) that biases every policy away from it.
+// applies, by the error's class (protocol.Classify): a success, a
+// failure, or — for a stale or refused answer — neither, since the
+// server answered and so proved itself alive. An overload rejection is
+// flagged with its retry-after hint, because the server answered,
+// deliberately: it must not advance the circuit breaker toward
+// BreakerOpen — a busy-but-healthy server ejected as dead is the §4
+// multi-client saturation regime misread as a crash — but open a
+// placement-penalty window (applyOverloadLocked) that biases every
+// policy away from it.
 func observation(serverName string, bytes int64, elapsed time.Duration, callErr error) protocol.ObserveRequest {
-	o := protocol.ObserveRequest{Name: serverName, Bytes: bytes, Nanos: int64(elapsed), Failed: callErr != nil}
-	var re *protocol.RemoteError
-	if errors.As(callErr, &re) && re.Code == protocol.CodeOverloaded {
-		o.Overloaded = true
-		o.RetryAfterMillis = re.RetryAfterMillis
+	class := protocol.Classify(callErr)
+	o := protocol.ObserveRequest{Name: serverName, Bytes: bytes, Nanos: int64(elapsed), Failed: class.Failure()}
+	if class == protocol.ClassOverloaded {
+		// The call did fail; Overloaded tells the scheduler how to count it.
+		o.Failed, o.Overloaded = true, true
+		o.RetryAfterMillis = protocol.RetryAfterMillis(callErr)
 	}
 	return o
 }

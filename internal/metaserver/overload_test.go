@@ -157,7 +157,8 @@ func TestPlaceSkipsDrainingServer(t *testing.T) {
 // TestObservationClassifiesError: one function turns a call's error
 // into the report both schedulers apply, so an overload rejection —
 // however wrapped by the retry and failover layers — carries its hint,
-// and every other error is a plain failure.
+// a refused or stale answer is no failure, and every other error is a
+// plain failure.
 func TestObservationClassifiesError(t *testing.T) {
 	wrapped := &ninf.RetryError{Op: "call", Attempts: 4, Err: overloadErr(70)}
 	for _, c := range []struct {
@@ -170,6 +171,9 @@ func TestObservationClassifiesError(t *testing.T) {
 		{"overload", overloadErr(40), protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: true, Overloaded: true, RetryAfterMillis: 40}},
 		{"wrapped overload", wrapped, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: true, Overloaded: true, RetryAfterMillis: 70}},
 		{"other remote error", &protocol.RemoteError{Code: protocol.CodeInternal, RetryAfterMillis: 9}, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: true}},
+		{"unknown routine", &protocol.RemoteError{Code: protocol.CodeUnknownRoutine}, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: false}},
+		{"bad arguments", &protocol.RemoteError{Code: protocol.CodeBadArguments}, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: false}},
+		{"cache miss", &protocol.RemoteError{Code: protocol.CodeCacheMiss}, protocol.ObserveRequest{Name: "a", Bytes: 10, Nanos: 5, Failed: false}},
 	} {
 		if got := observation("a", 10, 5, c.err); got != c.want {
 			t.Errorf("%s: observation = %+v, want %+v", c.name, got, c.want)

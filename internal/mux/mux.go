@@ -81,7 +81,7 @@ func NegotiateHello(conn net.Conn, maxPayload int) (protocol.HelloReply, error) 
 	req := protocol.HelloRequest{MaxVersion: protocol.MuxVersionCache}
 	t, fb, err := protocol.Roundtrip(conn, protocol.MsgHello, protocol.BufferFor(req.Encode()), maxPayload)
 	if err != nil {
-		if errors.As(err, new(*protocol.RemoteError)) {
+		if protocol.Classify(err).Answered() {
 			// A pre-mux server rejects the unknown frame type; a post-mux
 			// server never answers Hello with an error. Either way the
 			// lockstep path is the one to use.

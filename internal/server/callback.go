@@ -58,7 +58,7 @@ func (s *Server) connInvoker(conn net.Conn) CallbackInvoker {
 		// mu intentionally serializes callback round trips from concurrent executable goroutines on one conn.
 		typ, fb, err := protocol.Roundtrip(conn, protocol.MsgCallback, protocol.BufferFor(req.Encode()), s.cfg.MaxPayload)
 		if err != nil {
-			if errors.As(err, new(*protocol.RemoteError)) {
+			if protocol.Classify(err).Answered() {
 				return nil, err
 			}
 			return nil, fmt.Errorf("server: callback %s: %w", name, err)

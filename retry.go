@@ -2,13 +2,10 @@ package ninf
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 
 	"ninf/internal/protocol"
@@ -112,9 +109,11 @@ func (e *RetryError) Unwrap() error { return e.Err }
 // failure is a transport fault (connection reset, dial failure,
 // truncated frame, I/O timeout, severed connection) where the call may
 // not have reached the server and trying again — on a fresh connection
-// — is sound, or an overload rejection (CodeOverloaded), where the
-// server explicitly invites a later retry via its RetryAfterMillis
-// hint. False means retrying cannot help or must not happen:
+// — is sound, an overload rejection (CodeOverloaded), where the server
+// explicitly invites a later retry via its RetryAfterMillis hint, or a
+// cache miss (CodeCacheMiss), where the call did not run and the retry
+// re-uploads the evicted bytes. False means retrying cannot help or
+// must not happen:
 //
 //   - any other *protocol.RemoteError: the server answered; it
 //     executed the call or rejected it deliberately. Re-placement is
@@ -124,60 +123,16 @@ func (e *RetryError) Unwrap() error { return e.Err }
 //   - argument/marshalling errors: local bugs, deterministic.
 //
 // Unknown errors classify as non-retryable; the transport faults the
-// data plane produces are all recognized shapes.
-func Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var re *protocol.RemoteError
-	if errors.As(err, &re) {
-		// A momentarily full queue (or draining server) is transient
-		// by construction: the server said "come back later", not
-		// "this call cannot work".
-		// CodeCacheMiss is retryable by design: the call was not
-		// executed, and the retry re-uploads the evicted argument bytes
-		// (the client forgot the call's digests when the miss surfaced).
-		return re.Code == protocol.CodeOverloaded || re.Code == protocol.CodeCacheMiss
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if errors.Is(err, errClientClosed) {
-		return false
-	}
-	switch {
-	case errors.Is(err, io.EOF),
-		errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, io.ErrClosedPipe),
-		errors.Is(err, net.ErrClosed),
-		errors.Is(err, syscall.ECONNRESET),
-		errors.Is(err, syscall.ECONNREFUSED),
-		errors.Is(err, syscall.EPIPE),
-		errors.Is(err, syscall.ECONNABORTED),
-		errors.Is(err, syscall.ETIMEDOUT):
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		// Dial errors, resets and I/O timeouts (stalled black-hole
-		// connections cut by a deadline) are transport faults.
-		return true
-	}
-	return false
-}
+// data plane produces are all recognized shapes. It is the "retry same
+// server" column of the failure-class table (protocol.Classify,
+// DESIGN.md §7 "Failure classes").
+func Retryable(err error) bool { return protocol.Classify(err).Retryable() }
 
 // overloadHint extracts the server's retry-after back-pressure hint
 // from an overload rejection, capped defensively at 5s so a corrupt or
 // hostile hint cannot park a caller.
 func overloadHint(err error) (time.Duration, bool) {
-	var re *protocol.RemoteError
-	if !errors.As(err, &re) || re.Code != protocol.CodeOverloaded {
-		return 0, false
-	}
-	d := time.Duration(re.RetryAfterMillis) * time.Millisecond
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
+	d := min(time.Duration(protocol.RetryAfterMillis(err))*time.Millisecond, 5*time.Second)
 	return d, d > 0
 }
 
@@ -257,9 +212,10 @@ func guardConn(ctx context.Context, conn net.Conn) (stop func() bool) {
 
 // ctxErr folds a context's end into the attempt error so callers see
 // the cause (context.DeadlineExceeded) rather than the symptom (a read
-// on a deliberately severed connection).
+// on a deliberately severed connection). A nil err stays nil: the
+// exchange completed.
 func ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
+	if cerr := ctx.Err(); cerr != nil && err != nil {
 		return fmt.Errorf("%w (%v)", cerr, err)
 	}
 	return err

@@ -193,3 +193,14 @@ func TestGuardConnSeversOnCancel(t *testing.T) {
 		t.Fatal("guardConn did not sever a blocked read on cancel")
 	}
 }
+
+// TestPlacementBackoffBounded: the wait before re-asking the scheduler
+// stays in its window however many attempts a transaction is allowed;
+// an unclamped shift overflows into a negative window and panics.
+func TestPlacementBackoffBounded(t *testing.T) {
+	for k := 0; k <= 100; k++ {
+		if d := placementBackoff(k); d < 12500*time.Microsecond || d >= 500*time.Millisecond {
+			t.Errorf("placementBackoff(%d) = %v, want in [12.5ms, 500ms)", k, d)
+		}
+	}
+}

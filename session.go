@@ -436,12 +436,11 @@ func (c *Client) send(ctx context.Context, sess *mux.Session, t protocol.MsgType
 		// CodeCacheMiss (eviction raced the warmth knowledge) voids what
 		// was believed of the digests this call named, and no others; the
 		// error is retryable, and the retry asks and uploads afresh.
-		var re *protocol.RemoteError
 		switch {
 		case len(digs) == 0:
 		case err == nil:
 			c.markWarm(digs)
-		case errors.As(err, &re) && re.Code == protocol.CodeCacheMiss:
+		case protocol.Classify(err) == protocol.ClassStale:
 			c.forgetWarm(digs)
 		}
 		return rt, fb, bulk, err

@@ -298,13 +298,16 @@ func (tx *Transaction) EndContext(ctx context.Context) error {
 // execute runs one call through attempt, placed with its sizes, cost
 // and data affinity.
 func (tx *Transaction) execute(ctx context.Context, info *idl.Info, c *txCall) (*Report, error) {
-	// The interface sizes and costs the call for the scheduler; a call
-	// it cannot size is placed as if empty; the call reports the error.
-	req := SchedRequest{Routine: c.name, Affinity: c.affinity}
-	if vals, err := toValues(info, c.args); err == nil {
-		req.InBytes, req.OutBytes, _ = info.TransferBytes(vals)
-		req.Ops, _ = info.PredictedOps(vals)
+	// The interface sizes and costs the call for the scheduler. Arguments
+	// it refuses refuse the call on every server, so it ends here,
+	// unplaced.
+	vals, err := toValues(info, c.args)
+	if err != nil {
+		return nil, err
 	}
+	req := SchedRequest{Routine: c.name, Affinity: c.affinity}
+	req.InBytes, req.OutBytes, _ = info.TransferBytes(vals)
+	req.Ops, _ = info.PredictedOps(vals)
 	var rep *Report
 	on, err := tx.attempt(ctx, req, &c.servers, func(ctx context.Context, cl *Client) (int64, time.Duration, error) {
 		var err error
@@ -345,9 +348,7 @@ func (tx *Transaction) attempt(ctx context.Context, req SchedRequest, tried *[]s
 				return "", lastErr
 			}
 			req.Exclude = nil
-			if serr := sleepCtx(ctx, placementBackoff(attempt)); serr != nil {
-				return "", chainErr(serr, lastErr)
-			}
+			_ = sleepCtx(ctx, placementBackoff(attempt)) // a ctx end returns at the loop's top
 			continue
 		}
 		tx.mu.Lock()
@@ -373,16 +374,19 @@ func (tx *Transaction) attempt(ctx context.Context, req SchedRequest, tried *[]s
 			return pl.Name, nil
 		}
 		lastErr = err
-		if !staleData(err) {
-			// A stale-data failure — the server answered but its
-			// resident data is gone, a cache miss or stale handle after
-			// a restart — indicts the cached operands, not the server:
-			// it stays a candidate, so re-placement (affinity included)
-			// may land back there and re-upload them.
+		if protocol.Classify(err).Excludes() {
+			// A stale answer — the server's resident data is gone, a
+			// cache miss after a restart — indicts the cached operands,
+			// not the server: it stays a candidate, so re-placement
+			// (affinity included) may land back there and re-upload them.
 			req.Exclude = append(req.Exclude, pl.Name)
 		}
 	}
-	return "", fmt.Errorf("ninf: %s failed on %d servers: %w", req.Routine, tx.maxAttempts, lastErr)
+	used := make(map[string]bool) // *tried is appended to only here
+	for _, name := range *tried {
+		used[name] = true
+	}
+	return "", fmt.Errorf("ninf: %s failed on %d server(s): %w", req.Routine, len(used), lastErr)
 }
 
 // chainErr reports err with the error of the attempt before it, if any.
@@ -393,29 +397,15 @@ func chainErr(err, earlier error) error {
 	return fmt.Errorf("%w (after: %v)", err, earlier)
 }
 
-// staleData reports whether a call failed only because server-resident
-// data vanished: a stale data handle or a cache miss, the two
-// signatures of a server restart (incarnation epoch change) observed
-// mid-transaction. Such a failure indicts the cached operands, not the
-// server.
-func staleData(err error) bool {
-	if errors.Is(err, ErrStaleHandle) {
-		return true
-	}
-	var re *protocol.RemoteError
-	return errors.As(err, &re) && re.Code == protocol.CodeCacheMiss
-}
-
 // placementBackoff is how long a call waits before re-asking the
 // scheduler for a placement after "no eligible server". The ramp
 // (equal jitter, 25ms doubling to a 500ms cap) is sized to outlast a
 // breaker cooldown within a few attempts, so a transient
 // everything-is-open state heals instead of failing the call.
 func placementBackoff(attempt int) time.Duration {
-	d := 25 * time.Millisecond << uint(attempt)
-	if d > 500*time.Millisecond {
-		d = 500 * time.Millisecond
-	}
+	// The shift stops at the cap: past it, it overflows Duration into a
+	// negative or zero window.
+	d := min(25*time.Millisecond<<min(attempt, 5), 500*time.Millisecond)
 	half := d / 2
 	return half + time.Duration(rand.Int63n(int64(half)))
 }

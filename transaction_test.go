@@ -3,6 +3,7 @@ package ninf_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,5 +276,81 @@ func TestTransactionInterfaceFetchSettlesProbe(t *testing.T) {
 	s := m.Servers()[0]
 	if s.Breaker != metaserver.BreakerClosed || s.Stats.Queued != 0 {
 		t.Errorf("after the transaction: breaker %v, Queued %d; want closed, 0", s.Breaker, s.Stats.Queued)
+	}
+}
+
+// TestTransactionRefusalSparesServer: a call the server refuses — here
+// a routine it does not have — says nothing about the server's health.
+// Two such transactions against the one server a metaserver places on
+// leave its breaker closed, and the next valid transaction runs there.
+func TestTransactionRefusalSparesServer(t *testing.T) {
+	_, dial := startServer(t, server.Config{})
+	m := metaserver.New(metaserver.Config{})
+	if err := m.AddServer("s", "s", 100, dial); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		tx := ninf.BeginTransaction(m)
+		tx.Call("nosuch")
+		err := tx.End()
+		if err == nil {
+			t.Fatal("a transaction calling an unknown routine succeeded")
+		}
+		if !strings.Contains(err.Error(), "nosuch failed on 1 server(s)") {
+			t.Errorf("error does not count the one server used: %v", err)
+		}
+	}
+	if s := m.Servers()[0]; s.Breaker != metaserver.BreakerClosed || s.Fails != 0 {
+		t.Errorf("after two refused calls: breaker %v, Fails %d; want closed, 0", s.Breaker, s.Fails)
+	}
+	tx := ninf.BeginTransaction(m)
+	tx.Call("busy", 1)
+	if err := tx.End(); err != nil {
+		t.Fatalf("valid transaction after refused ones: %v", err)
+	}
+}
+
+// TestTransactionArgumentErrorUnplaced: arguments the interface refuses
+// refuse the call on every server, so it ends before placement — no
+// server tried, none charged a failure.
+func TestTransactionArgumentErrorUnplaced(t *testing.T) {
+	m := metaserver.New(metaserver.Config{})
+	for _, name := range []string{"a", "b"} {
+		_, dial := startServer(t, server.Config{})
+		if err := m.AddServer(name, name, 100, dial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := ninf.BeginTransaction(m)
+	tx.Call("busy", 1, 2, 3)
+	err := tx.End()
+	if want := "ninf: busy takes 1 arguments, got 3"; err == nil || err.Error() != want {
+		t.Fatalf("End = %v, want %q", err, want)
+	}
+	if got := tx.Servers()[0]; len(got) != 0 {
+		t.Errorf("the call was placed on %v", got)
+	}
+	for _, s := range m.Servers() {
+		if s.Fails != 0 {
+			t.Errorf("%s: Fails = %d, want 0", s.Name, s.Fails)
+		}
+	}
+}
+
+// TestTransactionExhaustedCountsServers: a call that fails every
+// attempt on the one server there is reports one server, not its
+// attempt budget.
+func TestTransactionExhaustedCountsServers(t *testing.T) {
+	s, dial := startServer(t, server.Config{})
+	s.FailNextCalls(2)
+	tx := ninf.BeginTransaction(ninf.SingleServer("s", dial))
+	tx.SetMaxAttempts(3)
+	tx.Call("busy", 1)
+	err := tx.End()
+	if err == nil || !strings.Contains(err.Error(), "busy failed on 1 server(s)") {
+		t.Fatalf("End = %v, want the call reported failed on 1 server", err)
+	}
+	if got := tx.Servers()[0]; len(got) != 2 {
+		t.Errorf("servers tried = %v, want s twice", got)
 	}
 }
