@@ -114,14 +114,6 @@ func main() {
 	log.Printf("ninfserver: %s listening on %s (%d PEs, %s, %s); routines: %v",
 		host, l.Addr(), *pes, execMode, pol.Name(), reg.Names())
 
-	go func() {
-		for range time.Tick(time.Minute) {
-			if n := s.ExpireJobs(time.Now()); n > 0 {
-				log.Printf("ninfserver: dropped %d finished two-phase jobs past their retention", n)
-			}
-		}
-	}()
-
 	// SIGTERM/SIGINT drains instead of killing: stop admitting (new
 	// calls get overloaded + retry-after, steering clients elsewhere),
 	// let queued and running jobs finish, flush their replies, then

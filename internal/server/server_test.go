@@ -325,7 +325,8 @@ func TestMaxQueueOverload(t *testing.T) {
 
 func TestTwoPhaseSubmitFetch(t *testing.T) {
 	reg, release := testRegistry(t)
-	s := New(Config{}, reg)
+	clk := newClock()
+	s := newServer(Config{}, reg, clk.now)
 	defer s.Close()
 	conn := pipeConn(t, s)
 
@@ -363,10 +364,9 @@ func TestTwoPhaseSubmitFetch(t *testing.T) {
 		t.Fatalf("refetch during delivered linger → %v, want the retained result", typ)
 	}
 
-	// Once the linger expires the job is gone for good.
-	if n := s.ExpireJobs(time.Now().Add(time.Hour)); n != 1 {
-		t.Fatalf("expired %d jobs, want the delivered one", n)
-	}
+	// Once the linger expires the job is gone for good: the next
+	// two-phase exchange drops it.
+	clk.advance(time.Hour)
 	typ, p = call(t, conn, protocol.MsgFetch, fr.Encode())
 	if typ != protocol.MsgError {
 		t.Fatalf("refetch after linger → %v", typ)
@@ -386,7 +386,8 @@ func TestTwoPhaseSubmitFetch(t *testing.T) {
 // released for a fresh admission.
 func TestSubmitIdempotencyKeyDedupe(t *testing.T) {
 	reg, _ := testRegistry(t)
-	s := New(Config{}, reg)
+	clk := newClock()
+	s := newServer(Config{}, reg, clk.now)
 	defer s.Close()
 	conn := pipeConn(t, s)
 
@@ -439,10 +440,8 @@ func TestSubmitIdempotencyKeyDedupe(t *testing.T) {
 		t.Fatalf("lost-reply re-submit executed again: %d total calls", total)
 	}
 
-	// Linger expiry releases the key: the same key now admits fresh.
-	if n := s.ExpireJobs(time.Now().Add(time.Hour)); n != 1 {
-		t.Fatalf("expired %d jobs, want 1", n)
-	}
+	// Linger expiry releases the key: past it, the same key admits fresh.
+	clk.advance(time.Hour)
 	typ, rp = call(t, conn, protocol.MsgSubmit, p)
 	if typ != protocol.MsgSubmitOK {
 		t.Fatalf("post-expiry submit → %v", typ)
@@ -500,17 +499,25 @@ func TestFetchReplyLostKeepsJob(t *testing.T) {
 
 func TestExpireJobs(t *testing.T) {
 	reg, _ := testRegistry(t)
-	s := New(Config{}, reg) // results live jobTTL; the sweep below runs past it
+	clk := newClock()
+	s := newServer(Config{}, reg, clk.now) // results live jobTTL; the clock below moves past it
 	defer s.Close()
 	conn := pipeConn(t, s)
 
-	typ, _ := call(t, conn, protocol.MsgSubmit, submitPayload(2, encodeCall(t, reg, "double_it", int64(1), []float64{1}, nil)))
+	typ, p := call(t, conn, protocol.MsgSubmit, submitPayload(2, encodeCall(t, reg, "double_it", int64(1), []float64{1}, nil)))
 	if typ != protocol.MsgSubmitOK {
 		t.Fatalf("submit → %v", typ)
 	}
+	sr, err := protocol.DecodeSubmitReply(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return s.Stats().Running == 0 && s.Stats().Queued == 0 }, "job done")
-	if n := s.ExpireJobs(time.Now().Add(time.Hour)); n != 1 {
-		t.Errorf("expired %d jobs, want 1", n)
+	clk.advance(time.Hour)
+	fr := protocol.FetchRequest{JobID: sr.JobID}
+	typ, p = call(t, conn, protocol.MsgFetch, fr.Encode())
+	if er, _ := protocol.DecodeErrorReply(p); typ != protocol.MsgError || er.Code != protocol.CodeUnknownJob {
+		t.Errorf("fetch of the never-fetched job past jobTTL → %v %+v, want unknown job", typ, er)
 	}
 }
 

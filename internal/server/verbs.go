@@ -223,17 +223,20 @@ func (s *Server) attachCache(bulk *protocol.BulkInfo, head []byte, cacheOK bool)
 // leaves the job fully fetchable for the client's retried fetch. A
 // delivered job is not consumed on the spot either — a locally
 // successful write can still be lost in transit — it lingers
-// re-fetchable for deliveredTTL (see markDelivered), so
-// the retry re-reads the retained result instead of getting
-// CodeUnknownJob and re-executing the work through an idempotent
-// re-Submit. On a mux connection (bulk, its chunking threshold, > 0) a
-// stored result that large streams back chunked (the BulkMsg aliases the
-// job's pre-encoded reply, which the linger keeps live until well past
-// the write).
+// re-fetchable for deliveredTTL (see markDelivered), so the retry
+// re-reads the retained result instead of getting CodeUnknownJob and
+// re-executing the work through an idempotent re-Submit. Before the
+// lookup, a fetch drops the finished jobs past their retention
+// (expireLocked). On a mux connection (bulk, its chunking threshold,
+// > 0) a stored result that large streams back chunked (the BulkMsg
+// aliases the job's pre-encoded reply, which the linger keeps live
+// until well past the write).
 func (s *Server) fetch(req protocol.FetchRequest, bulk int) reply {
 	s.mu.Lock()
+	ticket := s.expireLocked(s.now())
 	t, ok := s.jobs[req.JobID]
 	s.mu.Unlock()
+	s.journalCommit(ticket)
 	if !ok {
 		return errReply(protocol.CodeUnknownJob, fmt.Sprintf("no job %d", req.JobID), 0)
 	}
