@@ -111,7 +111,9 @@ func (m *Metaserver) handle(typ protocol.MsgType, fb *protocol.Buffer) reply {
 			Affinity: req.Affinity,
 		})
 		if err != nil {
-			return errReply(protocol.CodeOverloaded, err.Error(), false)
+			// No server will take the call (ErrNoServer): a refusal,
+			// which RemoteScheduler.Place reads back as ErrNoServer.
+			return errReply(protocol.CodeUnknownRoutine, err.Error(), false)
 		}
 		out := protocol.ScheduleReply{Name: pl.Name, Addr: m.addrOf(pl.Name)}
 		return reply{t: protocol.MsgScheduleOK, fb: protocol.BufferFor(out.Encode())}
@@ -413,9 +415,9 @@ func tcpDialer(addr string) func() (net.Conn, error) {
 }
 
 // Place implements ninf.Scheduler. A transport-level failure of every
-// replica falls back to the degraded placement cache; an explicit
-// refusal from a reachable daemon (e.g. no eligible server) is
-// returned as-is.
+// replica falls back to the degraded placement cache; an answer from a
+// reachable daemon is returned as-is, except that its "no eligible
+// server" is ErrNoServer, as from Metaserver.Place.
 func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	wire := protocol.ScheduleRequest{
 		Routine:  req.Routine,
@@ -427,6 +429,10 @@ func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	}
 	typ, p, err := r.roundTrip(protocol.MsgSchedule, wire.Encode())
 	if err != nil {
+		var re *protocol.RemoteError
+		if errors.As(err, &re) && re.Code == protocol.CodeUnknownRoutine {
+			return ninf.Placement{}, ErrNoServer
+		}
 		if protocol.Classify(err).Answered() {
 			return ninf.Placement{}, err
 		}

@@ -176,6 +176,27 @@ func TestDaemonKeepsConnOnPlacementRefusal(t *testing.T) {
 	}
 }
 
+// TestRemotePlaceNoServerMatchesLocal: "no eligible server" reads the
+// same through the daemon as from the metaserver itself — ErrNoServer,
+// not retryable.
+func TestRemotePlaceNoServerMatchesLocal(t *testing.T) {
+	m := New(Config{})
+	d := startMetaDaemon(t, m)
+	rs := NewRemoteScheduler(d.Addr)
+	defer rs.Close()
+	req := ninf.SchedRequest{Routine: "x"}
+	_, local := m.Place(req)
+	_, remote := rs.Place(req)
+	for _, c := range []struct {
+		path string
+		err  error
+	}{{"Metaserver.Place", local}, {"RemoteScheduler.Place", remote}} {
+		if !errors.Is(c.err, ErrNoServer) || ninf.Retryable(c.err) {
+			t.Errorf("%s = %v (retryable %v), want ErrNoServer, not retryable", c.path, c.err, ninf.Retryable(c.err))
+		}
+	}
+}
+
 func TestDaemonSeversStalledConn(t *testing.T) {
 	// The read-deadline regression test: a client whose first write
 	// black-holes (faultnet stall, the silent-peer failure mode)

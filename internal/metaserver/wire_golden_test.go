@@ -189,9 +189,7 @@ func TestMetaWireGolden(t *testing.T) {
 	if err != nil || pl.Name != "s0" || pl.Degraded {
 		t.Fatalf("place = %+v, %v", pl, err)
 	}
-	_, err = rs.Place(ninf.SchedRequest{Routine: "dmmul", Exclude: []string{"s0"}})
-	var re *protocol.RemoteError
-	if !errors.As(err, &re) || re.Code != protocol.CodeOverloaded {
+	if _, err = rs.Place(ninf.SchedRequest{Routine: "dmmul", Exclude: []string{"s0"}}); !errors.Is(err, ErrNoServer) {
 		t.Fatalf("refused place: %v", err)
 	}
 	rs.Observe("s0", 6144, 3*time.Millisecond, nil)

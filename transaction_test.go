@@ -11,6 +11,7 @@ import (
 	"ninf"
 	"ninf/internal/linpack"
 	"ninf/internal/metaserver"
+	"ninf/internal/protocol"
 	"ninf/internal/server"
 )
 
@@ -307,6 +308,55 @@ func TestTransactionRefusalSparesServer(t *testing.T) {
 	tx.Call("busy", 1)
 	if err := tx.End(); err != nil {
 		t.Fatalf("valid transaction after refused ones: %v", err)
+	}
+}
+
+// refusalCounter counts the placements it grants and the outcomes
+// reported as refusals.
+type refusalCounter struct {
+	ninf.Scheduler
+	mu               sync.Mutex
+	placed, refusals int
+}
+
+func (c *refusalCounter) Place(req ninf.SchedRequest) (ninf.Placement, error) {
+	pl, err := c.Scheduler.Place(req)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil {
+		c.placed++
+	}
+	return pl, err
+}
+
+func (c *refusalCounter) Observe(name string, bytes int64, elapsed time.Duration, err error) {
+	c.mu.Lock()
+	if protocol.Classify(err) == protocol.ClassRefused {
+		c.refusals++
+	}
+	c.mu.Unlock()
+	c.Scheduler.Observe(name, bytes, elapsed, err)
+}
+
+// TestTransactionRefusalEndsAtOnce: once every server the call was
+// excluded from refused it, "no eligible server" ends the call — the
+// refusing server is not asked again after a backoff, with the same
+// answer certain.
+func TestTransactionRefusalEndsAtOnce(t *testing.T) {
+	_, dial := startServer(t, server.Config{})
+	m := metaserver.New(metaserver.Config{})
+	if err := m.AddServer("s", "s", 100, dial); err != nil {
+		t.Fatal(err)
+	}
+	sched := &refusalCounter{Scheduler: m}
+	tx := ninf.BeginTransaction(sched)
+	tx.Call("nosuch")
+	err := tx.End()
+	if err == nil || !strings.Contains(err.Error(), "nosuch failed on 1 server(s)") {
+		t.Fatalf("End = %v, want nosuch failed on 1 server(s)", err)
+	}
+	if sched.placed != 1 || sched.refusals != 1 {
+		t.Errorf("%d placements, %d refusals; want 1, 1", sched.placed, sched.refusals)
 	}
 }
 
