@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"ninf/internal/machine"
-	"ninf/internal/metrics"
 	"ninf/internal/netmodel"
 	"ninf/internal/ninfsim"
 )
@@ -22,41 +21,19 @@ func init() {
 		fmt.Fprintf(w, "%4s %3s | %-20s | %-15s | %-15s | %-15s | %6s %6s %6s\n",
 			"env", "c", "Perf[Mops] max/min/mean", "Response[sec]", "Wait[sec]",
 			"Transmission[s]", "CPU%", "Load", "times")
-		envs := []struct {
-			name string
-			net  func(c int) netmodel.Spec
-		}{
-			{"LAN", netmodel.LANJ90},
-			{"WAN", netmodel.SingleSiteWAN},
+		rows, err := epRows(opts)
+		if err != nil {
+			return err
 		}
-		for _, env := range envs {
-			for _, c := range []int{1, 2, 4, 8, 16} {
-				res, err := ninfsim.Run(ninfsim.Config{
-					Server: machine.MustCatalog("j90"),
-					Net:    env.net(c), Workload: ninfsim.EP, EPExp: 24,
-					Duration: opts.dur(8000),
-					Seed:     opts.seed() + uint64(c),
-				})
-				if err != nil {
-					return err
-				}
-				var perf, resp, wait, trans metrics.Series
-				for i := range res.Calls {
-					call := &res.Calls[i]
-					perf.Add(call.PerfMflops()) // Mops for EP
-					resp.Add(call.ResponseSec())
-					wait.Add(call.WaitSec())
-					trans.Add(call.CommSec)
-				}
+		for e, env := range epEnvs {
+			for _, r := range rows[e] {
 				fmt.Fprintf(w, "%4s %3d | %-20s | %-15s | %-15s | %-15s | %6.2f %6.2f %6d\n",
-					env.name, c,
-					perf.Triple("%.3f"), resp.Triple("%.2f"), wait.Triple("%.2f"),
-					trans.Triple("%.2f"),
-					res.CPUUtil, res.LoadAverage, res.Times())
+					env.name, r.C,
+					r.Perf.Triple("%.3f"), r.Resp.Triple("%.2f"), r.Wait.Triple("%.2f"),
+					r.Comm.Triple("%.2f"), r.CPUUtil, r.Load, r.Times)
 			}
 		}
-		fmt.Fprintln(w, "(paper: perf ≈0.167 Mops flat to c=4, halves at c=8, quarters at c=16;")
-		fmt.Fprintln(w, " LAN ≈ WAN throughout; CPU saturates at 100% from c=4 on)")
+		fmt.Fprint(w, table8Note())
 		return nil
 	}
 	register(table8)
@@ -98,12 +75,40 @@ func init() {
 			}
 			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w, "\n(paper: almost linear speedup for classes A and B; significant slowdown")
-		fmt.Fprintln(w, " for the small sample size, caused by the Java metaserver's per-call")
-		fmt.Fprintln(w, " scheduling and distribution overhead)")
+		fmt.Fprint(w, fig11Note)
 		return nil
 	}
 	register(fig11)
+}
+
+// epEnvs are Table 8's two networks.
+var epEnvs = []struct {
+	name string
+	net  func(c int) netmodel.Spec
+}{
+	{"LAN", netmodel.LANJ90},
+	{"WAN", netmodel.SingleSiteWAN},
+}
+
+// epRows runs Table 8: per epEnvs entry, one row per client count (Perf
+// in Mops).
+func epRows(opts Options) ([][]linpackRow, error) {
+	rows := make([][]linpackRow, len(epEnvs))
+	for e, env := range epEnvs {
+		for _, c := range []int{1, 2, 4, 8, 16} {
+			res, err := ninfsim.Run(ninfsim.Config{
+				Server: machine.MustCatalog("j90"),
+				Net:    env.net(c), Workload: ninfsim.EP, EPExp: 24,
+				Duration: opts.dur(8000),
+				Seed:     opts.seed() + uint64(c),
+			})
+			if err != nil {
+				return nil, err
+			}
+			rows[e] = append(rows[e], summarize(0, c, res))
+		}
+	}
+	return rows, nil
 }
 
 // dispatchOverhead is the per-Ninf_call scheduling/distribution cost of

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -67,109 +65,5 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Errorf("output does not carry the experiment header")
 			}
 		})
-	}
-}
-
-// numberAfter extracts the first float following a label on the line
-// containing the label.
-func meanPerfFor(t *testing.T, out string, n, c int) float64 {
-	t.Helper()
-	re := regexp.MustCompile(`(?m)^\s*` + strconv.Itoa(n) + `\s+` + strconv.Itoa(c) + `\s+\|\s+\S+/\S+/(\S+)`)
-	m := re.FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no row for n=%d c=%d in:\n%s", n, c, out)
-	}
-	v, err := strconv.ParseFloat(m[1], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-func TestTable3Shape(t *testing.T) {
-	out := runQuick(t, "table3-lan-1pe")
-	// Perf grows with n at c=1 and falls with c at fixed n.
-	p600 := meanPerfFor(t, out, 600, 1)
-	p1400 := meanPerfFor(t, out, 1400, 1)
-	if p1400 <= p600 {
-		t.Errorf("perf(1400,1)=%.1f not above perf(600,1)=%.1f", p1400, p600)
-	}
-	p16 := meanPerfFor(t, out, 1000, 16)
-	p1 := meanPerfFor(t, out, 1000, 1)
-	if p1 < 2*p16 {
-		t.Errorf("perf(1000,1)=%.1f not ≫ perf(1000,16)=%.1f", p1, p16)
-	}
-}
-
-func TestTable6WANMuchSlowerThanLAN(t *testing.T) {
-	lan := runQuick(t, "table3-lan-1pe")
-	wan := runQuick(t, "table6-wan-1pe")
-	pl := meanPerfFor(t, lan, 1000, 1)
-	pw := meanPerfFor(t, wan, 1000, 1)
-	// Paper: 93 vs 9 Mflops.
-	if pl < 4*pw {
-		t.Errorf("LAN %.1f vs WAN %.1f: WAN should be ~10× slower", pl, pw)
-	}
-}
-
-func TestFig11ShapesHold(t *testing.T) {
-	out := runQuick(t, "fig11-ep-metaserver")
-	// Class B speedup at p=32 must be near-linear (>20); the sample
-	// class must show absolute slowdown (speedup at 32 below its
-	// value at 8).
-	lines := strings.Split(out, "\n")
-	var speedups [][]float64
-	for _, ln := range lines {
-		if strings.HasPrefix(strings.TrimSpace(ln), "speedup") {
-			fields := strings.Fields(ln)
-			var row []float64
-			for _, f := range fields[1:] {
-				if v, err := strconv.ParseFloat(f, 64); err == nil {
-					row = append(row, v)
-				}
-			}
-			speedups = append(speedups, row)
-		}
-	}
-	if len(speedups) != 3 {
-		t.Fatalf("expected 3 speedup rows, got %d:\n%s", len(speedups), out)
-	}
-	sample, classB := speedups[0], speedups[2]
-	if classB[len(classB)-1] < 20 {
-		t.Errorf("class B speedup at p=32 = %.1f, want near-linear", classB[len(classB)-1])
-	}
-	if sample[5] >= sample[3] {
-		t.Errorf("sample speedup must fall from p=8 (%.1f) to p=32 (%.1f)", sample[3], sample[5])
-	}
-}
-
-func TestFig5Monotone(t *testing.T) {
-	out := runQuick(t, "fig5-throughput")
-	// Every pair's throughput must rise with message size and stay
-	// below its FTP baseline.
-	for _, ln := range strings.Split(out, "\n") {
-		if !strings.Contains(ln, "→") {
-			continue
-		}
-		fields := strings.Fields(ln)
-		var vals []float64
-		for _, f := range fields {
-			if v, err := strconv.ParseFloat(f, 64); err == nil {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) < 3 {
-			continue
-		}
-		ftp := vals[len(vals)-1]
-		tps := vals[:len(vals)-1]
-		for i := 1; i < len(tps); i++ {
-			if tps[i] < tps[i-1]*0.95 {
-				t.Errorf("%s: throughput not monotone: %v", ln, tps)
-			}
-		}
-		if tps[len(tps)-1] > ftp*1.05 {
-			t.Errorf("%s: Ninf throughput %v exceeds FTP %v", ln, tps[len(tps)-1], ftp)
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"ninf/internal/machine"
-	"ninf/internal/metrics"
 	"ninf/internal/netmodel"
 	"ninf/internal/ninfsim"
 )
@@ -33,11 +32,8 @@ func singleClientSeries(opts Options, client, server string, ns []int) ([]float6
 		if err != nil {
 			return nil, err
 		}
-		var s metrics.Series
-		for j := range res.Calls {
-			s.Add(res.Calls[j].PerfMflops())
-		}
-		out[i] = s.Mean()
+		row := summarize(n, 1, res)
+		out[i] = row.Perf.Mean()
 	}
 	return out, nil
 }
@@ -64,13 +60,71 @@ func crossover(ns []int, remote []float64, local func(int) float64) int {
 	return -1
 }
 
-func printSeries(w io.Writer, label string, ns []int, vals []float64) {
+func printSeries(w io.Writer, label string, vals []float64) {
 	fmt.Fprintf(w, "%-34s", label)
 	for _, v := range vals {
 		fmt.Fprintf(w, "%8.1f", v)
 	}
 	fmt.Fprintln(w)
-	_ = ns
+}
+
+// fig3Pairs are Figure 3's clients, each with the servers it calls.
+var fig3Pairs = []struct {
+	client  string
+	servers []string
+}{
+	{"supersparc", []string{"ultrasparc", "alpha", "j90"}},
+	{"ultrasparc", []string{"alpha", "j90"}},
+}
+
+// An echoRow is one Figure 5 line: a client → server pair's mean
+// Ninf_call throughput per message size, and its Table 2 FTP rate.
+type echoRow struct {
+	client, server string
+	tput           []float64 // MB/s, one per echoSizes entry
+	ftp            float64   // MB/s
+}
+
+func echoSizes(opts Options) []float64 {
+	if opts.Quick {
+		return []float64{32 << 10, 512 << 10, 8 << 20}
+	}
+	return []float64{8 << 10, 32 << 10, 128 << 10, 512 << 10, 2 << 20, 8 << 20}
+}
+
+// fig5Rows runs the Figure 5 echo sweep over every pair.
+func fig5Rows(opts Options) ([]echoRow, error) {
+	var rows []echoRow
+	for _, p := range [][2]string{
+		{"supersparc", "j90"},
+		{"ultrasparc", "j90"},
+		{"alpha", "j90"},
+		{"supersparc", "alpha"},
+		{"ultrasparc", "alpha"},
+		{"ultrasparc", "ultrasparc"},
+	} {
+		net, err := netmodel.SingleClientLAN(p[0], p[1])
+		if err != nil {
+			return nil, err
+		}
+		row := echoRow{client: p[0], server: p[1]}
+		for _, sz := range echoSizes(opts) {
+			res, err := ninfsim.Run(ninfsim.Config{
+				Server: machine.MustCatalog(p[1]), Net: net,
+				Workload: ninfsim.Echo, EchoBytes: sz,
+				Duration: opts.dur(400),
+				Seed:     opts.seed() + uint64(sz),
+			})
+			if err != nil {
+				return nil, err
+			}
+			cell := summarize(0, 1, res)
+			row.tput = append(row.tput, cell.Tput.Mean())
+		}
+		row.ftp, _ = netmodel.PairFTPMBps(p[0], p[1])
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 func init() {
@@ -88,25 +142,21 @@ func init() {
 		}
 		fmt.Fprintln(w)
 
-		for _, client := range []string{"supersparc", "ultrasparc"} {
-			cm := machine.MustCatalog(client)
+		for _, p := range fig3Pairs {
+			cm := machine.MustCatalog(p.client)
 			local := make([]float64, len(ns))
 			for i, n := range ns {
 				local[i] = cm.LocalMflops(n)
 			}
-			printSeries(w, cm.Name+" Local", ns, local)
-			servers := []string{"alpha", "j90"}
-			if client == "supersparc" {
-				servers = []string{"ultrasparc", "alpha", "j90"}
-			}
-			for _, server := range servers {
-				remote, err := singleClientSeries(opts, client, server, ns)
+			printSeries(w, cm.Name+" Local", local)
+			for _, server := range p.servers {
+				remote, err := singleClientSeries(opts, p.client, server, ns)
 				if err != nil {
 					return err
 				}
-				printSeries(w, fmt.Sprintf("%s → %s Ninf_call", cm.Name, machine.MustCatalog(server).Name), ns, remote)
+				printSeries(w, fmt.Sprintf("%s → %s Ninf_call", cm.Name, machine.MustCatalog(server).Name), remote)
 				if x := crossover(ns, remote, cm.LocalMflops); x > 0 {
-					fmt.Fprintf(w, "    crossover vs local at n ≈ %d (paper: 200~400)\n", x)
+					fmt.Fprintf(w, "    crossover vs local at n ≈ %d (paper: %v)\n", x, fig3Crossover)
 				}
 			}
 		}
@@ -136,18 +186,18 @@ func init() {
 			localOpt[i] = opt.LocalMflops(n)
 			localStd[i] = std.LocalMflops(n)
 		}
-		printSeries(w, "Alpha Local (optimized glub4)", ns, localOpt)
-		printSeries(w, "Alpha Local (standard Linpack)", ns, localStd)
+		printSeries(w, "Alpha Local (optimized glub4)", localOpt)
+		printSeries(w, "Alpha Local (standard Linpack)", localStd)
 		remote, err := singleClientSeries(opts, "alpha", "j90", ns)
 		if err != nil {
 			return err
 		}
-		printSeries(w, "Alpha → J90 Ninf_call", ns, remote)
+		printSeries(w, "Alpha → J90 Ninf_call", remote)
 		if x := crossover(ns, remote, opt.LocalMflops); x > 0 {
-			fmt.Fprintf(w, "    crossover vs optimized local at n ≈ %d (paper: 800~1000)\n", x)
+			fmt.Fprintf(w, "    crossover vs optimized local at n ≈ %d (paper: %v)\n", x, fig4CrossoverOpt)
 		}
 		if x := crossover(ns, remote, std.LocalMflops); x > 0 {
-			fmt.Fprintf(w, "    crossover vs standard local  at n ≈ %d (paper: 400~600)\n", x)
+			fmt.Fprintf(w, "    crossover vs standard local  at n ≈ %d (paper: %v)\n", x, fig4CrossoverStd)
 		}
 		return nil
 	}
@@ -160,50 +210,23 @@ func init() {
 	}
 	fig5.Run = func(w io.Writer, opts Options) error {
 		header(w, fig5)
-		sizes := []float64{8 << 10, 32 << 10, 128 << 10, 512 << 10, 2 << 20, 8 << 20}
-		if opts.Quick {
-			sizes = []float64{32 << 10, 512 << 10, 8 << 20}
-		}
-		pairs := []struct{ client, server string }{
-			{"supersparc", "j90"},
-			{"ultrasparc", "j90"},
-			{"alpha", "j90"},
-			{"supersparc", "alpha"},
-			{"ultrasparc", "alpha"},
-			{"ultrasparc", "ultrasparc"},
+		rows, err := fig5Rows(opts)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(w, "%-28s", "pair \\ message bytes")
-		for _, sz := range sizes {
+		for _, sz := range echoSizes(opts) {
 			fmt.Fprintf(w, "%10.0f", sz)
 		}
 		fmt.Fprintf(w, "%12s\n", "FTP[MB/s]")
-		for _, p := range pairs {
-			net, err := netmodel.SingleClientLAN(p.client, p.server)
-			if err != nil {
-				return err
+		for _, r := range rows {
+			fmt.Fprintf(w, "%-28s", r.client+" → "+r.server)
+			for _, v := range r.tput {
+				fmt.Fprintf(w, "%10.2f", v)
 			}
-			fmt.Fprintf(w, "%-28s", p.client+" → "+p.server)
-			for _, sz := range sizes {
-				res, err := ninfsim.Run(ninfsim.Config{
-					Server: machine.MustCatalog(p.server), Net: net,
-					Workload: ninfsim.Echo, EchoBytes: sz,
-					Duration: opts.dur(400),
-					Seed:     opts.seed() + uint64(sz),
-				})
-				if err != nil {
-					return err
-				}
-				var s metrics.Series
-				for j := range res.Calls {
-					s.Add(res.Calls[j].ThroughputMBps())
-				}
-				fmt.Fprintf(w, "%10.2f", s.Mean())
-			}
-			ftp, _ := netmodel.PairFTPMBps(p.client, p.server)
-			fmt.Fprintf(w, "%12.1f\n", ftp)
+			fmt.Fprintf(w, "%12.1f\n", r.ftp)
 		}
-		fmt.Fprintln(w, "(paper: J90 lines saturate ≈2 MB/s, SPARC→Alpha ≈3.5, same-arch ≈6;")
-		fmt.Fprintln(w, " Ninf_call reaches nearly FTP throughput — XDR overhead is minor)")
+		fmt.Fprint(w, fig5Note())
 		return nil
 	}
 	register(fig5)

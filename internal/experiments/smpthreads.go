@@ -100,8 +100,6 @@ func runSMPThreads(w io.Writer) error {
 		fmt.Fprintf(w, "%9.0f", bestT)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "\n(paper: 12-thread libraries slow down notably as c grows on Solaris 2.5 —")
-	fmt.Fprintln(w, " thread switching, cache and TLB misses — so the optimal thread count must")
-	fmt.Fprintln(w, " shrink with the number of clients; the last row shows exactly that)")
+	fmt.Fprint(w, smpThreadsNote)
 	return nil
 }

@@ -1,11 +1,9 @@
 package ninfsim
 
 import (
-	"math"
 	"testing"
 
 	"ninf/internal/machine"
-	"ninf/internal/metrics"
 	"ninf/internal/netmodel"
 )
 
@@ -19,22 +17,6 @@ func runOne(t *testing.T, cfg Config) *Result {
 		t.Fatal("no calls completed")
 	}
 	return res
-}
-
-func meanPerf(res *Result) float64 {
-	var s metrics.Series
-	for i := range res.Calls {
-		s.Add(res.Calls[i].PerfMflops())
-	}
-	return s.Mean()
-}
-
-func meanThroughput(res *Result) float64 {
-	var s metrics.Series
-	for i := range res.Calls {
-		s.Add(res.Calls[i].ThroughputMBps())
-	}
-	return s.Mean()
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -76,171 +58,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestTable3Anchor checks the single-client LAN cell of Table 3:
-// n=1400, c=1, 1-PE ⇒ ≈ 114 Mflops, CPU ≈ 24%, load ≈ 1.2.
-func TestTable3Anchor(t *testing.T) {
-	res := runOne(t, Config{
-		Server: machine.MustCatalog("j90"), Mode: TaskParallel,
-		Net: netmodel.LANJ90(1), Workload: Linpack, N: 1400,
-		Duration: 900, Seed: 3,
-	})
-	if p := meanPerf(res); p < 95 || p > 135 {
-		t.Errorf("perf = %.1f Mflops, paper ≈ 113.65", p)
-	}
-	if res.CPUUtil < 15 || res.CPUUtil > 35 {
-		t.Errorf("CPU = %.1f%%, paper ≈ 24.27", res.CPUUtil)
-	}
-	if res.LoadAverage < 0.7 || res.LoadAverage > 1.8 {
-		t.Errorf("load = %.2f, paper ≈ 1.19", res.LoadAverage)
-	}
-}
-
-// TestTable4Anchor checks n=1400, c=1, 4-PE ⇒ ≈ 193 Mflops.
-func TestTable4Anchor(t *testing.T) {
-	res := runOne(t, Config{
-		Server: machine.MustCatalog("j90"), Mode: DataParallel,
-		Net: netmodel.LANJ90(1), Workload: Linpack, N: 1400,
-		Duration: 900, Seed: 3,
-	})
-	if p := meanPerf(res); p < 160 || p > 230 {
-		t.Errorf("perf = %.1f Mflops, paper ≈ 193", p)
-	}
-}
-
-// TestMultiClientDegradation checks the headline Table 3 shape: per-
-// client performance falls sharply from c=1 to c=16 and the server
-// saturates.
-func TestMultiClientDegradation(t *testing.T) {
-	perf := map[int]float64{}
-	util := map[int]float64{}
-	for _, c := range []int{1, 16} {
-		res := runOne(t, Config{
-			Server: machine.MustCatalog("j90"), Mode: TaskParallel,
-			Net: netmodel.LANJ90(c), Workload: Linpack, N: 1000,
-			Duration: 1200, Seed: 5,
-		})
-		perf[c] = meanPerf(res)
-		util[c] = res.CPUUtil
-	}
-	// Paper: 93.4 → 21.1 Mflops (4.4×); utilization 21% → 100%.
-	ratio := perf[1] / perf[16]
-	if ratio < 2.5 || ratio > 8 {
-		t.Errorf("c=1/c=16 perf ratio = %.1f (%.1f vs %.1f), paper ≈ 4.4", ratio, perf[1], perf[16])
-	}
-	if util[16] < 90 {
-		t.Errorf("c=16 utilization = %.1f%%, paper ≈ 100", util[16])
-	}
-}
-
-// TestDataParallelEdgeSmallC checks §4.2.1: the 4-PE version has a
-// substantial edge for small c and almost none for large c.
-func TestDataParallelEdgeSmallC(t *testing.T) {
-	perf := func(mode Mode, c int) float64 {
-		res := runOne(t, Config{
-			Server: machine.MustCatalog("j90"), Mode: mode,
-			Net: netmodel.LANJ90(c), Workload: Linpack, N: 1000,
-			Duration: 1200, Seed: 11,
-		})
-		return meanPerf(res)
-	}
-	edge1 := perf(DataParallel, 1) / perf(TaskParallel, 1)
-	edge16 := perf(DataParallel, 16) / perf(TaskParallel, 16)
-	if edge1 < 1.25 {
-		t.Errorf("4-PE edge at c=1 = %.2f, paper ≈ 1.5", edge1)
-	}
-	if edge16 > 1.25 {
-		t.Errorf("4-PE edge at c=16 = %.2f, paper ≈ 1.0", edge16)
-	}
-}
-
-// TestWANThroughputCollapse checks §4.2.2: single-site WAN throughput
-// collapses with client count while server CPU stays lightly used.
-func TestWANThroughputCollapse(t *testing.T) {
-	res1 := runOne(t, Config{
-		Server: machine.MustCatalog("j90"), Mode: TaskParallel,
-		Net: netmodel.SingleSiteWAN(1), Workload: Linpack, N: 1000,
-		Duration: 1800, Seed: 9,
-	})
-	res16 := runOne(t, Config{
-		Server: machine.MustCatalog("j90"), Mode: TaskParallel,
-		Net: netmodel.SingleSiteWAN(16), Workload: Linpack, N: 1000,
-		Duration: 1800, Seed: 9,
-	})
-	t1, t16 := meanThroughput(res1), meanThroughput(res16)
-	// Paper: 0.123 → 0.011 MB/s (≈11×).
-	if t1 < 0.08 || t1 > 0.2 {
-		t.Errorf("c=1 WAN throughput = %.3f MB/s, paper ≈ 0.123", t1)
-	}
-	if ratio := t1 / t16; ratio < 6 || ratio > 25 {
-		t.Errorf("throughput collapse ratio = %.1f (%.3f→%.3f), paper ≈ 11", ratio, t1, t16)
-	}
-	// Server stays idle: paper ≈ 8% CPU even at c=16.
-	if res16.CPUUtil > 25 {
-		t.Errorf("c=16 WAN CPU = %.1f%%, paper ≈ 8", res16.CPUUtil)
-	}
-}
-
-// TestMultiSiteAggregate checks §4.2.3: four sites sustain far more
-// aggregate bandwidth than one site with the same total client count.
-func TestMultiSiteAggregate(t *testing.T) {
-	single := runOne(t, Config{
-		Server: machine.MustCatalog("j90"), Mode: DataParallel,
-		Net: netmodel.SingleSiteWAN(4), Workload: Linpack, N: 1000,
-		Duration: 1800, Seed: 13,
-	})
-	multi := runOne(t, Config{
-		Server: machine.MustCatalog("j90"), Mode: DataParallel,
-		Net: netmodel.MultiSiteWAN(1), Workload: Linpack, N: 1000,
-		Duration: 1800, Seed: 13,
-	})
-	aggr := func(r *Result) float64 {
-		total := 0.0
-		for i := range r.Calls {
-			total += r.Calls[i].Bytes
-		}
-		return total / r.Duration / netmodel.MB
-	}
-	as, am := aggr(single), aggr(multi)
-	if am < 2*as {
-		t.Errorf("multi-site aggregate %.3f MB/s not ≫ single-site %.3f", am, as)
-	}
-	// Per-site degradation vs a lone Ocha-U client must be modest
-	// (9–18% in the paper), far from the 4× collapse of single-site.
-	if pm, ps := meanPerf(multi), meanPerf(single); pm < 1.5*ps {
-		t.Errorf("multi-site per-client perf %.2f not well above single-site %.2f", pm, ps)
-	}
-}
-
-// TestEPLANWANEquivalence checks §4.3: EP performance is essentially
-// identical in LAN and WAN, flat to c=4, and halves at c=8.
-func TestEPLANWANEquivalence(t *testing.T) {
-	run := func(net netmodel.Spec, c int) float64 {
-		res := runOne(t, Config{
-			Server: machine.MustCatalog("j90"),
-			Net:    net, Workload: EP, EPExp: 24,
-			Duration: 4000, Seed: 17,
-		})
-		return meanPerf(res)
-	}
-	lan1 := run(netmodel.LANJ90(1), 1)
-	wan1 := run(netmodel.SingleSiteWAN(1), 1)
-	// Paper: 0.167 vs 0.168 Mops.
-	if lan1 < 0.15 || lan1 > 0.18 {
-		t.Errorf("LAN EP perf = %.3f, paper ≈ 0.167", lan1)
-	}
-	if math.Abs(lan1-wan1)/lan1 > 0.1 {
-		t.Errorf("LAN %.3f vs WAN %.3f differ by >10%%", lan1, wan1)
-	}
-	lan4 := run(netmodel.LANJ90(4), 4)
-	lan8 := run(netmodel.LANJ90(8), 8)
-	if lan4 < 0.9*lan1 {
-		t.Errorf("EP perf dropped at c=4: %.3f vs %.3f (paper: flat)", lan4, lan1)
-	}
-	if r := lan1 / lan8; r < 1.6 || r > 2.6 {
-		t.Errorf("c=8 degradation ratio %.2f, paper ≈ 2", r)
-	}
-}
-
 // TestCallInvariants is a property over a busy mixed run: timestamps
 // are monotone and metrics non-negative.
 func TestCallInvariants(t *testing.T) {
@@ -260,26 +77,5 @@ func TestCallInvariants(t *testing.T) {
 		if c.PerfMflops() <= 0 || c.ThroughputMBps() <= 0 {
 			t.Fatalf("call %d has non-positive metrics", i)
 		}
-	}
-}
-
-// TestEchoThroughputSaturation traces the Figure 5 shape: throughput
-// rises with message size and saturates near the J90 path capacity.
-func TestEchoThroughputSaturation(t *testing.T) {
-	tp := func(bytes float64) float64 {
-		res := runOne(t, Config{
-			Server: machine.MustCatalog("j90"),
-			Net:    netmodel.LANJ90(1), Workload: Echo, EchoBytes: bytes,
-			Duration: 600, Seed: 23,
-		})
-		return meanThroughput(res)
-	}
-	small := tp(8 << 10)
-	big := tp(4 << 20)
-	if small > big {
-		t.Errorf("throughput not rising with size: %.2f vs %.2f", small, big)
-	}
-	if big < 1.8 || big > 2.7 {
-		t.Errorf("large-message throughput %.2f MB/s, Figure 5 saturates ≈ 2–2.5", big)
 	}
 }
