@@ -146,17 +146,17 @@ func (m *Metaserver) addrOf(name string) string {
 	return ""
 }
 
-// Client control-path timeouts. The gossip path between replicas got
-// its own deadlines; the latency-critical client path needs them just
-// as much — a black-holed replica (partition or silent drop rather
-// than RST) must fail over as fast as a crashed one, not after the OS
-// TCP timeout. Vars, not consts, so tests can shrink them.
+// Control-path timeouts: a black-holed replica, peer or server
+// (partition or silent drop rather than RST) must fail as fast as a
+// crashed one, not after the OS TCP timeout. Vars, not consts, so
+// tests can shrink them.
 var (
 	// metaDialTimeout bounds connection establishment to a replica, a
 	// peer or a computational server.
 	metaDialTimeout = 5 * time.Second
 	// metaExchangeTimeout bounds one request/reply round trip
-	// (including the liveness ping, when one is owed).
+	// (including the liveness ping, when one is owed), one monitor poll
+	// and one gossip exchange.
 	metaExchangeTimeout = 5 * time.Second
 )
 
@@ -217,6 +217,7 @@ type RemoteScheduler struct {
 	rrDeg    int // round-robin cursor for degraded placements
 	degraded int // degraded placements handed out
 	init     bool
+	now      func() time.Time // every clock read but the socket deadlines
 }
 
 // NewRemoteScheduler connects to one or more metaserver daemons over
@@ -245,8 +246,8 @@ func (r *RemoteScheduler) AddMeta(addr string, dial func() (net.Conn, error)) {
 var clientOriginCounter uint64
 
 // degradedCacheTTL bounds how long a cached placement may serve
-// degraded mode. A var so tests can shrink it.
-var degradedCacheTTL = 30 * time.Second
+// degraded mode.
+const degradedCacheTTL = 30 * time.Second
 
 // ensureLocked finishes construction lazily so zero-value and
 // struct-literal schedulers keep working. Callers hold r.mu.
@@ -255,8 +256,11 @@ func (r *RemoteScheduler) ensureLocked() {
 		return
 	}
 	r.init = true
+	if r.now == nil {
+		r.now = time.Now
+	}
 	if r.Origin == "" {
-		r.Origin = fmt.Sprintf("client-%x-%d", time.Now().UnixNano(), atomic.AddUint64(&clientOriginCounter, 1))
+		r.Origin = fmt.Sprintf("client-%x-%d", r.now().UnixNano(), atomic.AddUint64(&clientOriginCounter, 1))
 	}
 	r.cache = make(map[string]cacheEntry)
 }
@@ -295,7 +299,7 @@ func (r *RemoteScheduler) roundTrip(typ protocol.MsgType, payload []byte) (proto
 		return 0, nil, errNoMetaserver
 	}
 	n := len(r.metas)
-	now := time.Now()
+	now := r.now()
 	order := make([]*metaReplica, 0, n)
 	var avoided []*metaReplica
 	for i := 0; i < n; i++ {
@@ -314,12 +318,12 @@ func (r *RemoteScheduler) roundTrip(typ protocol.MsgType, payload []byte) (proto
 		if !protocol.Classify(err).Answered() {
 			lastErr = err
 			mr.fails++
-			mr.avoidUntil = time.Now().Add(metaBackoff(mr.fails))
+			mr.avoidUntil = r.now().Add(metaBackoff(mr.fails))
 			continue
 		}
 		mr.fails = 0
 		mr.avoidUntil = time.Time{}
-		mr.lastOK = time.Now()
+		mr.lastOK = r.now()
 		for i, x := range r.metas {
 			if x == mr {
 				r.cur = i
@@ -351,7 +355,7 @@ func idempotentMsg(t protocol.MsgType) bool {
 // failover takes over. Idle connections are preemptively redialed so
 // the ambiguous case stays rare. Callers hold r.mu.
 func (r *RemoteScheduler) exchangeLocked(mr *metaReplica, typ protocol.MsgType, payload []byte) (protocol.MsgType, []byte, error) {
-	if mr.conn != nil && time.Since(mr.lastOK) > metaConnIdle {
+	if mr.conn != nil && r.now().Sub(mr.lastOK) > metaConnIdle {
 		r.dropLocked(mr)
 	}
 	if mr.conn != nil {
@@ -447,7 +451,7 @@ func (r *RemoteScheduler) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	}
 	r.mu.Lock()
 	r.ensureLocked()
-	r.cache[reply.Name] = cacheEntry{addr: reply.Addr, at: time.Now()}
+	r.cache[reply.Name] = cacheEntry{addr: reply.Addr, at: r.now()}
 	r.mu.Unlock()
 	return ninf.Placement{Name: reply.Name, Dial: tcpDialer(reply.Addr)}, nil
 }
@@ -464,7 +468,7 @@ func (r *RemoteScheduler) placeDegraded(req ninf.SchedRequest, cause error) (nin
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ensureLocked()
-	now := time.Now()
+	now := r.now()
 	var cands []placement.Server
 	for name, ce := range r.cache {
 		if now.Sub(ce.at) > degradedCacheTTL {

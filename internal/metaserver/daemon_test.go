@@ -353,15 +353,15 @@ func TestRemoteSchedulerCacheTTLExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := startMetaDaemon(t, m)
-	defer func(ttl time.Duration) { degradedCacheTTL = ttl }(degradedCacheTTL)
-	degradedCacheTTL = 50 * time.Millisecond
+	clk := newClock()
 	rs := NewRemoteScheduler(d.Addr)
+	rs.now = clk.now
 	t.Cleanup(func() { rs.Close() })
 	if _, err := rs.Place(ninf.SchedRequest{Routine: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	d.Kill()
-	time.Sleep(80 * time.Millisecond)
+	clk.advance(degradedCacheTTL + time.Millisecond)
 	if _, err := rs.Place(ninf.SchedRequest{Routine: "x"}); err == nil {
 		t.Error("stale cache entry served past its TTL")
 	}

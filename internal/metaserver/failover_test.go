@@ -62,7 +62,8 @@ func TestBreakerOpensOnFailThreshold(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
-	m := New(Config{FailThreshold: 1, BreakerCooldown: 20 * time.Millisecond})
+	clk := newClock()
+	m := newMetaserver(Config{FailThreshold: 1, BreakerCooldown: 20 * time.Millisecond}, clk.now)
 	_, addr, dial := startServer(t, server.Config{})
 	if err := m.AddServer("a", addr, 100, dial); err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 	if _, err := m.Place(ninf.SchedRequest{}); !errors.Is(err, ErrNoServer) {
 		t.Fatalf("place during cooldown = %v", err)
 	}
-	time.Sleep(25 * time.Millisecond)
+	clk.advance(25 * time.Millisecond)
 
 	// After cooldown: exactly one probe placement is admitted.
 	if _, err := m.Place(ninf.SchedRequest{}); err != nil {
@@ -100,13 +101,14 @@ func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	m := New(Config{FailThreshold: 1, BreakerCooldown: 10 * time.Millisecond})
+	clk := newClock()
+	m := newMetaserver(Config{FailThreshold: 1, BreakerCooldown: 10 * time.Millisecond}, clk.now)
 	_, addr, dial := startServer(t, server.Config{})
 	if err := m.AddServer("a", addr, 100, dial); err != nil {
 		t.Fatal(err)
 	}
 	observeFail(m, "a", 1)
-	time.Sleep(15 * time.Millisecond)
+	clk.advance(15 * time.Millisecond)
 	if _, err := m.Place(ninf.SchedRequest{}); err != nil {
 		t.Fatal(err)
 	}

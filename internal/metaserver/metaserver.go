@@ -32,7 +32,8 @@ import (
 )
 
 // A Snapshot is the operator's view of one server. Alive, Breaker,
-// Fails and Overloaded are derived when the snapshot is taken.
+// Fails, Overloaded and ObsCount are derived when the snapshot is
+// taken.
 type Snapshot struct {
 	Name string
 	Addr string
@@ -65,10 +66,11 @@ type Snapshot struct {
 	// LastSeen is when the server last answered a poll.
 	LastSeen time.Time
 	// ObsCount is how many distinct call-outcome reports have been
-	// applied for this server, counting each client-stamped
+	// applied for this server's name, counting each client-stamped
 	// (origin, seq) report once regardless of how many times failover
-	// or gossip redelivered it. Replicas that have converged agree on
-	// it.
+	// or gossip redelivered it, and whether or not the server was
+	// registered here when it arrived. Replicas that have converged
+	// agree on it.
 	ObsCount int
 }
 
@@ -93,6 +95,7 @@ type Config struct {
 // ninf.Scheduler, so transactions can run over it directly.
 type Metaserver struct {
 	cfg Config
+	now func() time.Time // every clock read but the socket deadlines
 
 	mu      sync.Mutex
 	servers map[string]*entry
@@ -106,12 +109,14 @@ type Metaserver struct {
 	seq    uint64                // last locally issued gossip seq
 	log    map[string]*originLog // per-origin applied records
 	peers  []*peer
-	tombs  map[string]int64 // server name → deregistration unix nanos
+	tombs  map[string]int64 // server name → deregistration unix nanos, kept for good
+	obs    map[string]int   // server name → outcome reports applied, kept for good
 }
 
 // entry is one server's state. Its Snapshot holds the stored fields;
-// the derived ones (Alive, Breaker, Fails, Overloaded) stay zero here
-// and are computed from brk and overloadUntil when read.
+// the derived ones (Alive, Breaker, Fails, Overloaded, ObsCount) stay
+// zero here and are computed from brk, overloadUntil and the
+// metaserver's obs when read.
 type entry struct {
 	Snapshot
 	dial     func() (net.Conn, error)
@@ -126,9 +131,10 @@ type entry struct {
 	registeredAt int64
 }
 
-// snapshot is the entry's view at now.
-func (e *entry) snapshot(now time.Time) *Snapshot {
+// snapshot is the entry's view at now, with obs reports applied.
+func (e *entry) snapshot(now time.Time, obs int) *Snapshot {
 	s := e.Snapshot
+	s.ObsCount = obs
 	s.Alive = e.brk.state != BreakerOpen
 	s.Breaker = e.brk.state
 	s.Fails = e.brk.fails
@@ -151,7 +157,10 @@ func (e *entry) server(now time.Time) placement.Server {
 }
 
 // New creates a metaserver.
-func New(cfg Config) *Metaserver {
+func New(cfg Config) *Metaserver { return newMetaserver(cfg, time.Now) }
+
+// newMetaserver is New reading the clock now.
+func newMetaserver(cfg Config, now func() time.Time) *Metaserver {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
 	}
@@ -166,10 +175,12 @@ func New(cfg Config) *Metaserver {
 	}
 	return &Metaserver{
 		cfg:     cfg,
+		now:     now,
 		servers: make(map[string]*entry),
 		origin:  cfg.Origin,
 		log:     make(map[string]*originLog),
 		tombs:   make(map[string]int64),
+		obs:     make(map[string]int),
 	}
 }
 
@@ -189,7 +200,7 @@ func (m *Metaserver) AddServer(name, addr string, powerMflops float64, dial func
 	// Stamp the registration for tombstone conflict resolution; an
 	// operator re-adding a server they just removed must beat the local
 	// tombstone even on a coarse clock.
-	at := time.Now().UnixNano()
+	at := m.now().UnixNano()
 	if t, ok := m.tombs[name]; ok && at <= t {
 		at = t + 1
 	}
@@ -222,14 +233,13 @@ func (m *Metaserver) RemoveServer(name string) {
 	if !ok {
 		return
 	}
-	at := time.Now().UnixNano()
+	at := m.now().UnixNano()
 	if at <= e.registeredAt {
 		at = e.registeredAt + 1
 	}
 	if at > m.tombs[name] {
 		m.tombs[name] = at
 	}
-	m.pruneTombsLocked(time.Now())
 	m.removeLocked(name)
 	m.recordLocked(protocol.GossipRecord{Kind: protocol.GossipDeregister, Name: name, AtUnixNanos: at})
 }
@@ -250,10 +260,10 @@ func (m *Metaserver) removeLocked(name string) {
 func (m *Metaserver) Servers() []*Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := time.Now()
+	now := m.now()
 	out := make([]*Snapshot, 0, len(m.order))
 	for _, n := range m.order {
-		out = append(out, m.servers[n].snapshot(now))
+		out = append(out, m.servers[n].snapshot(now, m.obs[n]))
 	}
 	return out
 }
@@ -289,7 +299,7 @@ func (m *Metaserver) PollOnce() int {
 	}
 	wg.Wait()
 
-	now := time.Now()
+	now := m.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, p := range probes {
@@ -307,7 +317,7 @@ func (m *Metaserver) PollOnce() int {
 			// breaker even when it was opened by call failures, so
 			// polling and call feedback revive a server
 			// symmetrically.
-			e.brk.onSuccess(m.transition(e))
+			e.brk.onSuccess(m.transition(e, now))
 			if len(m.peers) > 0 {
 				// Share the first-hand poll with peers; they apply it
 				// freshest-wins, so a replica partitioned from a server
@@ -321,17 +331,17 @@ func (m *Metaserver) PollOnce() int {
 			}
 			ok++
 		} else {
-			e.brk.onFailure(now, m.cfg.FailThreshold, m.transition(e))
+			e.brk.onFailure(now, m.cfg.FailThreshold, m.transition(e, now))
 		}
 	}
 	return ok
 }
 
 // transition returns the event recorder the breaker calls on a state
-// change. Callers hold m.mu.
-func (m *Metaserver) transition(e *entry) func(from, to BreakerState) {
+// change decided at now. Callers hold m.mu.
+func (m *Metaserver) transition(e *entry, now time.Time) func(from, to BreakerState) {
 	return func(from, to BreakerState) {
-		m.events = append(m.events, BreakerEvent{Server: e.Name, From: from, To: to, At: time.Now()})
+		m.events = append(m.events, BreakerEvent{Server: e.Name, From: from, To: to, At: now})
 		const maxEvents = 1024
 		if len(m.events) > maxEvents {
 			m.events = append(m.events[:0], m.events[len(m.events)-maxEvents:]...)
@@ -466,14 +476,14 @@ var ErrNoServer = errors.New("metaserver: no eligible server")
 func (m *Metaserver) Place(req ninf.SchedRequest) (ninf.Placement, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := time.Now()
+	now := m.now()
 	m.cands = m.cands[:0]
 	for _, n := range m.order {
 		e := m.servers[n]
 		// Draining is a graceful shutdown in progress: the server
 		// answers polls but refuses new work, so its breaker is left
 		// alone and the call placed elsewhere until it is gone.
-		if slices.Contains(req.Exclude, n) || !e.brk.eligible(now, m.cfg.BreakerCooldown, m.transition(e)) || e.Stats.Draining {
+		if slices.Contains(req.Exclude, n) || !e.brk.eligible(now, m.cfg.BreakerCooldown, m.transition(e, now)) || e.Stats.Draining {
 			continue
 		}
 		m.cands = append(m.cands, e.server(now))
@@ -545,7 +555,7 @@ func (m *Metaserver) ObserveRemote(req protocol.ObserveRequest) {
 		if len(m.peers) > 0 {
 			m.recordLocked(rec)
 		}
-		m.applyRecordLocked(rec)
+		m.applyRecordLocked(rec, m.now())
 		return
 	}
 	rec.Origin, rec.Seq = req.Origin, req.Seq
@@ -554,7 +564,7 @@ func (m *Metaserver) ObserveRemote(req protocol.ObserveRequest) {
 		return // duplicate delivery of an already-counted outcome
 	}
 	l.add(rec)
-	m.applyRecordLocked(rec)
+	m.applyRecordLocked(rec, m.now())
 }
 
 // A server's bandwidth estimate starts at initialBandwidth (bytes/s)
@@ -567,16 +577,15 @@ const (
 
 // applyObserveLocked is the effect of one non-overload call outcome on
 // a server's accounting. Callers hold m.mu.
-func (m *Metaserver) applyObserveLocked(e *entry, bytes int64, elapsed time.Duration, failed bool) {
-	e.ObsCount++
+func (m *Metaserver) applyObserveLocked(e *entry, bytes int64, elapsed time.Duration, failed bool, now time.Time) {
 	if e.Stats.Queued > 0 {
 		e.Stats.Queued--
 	}
 	if failed {
-		e.brk.onFailure(time.Now(), m.cfg.FailThreshold, m.transition(e))
+		e.brk.onFailure(now, m.cfg.FailThreshold, m.transition(e, now))
 		return
 	}
-	e.brk.onSuccess(m.transition(e))
+	e.brk.onSuccess(m.transition(e, now))
 	if bytes > 0 && elapsed > 0 {
 		obs := float64(bytes) / elapsed.Seconds()
 		if !e.observed {
@@ -599,8 +608,7 @@ const (
 // applyOverloadLocked is the effect of one overload rejection: a
 // placement-penalty window, never breaker advancement. Callers hold
 // m.mu.
-func (m *Metaserver) applyOverloadLocked(e *entry, retryAfterMillis uint32) {
-	e.ObsCount++
+func (m *Metaserver) applyOverloadLocked(e *entry, retryAfterMillis uint32, now time.Time) {
 	if e.Stats.Queued > 0 {
 		e.Stats.Queued--
 	}
@@ -608,9 +616,9 @@ func (m *Metaserver) applyOverloadLocked(e *entry, retryAfterMillis uint32) {
 	if retryAfterMillis > 0 {
 		cool = min(time.Duration(retryAfterMillis)*time.Millisecond, maxOverloadPenalty)
 	}
-	e.overloadUntil = time.Now().Add(cool)
+	e.overloadUntil = now.Add(cool)
 	// Liveness, not failure: reset the consecutive-failure streak.
-	e.brk.onSuccess(m.transition(e))
+	e.brk.onSuccess(m.transition(e, now))
 }
 
 var _ ninf.Scheduler = (*Metaserver)(nil)

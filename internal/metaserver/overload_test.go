@@ -70,7 +70,8 @@ func TestOverloadDoesNotTripBreaker(t *testing.T) {
 // overloaded server loses placements to an idle peer; once the window
 // (sized by the server's own hint) passes, it is schedulable again.
 func TestOverloadPenaltyBiasesPlacement(t *testing.T) {
-	m := New(Config{Policy: placement.LoadOnly})
+	clk := newClock()
+	m := newMetaserver(Config{Policy: placement.LoadOnly}, clk.now)
 	_, addrA, dialA := startServer(t, server.Config{Hostname: "a"})
 	_, addrB, dialB := startServer(t, server.Config{Hostname: "b"})
 	if err := m.AddServer("a", addrA, 100, dialA); err != nil {
@@ -92,7 +93,7 @@ func TestOverloadPenaltyBiasesPlacement(t *testing.T) {
 		m.Observe("b", 0, 0, nil) // return the optimistic queue credit
 	}
 
-	time.Sleep(100 * time.Millisecond) // outlive the 80ms hint window
+	clk.advance(100 * time.Millisecond) // outlive the 80ms hint window
 	if s := snapshotOf(t, m, "a"); s.Overloaded {
 		t.Error("penalty window did not expire with the hint")
 	}
@@ -101,7 +102,8 @@ func TestOverloadPenaltyBiasesPlacement(t *testing.T) {
 // TestOverloadPenaltyHintCap: a corrupt or hostile hint cannot park a
 // server out of rotation for more than 30s.
 func TestOverloadPenaltyHintCap(t *testing.T) {
-	m := New(Config{})
+	clk := newClock()
+	m := newMetaserver(Config{}, clk.now)
 	_, addr, dial := startServer(t, server.Config{})
 	if err := m.AddServer("a", addr, 100, dial); err != nil {
 		t.Fatal(err)
@@ -110,8 +112,8 @@ func TestOverloadPenaltyHintCap(t *testing.T) {
 	m.mu.Lock()
 	until := m.servers["a"].overloadUntil
 	m.mu.Unlock()
-	if d := time.Until(until); d > 31*time.Second {
-		t.Errorf("penalty window %v exceeds the 30s cap", d)
+	if d := until.Sub(clk.now()); d != maxOverloadPenalty {
+		t.Errorf("penalty window %v, want the 30s cap", d)
 	}
 }
 

@@ -14,7 +14,8 @@ package metaserver
 //	go test -run PlacementGolden ./internal/metaserver -update
 //
 // only when a placement change is intended, and review the diff row by
-// row. The test uses exported API only.
+// row. Apart from building each scenario's metaserver on a test clock
+// (newMetaserver), the test uses exported API only.
 
 import (
 	"errors"
@@ -74,8 +75,10 @@ type goldenScenario struct {
 	name    string
 	cfg     Config
 	servers []goldenServer
-	// prep runs after the poll: observations, waits.
+	// prep runs after the poll: observations. Then the clock moves
+	// by wait.
 	prep func(m *Metaserver)
+	wait time.Duration
 	reqs []ninf.SchedRequest
 }
 
@@ -219,10 +222,8 @@ func goldenScenarios() []goldenScenario {
 				{name: "a", power: 100, st: idle},
 				{name: "b", power: 100, st: loaded(2, 0, 0)},
 			},
-			prep: func(m *Metaserver) {
-				observeFail(m, "a", 1)
-				time.Sleep(5 * time.Millisecond)
-			},
+			prep: func(m *Metaserver) { observeFail(m, "a", 1) },
+			wait: 5 * time.Millisecond,
 			reqs: []ninf.SchedRequest{plainReq, plainReq, plainReq, {Routine: "busy", Exclude: []string{"b"}}},
 		},
 	}
@@ -255,7 +256,8 @@ func TestPlacementGolden(t *testing.T) {
 	for _, policy := range []string{"load-only", "bandwidth-aware", "round-robin"} {
 		for _, sc := range goldenScenarios() {
 			add("== %s / %s ==", policy, sc.name)
-			m := New(withPolicy(t, sc.cfg, policy))
+			clk := newClock()
+			m := newMetaserver(withPolicy(t, sc.cfg, policy), clk.now)
 			for _, s := range sc.servers {
 				dial := deadServer
 				if !s.dead {
@@ -273,6 +275,7 @@ func TestPlacementGolden(t *testing.T) {
 			if sc.prep != nil {
 				sc.prep(m)
 			}
+			clk.advance(sc.wait)
 			for _, r := range sc.reqs {
 				pl, err := m.Place(r)
 				add("%s -> %s", renderReq(r), renderPlacement(pl, err))

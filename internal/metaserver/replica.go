@@ -1,10 +1,12 @@
 package metaserver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"ninf/internal/protocol"
@@ -44,9 +46,6 @@ const (
 	// digest Low advancing, which is what lets peers stop re-sending
 	// retained records and lets pruning keep the log bounded.
 	gapHorizon = 15 * time.Second
-	// tombRetention is how long a deregistration tombstone is kept to
-	// refuse older register records still circulating through gossip.
-	tombRetention = time.Hour
 )
 
 // originLog holds one origin's records. All seqs <= low have been
@@ -174,26 +173,15 @@ func (m *Metaserver) logLocked(origin string) *originLog {
 	return l
 }
 
-// sweepLocked runs once per gossip round: it heals stream holes older
-// than gapHorizon so digests (and therefore pruning and peer re-sends)
-// never freeze on a permanently lost seq, and expires deregistration
-// tombstones past their retention. Callers hold m.mu.
+// sweepLocked runs once per gossip exchange: it heals stream holes
+// older than gapHorizon so digests (and therefore pruning and peer
+// re-sends) never freeze on a permanently lost seq. Deregistration
+// tombstones are never swept: a register record they refuse may still
+// be on its way to a replica that starts empty, however old it is.
+// Callers hold m.mu.
 func (m *Metaserver) sweepLocked(now time.Time) {
 	for _, l := range m.log {
 		l.healGaps(now)
-	}
-	m.pruneTombsLocked(now)
-}
-
-// pruneTombsLocked drops deregistration tombstones old enough that no
-// register record predating them can still be circulating. Callers
-// hold m.mu.
-func (m *Metaserver) pruneTombsLocked(now time.Time) {
-	cutoff := now.Add(-tombRetention).UnixNano()
-	for name, at := range m.tombs {
-		if at < cutoff {
-			delete(m.tombs, name)
-		}
 	}
 }
 
@@ -214,7 +202,7 @@ func (m *Metaserver) digestLocked() []protocol.GossipDigest {
 	for origin, l := range m.log {
 		out = append(out, protocol.GossipDigest{Origin: origin, Low: l.low, Max: l.max})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+	slices.SortFunc(out, func(a, b protocol.GossipDigest) int { return strings.Compare(a.Origin, b.Origin) })
 	return out
 }
 
@@ -233,6 +221,9 @@ func (m *Metaserver) missingLocked(peerDigest []protocol.GossipDigest) []protoco
 	var out []protocol.GossipRecord
 	for origin, l := range m.log {
 		floor := low[origin]
+		if floor >= l.max {
+			continue // the peer has the whole stream
+		}
 		for seq, rec := range l.recs {
 			if seq > floor {
 				out = append(out, rec)
@@ -243,16 +234,16 @@ func (m *Metaserver) missingLocked(peerDigest []protocol.GossipDigest) []protoco
 	// production order for the receiver's order-sensitive effects, and
 	// makes the batch cap deterministic: the cut keeps whole low-seq
 	// prefixes, the remainder ships next round.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	slices.SortFunc(out, byOriginSeq)
 	if len(out) > maxGossipBatch {
 		out = out[:maxGossipBatch]
 	}
 	return out
+}
+
+// byOriginSeq orders records by (origin, seq).
+func byOriginSeq(a, b protocol.GossipRecord) int {
+	return cmp.Or(strings.Compare(a.Origin, b.Origin), cmp.Compare(a.Seq, b.Seq))
 }
 
 // applyLocked applies a batch of records, skipping duplicates by
@@ -264,13 +255,9 @@ func (m *Metaserver) applyLocked(recs []protocol.GossipRecord) int {
 		return 0
 	}
 	sorted := append([]protocol.GossipRecord(nil), recs...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Origin != sorted[j].Origin {
-			return sorted[i].Origin < sorted[j].Origin
-		}
-		return sorted[i].Seq < sorted[j].Seq
-	})
+	slices.SortStableFunc(sorted, byOriginSeq)
 	applied := 0
+	now := m.now()
 	for _, rec := range sorted {
 		if rec.Origin == "" || rec.Seq == 0 {
 			continue // malformed; never log, never apply
@@ -280,14 +267,14 @@ func (m *Metaserver) applyLocked(recs []protocol.GossipRecord) int {
 			continue
 		}
 		l.add(rec)
-		m.applyRecordLocked(rec)
+		m.applyRecordLocked(rec, now)
 		applied++
 	}
 	return applied
 }
 
-// applyRecordLocked applies one record's effect to the placement view.
-// Callers hold m.mu and have already deduplicated.
+// applyRecordLocked applies one record's effect to the placement view
+// at now. Callers hold m.mu and have already deduplicated.
 //
 // Register and deregister have no causal order across origins, so
 // membership conflicts resolve by registration timestamp against a
@@ -297,7 +284,7 @@ func (m *Metaserver) applyLocked(recs []protocol.GossipRecord) int {
 // original registration through gossip must not resurrect the server
 // anywhere), a register newer than it wins (the operator re-added the
 // server), and on equal stamps the deregister wins.
-func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
+func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord, now time.Time) {
 	switch rec.Kind {
 	case protocol.GossipRegister:
 		if t, ok := m.tombs[rec.Name]; ok && rec.AtUnixNanos <= t {
@@ -331,14 +318,17 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 		}
 		m.removeLocked(rec.Name)
 	case protocol.GossipObserve:
+		// Counted by name, so the count does not depend on whether
+		// the registration arrived first.
+		m.obs[rec.Name]++
 		e, ok := m.servers[rec.Name]
 		if !ok {
 			return
 		}
 		if rec.Overloaded {
-			m.applyOverloadLocked(e, rec.RetryAfterMillis)
+			m.applyOverloadLocked(e, rec.RetryAfterMillis, now)
 		} else {
-			m.applyObserveLocked(e, rec.Bytes, time.Duration(rec.Nanos), rec.Failed)
+			m.applyObserveLocked(e, rec.Bytes, time.Duration(rec.Nanos), rec.Failed, now)
 		}
 	case protocol.GossipStats:
 		e, ok := m.servers[rec.Name]
@@ -359,7 +349,7 @@ func (m *Metaserver) applyRecordLocked(rec protocol.GossipRecord) {
 		m.noteStatsEpochLocked(e, prevEpoch)
 		// A peer's successful poll is liveness evidence as good as our
 		// own: it revives a server our polls could not reach.
-		e.brk.onSuccess(m.transition(e))
+		e.brk.onSuccess(m.transition(e, now))
 	}
 }
 
@@ -430,14 +420,12 @@ func (m *Metaserver) Origin() string { return m.origin }
 // ObservationCount returns how many distinct call-outcome records have
 // been applied for the named server — a convergence probe: replicas
 // that have exchanged gossip report equal counts because records are
-// deduplicated by (origin, seq).
+// deduplicated by (origin, seq) and counted whatever order they
+// arrived in.
 func (m *Metaserver) ObservationCount(name string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.servers[name]; ok {
-		return e.ObsCount
-	}
-	return 0
+	return m.obs[name]
 }
 
 // GossipOnce runs one anti-entropy round with every peer and reports
@@ -446,60 +434,63 @@ func (m *Metaserver) ObservationCount(name string) int {
 // network I/O.
 func (m *Metaserver) GossipOnce() int {
 	m.mu.Lock()
-	m.sweepLocked(time.Now())
 	peers := append([]*peer(nil), m.peers...)
-	reqs := make([]protocol.GossipRequest, len(peers))
-	for i, p := range peers {
-		reqs[i] = protocol.GossipRequest{
-			From:    m.origin,
-			Digest:  m.digestLocked(),
-			Records: m.missingLocked(p.lastDigest),
-		}
-	}
 	m.mu.Unlock()
-
-	type result struct {
-		reply protocol.GossipReply
-		err   error
-	}
-	results := make([]result, len(peers))
-	done := make(chan int, len(peers))
-	for i := range peers {
-		go func(i int) {
-			defer func() { done <- i }()
-			results[i].reply, results[i].err = exchangeGossip(peers[i].dial, reqs[i])
-		}(i)
+	answered := make(chan bool, len(peers))
+	for _, p := range peers {
+		req := m.gossipRequest(p)
+		go func() {
+			reply, err := exchangeGossip(p.dial, req)
+			answered <- m.gossipReply(p, reply, err)
+		}()
 	}
 	ok := 0
-	now := time.Now()
 	for range peers {
-		i := <-done
-		m.mu.Lock()
-		p := peers[i]
-		if err := results[i].err; err != nil {
-			p.fails++
-			m.mu.Unlock()
-			continue
+		if <-answered {
+			ok++
 		}
-		m.applyLocked(results[i].reply.Records)
-		p.lastDigest = results[i].reply.Digest
-		p.lastOK = now
-		p.fails = 0
-		m.mu.Unlock()
-		ok++
 	}
 	return ok
 }
 
+// gossipRequest opens one exchange with p: sweep, then our digest and
+// the records p's last digest shows it lacks.
+func (m *Metaserver) gossipRequest(p *peer) protocol.GossipRequest {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sweepLocked(m.now())
+	return protocol.GossipRequest{
+		From:    m.origin,
+		Digest:  m.digestLocked(),
+		Records: m.missingLocked(p.lastDigest),
+	}
+}
+
+// gossipReply closes one exchange with p: apply its answer and note
+// its health. It reports whether p answered.
+func (m *Metaserver) gossipReply(p *peer, reply protocol.GossipReply, err error) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil {
+		p.fails++
+		return false
+	}
+	m.applyLocked(reply.Records)
+	p.lastDigest = reply.Digest
+	p.lastOK = m.now()
+	p.fails = 0
+	return true
+}
+
 // exchangeGossip performs one MsgGossip round trip on a fresh
-// connection.
+// connection, bounded by metaExchangeTimeout.
 func exchangeGossip(dial func() (net.Conn, error), req protocol.GossipRequest) (protocol.GossipReply, error) {
 	conn, err := dial()
 	if err != nil {
 		return protocol.GossipReply{}, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	conn.SetDeadline(time.Now().Add(metaExchangeTimeout))
 	out := protocol.AcquireBuffer(req.SizeHint())
 	req.EncodeInto(out.Encoder())
 	typ, fb, err := protocol.Roundtrip(conn, protocol.MsgGossip, out, daemonMaxPayload)
@@ -519,7 +510,7 @@ func exchangeGossip(dial func() (net.Conn, error), req protocol.GossipRequest) (
 func (m *Metaserver) handleGossip(req protocol.GossipRequest) protocol.GossipReply {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sweepLocked(time.Now())
+	m.sweepLocked(m.now())
 	m.applyLocked(req.Records)
 	return protocol.GossipReply{
 		Digest:  m.digestLocked(),

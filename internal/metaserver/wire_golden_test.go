@@ -14,9 +14,9 @@ package metaserver
 // only when a wire change is intended.
 //
 // What is pinned: every frame's type and payload, except the replies
-// that carry timestamps (StatsOK, TraceOK), which are pinned by length,
-// and the registration times inside gossip records, zeroed before the
-// gossip payloads are rendered.
+// that carry the server's timestamps (StatsOK, TraceOK), which are
+// pinned by length. Both replicas read a clock stopped at the Unix
+// epoch, so the registration times inside gossip records are zero.
 
 import (
 	"bytes"
@@ -38,7 +38,6 @@ import (
 	"ninf"
 	"ninf/internal/protocol"
 	"ninf/internal/server"
-	"ninf/internal/xdr"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/wire/meta.golden from this run")
@@ -59,7 +58,6 @@ func (l *metaLog) add(format string, args ...any) {
 // connection, re-framed from each direction's byte stream.
 type metaRecConn struct {
 	net.Conn
-	t       *testing.T
 	log     *metaLog
 	out, in []byte
 }
@@ -89,31 +87,17 @@ func (c *metaRecConn) parse(buf []byte, dir string) []byte {
 		if len(buf) < 16+n {
 			break
 		}
-		c.log.add("%s %v %s", dir, t, renderPayload(c.t, dir, t, buf[16:16+n]))
+		c.log.add("%s %v %s", dir, t, renderPayload(t, buf[16:16+n]))
 		buf = buf[16+n:]
 	}
 	return buf
 }
 
 // renderPayload formats one frame's payload for the capture.
-func renderPayload(t *testing.T, dir string, typ protocol.MsgType, p []byte) string {
-	switch typ {
-	case protocol.MsgStatsOK, protocol.MsgTraceOK:
-		return fmt.Sprintf("len=%d", len(p))
-	case protocol.MsgGossip:
-		req, err := protocol.DecodeGossipRequest(p)
-		if err != nil {
-			t.Errorf("%s gossip: %v", dir, err)
-		}
-		p = maskGossip(t, p, req.Records, req.EncodeInto)
-	case protocol.MsgGossipOK:
-		rep, err := protocol.DecodeGossipReply(p)
-		if err != nil {
-			t.Errorf("%s gossip reply: %v", dir, err)
-		}
-		p = maskGossip(t, p, rep.Records, rep.EncodeInto)
-	}
+func renderPayload(typ protocol.MsgType, p []byte) string {
 	switch {
+	case typ == protocol.MsgStatsOK, typ == protocol.MsgTraceOK:
+		return fmt.Sprintf("len=%d", len(p))
 	case len(p) == 0:
 		return "-"
 	case len(p) > 256:
@@ -123,32 +107,14 @@ func renderPayload(t *testing.T, dir string, typ protocol.MsgType, p []byte) str
 	return hex.EncodeToString(p)
 }
 
-// maskGossip re-encodes a decoded gossip message with every record's
-// timestamp zeroed, after checking that the unmasked re-encoding
-// reproduces the wire bytes — so the mask is the only difference.
-func maskGossip(t *testing.T, wire []byte, recs []protocol.GossipRecord, encode func(*xdr.Encoder)) []byte {
-	enc := func() []byte {
-		fb := protocol.AcquireBuffer(len(wire))
-		encode(fb.Encoder())
-		return protocol.CopyOut(fb)
-	}
-	if !bytes.Equal(enc(), wire) {
-		t.Errorf("gossip payload does not round-trip")
-	}
-	for i := range recs {
-		recs[i].AtUnixNanos = 0
-	}
-	return enc()
-}
-
 // recDial wraps a dialer so each connection it opens is recorded.
-func recDial(t *testing.T, log *metaLog, dial func() (net.Conn, error)) func() (net.Conn, error) {
+func recDial(log *metaLog, dial func() (net.Conn, error)) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
 		conn, err := dial()
 		if err != nil {
 			return nil, err
 		}
-		return &metaRecConn{Conn: conn, t: t, log: log}, nil
+		return &metaRecConn{Conn: conn, log: log}, nil
 	}
 }
 
@@ -157,15 +123,16 @@ func TestMetaWireGolden(t *testing.T) {
 	log := &metaLog{}
 	section := func(name string) { log.add("== %s ==", name) }
 
-	a := New(Config{Origin: "meta-a"})
-	b := New(Config{Origin: "meta-b"})
-	if err := a.AddServer("s0", "s0.golden:7000", 100, recDial(t, log, serverDial)); err != nil {
+	epoch := func() time.Time { return time.Unix(0, 0) }
+	a := newMetaserver(Config{Origin: "meta-a"}, epoch)
+	b := newMetaserver(Config{Origin: "meta-b"}, epoch)
+	if err := a.AddServer("s0", "s0.golden:7000", 100, recDial(log, serverDial)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddPeer("b", recDial(t, log, peerDial(b))); err != nil {
+	if err := a.AddPeer("b", recDial(log, peerDial(b))); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddPeer("a", recDial(t, log, peerDial(a))); err != nil {
+	if err := b.AddPeer("a", recDial(log, peerDial(a))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,7 +140,7 @@ func TestMetaWireGolden(t *testing.T) {
 	// gets the next request.
 	var dials int
 	rs := &RemoteScheduler{Origin: "golden-client"}
-	rs.AddMeta("a", recDial(t, log, func() (net.Conn, error) {
+	rs.AddMeta("a", recDial(log, func() (net.Conn, error) {
 		if dials++; dials == 1 {
 			return nil, errors.New("refused")
 		}
@@ -218,7 +185,7 @@ func TestMetaWireGolden(t *testing.T) {
 	var unknown bytes.Buffer
 	protocol.WriteFrame(&unknown, protocol.MsgType(99), nil)
 	for _, frame := range [][]byte{bad.Bytes(), hdr, unknown.Bytes()} {
-		conn, _ := recDial(t, log, peerDial(a))()
+		conn, _ := recDial(log, peerDial(a))()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
